@@ -134,11 +134,6 @@ func ImplicitSweeps() []string { return fvm.ImplicitSweeps() }
 // ("minmod", "vanalbada").
 func Limiters() []string { return fvm.Limiters() }
 
-// Cycles returns the valid multilevel schedule names — the values of
-// Problem.Cycle and WithCycle: "cascade" (N-level grid sequencing,
-// coarsest-first) and "v" (FAS V-cycles with line-implicit smoothing).
-func Cycles() []string { return fvm.Cycles() }
-
 // CFLRamp tunes the implicit integrator's CFL schedule (see
 // Problem.CFLRamp): start low while the transient establishes the shock,
 // grow geometrically while the residual keeps falling, cap at Max.

@@ -1,8 +1,6 @@
 package main
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 
 	"cataero/internal/ledger"
@@ -39,16 +37,12 @@ func TestRunCmdCheckpointResumeRoundTrip(t *testing.T) {
 		t.Skip("NS solve in short mode")
 	}
 	dir := t.TempDir()
-	// A case heavy enough that a short -timeout lands mid-march, not after
-	// convergence (the smoke case is too small to interrupt reliably).
-	casePath := filepath.Join(t.TempDir(), "slow.json")
-	caseJSON := []byte(`{"class":"ns","chemistry":"equilibrium-air",
-		"p_inf":5474.9,"t_inf":216.65,"v_inf":1770.4,
-		"nose_radius":0.3,"t_wall":1500,"ni":32,"nj":48,"max_steps":4000,
-		"time_stepping":"implicit","grid_sequencing":"off"}`)
-	if err := os.WriteFile(casePath, caseJSON, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// An ideal-gas case far too large to converge inside the timeout (the
+	// 40x64 implicit bench case marches several hundred steps over about a
+	// second), so the interrupt lands mid-march. An equilibrium-air case
+	// could spend the whole timeout building its EOS table, before any step
+	// or checkpoint.
+	casePath := "testdata/bench.json"
 
 	code := runCmd([]string{casePath, "-ledger", dir, "-checkpoint", "5", "-timeout", "100ms"})
 	if code == 0 {

@@ -25,14 +25,13 @@ func figsCmd(args []string) int {
 	limiter := fs.String("limiter", "", "MUSCL slope limiter (minmod, vanalbada; empty = solver default)")
 	gridSeq := fs.Bool("gridseq", false, "grid-sequence the NS and shock-shape solves (coarse first, then fine)")
 	levels := fs.Int("levels", 0, "multilevel grid-level count for NS/shock solves (2 = two-level, 3+ = deeper; implies -gridseq)")
-	cycle := fs.String("cycle", "", "multigrid cycle (cascade, v; implies -gridseq)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	fs.Parse(args)
 	if fs.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "catsim figs: unexpected argument %q\n", fs.Arg(0))
 		return 2
 	}
-	if !checkFlux(*fluxName) || !checkTimeStepping(*timestep) || !checkLimiter(*limiter) || !checkCycle(*cycle) {
+	if !checkFlux(*fluxName) || !checkTimeStepping(*timestep) || !checkLimiter(*limiter) {
 		return 2
 	}
 	if *levels < 0 {
@@ -59,13 +58,13 @@ func figsCmd(args []string) int {
 			f.Close()
 		}
 	}
-	code := runFigs(*fig, *quality, *workers, *fluxName, *timestep, *limiter, *cycle, *levels, *gridSeq)
+	code := runFigs(*fig, *quality, *workers, *fluxName, *timestep, *limiter, *levels, *gridSeq)
 	stopProfile()
 	return code
 }
 
 // runFigs executes the requested figures and returns the process exit code.
-func runFigs(fig string, quality, workers int, fluxName, timestep, limiter, cycle string, levels int, gridSeq bool) int {
+func runFigs(fig string, quality, workers int, fluxName, timestep, limiter string, levels int, gridSeq bool) int {
 	opts := []cataero.Option{cataero.WithQuality(cataero.Quality(quality))}
 	if workers > 0 {
 		opts = append(opts, cataero.WithWorkers(workers))
@@ -78,9 +77,6 @@ func runFigs(fig string, quality, workers int, fluxName, timestep, limiter, cycl
 	}
 	if limiter != "" {
 		opts = append(opts, cataero.WithLimiter(limiter))
-	}
-	if cycle != "" {
-		opts = append(opts, cataero.WithCycle(cycle))
 	}
 	if levels > 0 {
 		opts = append(opts, cataero.WithLevels(levels))

@@ -111,11 +111,6 @@ func checkLimiter(name string) bool {
 	return checkRegistered("limiter", name, cataero.Limiters())
 }
 
-// checkCycle validates a multilevel cycle name against the valid list.
-func checkCycle(name string) bool {
-	return checkRegistered("multigrid cycle", name, cataero.Cycles())
-}
-
 func kernelsCmd(args []string) int {
 	if len(args) > 0 {
 		fmt.Fprintln(os.Stderr, "usage: catsim kernels")

@@ -10,10 +10,10 @@ import (
 )
 
 func TestRunFigsUnknownFigure(t *testing.T) {
-	if code := runFigs("42", 1, 0, "", "", "", "", 0, false); code != 2 {
+	if code := runFigs("42", 1, 0, "", "", "", 0, false); code != 2 {
 		t.Errorf("unknown figure exit code %d, want 2", code)
 	}
-	if code := runFigs("", 1, 0, "", "", "", "", 0, false); code != 2 {
+	if code := runFigs("", 1, 0, "", "", "", 0, false); code != 2 {
 		t.Errorf("empty figure list exit code %d, want 2", code)
 	}
 }
@@ -106,13 +106,16 @@ func TestCheckLimiterAndCycleFailFast(t *testing.T) {
 			t.Errorf("limiter %q rejected", l)
 		}
 	}
-	if checkCycle("w") {
-		t.Error("unknown cycle accepted")
+	// The cycle is no flag any more; a case file naming anything but the
+	// cascade fails at load, before any solve starts.
+	path := filepath.Join(t.TempDir(), "v.json")
+	data := []byte(`{"class":"ns","chemistry":"ideal","p_inf":100,"t_inf":250,"v_inf":2000,
+		"nose_radius":0.3,"ni":8,"nj":14,"max_steps":50,"cycle":"v"}`)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range []string{"", "cascade", "v"} {
-		if !checkCycle(c) {
-			t.Errorf("cycle %q rejected", c)
-		}
+	if code := runCmd([]string{path}); code != 1 {
+		t.Errorf("case-file cycle \"v\" exit code %d, want 1", code)
 	}
 }
 
@@ -164,20 +167,17 @@ func TestDiffBaselineBothDirections(t *testing.T) {
 	}
 }
 
-// Unknown multilevel flags abort run/figs with a usage error before any
-// solve starts, and negative counts are rejected.
+// Bad multilevel flags abort run/figs with a usage error before any solve
+// starts: unknown limiters and negative counts are rejected.
 func TestRunCmdRejectsBadMultilevelFlags(t *testing.T) {
-	if code := runCmd([]string{"testdata/smoke.json", "-cycle", "w"}); code != 2 {
-		t.Errorf("bad cycle exit code %d, want 2", code)
-	}
 	if code := runCmd([]string{"testdata/smoke.json", "-limiter", "superbee"}); code != 2 {
 		t.Errorf("bad limiter exit code %d, want 2", code)
 	}
 	if code := runCmd([]string{"testdata/smoke.json", "-levels", "-3"}); code != 2 {
 		t.Errorf("negative levels exit code %d, want 2", code)
 	}
-	if code := figsCmd([]string{"-fig", "9", "-cycle", "w"}); code != 2 {
-		t.Errorf("figs bad cycle exit code %d, want 2", code)
+	if code := figsCmd([]string{"-fig", "9", "-levels", "-1"}); code != 2 {
+		t.Errorf("figs negative levels exit code %d, want 2", code)
 	}
 }
 

@@ -26,7 +26,6 @@ func runCmd(args []string) int {
 	limiter := fs.String("limiter", "", "override the case's MUSCL slope limiter (minmod, vanalbada)")
 	freezeLim := fs.Float64("freezelimiter", 0, "freeze the MUSCL limiter once the residual has dropped by this factor (0 = case/off)")
 	levels := fs.Int("levels", 0, "override the case's multilevel grid-level count (2 = two-level, 3+ = deeper)")
-	cycle := fs.String("cycle", "", "override the case's multigrid cycle (cascade, v)")
 	refitEvery := fs.Int("refitevery", 0, "re-fit the outer boundary to the shock locus every N fine steps")
 	workers := fs.Int("workers", 0, "concurrent solve bound (0 = GOMAXPROCS)")
 	timeout := fs.Duration("timeout", 0, "abort the solve after this duration (0 = none)")
@@ -53,7 +52,7 @@ func runCmd(args []string) int {
 			return 2
 		}
 	}
-	if !checkFlux(*fluxName) || !checkTimeStepping(*timestep) || !checkImplicitSweep(*sweep) || !checkLimiter(*limiter) || !checkCycle(*cycle) {
+	if !checkFlux(*fluxName) || !checkTimeStepping(*timestep) || !checkImplicitSweep(*sweep) || !checkLimiter(*limiter) {
 		return 2
 	}
 	if *levels < 0 || *refitEvery < 0 {
@@ -96,15 +95,13 @@ func runCmd(args []string) int {
 	if *levels != 0 {
 		p.Levels = *levels
 	}
-	if *cycle != "" {
-		p.Cycle = *cycle
-	}
 	if *refitEvery != 0 {
 		p.RefitEvery = *refitEvery
 	}
-	// The case file's own flux, integrator, sweep, limiter and cycle fields
-	// fail fast too — before the session builds models or any solve starts.
-	if !checkFlux(p.Flux) || !checkTimeStepping(p.TimeStepping) || !checkImplicitSweep(p.ImplicitSweep) || !checkLimiter(p.Limiter) || !checkCycle(p.Cycle) {
+	// The case file's own flux, integrator, sweep and limiter fields fail
+	// fast too — before the session builds models or any solve starts. (A
+	// bad cycle already failed LoadCase.)
+	if !checkFlux(p.Flux) || !checkTimeStepping(p.TimeStepping) || !checkImplicitSweep(p.ImplicitSweep) || !checkLimiter(p.Limiter) {
 		return 2
 	}
 

@@ -1,6 +1,8 @@
 package cataero
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"sort"
 	"strings"
@@ -34,6 +36,31 @@ func TestCaseKeyGolden(t *testing.T) {
 		}
 		if key != want {
 			t.Errorf("%s: key %s, want %s (a deliberate canonical-format change must update goldenKeys)", path, key, want)
+		}
+	}
+}
+
+// sequencedGoldenKeys pin bench.json's keys under the sequencing knobs
+// ("levels" >= 2 spells "cycle":"cascade" in the canonical form). Like
+// goldenKeys, they address stored ledger entries.
+var sequencedGoldenKeys = []struct {
+	levels, refitEvery int
+	key                string
+}{
+	{2, 0, "5e93082059d49a8880b77d4c30564e1f73844d8968da282ad3e102021d3804fd"},
+	{3, 0, "5bc886127dcbdbc36869c9c6027ce4fb7bb8d5076a8f160dc6a80b1771ad42b8"},
+	{2, 40, "d5ee1c4079caa8ace4f911ac808775d509216c41a0d1a56d1c4975d7a53822df"},
+}
+
+func TestCaseKeyGoldenSequenced(t *testing.T) {
+	for _, c := range sequencedGoldenKeys {
+		p, err := LoadCase("cmd/catsim/testdata/bench.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Levels, p.RefitEvery = c.levels, c.refitEvery
+		if key := keyOf(t, p); key != c.key {
+			t.Errorf("bench.json levels=%d refit_every=%d: key %s, want %s", c.levels, c.refitEvery, key, c.key)
 		}
 	}
 }
@@ -163,17 +190,46 @@ func TestCaseKeyExplicitDefaultsCollide(t *testing.T) {
 	}
 }
 
-// TestCaseKeyCycleDefault: the multilevel cycle participates in the key only
-// when a sequenced solve would consult it.
+// TestCaseKeyCycleDefault: a multilevel case keys the same whether or not it
+// spells the cascade, the one multilevel schedule.
 func TestCaseKeyCycleDefault(t *testing.T) {
 	p := hashProblem()
 	p.Class = NS
 	p.NI, p.NJ, p.MaxSteps = 8, 14, 120
 	p.Levels = 2
 	implicitCycle := keyOf(t, p)
-	p.Cycle = fvm.DefaultCycle
+	p.Cycle = "cascade"
 	if keyOf(t, p) != implicitCycle {
 		t.Fatal("default cycle spelled out changed the key of a multilevel case")
+	}
+}
+
+// Both spellings of a two-level case share one key, so they must be one
+// solve: byte-identical result artifacts, or the ledger would answer one
+// with the other's result.
+func TestCycleSpellingsSolveIdentically(t *testing.T) {
+	if testing.Short() {
+		t.Skip("NS solves in short mode")
+	}
+	var keys [2]string
+	var results [2][]byte
+	for i, cycle := range []string{"", "cascade"} {
+		p := fastNSProblem()
+		p.TimeStepping, p.Levels, p.MaxSteps, p.Cycle = fvm.TimeSteppingImplicit, 2, 3000, cycle
+		keys[i] = keyOf(t, p)
+		env, err := NewSession().Solve(context.Background(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if results[i], err = json.Marshal(env); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if keys[0] != keys[1] {
+		t.Fatalf("cycle spellings keyed apart: %s vs %s", keys[0], keys[1])
+	}
+	if !bytes.Equal(results[0], results[1]) {
+		t.Errorf("one key, two results:\n  cycle \"\":        %s\n  cycle \"cascade\": %s", results[0], results[1])
 	}
 }
 

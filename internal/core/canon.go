@@ -21,7 +21,7 @@ import (
 //     spells a default explicitly collides with one that omits it;
 //   - the finite-volume registry choices left empty resolve to the solver
 //     defaults (DefaultFlux/DefaultTimeStepping/DefaultLimiter), and the
-//     multilevel cycle to DefaultCycle when a sequenced solve would use it;
+//     multilevel cycle to "cascade" when a sequenced solve would use it;
 //   - the spec is re-marshaled through a generic map, so object keys are
 //     emitted in sorted order regardless of struct declaration order.
 //
@@ -70,12 +70,12 @@ func Canonical(p Problem) (CaseSpec, error) {
 	if np.ImplicitSweep == "" && np.TimeStepping == fvm.TimeSteppingImplicit {
 		np.ImplicitSweep = fvm.DefaultImplicitSweep
 	}
-	// The cycle matters only when a multilevel solve would consult it: a
-	// requested level hierarchy with no schedule runs the default cycle, so
-	// spell it out. A plain single-level solve keeps the empty cycle rather
-	// than inventing a knob it never reads.
+	// A requested level hierarchy runs the cascade whether or not the spec
+	// names it, so both spellings share one key: spell it out. A plain
+	// single-level solve keeps the empty cycle rather than inventing a knob
+	// it never reads.
 	if np.Cycle == "" && np.Levels >= 2 {
-		np.Cycle = fvm.DefaultCycle
+		np.Cycle = cycleCascade
 	}
 	return SpecOf(np)
 }

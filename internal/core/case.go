@@ -58,14 +58,12 @@ type CaseSpec struct {
 	// GridSequencing is "" (session default), "on" or "off".
 	GridSequencing string `json:"grid_sequencing,omitempty"`
 	// Levels is the multilevel grid-level count (0 = session default; 2 =
-	// classic two-level; >= 3 = deeper hierarchy). Setting it (or Cycle, or
+	// two-level cascade; >= 3 = deeper hierarchy). Setting it (or Cycle, or
 	// RefitEvery) turns sequencing on unless grid_sequencing is "off".
 	Levels int `json:"levels,omitempty"`
-	// Cycle is the multilevel schedule name ("cascade", "v").
+	// Cycle is the multilevel schedule name: "" or "cascade", the only
+	// schedule (any other name is an error).
 	Cycle string `json:"cycle,omitempty"`
-	// SmoothSteps is the V-cycle pre/post smoothing step count (0 = solver
-	// default).
-	SmoothSteps int `json:"smooth_steps,omitempty"`
 	// RefitEvery re-fits the outer boundary to the detected shock locus
 	// every RefitEvery finest-level steps mid-march (0 = off).
 	RefitEvery int `json:"refit_every,omitempty"`
@@ -237,7 +235,6 @@ func SpecOf(p Problem) (CaseSpec, error) {
 		GridSequencing:  toggleName(p.GridSequencing),
 		Levels:          p.Levels,
 		Cycle:           p.Cycle,
-		SmoothSteps:     p.SmoothSteps,
 		RefitEvery:      p.RefitEvery,
 		CheckpointEvery: p.CheckpointEvery,
 	}, nil
@@ -261,8 +258,8 @@ func (c CaseSpec) Problem() (Problem, error) {
 	if c.Levels < 0 {
 		return Problem{}, fmt.Errorf("core: levels %d negative", c.Levels)
 	}
-	if c.SmoothSteps < 0 {
-		return Problem{}, fmt.Errorf("core: smooth_steps %d negative", c.SmoothSteps)
+	if err := validateCycle(c.Cycle); err != nil {
+		return Problem{}, err
 	}
 	if c.RefitEvery < 0 {
 		return Problem{}, fmt.Errorf("core: refit_every %d negative", c.RefitEvery)
@@ -291,7 +288,6 @@ func (c CaseSpec) Problem() (Problem, error) {
 		GridSequencing:  seq,
 		Levels:          c.Levels,
 		Cycle:           c.Cycle,
-		SmoothSteps:     c.SmoothSteps,
 		RefitEvery:      c.RefitEvery,
 		CheckpointEvery: c.CheckpointEvery,
 	}

@@ -35,7 +35,7 @@ func TestProblemJSONRoundTrip(t *testing.T) {
 			PInf: 5474.9, TInf: 216.65, VInf: 1770,
 			NoseRadius: 0.3, TWall: 600,
 			TimeStepping: "implicit",
-			Levels:       3, Cycle: "v", SmoothSteps: 6, RefitEvery: 50,
+			Levels:       3, Cycle: "cascade", RefitEvery: 50,
 		},
 		{
 			Class: PNS, Chemistry: EquilibriumTitan,
@@ -96,7 +96,7 @@ func TestCaseSpecErrors(t *testing.T) {
 		`{"class":"ns","grid_sequencing":"maybe","p_inf":1,"t_inf":1,"v_inf":1}`,
 		`{"class":"ns","body":{"kind":"sphere"},"p_inf":1,"t_inf":1,"v_inf":1}`,
 		`{"class":"ns","levels":-2,"p_inf":1,"t_inf":1,"v_inf":1}`,
-		`{"class":"ns","smooth_steps":-1,"p_inf":1,"t_inf":1,"v_inf":1}`,
+		`{"class":"ns","cycle":"v","p_inf":1,"t_inf":1,"v_inf":1}`,
 		`{"class":"ns","refit_every":-3,"p_inf":1,"t_inf":1,"v_inf":1}`,
 	}
 	for i, s := range bad {

@@ -198,19 +198,17 @@ type Problem struct {
 
 	// Levels selects the number of grid levels for multilevel NS and Euler
 	// shock-shape solves (fine level included): 0 defers to the session
-	// default (the classic two-level sequenced solve when sequencing is on),
-	// 2 the two-level solve, 3 or more a deeper hierarchy with levels the
-	// grid cannot reach dropped automatically. Setting Levels (or Cycle, or
-	// RefitEvery) turns sequencing on unless GridSequencing is ToggleOff.
+	// default (the two-level cascade when sequencing is on), 2 the two-level
+	// cascade, 3 or more a deeper hierarchy with levels the grid cannot
+	// reach dropped automatically. Setting Levels (or Cycle, or RefitEvery)
+	// turns sequencing on unless GridSequencing is ToggleOff.
 	Levels int
 
-	// Cycle selects the multilevel schedule ("cascade", "v"; empty = session
-	// or solver default — see the fvm.Cycles list).
+	// Cycle names the multilevel schedule. The cascade is the only one, so
+	// the field is validated input only: "" or "cascade" (which, like
+	// Levels, turns sequencing on). Any other name is an error. It stays
+	// because stored ledger specs and case files spell it.
 	Cycle string
-
-	// SmoothSteps is the pre/post smoothing step count per V-cycle level
-	// (0 = solver default).
-	SmoothSteps int
 
 	// RefitEvery, when positive, re-fits the outer boundary to the detected
 	// shock locus every RefitEvery steps on the finest level mid-march,
@@ -295,7 +293,23 @@ func normalize(p Problem) (Problem, error) {
 	if p.Gamma == 0 {
 		p.Gamma = thermo.GammaAir
 	}
+	if err := validateCycle(p.Cycle); err != nil {
+		return p, err
+	}
 	return p, nil
+}
+
+// cycleCascade is the name of the one multilevel schedule: the only value
+// Problem.Cycle accepts besides empty.
+const cycleCascade = "cascade"
+
+// validateCycle rejects any Cycle but "" and "cascade", naming the removal
+// so a case written for the deleted FAS V-cycle fails with the reason.
+func validateCycle(cycle string) error {
+	if cycle == "" || cycle == cycleCascade {
+		return nil
+	}
+	return fmt.Errorf("core: cycle %q: the multilevel cycle choice was removed along with the FAS V-cycle; the cascade is the only schedule (use %q or omit the field)", cycle, cycleCascade)
 }
 
 // stations resolves the surface-station count for the EBL/PNS classes.

@@ -14,9 +14,10 @@ type Progress struct {
 	// "pns", "ns", "euler" for shock-shape solves).
 	Solver string
 	// Phase names the stage of the solver's schedule: "solve" for a plain
-	// finite-volume march, "coarse"/"fine" for the grid-sequencing stages,
-	// "march" for the PNS station march, "profile" for the VSL
-	// stagnation-line profile, "stations" for the EBL edge distribution.
+	// finite-volume march, "level0" (finest) through "levelN" (coarsest) for
+	// the grid-sequencing levels, "march" for the PNS station march,
+	// "profile" for the VSL stagnation-line profile, "stations" for the EBL
+	// edge distribution.
 	Phase string
 	// Step counts completed iterations within the phase: time steps for
 	// the finite-volume classes, stations for PNS, profile points for VSL.

@@ -19,21 +19,16 @@ import (
 // sequenceFor maps the problem-level grid-sequencing toggle and multilevel
 // knobs onto the FVM sequencing options (solver defaults otherwise; the
 // outer boundary is left where the case put it so sequenced and plain solves
-// share a grid). Asking for multilevel machinery — Levels, a Cycle, or
-// mid-march refitting — implies sequencing unless GridSequencing is
-// ToggleOff; an unresolved ToggleDefault with no multilevel knobs — a plain
-// problem solved outside a session — means off.
+// share a grid). Asking for multilevel machinery — Levels, the cascade
+// Cycle, or mid-march refitting — implies sequencing unless GridSequencing
+// is ToggleOff; an unresolved ToggleDefault with no multilevel knobs — a
+// plain problem solved outside a session — means off.
 func sequenceFor(p Problem) *fvm.SequenceOptions {
 	multi := p.Levels >= 1 || p.Cycle != "" || p.RefitEvery > 0
 	if !p.GridSequencing.Enabled(multi) {
 		return nil
 	}
-	return &fvm.SequenceOptions{
-		Levels:      p.Levels,
-		Cycle:       p.Cycle,
-		SmoothSteps: p.SmoothSteps,
-		RefitEvery:  p.RefitEvery,
-	}
+	return &fvm.SequenceOptions{Levels: p.Levels, RefitEvery: p.RefitEvery}
 }
 
 // fvmProgress adapts the problem's Monitor to the finite-volume kernel's

@@ -49,10 +49,10 @@ type Case struct {
 	// FreezeLimiterAt freezes the MUSCL limiter once the residual has
 	// dropped by this factor (see fvm.Options.FreezeLimiterAt; 0 = never).
 	FreezeLimiterAt float64
-	// Sequence, when non-nil, runs the solve grid-sequenced or multilevel:
-	// converge coarse grids first, then finish on the fine grid (see
-	// fvm.SolveSequenced / fvm.SolveMultilevel and the Levels, Cycle and
-	// RefitEvery fields of fvm.SequenceOptions).
+	// Sequence, when non-nil, runs the solve grid-sequenced through the
+	// multilevel cascade: converge coarse grids first, then finish on the
+	// fine grid (see fvm.SolveMultilevel and the Levels and RefitEvery
+	// fields of fvm.SequenceOptions).
 	Sequence *fvm.SequenceOptions
 	// CheckpointEvery, when positive, emits a solver-state checkpoint every
 	// CheckpointEvery steps through CheckpointSink (see
@@ -141,7 +141,7 @@ func Solve(ctx context.Context, c Case) (*Result, error) {
 		res float64
 	)
 	if c.Sequence != nil {
-		s, res, err = fvm.SolveSequenced(ctx, g, o, c.MaxSteps, dropTol, *c.Sequence)
+		s, res, err = fvm.SolveMultilevel(ctx, g, o, c.MaxSteps, dropTol, *c.Sequence)
 	} else {
 		if s, err = fvm.New(g, o); err == nil {
 			res, err = s.RunCtx(ctx, c.MaxSteps, dropTol)

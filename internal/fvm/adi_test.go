@@ -1,7 +1,6 @@
 package fvm
 
 import (
-	"context"
 	"math"
 	"testing"
 
@@ -148,15 +147,14 @@ func TestADIJlineEquivalence(t *testing.T) {
 	}
 	target := r0 * 5e-4
 
-	ctx := context.Background()
 	sj := adiCase(t, ImplicitSweepJLine)
 	defer sj.Close()
-	if res, err := sj.RunToCtx(ctx, 8000, target); err != nil || res > target {
+	if res, err := marchTo(sj, 8000, target); err != nil || res > target {
 		t.Fatalf("jline: res=%g err=%v", res, err)
 	}
 	sa := adiCase(t, ImplicitSweepADI)
 	defer sa.Close()
-	if res, err := sa.RunToCtx(ctx, 8000, target); err != nil || res > target {
+	if res, err := marchTo(sa, 8000, target); err != nil || res > target {
 		t.Fatalf("adi: res=%g err=%v", res, err)
 	}
 

@@ -220,14 +220,6 @@ func BenchmarkSolveSlender(b *testing.B) {
 	}
 }
 
-// BenchmarkSolveVCycle converges the 40x64 case with FAS V-cycles
-// (line-implicit smoother) instead of the cascade.
-func BenchmarkSolveVCycle(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		benchSolveViscous(b, 40, 64, "implicit", &SequenceOptions{Levels: 3, Cycle: "v"})
-	}
-}
-
 func benchSolveCase(b *testing.B) (*grid.Grid2D, Options) {
 	b.Helper()
 	body := geometry.NewSphere(1.0)
@@ -265,15 +257,15 @@ func BenchmarkSolveFineOnly(b *testing.B) {
 	}
 }
 
-// BenchmarkSolveSequenced converges the same case coarse-first: the coarse
-// stage establishes the shock cheaply, and the fine stage finishes to the
-// same absolute residual a freestream-started fine solve reaches at the
-// 1e-3 drop.
+// BenchmarkSolveSequenced converges the same case through the two-level
+// cascade: the coarse level establishes the shock cheaply, and the fine
+// level finishes to the same absolute residual a freestream-started fine
+// solve reaches at the 1e-3 drop.
 func BenchmarkSolveSequenced(b *testing.B) {
 	g, o := benchSolveCase(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, _, err := SolveSequenced(context.Background(), g, o, 6000, 1e-3, SequenceOptions{})
+		s, _, err := SolveMultilevel(context.Background(), g, o, 6000, 1e-3, SequenceOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

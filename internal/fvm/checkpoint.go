@@ -17,9 +17,9 @@ import (
 // latched first residual or absolute target, multilevel refit state).
 //
 // Consistency: checkpoints are only taken at step boundaries, by the
-// marching loops themselves (RunCtx/RunToCtx/marchFinest) — never from
-// another goroutine — so a checkpoint always captures a state the
-// uninterrupted march actually passed through. Resuming from it and
+// marching loops themselves (RunCtx and SolveMultilevel's finest march) —
+// never from another goroutine — so a checkpoint always captures a state
+// the uninterrupted march actually passed through. Resuming from it and
 // marching to convergence reproduces the uninterrupted run's terminal state
 // bit for bit on the same machine (the parallel sweep partition is fixed by
 // GOMAXPROCS, and every reduction is ordered).
@@ -50,17 +50,18 @@ const checkpointMagic = "CATCKPT1"
 type Checkpoint struct {
 	Format int
 	NI, NJ int
-	// Phase names the marching stage that wrote the checkpoint ("solve",
-	// "coarse", "fine", "level0"...), which is also how a restore is routed:
-	// a checkpoint resumes only the stage that produced it.
+	// Phase names the marching stage that wrote the checkpoint ("solve" or
+	// "level0"), which is also how a restore is routed: a checkpoint resumes
+	// only the stage that produced it, and any other phase (such as the
+	// coarse and fine stages older builds wrote) restarts the solve cold.
 	Phase string
 	// Step counts completed steps of the phase's marching loop.
 	Step int
 	// First is RunCtx's latched first-step residual (-1 before the latch);
-	// unused by the absolute-target loops.
+	// unused by the multilevel finest march.
 	First float64
-	// Target is the absolute residual target of a RunToCtx or multilevel
-	// finest march; 0 for a relative-drop (RunCtx) march.
+	// Target is the absolute residual target of a multilevel finest march;
+	// 0 for a relative-drop (RunCtx) march.
 	Target float64
 
 	// Implicit CFL ramp state (zero when the integrator has no ramp).
@@ -285,7 +286,7 @@ func (s *Solver) diag(refits int) Diag {
 
 // Checkpoint captures the solver's state at the current step boundary into
 // a reusable scratch Checkpoint and returns it. Call it only between steps
-// on the marching goroutine — the loops in RunCtx/RunToCtx/SolveMultilevel
+// on the marching goroutine — the loops in RunCtx and SolveMultilevel
 // do this for Options.CheckpointEvery — and encode or copy the result
 // before the next call, which overwrites it. After the first call the fill
 // is allocation-free.
@@ -403,10 +404,10 @@ func (s *Solver) takeResume() (start int, first float64) {
 // restoreForPhase applies Options.Restore when it targets the solver's
 // current phase, consuming it so a later loop on the same options cannot
 // re-apply it. Used by the relative-drop marching loops, whose resume needs
-// no external target; the absolute-target paths route restores explicitly
-// (SolveSequenced, SolveMultilevel). A shape or content mismatch falls back
-// to a cold start rather than failing the solve: a checkpoint is an
-// optimization, never a correctness requirement.
+// no external target; SolveMultilevel routes its absolute-target restores
+// explicitly. A shape or content mismatch falls back to a cold start rather
+// than failing the solve: a checkpoint is an optimization, never a
+// correctness requirement.
 func (s *Solver) restoreForPhase() {
 	cp := s.Opts.Restore
 	if cp == nil || cp.Phase != s.phase {
@@ -416,11 +417,11 @@ func (s *Solver) restoreForPhase() {
 	_ = s.Restore(cp)
 }
 
-// checkpointNow fills the scratch checkpoint with the loop position and
-// hands it to the sink.
-func (s *Solver) checkpointNow(step int, first, target float64) {
+// checkpointNow fills the scratch checkpoint with RunCtx's loop position
+// and hands it to the sink.
+func (s *Solver) checkpointNow(step int, first float64) {
 	cp := s.Checkpoint()
-	cp.Step, cp.First, cp.Target = step, first, target
+	cp.Step, cp.First, cp.Target = step, first, 0
 	s.Opts.CheckpointSink(cp)
 }
 

@@ -268,3 +268,151 @@ func TestCheckpointScratchReuse(t *testing.T) {
 		t.Fatalf("Checkpoint allocates %.0f objects per call after warm-up, want 0", allocs)
 	}
 }
+
+// TestResumeSequencedBitExact is the resume equivalence property for the
+// multilevel cascade, explicit and implicit, with and without mid-march
+// refits: a solve cancelled partway through its finest-level march resumes
+// from its level0 checkpoint — skipping the cascade — onto the
+// uninterrupted solve's terminal state bit for bit. A stale checkpoint with
+// the fine phase older builds wrote is ignored: the solve starts cold and
+// lands on the same state.
+func TestResumeSequencedBitExact(t *testing.T) {
+	const (
+		maxSteps = 4000
+		dropTol  = 1e-3
+		cancelAt = 30 // finest-level steps before the cancel
+	)
+	for _, tc := range []struct {
+		name       string
+		ts         string
+		refitEvery int
+	}{
+		{"explicit", TimeSteppingExplicit, 0},
+		{"explicit-refit", TimeSteppingExplicit, 20},
+		{"implicit", TimeSteppingImplicit, 0},
+		{"implicit-refit", TimeSteppingImplicit, 20},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sq := SequenceOptions{Levels: 2, RefitEvery: tc.refitEvery}
+			type outcome struct {
+				s        *Solver
+				res      float64
+				phases   map[string]int // last reported step per phase
+				restarts int
+				refits   int
+			}
+			solve := func(ctx context.Context, restore *Checkpoint, every int, sink func(*Checkpoint), onStep func(phase string, step int)) (outcome, error) {
+				g, o := seqCase(t)
+				o.TimeStepping = tc.ts
+				o.Restore = restore
+				o.CheckpointEvery, o.CheckpointSink = every, sink
+				out := outcome{phases: map[string]int{}}
+				o.Progress = func(phase string, step, maxSteps int, residual float64, diag Diag) {
+					out.phases[phase] = step
+					out.restarts, out.refits = diag.Restarts, diag.Refits
+					if onStep != nil {
+						onStep(phase, step)
+					}
+				}
+				s, res, err := SolveMultilevel(ctx, g, o, maxSteps, dropTol, sq)
+				out.s, out.res = s, res
+				return out, err
+			}
+			sameState := func(label string, got, want outcome) {
+				t.Helper()
+				if math.Float64bits(got.res) != math.Float64bits(want.res) {
+					t.Fatalf("%s: terminal residual %v, uninterrupted %v", label, got.res, want.res)
+				}
+				for k := range want.s.U {
+					for c := 0; c < 4; c++ {
+						if math.Float64bits(got.s.U[k][c]) != math.Float64bits(want.s.U[k][c]) {
+							t.Fatalf("%s: U[%d][%d] = %v, uninterrupted %v", label, k, c, got.s.U[k][c], want.s.U[k][c])
+						}
+					}
+				}
+				for i := range want.s.G.X {
+					for j := range want.s.G.X[i] {
+						if math.Float64bits(got.s.G.X[i][j]) != math.Float64bits(want.s.G.X[i][j]) ||
+							math.Float64bits(got.s.G.Y[i][j]) != math.Float64bits(want.s.G.Y[i][j]) {
+							t.Fatalf("%s: grid node (%d,%d) differs from the uninterrupted solve", label, i, j)
+						}
+					}
+				}
+			}
+
+			cold, err := solve(context.Background(), nil, 0, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cold.s.Close()
+			if cold.phases["level0"] <= 2*cancelAt {
+				t.Fatalf("finest march took %d steps, too few to interrupt at %d", cold.phases["level0"], cancelAt)
+			}
+			if tc.refitEvery > 0 && cold.refits == 0 {
+				t.Fatal("refit case never refitted")
+			}
+
+			// Interrupted solve: checkpoints every 7 finest steps, cancelled
+			// mid-march; the cancellation emits a final checkpoint.
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var latest []byte
+			sink := func(cp *Checkpoint) {
+				enc, err := cp.AppendBinary(nil)
+				if err != nil {
+					t.Errorf("encode checkpoint: %v", err)
+					return
+				}
+				latest = enc
+			}
+			_, err = solve(ctx, nil, 7, sink, func(phase string, step int) {
+				if phase == "level0" && step >= cancelAt {
+					cancel()
+				}
+			})
+			if err == nil {
+				t.Fatal("cancelled solve returned no error")
+			}
+			if latest == nil {
+				t.Fatal("cancelled solve emitted no checkpoint")
+			}
+			cp, err := DecodeCheckpoint(latest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cp.Phase != "level0" || cp.FineSteps < cancelAt || cp.Target <= 0 {
+				t.Fatalf("checkpoint phase %q after %d finest steps (target %g), want a mid-march level0 one", cp.Phase, cp.FineSteps, cp.Target)
+			}
+			if tc.refitEvery > 0 && cp.Refits == 0 {
+				t.Fatal("checkpoint cut before the first refit; the refit bookkeeping goes unexercised")
+			}
+
+			warm, err := solve(context.Background(), cp, 0, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer warm.s.Close()
+			sameState("resumed", warm, cold)
+			if _, ok := warm.phases["level1"]; ok {
+				t.Error("resumed solve re-ran the coarse level")
+			}
+			if warm.phases["level0"] >= cold.phases["level0"] || warm.restarts != 1 {
+				t.Errorf("resumed solve: %d finest steps (cold %d), %d restarts; want fewer steps and 1 restart",
+					warm.phases["level0"], cold.phases["level0"], warm.restarts)
+			}
+
+			// A stale checkpoint from the removed two-level path restarts cold.
+			stale := *cp
+			stale.Phase = "fine"
+			again, err := solve(context.Background(), &stale, 0, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer again.s.Close()
+			sameState("stale checkpoint", again, cold)
+			if again.phases["level1"] == 0 || again.restarts != 0 {
+				t.Errorf("stale checkpoint: level1 steps %d, restarts %d; want a cold cascade", again.phases["level1"], again.restarts)
+			}
+		})
+	}
+}

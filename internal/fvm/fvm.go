@@ -38,13 +38,13 @@ const (
 )
 
 // ProgressFunc observes a marching loop: phase names the sequencing stage
-// ("solve" for a plain march, "coarse"/"fine" for a grid-sequenced one),
-// step counts completed time steps within the phase (local to this process
-// — a resumed run counts from its restore point), maxSteps is the phase's
-// step budget, residual is the latest RMS density residual and diag carries
-// the divergence-recovery counters. The callback runs on the marching
-// goroutine after every step, so it must be cheap and must not call back
-// into the solver.
+// ("solve" for a plain march, "level0" (finest) through "levelN" (coarsest)
+// for a grid-sequenced one), step counts completed time steps within the
+// phase (local to this process — a resumed run counts from its restore
+// point), maxSteps is the phase's step budget, residual is the latest RMS
+// density residual and diag carries the divergence-recovery counters. The
+// callback runs on the marching goroutine after every step, so it must be
+// cheap and must not call back into the solver.
 type ProgressFunc func(phase string, step, maxSteps int, residual float64, diag Diag)
 
 // Diag is the divergence-recovery diagnostics a progress callback carries:
@@ -112,8 +112,8 @@ type Options struct {
 	// solver builds a private GOMAXPROCS-sized pool and releases it on
 	// Close.
 	Pool *Pool
-	// Progress, when non-nil, is invoked after every time step of
-	// RunCtx/RunToCtx with the live step count and residual.
+	// Progress, when non-nil, is invoked after every time step of RunCtx
+	// and SolveMultilevel with the live step count and residual.
 	Progress ProgressFunc
 	// CheckpointEvery, when positive together with CheckpointSink, makes
 	// the marching loops hand a state checkpoint to the sink every
@@ -144,12 +144,6 @@ type Solver struct {
 	res  []Cons
 	u0   []Cons // RK stage storage
 	dt   []float64
-	// forcing, when non-nil, is the FAS (full approximation storage) defect
-	// correction a multilevel V-cycle installs on a coarse level:
-	// computeResidual subtracts it cell-wise, so the level relaxes
-	// R(U) - forcing = 0 and its fixed point reproduces the restricted fine
-	// solution instead of the coarse grid's own.
-	forcing []Cons
 
 	met  *grid.Metrics // precomputed face vectors, volumes, centroids
 	flux FluxKernel
@@ -170,8 +164,8 @@ type Solver struct {
 	pool       *Pool
 	// ownsPool marks a private pool (no Options.Pool) that Close releases.
 	ownsPool bool
-	// phase labels Progress callbacks ("solve"; SolveSequenced relabels its
-	// stages "coarse" and "fine").
+	// phase labels Progress callbacks and checkpoints ("solve";
+	// SolveMultilevel relabels its levels "level0".."levelN").
 	phase string
 
 	// stepper is the configured time integrator bound to this solver

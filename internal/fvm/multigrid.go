@@ -8,42 +8,25 @@ import (
 	"cataero/internal/grid"
 )
 
-// DefaultCycle is the multilevel schedule used when SequenceOptions.Cycle is
-// empty.
-const DefaultCycle = CycleCascade
-
-// Cycles returns the valid multilevel schedule names
-// (SequenceOptions.Cycle): "cascade" converges the hierarchy coarsest-first
-// and injects downward (N-level grid sequencing); "v" runs FAS V-cycles —
-// pre-smooth, restrict the state conservatively, relax the defect-corrected
-// coarse problem, prolongate the correction, post-smooth — after a cascade
-// initialization.
-func Cycles() []string { return []string{CycleCascade, CycleV} }
-
-// SolveMultilevel runs a multilevel solve to steady state: a level hierarchy
-// built from chained grid.Coarsen calls (each level with its own cached
-// metrics and a Solver sharing Options.Pool), marched by the configured
-// cycle. Unreachable levels (cell counts not divisible by the factor, or
-// below the MUSCL floor) are dropped. The finest level stops at the same
-// absolute residual a freestream-started fine solve would reach after
-// dropping by dropTol; with RefitEvery set, the finest march periodically
-// re-fits the outer boundary to the detected shock locus and transfers the
-// solution onto the refitted grid. Progress phases are labeled "level0"
-// (finest) through "levelN" (coarsest). Returns the finest solver (which the
-// caller owns) and its final residual.
+// SolveMultilevel runs a grid-sequenced solve to steady state — the one
+// sequencing driver of the NS and Euler classes. It builds a level hierarchy
+// from chained grid.Coarsen calls (each level with its own cached metrics and
+// a Solver sharing Options.Pool) and marches it as a cascade: converge the
+// coarsest level from freestream, inject each converged level onto the next
+// finer one, and finish on the finest. Unreachable levels (cell counts not
+// divisible by the factor, or below the MUSCL floor) are dropped. The finest
+// level stops at the same absolute residual a freestream-started fine solve
+// would reach after dropping by dropTol; with RefitEvery set, the finest
+// march periodically re-fits the outer boundary to the detected shock locus
+// and transfers the solution onto the refitted grid. Progress and checkpoint
+// phases are labeled "level0" (finest) through "levelN" (coarsest). Returns
+// the finest solver (which the caller owns) and its final residual.
 func SolveMultilevel(ctx context.Context, g *grid.Grid2D, o Options, maxSteps int, dropTol float64, sq SequenceOptions) (*Solver, float64, error) {
 	if maxSteps <= 0 {
 		maxSteps = 2000
 	}
-	sq = sq.withDefaults(maxSteps)
 	if sq.Levels == 0 {
 		sq.Levels = 2
-	}
-	if sq.SmoothSteps == 0 {
-		sq.SmoothSteps = 4
-	}
-	if sq.Cycle == "" {
-		sq.Cycle = DefaultCycle
 	}
 	if err := validateMultilevel(sq); err != nil {
 		return nil, 0, err
@@ -52,9 +35,12 @@ func SolveMultilevel(ctx context.Context, g *grid.Grid2D, o Options, maxSteps in
 	// A finest-level checkpoint carries the absolute target and the refit
 	// bookkeeping, so the entire coarse cascade is skipped on resume: build
 	// only the finest solver, restore it (refitted grid nodes included) and
-	// continue the march. Any restore failure falls through to a cold solve.
-	if cp := o.Restore; cp != nil && cp.Phase == "level0" && cp.NI == g.NI && cp.NJ == g.NJ && cp.Target > 0 {
-		o.Restore = nil
+	// continue the march. Any other checkpoint (a foreign phase, such as the
+	// coarse and fine stages older builds wrote, or a shape mismatch) and any
+	// restore failure fall through to a cold solve.
+	cp := o.Restore
+	o.Restore = nil
+	if cp != nil && cp.Phase == "level0" && cp.NI == g.NI && cp.NJ == g.NJ && cp.Target > 0 {
 		if s, res, err, ok := resumeMultilevel(ctx, g, o, maxSteps, dropTol, sq, cp); ok {
 			return s, res, err
 		}
@@ -65,7 +51,7 @@ func SolveMultilevel(ctx context.Context, g *grid.Grid2D, o Options, maxSteps in
 	grids := []*grid.Grid2D{g}
 	//cataero:allow ctxloop bounded by Levels (a handful of coarsenings)
 	for len(grids) < sq.Levels {
-		cg, err := grids[len(grids)-1].Coarsen(sq.Coarsen)
+		cg, err := grids[len(grids)-1].Coarsen(coarsenFactor)
 		if err != nil {
 			break
 		}
@@ -105,11 +91,8 @@ func SolveMultilevel(ctx context.Context, g *grid.Grid2D, o Options, maxSteps in
 // resumeMultilevel continues a multilevel solve from a finest-level
 // checkpoint: only the finest solver exists (the coarse hierarchy already
 // did its work before the checkpoint), and the march picks up the saved
-// refit bookkeeping. A V-cycle solve resumes as a pure finest-level march —
-// the cycles' coarse corrections have largely converged by the time
-// checkpoints are being cut, and rebuilding the hierarchy mid-state would
-// risk diverging from the uninterrupted trajectory. ok reports whether the
-// checkpoint was applied; on false the caller solves cold.
+// refit bookkeeping. ok reports whether the checkpoint was applied; on false
+// the caller solves cold.
 func resumeMultilevel(ctx context.Context, g *grid.Grid2D, o Options, maxSteps int, dropTol float64, sq SequenceOptions, cp *Checkpoint) (*Solver, float64, error, bool) {
 	s, err := New(g, o)
 	if err != nil {
@@ -132,7 +115,7 @@ func resumeMultilevel(ctx context.Context, g *grid.Grid2D, o Options, maxSteps i
 	if cp.MarchBest > 0 {
 		best = cp.MarchBest
 	}
-	res, err := m.marchFinestFrom(ctx, cp.Target, -1, cp.SinceRefit, best, cp.MarchStalled)
+	res, err := m.marchFinestFrom(ctx, cp.Target, cp.SinceRefit, best, cp.MarchStalled)
 	if err != nil {
 		s.Close()
 		return nil, 0, err, true
@@ -144,12 +127,6 @@ func resumeMultilevel(ctx context.Context, g *grid.Grid2D, o Options, maxSteps i
 func validateMultilevel(sq SequenceOptions) error {
 	if sq.Levels < 1 {
 		return fmt.Errorf("fvm: multilevel solve: Levels %d below 1", sq.Levels)
-	}
-	if sq.Cycle != CycleCascade && sq.Cycle != CycleV {
-		return fmt.Errorf("fvm: multilevel solve: no cycle %q (have %v)", sq.Cycle, Cycles())
-	}
-	if sq.SmoothSteps < 0 {
-		return fmt.Errorf("fvm: multilevel solve: SmoothSteps %d negative", sq.SmoothSteps)
 	}
 	if sq.RefitEvery < 0 {
 		return fmt.Errorf("fvm: multilevel solve: RefitEvery %d negative", sq.RefitEvery)
@@ -168,9 +145,7 @@ type cflCarrier interface{ carryCFL(from Stepper) }
 type rampResetter interface{ resetRamp() }
 
 // multilevel is the state of one multilevel solve: the per-level solvers
-// (index 0 = finest), per-level step counters for progress reporting, and
-// the V-cycle scratch (restriction volumes and the pre-correction coarse
-// states).
+// (index 0 = finest) and per-level step counters for progress reporting.
 type multilevel struct {
 	o        Options
 	sq       SequenceOptions
@@ -181,42 +156,37 @@ type multilevel struct {
 	steps     []int // per-level completed steps (progress phase counters)
 	fineSteps int   // finest-level steps consumed (the solve budget)
 	refits    int   // mid-march refits performed (capped at maxRefits per solve)
-
-	saved [][]Cons // per-level pre-correction coarse state (V-cycle)
 }
 
-// run executes the configured cycle and returns the finest residual.
+// run converges the cascade and finishes the finest level, returning its
+// final residual.
 func (m *multilevel) run(ctx context.Context) (float64, error) {
 	target, err := m.cascade(ctx)
 	if err != nil {
 		return 0, err
 	}
-	if m.sq.Cycle == CycleV && len(m.solvers) > 1 {
-		return m.vcycles(ctx, target)
-	}
-	return m.marchFinest(ctx, target, -1)
+	return m.marchFinest(ctx, target)
 }
 
 // levelTol is the per-level relative drop tolerance of the cascade,
-// interpolated geometrically between CoarseDropTol on the coarsest level
+// interpolated geometrically between coarseDropTol on the coarsest level
 // (which only has to establish the shock from freestream) and the fine
-// dropTol. Driving the intermediate levels well past CoarseDropTol pays off:
+// dropTol. Driving the intermediate levels well past coarseDropTol pays off:
 // their steps cost a fraction of a fine step (a quarter per halving), and
 // every decade they converge is a decade the finest level does not have to
 // grind at full resolution.
 func (m *multilevel) levelTol(l int) float64 {
 	last := len(m.solvers) - 1
 	if l >= last {
-		return m.sq.CoarseDropTol
+		return coarseDropTol
 	}
 	t := float64(l) / float64(last)
-	return math.Exp(t*math.Log(m.sq.CoarseDropTol) + (1-t)*math.Log(m.dropTol))
+	return math.Exp(t*math.Log(coarseDropTol) + (1-t)*math.Log(m.dropTol))
 }
 
 // cascade converges the hierarchy coarsest-first, injecting each converged
-// level onto the next finer one (optionally re-fitting the finer outer
-// boundary to the coarser shock locus), and returns the finest level's
-// absolute residual target. The finest level itself is not marched — run
+// level onto the next finer one, and returns the finest level's absolute
+// residual target. The finest level itself is not marched — run
 // finishes it — except for the single calibration step that latches the
 // target scale.
 func (m *multilevel) cascade(ctx context.Context) (float64, error) {
@@ -224,28 +194,18 @@ func (m *multilevel) cascade(ctx context.Context) (float64, error) {
 	abs := 0.0 // coarsest level anchors to its own freestream-started first step
 	for l := L - 1; l >= 1; l-- {
 		s := m.solvers[l]
-		if _, err := m.relax(ctx, l, m.sq.CoarseMaxSteps, m.levelTol(l), abs); err != nil {
+		if _, err := m.relax(ctx, l, m.maxSteps, m.levelTol(l), abs); err != nil {
 			return 0, err
 		}
 		finer := m.solvers[l-1]
-		if m.sq.Refit {
-			ng, err := refitToShock(s, finer.G, m.sq.RefitMargin)
-			if err != nil {
-				return 0, fmt.Errorf("fvm: multilevel solve: refit level %d to level %d shock locus: %w", l-1, l, err)
-			}
-			if err := finer.RefitTo(ng); err != nil {
-				return 0, err
-			}
-		}
 		// Calibrate the finer level's absolute target from its freestream
-		// state before injecting, exactly like the two-level path: one
-		// freestream-started step gives the residual scale a plain solve on
-		// that level would have latched onto. A drop tolerance measured
-		// after injection instead would punish the good initial guess — the
-		// bilinear prolongation hands the finer level a first residual that
-		// is already low, and a further relative drop from there can sit
-		// below the level's limit-cycle floor, grinding away the whole
-		// coarse budget.
+		// state before injecting: one freestream-started step gives the
+		// residual scale a plain solve on that level would have latched
+		// onto. A drop tolerance measured after injection instead would
+		// punish the good initial guess — the bilinear prolongation hands
+		// the finer level a first residual that is already low, and a
+		// further relative drop from there can sit below the level's
+		// limit-cycle floor, grinding away the whole coarse budget.
 		r0 := finer.Step()
 		if math.IsNaN(r0) || r0 <= 0 {
 			return 0, errNaNCalibration
@@ -328,10 +288,9 @@ const (
 )
 
 // marchFinest runs the finest level to the absolute target, re-fitting the
-// grid every RefitEvery steps when configured. lastRes is the residual of a
-// step already taken by the caller (-1 when none).
-func (m *multilevel) marchFinest(ctx context.Context, target, lastRes float64) (float64, error) {
-	return m.marchFinestFrom(ctx, target, lastRes, 0, math.Inf(1), 0)
+// grid every RefitEvery steps when configured.
+func (m *multilevel) marchFinest(ctx context.Context, target float64) (float64, error) {
+	return m.marchFinestFrom(ctx, target, 0, math.Inf(1), 0)
 }
 
 // marchFinestFrom is marchFinest continuing from saved refit bookkeeping —
@@ -339,12 +298,9 @@ func (m *multilevel) marchFinest(ctx context.Context, target, lastRes float64) (
 // starts it at the zero position. With checkpointing configured it emits a
 // finest-level checkpoint every CheckpointEvery fine steps, plus a final
 // one when the context cancels the march mid-flight.
-func (m *multilevel) marchFinestFrom(ctx context.Context, target, lastRes float64, sinceRefit int, best float64, stalled int) (float64, error) {
+func (m *multilevel) marchFinestFrom(ctx context.Context, target float64, sinceRefit int, best float64, stalled int) (float64, error) {
 	s := m.solvers[0]
-	res := lastRes
-	if res >= 0 && res < target {
-		return res, nil
-	}
+	res := -1.0 // no step taken yet
 	ckpt := m.o.CheckpointEvery > 0 && m.o.CheckpointSink != nil
 	for m.fineSteps < m.maxSteps {
 		if m.fineSteps%16 == 0 {
@@ -393,138 +349,12 @@ func (m *multilevel) marchFinestFrom(ctx context.Context, target, lastRes float6
 	return res, nil
 }
 
-// vcycles runs FAS V-cycles until the finest residual reaches the target or
-// the fine-step budget is exhausted, with the same mid-march refitting as
-// the cascade march.
-func (m *multilevel) vcycles(ctx context.Context, target float64) (float64, error) {
-	m.saved = make([][]Cons, len(m.solvers))
-	for l := 1; l < len(m.solvers); l++ {
-		s := m.solvers[l]
-		m.saved[l] = make([]Cons, s.ni*s.nj)
-		if s.forcing == nil {
-			s.forcing = make([]Cons, s.ni*s.nj)
-		}
-	}
-	// The last measured fine residual, seeded from the cascade's calibration
-	// step (target = r0 * dropTol), so even a budget too small for one full
-	// cycle reports a real value instead of a sentinel.
-	res := target / m.dropTol
-	sinceRefit := 0
-	best := math.Inf(1)
-	stalled := 0
-	for m.fineSteps < m.maxSteps {
-		if err := ctx.Err(); err != nil {
-			return res, err
-		}
-		r, err := m.vcycle(ctx, 0)
-		if err != nil {
-			return r, err
-		}
-		// A cycle whose finest smoothing took no steps (budget exhausted
-		// mid-cycle) measures nothing: keep the last real residual instead
-		// of mistaking the sentinel for convergence.
-		if r < 0 {
-			continue
-		}
-		res = r
-		if res < target {
-			return res, nil
-		}
-		// The coarse-grid corrections stop paying once only high-frequency
-		// fine-grid error is left (injection prolongation re-seeds a little
-		// of it every cycle): when the cycles stop making new lows, finish
-		// with pure fine-level relaxation instead of cycling the budget away.
-		if res < 0.95*best {
-			best = res
-			stalled = 0
-		} else if stalled++; stalled >= 3 {
-			return m.marchFinest(ctx, target, res)
-		}
-		sinceRefit += 2 * m.sq.SmoothSteps
-		if m.sq.RefitEvery > 0 && m.refits < maxRefits && sinceRefit >= m.sq.RefitEvery && m.fineSteps < m.maxSteps {
-			did, err := m.refitFinest()
-			if err != nil {
-				return res, err
-			}
-			if did {
-				m.refits++
-				best, stalled = math.Inf(1), 0
-			}
-			sinceRefit = 0
-		}
-	}
-	return res, nil
-}
-
-// vcycle recursively descends one V from level l: pre-smooth, restrict the
-// state and install the FAS defect correction on the next coarser level,
-// recurse, prolongate the coarse correction, post-smooth. Returns the last
-// smoothing residual of level l.
-func (m *multilevel) vcycle(ctx context.Context, l int) (float64, error) {
-	s := m.solvers[l]
-	if l == len(m.solvers)-1 {
-		// Coarsest level: relax harder — it is nearly free and anchors the
-		// long-wavelength error of the whole hierarchy.
-		return m.smooth(ctx, l, 4*m.sq.SmoothSteps)
-	}
-	pre, err := m.smooth(ctx, l, m.sq.SmoothSteps)
-	if err != nil {
-		return pre, err
-	}
-	c := m.solvers[l+1]
-	m.restrictFAS(s, c)
-	copy(m.saved[l+1], c.U)
-	if _, err := m.vcycle(ctx, l+1); err != nil {
-		return 0, err
-	}
-	s.correctFrom(c, m.saved[l+1])
-	post, err := m.smooth(ctx, l, m.sq.SmoothSteps)
-	if err != nil || post >= 0 {
-		return post, err
-	}
-	// Budget died between the smoothing sweeps: the pre-smooth residual is
-	// the last real measurement of this level.
-	return pre, nil
-}
-
-// smooth advances level l by n time steps and returns the last residual, or
-// -1 when it could not take a single step (finest-level budget exhausted) —
-// a sentinel callers must not compare against a convergence target.
-func (m *multilevel) smooth(ctx context.Context, l, n int) (float64, error) {
-	s := m.solvers[l]
-	res := -1.0
-	for k := 0; k < n; k++ {
-		if k%16 == 0 {
-			if err := ctx.Err(); err != nil {
-				return res, err
-			}
-		}
-		if l == 0 && m.fineSteps >= m.maxSteps {
-			return res, nil
-		}
-		res = s.Step()
-		m.steps[l]++
-		if l == 0 {
-			m.fineSteps++
-		}
-		m.progress(l, res)
-		if math.IsNaN(res) {
-			return res, fmt.Errorf("fvm: multilevel solve: residual NaN on level %d step %d", l, m.steps[l])
-		}
-	}
-	return res, nil
-}
-
 // progress reports a level's step to the configured Progress callback.
 func (m *multilevel) progress(l int, res float64) {
 	if m.o.Progress == nil {
 		return
 	}
-	budget := m.sq.CoarseMaxSteps
-	if l == 0 {
-		budget = m.maxSteps
-	}
-	m.o.Progress(m.solvers[l].phase, m.steps[l], budget, res, m.solvers[l].diag(m.refits))
+	m.o.Progress(m.solvers[l].phase, m.steps[l], m.maxSteps, res, m.solvers[l].diag(m.refits))
 }
 
 // checkpointFinest emits a finest-level checkpoint carrying the march's
@@ -545,144 +375,15 @@ func (m *multilevel) checkpointFinest(target float64, sinceRefit int, best float
 	m.o.CheckpointSink(cp)
 }
 
-// restrictFAS restricts the fine state onto the coarse level and installs
-// the FAS defect correction: forcing = R_H(restrict u_h) - restrict(R_h(u_h)),
-// so the coarse level's effective residual starts at the restricted fine
-// residual and its fixed point maps back onto the fine solution. Both
-// residual evaluations see their own level's forcing (nil on the finest), so
-// the construction telescopes down a deeper hierarchy.
-func (m *multilevel) restrictFAS(f, c *Solver) {
-	f.updatePrimitives()
-	f.computeResidual()
-	restrictState(f, c)
-	// Aggregate the fine (effective) residuals over the same index partition
-	// the state restriction used.
-	for k := range c.forcing {
-		c.forcing[k] = Cons{}
-	}
-	for i := 0; i < f.ni; i++ {
-		ic := i * c.ni / f.ni
-		for j := 0; j < f.nj; j++ {
-			jc := j * c.nj / f.nj
-			kc := c.idx(ic, jc)
-			for cc := 0; cc < 4; cc++ {
-				c.forcing[kc][cc] -= f.res[f.idx(i, j)][cc]
-			}
-		}
-	}
-	// Raw coarse residual at the restricted state (forcing must not apply to
-	// its own construction).
-	fc := c.forcing
-	c.forcing = nil
-	c.updatePrimitives()
-	c.computeResidual()
-	c.forcing = fc
-	for k := range c.forcing {
-		for cc := 0; cc < 4; cc++ {
-			c.forcing[k][cc] += c.res[k][cc]
-		}
-	}
-}
-
-// restrictState sets the coarse solver's conserved field to the
-// volume-weighted average of the fine cells in each coarse cell's index
-// partition (fine cell i maps to coarse cell i*cni/fni, likewise j). The
-// averaging is conservative over the partition: the total conserved content
-// computed with the agglomerated partition volumes equals the fine total to
-// roundoff.
-func restrictState(f, c *Solver) {
-	acc := c.u0 // stage storage doubles as the accumulator between steps
-	vol := c.dt // likewise the local-time-step array (rebuilt every step)
-	for k := range acc {
-		acc[k] = Cons{}
-		vol[k] = 0
-	}
-	fmet := f.met
-	for i := 0; i < f.ni; i++ {
-		ic := i * c.ni / f.ni
-		for j := 0; j < f.nj; j++ {
-			jc := j * c.nj / f.nj
-			kc := c.idx(ic, jc)
-			kf := f.idx(i, j)
-			v := fmet.Vol[kf]
-			for cc := 0; cc < 4; cc++ {
-				acc[kc][cc] += v * f.U[kf][cc]
-			}
-			vol[kc] += v
-		}
-	}
-	for k := range acc {
-		if vol[k] <= 0 {
-			continue
-		}
-		for cc := 0; cc < 4; cc++ {
-			c.U[k][cc] = acc[k][cc] / vol[k]
-		}
-	}
-}
-
-// correctFrom applies the prolongated coarse-grid correction
-// U_h += P(U_H - saved) with the same bilinear prolongation the cascade's
-// injectFrom uses (nearest-cell injection re-seeded blocky high-frequency
-// error every cycle, which the post-smoothing then had to burn down),
-// skipping any fine cell the raw correction would drive out of the physical
-// state space (negative density or internal energy) — the next smoothing
-// sweeps repair those cells instead.
-func (s *Solver) correctFrom(c *Solver, saved []Cons) {
-	for i := 0; i < s.ni; i++ {
-		i0, ti := prolongWeights(i, s.ni, c.ni)
-		for j := 0; j < s.nj; j++ {
-			j0, tj := prolongWeights(j, s.nj, c.nj)
-			du := c.bilinearDelta(saved, i0, j0, ti, tj)
-			k := s.idx(i, j)
-			var cand Cons
-			for cc := 0; cc < 4; cc++ {
-				cand[cc] = s.U[k][cc] + du[cc]
-			}
-			if s.physicalState(cand) {
-				s.U[k] = cand
-			}
-		}
-	}
-}
-
-// bilinearDelta blends the coarse correction U - saved around fractional
-// cell-center index (i0+ti, j0+tj).
-func (c *Solver) bilinearDelta(saved []Cons, i0, j0 int, ti, tj float64) Cons {
-	i1, j1 := i0+1, j0+1
-	if i1 > c.ni-1 {
-		i1 = c.ni - 1
-	}
-	if j1 > c.nj-1 {
-		j1 = c.nj - 1
-	}
-	w00 := (1 - ti) * (1 - tj)
-	w01 := (1 - ti) * tj
-	w10 := ti * (1 - tj)
-	w11 := ti * tj
-	k00 := c.idx(i0, j0)
-	k01 := c.idx(i0, j1)
-	k10 := c.idx(i1, j0)
-	k11 := c.idx(i1, j1)
-	var out Cons
-	for cc := 0; cc < 4; cc++ {
-		out[cc] = w00*(c.U[k00][cc]-saved[k00][cc]) +
-			w01*(c.U[k01][cc]-saved[k01][cc]) +
-			w10*(c.U[k10][cc]-saved[k10][cc]) +
-			w11*(c.U[k11][cc]-saved[k11][cc])
-	}
-	return out
-}
-
 // refitFinest re-detects the shock locus on the finest level, re-fits the
-// outer boundary with the configured margin and transfers the solution onto
+// outer boundary with refitMargin and transfers the solution onto
 // the refitted grid, reporting whether a refit actually happened. A refit
 // that would move the boundary by less than 5% everywhere is skipped — the
 // grid has already shrink-wrapped the shock, and locus re-detection only
 // jitters by a cell.
 func (m *multilevel) refitFinest() (bool, error) {
 	s := m.solvers[0]
-	ng, err := refitToShock(s, s.G, m.sq.RefitMargin)
+	ng, err := refitToShock(s)
 	if err != nil {
 		return false, fmt.Errorf("fvm: multilevel solve: mid-march refit: %w", err)
 	}
@@ -704,44 +405,7 @@ func (m *multilevel) refitFinest() (bool, error) {
 	if rr, ok := s.stepper.(rampResetter); ok {
 		rr.resetRamp()
 	}
-	// The coarse hierarchy must track the finest geometry for the V-cycle's
-	// restriction to stay meaningful; rebuild it from the refitted grid.
-	if m.sq.Cycle == CycleV && len(m.solvers) > 1 {
-		g := s.G
-		for l := 1; l < len(m.solvers); l++ {
-			cg, err := g.Coarsen(m.sq.Coarsen)
-			if err != nil {
-				// The refitted grid lost a level (cannot happen with equal
-				// cell counts, but stay defensive): drop the tail.
-				m.closeTail(l)
-				break
-			}
-			old := m.solvers[l]
-			ns, err := New(cg, m.o)
-			if err != nil {
-				return true, err
-			}
-			ns.phase = old.phase
-			ns.forcing = make([]Cons, ns.ni*ns.nj)
-			copy(ns.U, old.U)
-			old.Close()
-			m.solvers[l] = ns
-			g = cg
-		}
-	}
 	return true, nil
-}
-
-// closeTail closes and drops levels l.. of the hierarchy.
-func (m *multilevel) closeTail(l int) {
-	for _, s := range m.solvers[l:] {
-		s.Close()
-	}
-	m.solvers = m.solvers[:l]
-	m.steps = m.steps[:l]
-	if m.saved != nil {
-		m.saved = m.saved[:l]
-	}
 }
 
 // RefitTo moves the solver onto a re-fitted grid with identical cell counts

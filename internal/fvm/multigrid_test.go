@@ -8,7 +8,7 @@ import (
 )
 
 // A multilevel cascade must land on the same physics as a fine-grid-only
-// solve, at every depth and with the V-cycle schedule.
+// solve, at every depth.
 func TestSolveMultilevelMatchesFine(t *testing.T) {
 	g, o := seqCase(t)
 	fine, err := New(g, o)
@@ -21,25 +21,21 @@ func TestSolveMultilevelMatchesFine(t *testing.T) {
 	}
 	qf := fine.Primitive(0, 0)
 	xf, _ := fine.ShockLocus(2)
-	for _, sq := range []SequenceOptions{
-		{Levels: 3},
-		{Levels: 3, Cycle: "v"},
-		{Levels: 2, Cycle: "cascade"},
-	} {
+	for _, sq := range []SequenceOptions{{Levels: 3}, {Levels: 2}} {
 		ml, res, err := SolveMultilevel(context.Background(), g, o, 4000, 1e-3, sq)
 		if err != nil {
-			t.Fatalf("levels=%d cycle=%q: %v", sq.Levels, sq.Cycle, err)
+			t.Fatalf("levels=%d: %v", sq.Levels, err)
 		}
 		if math.IsNaN(res) || res <= 0 {
-			t.Fatalf("levels=%d cycle=%q: residual %g", sq.Levels, sq.Cycle, res)
+			t.Fatalf("levels=%d: residual %g", sq.Levels, res)
 		}
 		qs := ml.Primitive(0, 0)
 		if math.Abs(qs.P-qf.P)/qf.P > 0.05 {
-			t.Errorf("levels=%d cycle=%q: stagnation pressure %g vs fine %g", sq.Levels, sq.Cycle, qs.P, qf.P)
+			t.Errorf("levels=%d: stagnation pressure %g vs fine %g", sq.Levels, qs.P, qf.P)
 		}
 		xs, _ := ml.ShockLocus(2)
 		if math.Abs(xs[0]-xf[0]) > 0.06 {
-			t.Errorf("levels=%d cycle=%q: standoff %g vs fine %g", sq.Levels, sq.Cycle, -xs[0], -xf[0])
+			t.Errorf("levels=%d: standoff %g vs fine %g", sq.Levels, -xs[0], -xf[0])
 		}
 		ml.Close()
 	}
@@ -67,113 +63,41 @@ func TestSolveMultilevelPhasesAndAutoDrop(t *testing.T) {
 	}
 }
 
-// SolveSequenced with multilevel knobs routes through the multilevel driver;
-// with the legacy options it must keep the two-level "coarse"/"fine" phases
-// unchanged.
+// The zero SequenceOptions run the two-level cascade (phases level0 and
+// level1 only), and a deeper Levels adds the coarser level phases.
 func TestSolveSequencedDispatch(t *testing.T) {
 	g, o := seqCase(t)
 	phases := map[string]bool{}
 	o.Progress = func(phase string, step, maxSteps int, residual float64, diag Diag) { phases[phase] = true }
-	s, _, err := SolveSequenced(context.Background(), g, o, 4000, 1e-3, SequenceOptions{})
+	s, _, err := SolveMultilevel(context.Background(), g, o, 4000, 1e-3, SequenceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
-	if !phases["coarse"] || !phases["fine"] || phases["level0"] {
-		t.Errorf("legacy sequenced phases %v, want coarse+fine only", phases)
+	if len(phases) != 2 || !phases["level0"] || !phases["level1"] {
+		t.Errorf("default sequenced phases %v, want level0+level1 only", phases)
 	}
 	phases = map[string]bool{}
-	s, _, err = SolveSequenced(context.Background(), g, o, 4000, 1e-3, SequenceOptions{Levels: 3})
+	s, _, err = SolveMultilevel(context.Background(), g, o, 4000, 1e-3, SequenceOptions{Levels: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
-	if !phases["level0"] || !phases["level2"] || phases["coarse"] {
+	if len(phases) != 3 || !phases["level0"] || !phases["level2"] {
 		t.Errorf("multilevel phases %v, want level0..level2", phases)
 	}
 }
 
-// Unknown cycles and negative knobs fail fast with descriptive errors.
+// Negative knobs fail fast with descriptive errors.
 func TestSolveMultilevelValidation(t *testing.T) {
 	g, o := seqCase(t)
 	if _, _, err := SolveMultilevel(context.Background(), g, o, 100, 1e-3,
-		SequenceOptions{Cycle: "w"}); err == nil || !strings.Contains(err.Error(), "cascade") {
-		t.Errorf("unknown cycle error %v, want the valid list", err)
+		SequenceOptions{Levels: -1}); err == nil || !strings.Contains(err.Error(), "Levels") {
+		t.Errorf("negative Levels error %v", err)
 	}
 	if _, _, err := SolveMultilevel(context.Background(), g, o, 100, 1e-3,
-		SequenceOptions{Levels: -1, Cycle: "v"}); err == nil {
-		t.Error("negative Levels accepted")
-	}
-	if _, _, err := SolveMultilevel(context.Background(), g, o, 100, 1e-3,
-		SequenceOptions{SmoothSteps: -2, Cycle: "v"}); err == nil {
-		t.Error("negative SmoothSteps accepted")
-	}
-	if _, _, err := SolveMultilevel(context.Background(), g, o, 100, 1e-3,
-		SequenceOptions{RefitEvery: -5}); err == nil {
-		t.Error("negative RefitEvery accepted")
-	}
-}
-
-// Conservative restriction: the volume-weighted average over the index
-// partition preserves the total conserved content — computed with the
-// agglomerated partition volumes — to roundoff, for an arbitrary
-// manufactured field.
-func TestRestrictStateConservation(t *testing.T) {
-	g, o := seqCase(t)
-	fine, err := New(g, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fine.Close()
-	cg, err := g.Coarsen(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coarse, err := New(cg, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coarse.Close()
-	// Manufactured field: smooth but thoroughly non-uniform.
-	for i := 0; i < fine.ni; i++ {
-		for j := 0; j < fine.nj; j++ {
-			k := fine.idx(i, j)
-			x := float64(i) / float64(fine.ni)
-			y := float64(j) / float64(fine.nj)
-			fine.U[k] = Cons{
-				1 + 0.5*math.Sin(7*x)*math.Cos(3*y),
-				200 * (x - 0.5) * y,
-				-150 * y * (1 - x),
-				2e5 * (1 + 0.3*x*y),
-			}
-		}
-	}
-	restrictState(fine, coarse)
-	// Fine totals, and coarse totals over the agglomerated partition
-	// volumes.
-	var fineTot, coarseTot Cons
-	aggVol := make([]float64, coarse.ni*coarse.nj)
-	for i := 0; i < fine.ni; i++ {
-		ic := i * coarse.ni / fine.ni
-		for j := 0; j < fine.nj; j++ {
-			jc := j * coarse.nj / fine.nj
-			k := fine.idx(i, j)
-			v := fine.met.Vol[k]
-			aggVol[coarse.idx(ic, jc)] += v
-			for c := 0; c < 4; c++ {
-				fineTot[c] += v * fine.U[k][c]
-			}
-		}
-	}
-	for k := range aggVol {
-		for c := 0; c < 4; c++ {
-			coarseTot[c] += aggVol[k] * coarse.U[k][c]
-		}
-	}
-	for c := 0; c < 4; c++ {
-		if rel := math.Abs(coarseTot[c]-fineTot[c]) / math.Max(math.Abs(fineTot[c]), 1e-300); rel > 1e-12 {
-			t.Errorf("component %d: restricted total %g vs fine %g (rel %g)", c, coarseTot[c], fineTot[c], rel)
-		}
+		SequenceOptions{RefitEvery: -5}); err == nil || !strings.Contains(err.Error(), "RefitEvery") {
+		t.Errorf("negative RefitEvery error %v", err)
 	}
 }
 
@@ -232,7 +156,7 @@ func TestRefitToTransfersWallRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	wall := s.WallPressure()
-	ng, err := refitToShock(s, s.G, 1.4)
+	ng, err := refitToShock(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,21 +178,5 @@ func TestRefitToTransfersWallRow(t *testing.T) {
 	}
 	if err := s.RefitTo(cg); err == nil {
 		t.Error("RefitTo accepted a grid with different cell counts")
-	}
-}
-
-// A V-cycle solve that exhausts its fine-step budget must report the last
-// measured residual, not converge-by-sentinel: with a budget too small to
-// converge, the returned residual stays well above the drop target.
-func TestVCycleBudgetExhaustionNotConverged(t *testing.T) {
-	g, o := seqCase(t)
-	s, res, err := SolveMultilevel(context.Background(), g, o, 30, 1e-9,
-		SequenceOptions{Levels: 3, Cycle: "v"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if res <= 0 || math.IsInf(res, 1) || math.IsNaN(res) {
-		t.Fatalf("budget-exhausted residual %g, want a real (unconverged) value", res)
 	}
 }

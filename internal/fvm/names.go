@@ -2,7 +2,7 @@ package fvm
 
 // Exported registry name constants. Code outside this package must use
 // these instead of bare string literals when naming a flux kernel, time
-// integrator, limiter, multilevel cycle or implicit sweep — the catlint
+// integrator, limiter or implicit sweep — the catlint
 // registry analyzer enforces it, so a renamed registry entry fails the
 // build-time lint instead of a runtime lookup.
 const (
@@ -20,10 +20,6 @@ const (
 	// Slope limiters (Options.Limiter, CaseSpec "limiter").
 	LimiterMinmod    = "minmod"
 	LimiterVanAlbada = "vanalbada"
-
-	// Multilevel cycles (SequenceOptions.Cycle, CaseSpec "cycle").
-	CycleCascade = "cascade"
-	CycleV       = "v"
 
 	// Implicit sweep schedules (Options.ImplicitSweep, CaseSpec
 	// "implicit_sweep").

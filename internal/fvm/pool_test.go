@@ -97,15 +97,15 @@ func TestRunProgressCallback(t *testing.T) {
 	}
 }
 
-// A grid-sequenced solve reports its stages as "coarse" then "fine", never
-// interleaved.
+// A grid-sequenced solve reports its levels as "level1" (coarse) then
+// "level0" (fine), never interleaved.
 func TestSequencedProgressPhases(t *testing.T) {
 	g, o := seqCase(t)
 	var phases []string
 	o.Progress = func(phase string, step, maxSteps int, residual float64, diag Diag) {
 		phases = append(phases, phase)
 	}
-	s, _, err := SolveSequenced(context.Background(), g, o, 2000, 1e-2, SequenceOptions{})
+	s, _, err := SolveMultilevel(context.Background(), g, o, 2000, 1e-2, SequenceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,17 +113,17 @@ func TestSequencedProgressPhases(t *testing.T) {
 	sawFine := false
 	for _, ph := range phases {
 		switch ph {
-		case "coarse":
+		case "level1":
 			if sawFine {
-				t.Fatal("coarse phase after fine began")
+				t.Fatal("coarse level1 phase after the fine level0 began")
 			}
-		case "fine":
+		case "level0":
 			sawFine = true
 		default:
 			t.Fatalf("unexpected phase %q", ph)
 		}
 	}
-	if !sawFine || phases[0] != "coarse" {
-		t.Fatalf("phases %v: want coarse stage then fine stage", phases)
+	if !sawFine || phases[0] != "level1" {
+		t.Fatalf("phases %v: want level1 then level0", phases)
 	}
 }

@@ -1,165 +1,46 @@
 package fvm
 
 import (
-	"context"
-	"fmt"
 	"math"
 
 	"cataero/internal/grid"
 )
 
-// SequenceOptions configures a grid-sequenced or multilevel solve
-// (SolveSequenced / SolveMultilevel).
+// SequenceOptions configures a grid-sequenced solve (SolveMultilevel).
 type SequenceOptions struct {
-	// Coarsen divides the cell counts between adjacent levels (default 2).
-	Coarsen int
-	// CoarseDropTol is the relative residual drop for the coarsest level
-	// (default 1e-2: the coarse stage only has to establish the shock).
-	// Intermediate levels of a deeper hierarchy interpolate geometrically
-	// between CoarseDropTol and the fine drop tolerance.
-	CoarseDropTol float64
-	// CoarseMaxSteps bounds each coarse level (default maxSteps).
-	CoarseMaxSteps int
-	// Refit re-fits each finer grid's outer boundary to the coarser level's
-	// shock locus at the level transition, shrink-wrapping the shock layer.
-	Refit bool
-	// RefitMargin is the outer-boundary margin over the detected standoff
-	// (default 1.4); used with Refit and RefitEvery.
-	RefitMargin float64
-
 	// Levels is the number of grid levels, fine level included: 0 and 2 run
-	// the classic two-level sequenced solve, 1 solves single-level, and 3 or
-	// more build a deeper hierarchy by chained Coarsen calls. Levels the
-	// grid cannot reach (cell counts not divisible by the factor, or below
-	// the 4x4 MUSCL floor) are dropped automatically.
+	// the two-level cascade, 1 solves single-level, and 3 or more build a
+	// deeper hierarchy by chained coarsening. Levels the grid cannot reach
+	// (cell counts not divisible by the factor, or below the 4x4 MUSCL
+	// floor) are dropped automatically.
 	Levels int
-	// Cycle selects the multilevel schedule (see Cycles): "cascade" (the
-	// default — converge coarsest-first, inject downward, finish fine) or
-	// "v" (FAS V-cycles with pre/post smoothing sweeps after a cascade
-	// initialization). Setting Cycle routes the solve through the
-	// multilevel driver even at two levels.
-	Cycle string
-	// SmoothSteps is the number of pre- and post-smoothing time steps per
-	// level of a V-cycle (default 4). Ignored by the cascade.
-	SmoothSteps int
 	// RefitEvery, when positive, re-detects the shock locus every RefitEvery
 	// steps on the finest level mid-march, re-fits the outer boundary with
-	// RefitMargin and transfers the solution onto the refitted grid, so
+	// refitMargin and transfers the solution onto the refitted grid, so
 	// late-march cells concentrate in the shock layer.
 	RefitEvery int
 }
 
-// multilevel reports whether the options request the multilevel driver
-// rather than the classic two-level sequenced path.
-func (sq SequenceOptions) multilevel() bool {
-	return sq.Levels == 1 || sq.Levels >= 3 || sq.Cycle != "" || sq.RefitEvery > 0
-}
-
-// withDefaults fills the zero-valued fields shared by the two-level and
-// multilevel paths, so the defaults cannot drift between them.
-func (sq SequenceOptions) withDefaults(maxSteps int) SequenceOptions {
-	if sq.Coarsen < 2 {
-		sq.Coarsen = 2
-	}
-	if sq.CoarseDropTol == 0 {
-		sq.CoarseDropTol = 1e-2
-	}
-	if sq.CoarseMaxSteps == 0 {
-		sq.CoarseMaxSteps = maxSteps
-	}
-	if sq.RefitMargin <= 1 {
-		sq.RefitMargin = 1.4
-	}
-	return sq
-}
-
-// SolveSequenced runs a grid-sequenced solve to steady state: converge on a
-// coarsened grid, interpolate the coarse state onto the fine grid as the
-// initial condition (optionally re-fitting the fine outer boundary to the
-// coarse shock locus), then finish on the fine grid. The fine stage stops
-// at the same absolute residual a freestream-started fine solve would reach
-// after dropping by dropTol. Returns the fine solver (which the caller owns)
-// and its final residual. Falls back to a plain fine-grid solve when the
-// grid cannot be coarsened.
-func SolveSequenced(ctx context.Context, g *grid.Grid2D, o Options, maxSteps int, dropTol float64, sq SequenceOptions) (*Solver, float64, error) {
-	if sq.multilevel() {
-		return SolveMultilevel(ctx, g, o, maxSteps, dropTol, sq)
-	}
-	sq = sq.withDefaults(maxSteps)
-	// A fine-phase checkpoint carries its own absolute target, so the whole
-	// coarse stage and the calibration step are skipped: restore the fine
-	// state (refitted grid nodes included) and continue the march. Any
-	// restore failure falls through to a cold solve.
-	if cp := o.Restore; cp != nil && cp.Phase == "fine" && cp.NI == g.NI && cp.NJ == g.NJ {
-		o.Restore = nil
-		if fine, err := New(g, o); err == nil {
-			fine.phase = "fine"
-			if err := fine.Restore(cp); err == nil {
-				res, err := fine.RunToCtx(ctx, maxSteps, cp.Target)
-				if err != nil {
-					fine.Close()
-					return nil, 0, err
-				}
-				return fine, res, nil
-			}
-			fine.Close()
-		}
-	}
-	cg, err := g.Coarsen(sq.Coarsen)
-	if err != nil {
-		// Grid too small (or hand-built): sequencing buys nothing, solve fine.
-		s, err := New(g, o)
-		if err != nil {
-			return nil, 0, err
-		}
-		res, err := s.RunCtx(ctx, maxSteps, dropTol)
-		return s, res, err
-	}
-	coarse, err := New(cg, o)
-	if err != nil {
-		return nil, 0, err
-	}
-	coarse.phase = "coarse"
-	defer coarse.Close()
-	if _, err := coarse.RunCtx(ctx, sq.CoarseMaxSteps, sq.CoarseDropTol); err != nil {
-		return nil, 0, err
-	}
-	fineGrid := g
-	if sq.Refit {
-		rg, err := refitToShock(coarse, g, sq.RefitMargin)
-		if err != nil {
-			return nil, 0, fmt.Errorf("fvm: sequenced solve: refit to coarse shock locus: %w", err)
-		}
-		fineGrid = rg
-	}
-	fine, err := New(fineGrid, o)
-	if err != nil {
-		return nil, 0, err
-	}
-	fine.phase = "fine"
-	// Calibrate the absolute target: one freestream-started step gives the
-	// same initial residual scale RunCtx would have latched onto, then the
-	// injected coarse state replaces the stepped one.
-	r0 := fine.Step()
-	if math.IsNaN(r0) || r0 <= 0 {
-		fine.Close()
-		return nil, 0, errNaNCalibration
-	}
-	fine.injectFrom(coarse)
-	res, err := fine.RunToCtx(ctx, maxSteps, r0*dropTol)
-	if err != nil {
-		fine.Close()
-		return nil, 0, err
-	}
-	return fine, res, nil
-}
+// The fixed parameters of the cascade.
+const (
+	// coarsenFactor divides the cell counts between adjacent levels.
+	coarsenFactor = 2
+	// coarseDropTol is the relative residual drop for the coarsest level,
+	// which only has to establish the shock. Intermediate levels of a deeper
+	// hierarchy interpolate geometrically between it and the fine drop
+	// tolerance (see levelTol).
+	coarseDropTol = 1e-2
+	// refitMargin is the outer-boundary margin of a mid-march refit over the
+	// detected shock standoff.
+	refitMargin = 1.4
+)
 
 var errNaNCalibration = &calibrationError{}
 
 type calibrationError struct{}
 
 func (*calibrationError) Error() string {
-	return "fvm: sequenced solve: fine-grid calibration step produced no usable residual"
+	return "fvm: multilevel solve: calibration step produced no usable residual"
 }
 
 // injectFrom initializes the solver's conserved field from a coarse
@@ -224,46 +105,46 @@ func (c *Solver) bilinear(i0, j0 int, ti, tj float64) Cons {
 	return out
 }
 
-// refitToShock rebuilds the fine grid with its outer boundary placed at
-// margin times the coarse solver's shock standoff, interpolated in wall arc
-// length across the coarse i-lines.
-func refitToShock(coarse *Solver, fine *grid.Grid2D, margin float64) (*grid.Grid2D, error) {
-	xs, ys := coarse.ShockLocus(2.5)
-	cg := coarse.G
+// refitToShock rebuilds the solver's grid with its outer boundary placed at
+// refitMargin times the detected shock standoff, interpolated in wall arc
+// length across the i-lines.
+func refitToShock(s *Solver) (*grid.Grid2D, error) {
+	xs, ys := s.ShockLocus(2.5)
+	g := s.G
 	n := len(xs)
 	sMid := make([]float64, n)
 	d := make([]float64, n)
 	for i := 0; i < n; i++ {
-		sMid[i] = 0.5 * (cg.S[i] + cg.S[i+1])
-		xw := 0.5 * (cg.X[i][0] + cg.X[i+1][0])
-		yw := 0.5 * (cg.Y[i][0] + cg.Y[i+1][0])
-		d[i] = margin * math.Hypot(xs[i]-xw, ys[i]-yw)
+		sMid[i] = 0.5 * (g.S[i] + g.S[i+1])
+		xw := 0.5 * (g.X[i][0] + g.X[i+1][0])
+		yw := 0.5 * (g.Y[i][0] + g.Y[i+1][0])
+		d[i] = refitMargin * math.Hypot(xs[i]-xw, ys[i]-yw)
 	}
 	// A locus hugging the wall (no shock found, or a collapsed line) would
 	// produce a degenerate grid; floor at a quarter of the original standoff.
 	for i := range d {
-		if floor := 0.25 * cg.WallDistance(i); d[i] < floor {
+		if floor := 0.25 * g.WallDistance(i); d[i] < floor {
 			d[i] = floor
 		}
 	}
-	standoff := func(s float64) float64 {
-		if s <= sMid[0] {
+	standoff := func(arc float64) float64 {
+		if arc <= sMid[0] {
 			return d[0]
 		}
-		if s >= sMid[n-1] {
+		if arc >= sMid[n-1] {
 			return d[n-1]
 		}
 		lo, hi := 0, n-1
 		for hi-lo > 1 {
 			mid := (lo + hi) / 2
-			if sMid[mid] <= s {
+			if sMid[mid] <= arc {
 				lo = mid
 			} else {
 				hi = mid
 			}
 		}
-		t := (s - sMid[lo]) / (sMid[lo+1] - sMid[lo])
+		t := (arc - sMid[lo]) / (sMid[lo+1] - sMid[lo])
 		return d[lo] + t*(d[lo+1]-d[lo])
 	}
-	return fine.Refit(standoff)
+	return g.Refit(standoff)
 }

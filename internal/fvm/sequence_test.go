@@ -31,8 +31,8 @@ func seqCase(t *testing.T) (*grid.Grid2D, Options) {
 	}
 }
 
-// A grid-sequenced solve must land on the same physics as a fine-grid-only
-// solve: same pitot pressure, same standoff band.
+// A grid-sequenced (default two-level cascade) solve must land on the same
+// physics as a fine-grid-only solve: same pitot pressure, same standoff band.
 func TestSolveSequencedMatchesFine(t *testing.T) {
 	g, o := seqCase(t)
 	fine, err := New(g, o)
@@ -43,7 +43,7 @@ func TestSolveSequencedMatchesFine(t *testing.T) {
 	if _, err := fine.Run(4000, 1e-3); err != nil {
 		t.Fatal(err)
 	}
-	seq, res, err := SolveSequenced(context.Background(), g, o, 4000, 1e-3, SequenceOptions{})
+	seq, res, err := SolveMultilevel(context.Background(), g, o, 4000, 1e-3, SequenceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,31 +63,7 @@ func TestSolveSequencedMatchesFine(t *testing.T) {
 	}
 }
 
-// With Refit, the fine grid's outer boundary shrink-wraps the coarse shock
-// locus and the solve still captures the right shock.
-func TestSolveSequencedRefit(t *testing.T) {
-	g, o := seqCase(t)
-	seq, _, err := SolveSequenced(context.Background(), g, o, 4000, 1e-3,
-		SequenceOptions{Refit: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer seq.Close()
-	if seq.G == g {
-		t.Fatal("Refit did not rebuild the fine grid")
-	}
-	// The re-fitted outer boundary lies inside the original one but outside
-	// the shock (otherwise the pitot pressure collapses).
-	if d, d0 := seq.G.WallDistance(0), g.WallDistance(0); d >= d0 {
-		t.Errorf("refit standoff %g not inside original %g", d, d0)
-	}
-	q := seq.Primitive(0, 0)
-	if math.Abs(q.P/100-46.81) > 6 {
-		t.Errorf("refit stagnation pressure ratio %g want ~46.8", q.P/100)
-	}
-}
-
-// Sequencing falls back to a plain fine solve when the grid is too small
+// Sequencing falls back to a single-level solve when the grid is too small
 // to coarsen.
 func TestSolveSequencedFallback(t *testing.T) {
 	body := geometry.NewSphere(1.0)
@@ -96,7 +72,7 @@ func TestSolveSequencedFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, o := seqCase(t)
-	s, res, err := SolveSequenced(context.Background(), g, o, 200, 1e-3, SequenceOptions{})
+	s, res, err := SolveMultilevel(context.Background(), g, o, 200, 1e-3, SequenceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,9 +13,9 @@ import (
 // planes (one grid line per block, reconstructed into the chunk's SoA
 // pencil and swept by the kernel's batched loop), then a gather pass that
 // differences the planes into cell residuals and folds in the
-// axisymmetric source and FAS forcing. A block's pencil, metrics and flux
-// writes stay resident while it runs, and no two chunks ever write the
-// same cell, so there is no scatter contention and no zeroing pre-pass.
+// axisymmetric source. A block's pencil, metrics and flux writes stay
+// resident while it runs, and no two chunks ever write the same cell, so
+// there is no scatter contention and no zeroing pre-pass.
 func (s *Solver) computeResidual() {
 	// I-direction faces: i = 0..ni, between cells (i-1,j) and (i,j).
 	s.pool.sweep(s.ni+1, &s.sweepWG, s.swFluxI)
@@ -134,16 +134,15 @@ func (s *Solver) fluxJRange(ci, lo, hi int) {
 }
 
 // accumRange differences the face flux planes into the cell residuals for
-// i-lines [lo, hi), folding in the axisymmetric hoop-pressure source and
-// the FAS defect correction. It writes every residual exactly once, so
-// computeResidual needs no zeroing pre-pass.
+// i-lines [lo, hi), folding in the axisymmetric hoop-pressure source. It
+// writes every residual exactly once, so computeResidual needs no zeroing
+// pre-pass.
 //
 //cataero:hotpath
 func (s *Solver) accumRange(ci, lo, hi int) {
 	nj := s.nj
 	met := s.met
 	axi := s.G.Axisymmetric
-	forcing := s.forcing
 	for i := lo; i < hi; i++ {
 		for j := 0; j < nj; j++ {
 			k := i*nj + j
@@ -158,13 +157,6 @@ func (s *Solver) accumRange(ci, lo, hi int) {
 				// Axisymmetric hoop-pressure source in the radial momentum
 				// equation.
 				s.res[k][2] -= s.prim[k].P * met.Area[k]
-			}
-			if forcing != nil {
-				// FAS defect correction: the level relaxes R(U) - forcing = 0
-				// (see multigrid.go).
-				for c := 0; c < 4; c++ {
-					s.res[k][c] -= forcing[k][c]
-				}
 			}
 		}
 	}
@@ -433,7 +425,7 @@ func (s *Solver) RunCtx(ctx context.Context, maxSteps int, dropTol float64) (flo
 			select {
 			case <-ctx.Done():
 				if ckpt && n > start {
-					s.checkpointNow(n, first, 0)
+					s.checkpointNow(n, first)
 				}
 				return res, ctx.Err()
 			default:
@@ -453,46 +445,7 @@ func (s *Solver) RunCtx(ctx context.Context, maxSteps int, dropTol float64) (flo
 			return res, nil
 		}
 		if ckpt && (n+1)%s.Opts.CheckpointEvery == 0 {
-			s.checkpointNow(n+1, first, 0)
-		}
-	}
-	return res, nil
-}
-
-// RunToCtx iterates until the RMS density residual falls below the absolute
-// target or maxSteps is reached — the fine-stage entry point of a
-// grid-sequenced solve, where the relative-drop criterion of RunCtx would
-// be meaningless for an already-good initial state.
-func (s *Solver) RunToCtx(ctx context.Context, maxSteps int, target float64) (float64, error) {
-	if maxSteps <= 0 {
-		maxSteps = 2000
-	}
-	start, _ := s.takeResume()
-	ckpt := s.wantCheckpoints()
-	res := 0.0
-	for n := start; n < maxSteps; n++ {
-		if n%16 == 0 {
-			select {
-			case <-ctx.Done():
-				if ckpt && n > start {
-					s.checkpointNow(n, -1, target)
-				}
-				return res, ctx.Err()
-			default:
-			}
-		}
-		res = s.Step()
-		if s.Opts.Progress != nil {
-			s.Opts.Progress(s.phase, n+1-start, maxSteps, res, s.diag(0))
-		}
-		if math.IsNaN(res) {
-			return res, fmt.Errorf("fvm: residual NaN at step %d", n)
-		}
-		if res < target {
-			return res, nil
-		}
-		if ckpt && (n+1)%s.Opts.CheckpointEvery == 0 {
-			s.checkpointNow(n+1, -1, target)
+			s.checkpointNow(n+1, first)
 		}
 	}
 	return res, nil

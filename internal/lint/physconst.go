@@ -16,7 +16,7 @@ type physConstEntry struct {
 	// Ambiguous values (1.4 could be a relaxation factor, a margin, a
 	// gamma) are only flagged when the same statement also contains an
 	// unambiguous physical constant, or when the assigned name matches a
-	// hint — so `RefitMargin: 1.4` passes while `1.4*287.05*T` and
+	// hint — so `refitMargin = 1.4` passes while `1.4*287.05*T` and
 	// `Gamma: 1.4` are caught.
 	ambiguous bool
 	hints     []string

@@ -89,13 +89,6 @@ func CataeroFamilies() []Family {
 			Consts: name(map[string]string{"minmod": "fvm.LimiterMinmod", "vanalbada": "fvm.LimiterVanAlbada"}),
 		},
 		{
-			Kind: "multilevel cycle", Pkg: "internal/fvm", ListFunc: "Cycles",
-			Enumerator: "Cycles", CheckCall: "cataero.Cycles", CheckPkg: "cmd/catsim",
-			SpecPkg: "internal/core", SpecType: "CaseSpec", SpecJSON: "cycle",
-			CompareField: "Cycle",
-			Consts:       name(map[string]string{"cascade": "fvm.CycleCascade", "v": "fvm.CycleV"}),
-		},
-		{
 			Kind: "solver class", Pkg: "internal/core", RegisterFunc: "Register",
 			ClassKeyed: true, ClassMap: "classNames",
 		},

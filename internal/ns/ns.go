@@ -51,10 +51,10 @@ type Case struct {
 	// FreezeLimiterAt freezes the MUSCL limiter once the residual has
 	// dropped by this factor (see fvm.Options.FreezeLimiterAt; 0 = never).
 	FreezeLimiterAt float64
-	// Sequence, when non-nil, runs the solve grid-sequenced or multilevel:
-	// converge coarse grids first, then finish on the fine grid (see
-	// fvm.SolveSequenced / fvm.SolveMultilevel and the Levels, Cycle and
-	// RefitEvery fields of fvm.SequenceOptions).
+	// Sequence, when non-nil, runs the solve grid-sequenced through the
+	// multilevel cascade: converge coarse grids first, then finish on the
+	// fine grid (see fvm.SolveMultilevel and the Levels and RefitEvery
+	// fields of fvm.SequenceOptions).
 	Sequence *fvm.SequenceOptions
 	// CheckpointEvery, when positive, emits a solver-state checkpoint every
 	// CheckpointEvery steps through CheckpointSink (see
@@ -146,7 +146,7 @@ func Solve(ctx context.Context, c Case) (*Result, error) {
 	const dropTol = 5e-4
 	var s *fvm.Solver
 	if c.Sequence != nil {
-		s, _, err = fvm.SolveSequenced(ctx, g, o, c.MaxSteps, dropTol, *c.Sequence)
+		s, _, err = fvm.SolveMultilevel(ctx, g, o, c.MaxSteps, dropTol, *c.Sequence)
 	} else {
 		if s, err = fvm.New(g, o); err == nil {
 			_, err = s.RunCtx(ctx, c.MaxSteps, dropTol)

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -367,5 +368,79 @@ func TestLedgerWriteFailureDegradesToCacheless(t *testing.T) {
 	}
 	if e, _ := l.Get(v.Key); e == nil {
 		t.Fatal("entry missing after ledger healed")
+	}
+}
+
+// TestRunningUntilResultStored: the session run finishes before execute has
+// written the ledger entry and published the result, and in that window a
+// poll must report the run as running — never done without a result.
+// The ledger.put fault point holds execute inside Ledger.Put.
+func TestRunningUntilResultStored(t *testing.T) {
+	defer faultinject.Reset()
+	_, ts := newTestServer(t, Config{})
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	faultinject.Set("ledger.put", func() error {
+		once.Do(func() { close(entered) })
+		<-release
+		return nil
+	})
+	var released sync.Once
+	unblock := func() { released.Do(func() { close(release) }) }
+	defer unblock()
+
+	_, v := postCase(t, ts.URL+"/api/runs", eblProblem(7300), nil)
+	if v.ID == "" {
+		t.Fatalf("run not registered: %+v", v)
+	}
+	select {
+	case <-entered:
+	case <-time.After(30 * time.Second):
+		t.Fatal("run never reached the ledger write")
+	}
+	poll := func() runView {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/api/runs/" + v.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var got runView
+		if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	held := poll()
+	if held.State != cataero.RunRunning.String() || len(held.Result) != 0 || held.Error != "" {
+		t.Fatalf("run held in the ledger write: state %q, result %d bytes, error %q; want running with neither",
+			held.State, len(held.Result), held.Error)
+	}
+	var snap struct {
+		State string `json:"state"`
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(held.Snapshot, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if snap.State != cataero.RunRunning.String() || snap.Error != "" {
+		t.Fatalf("embedded snapshot state %q error %q while the result is unstored, want running", snap.State, snap.Error)
+	}
+
+	unblock()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		got := poll()
+		if got.State == cataero.RunDone.String() {
+			if got.Error != "" || len(got.Result) == 0 {
+				t.Fatalf("finished run without its result: %+v", got)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("run never finished: %+v", got)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

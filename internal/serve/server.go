@@ -665,6 +665,13 @@ func (s *Server) view(sr *srvRun) runView {
 	select {
 	case <-sr.admitted:
 		snap := sr.run.Snapshot()
+		// The session run finishes before execute has stored the result
+		// (marshalling, the ledger write) and closed sr.done: until then
+		// the run is still running here, so done always comes with its
+		// result or error.
+		if snap.State == cataero.RunDone {
+			snap.State, snap.Err = cataero.RunRunning, nil
+		}
 		v.State = snap.State.String()
 		if data, err := json.Marshal(snap); err == nil {
 			v.Snapshot = data

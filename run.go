@@ -46,17 +46,17 @@ type HistoryPoint struct {
 const HistoryDepth = 64
 
 // Snapshot is one consistent observation of a run's progress: the solver
-// class and registry name, the schedule phase (e.g. the "coarse" vs "fine"
-// grid-sequencing stage), the step count and latest residual, and the
-// elapsed wall-clock time since submission. Snapshots are values — reading
-// one never blocks the solve.
+// class and registry name, the schedule phase (e.g. the "level1" (coarse)
+// vs "level0" (fine) grid-sequencing level), the step count and latest
+// residual, and the elapsed wall-clock time since submission. Snapshots are
+// values — reading one never blocks the solve.
 type Snapshot struct {
 	State RunState
 	// Class is the problem's solver class. Shock-shape runs (SubmitShock)
 	// do not dispatch on Class; identify them by Solver ("euler") instead.
 	Class    SolverClass
 	Solver   string // registry name of the executing solver ("ns", "vsl", "euler", ...)
-	Phase    string // schedule phase ("solve", "coarse", "fine", "march", "profile")
+	Phase    string // schedule phase ("solve", "level0".."levelN", "march", "profile")
 	Step     int    // completed iterations within the phase
 	MaxSteps int    // the phase's iteration budget (0 when unknown)
 	Residual float64

@@ -148,9 +148,9 @@ func TestSnapshotResidualHistory(t *testing.T) {
 	}
 }
 
-// A grid-sequenced run restarts its step counter at the coarse→fine phase
-// switch; the history window must restart with it so steps stay monotone
-// and the trend stays comparable.
+// A grid-sequenced run restarts its step counter at the level1→level0
+// (coarse→fine) phase switch; the history window must restart with it so
+// steps stay monotone and the trend stays comparable.
 func TestSnapshotHistoryAcrossPhases(t *testing.T) {
 	if testing.Short() {
 		t.Skip("NS solve in short mode")
@@ -164,8 +164,8 @@ func TestSnapshotHistoryAcrossPhases(t *testing.T) {
 	if _, err := run.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if !phases["coarse"] || !phases["fine"] {
-		t.Fatalf("sequenced solve did not report both phases: %v", phases)
+	if !phases["level1"] || !phases["level0"] {
+		t.Fatalf("sequenced solve did not report both level phases: %v", phases)
 	}
 	hist := run.Snapshot().History()
 	if len(hist) == 0 {
@@ -405,7 +405,7 @@ func TestGridSequencingOptOut(t *testing.T) {
 
 // Behavioral check via monitor phases: ToggleOff on a sequencing session
 // must solve in a single "solve" phase; the session default must sequence
-// through "coarse" then "fine".
+// through "level1" (coarse) then "level0" (fine).
 func TestGridSequencingOptOutPhases(t *testing.T) {
 	if testing.Short() {
 		t.Skip("NS solves in short mode")
@@ -422,13 +422,13 @@ func TestGridSequencingOptOutPhases(t *testing.T) {
 		return seen
 	}
 	seq := phasesOf(fastNSProblem())
-	if !seq["coarse"] || !seq["fine"] || seq["solve"] {
-		t.Fatalf("sequenced phases %v, want coarse+fine", seq)
+	if !seq["level1"] || !seq["level0"] || seq["solve"] {
+		t.Fatalf("sequenced phases %v, want level1+level0", seq)
 	}
 	p := fastNSProblem()
 	p.GridSequencing = ToggleOff
 	plain := phasesOf(p)
-	if plain["coarse"] || plain["fine"] || !plain["solve"] {
+	if plain["level1"] || plain["level0"] || !plain["solve"] {
 		t.Fatalf("opt-out phases %v, want solve only", plain)
 	}
 }

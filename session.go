@@ -33,7 +33,6 @@ type Session struct {
 	freezeLim float64
 	gridSeq   bool
 	levels    int
-	cycle     string
 	ckptEvery int
 	// Solve admission (see pool.go): at most `workers` submitted runs
 	// execute concurrently; the rest wait FIFO in admitQueue.
@@ -118,9 +117,9 @@ func WithGridSequencing(on bool) Option {
 }
 
 // WithLevels sets the default multilevel grid-level count stamped onto
-// problems that leave Levels at zero: 2 is the classic two-level sequenced
-// solve, 3 or more builds a deeper hierarchy by chained coarsening (levels
-// the grid cannot reach are dropped automatically). Setting a level count
+// problems that leave Levels at zero: 2 is the two-level cascade, 3 or more
+// builds a deeper hierarchy by chained coarsening (levels the grid cannot
+// reach are dropped automatically). Setting a level count
 // turns sequencing on for NS and Euler shock-shape solves unless a problem
 // forces GridSequencing off.
 func WithLevels(n int) Option {
@@ -129,14 +128,6 @@ func WithLevels(n int) Option {
 			s.levels = n
 		}
 	}
-}
-
-// WithCycle sets the default multilevel schedule ("cascade", "v" — see
-// Cycles) stamped onto problems whose Cycle field is left empty; an unknown
-// name fails at solve time with the valid list. Like WithLevels, a cycle
-// default turns sequencing on for the solves that support it.
-func WithCycle(name string) Option {
-	return func(s *Session) { s.cycle = name }
 }
 
 // WithLimiter sets the default MUSCL slope limiter ("minmod", "vanalbada" —
@@ -218,9 +209,6 @@ func (s *Session) apply(p Problem) Problem {
 	if p.Levels == 0 && s.levels != 0 {
 		p.Levels = s.levels
 	}
-	if p.Cycle == "" && s.cycle != "" {
-		p.Cycle = s.cycle
-	}
 	if p.CheckpointEvery == 0 && s.ckptEvery != 0 {
 		p.CheckpointEvery = s.ckptEvery
 	}
@@ -260,9 +248,9 @@ func (s *Session) Normalize(p Problem) (Problem, error) {
 // Submit starts one problem asynchronously and returns its Run handle
 // immediately. The run waits for a session solve slot (WithWorkers),
 // executes against the cached model stack, and exposes live progress via
-// Run.Snapshot and Run.Watch: solver class, schedule phase (e.g. the coarse
-// vs fine grid-sequencing stage), step count, latest residual and elapsed
-// time. Cancel the run with Run.Cancel or by canceling ctx; collect the
+// Run.Snapshot and Run.Watch: solver class, schedule phase (e.g. the
+// level1 vs level0 grid-sequencing level), step count, latest residual and
+// elapsed time. Cancel the run with Run.Cancel or by canceling ctx; collect the
 // result with Run.Wait.
 func (s *Session) Submit(ctx context.Context, p Problem) *Run {
 	p = s.apply(p)

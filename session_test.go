@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -281,19 +282,17 @@ func TestTimeSteppingsList(t *testing.T) {
 }
 
 func TestSessionMultilevelOptions(t *testing.T) {
-	s := NewSession(WithLevels(3), WithCycle("v"), WithLimiter("vanalbada"))
+	s := NewSession(WithLevels(3), WithLimiter("vanalbada"))
 	p := s.apply(smallNSProblem())
-	if p.Levels != 3 || p.Cycle != "v" || p.Limiter != "vanalbada" {
-		t.Fatalf("multilevel options not stamped: levels=%d cycle=%q limiter=%q",
-			p.Levels, p.Cycle, p.Limiter)
+	if p.Levels != 3 || p.Limiter != "vanalbada" {
+		t.Fatalf("multilevel options not stamped: levels=%d limiter=%q", p.Levels, p.Limiter)
 	}
 	// Problem-level values win over the session defaults.
 	q := smallNSProblem()
-	q.Levels, q.Cycle, q.Limiter = 2, "cascade", "minmod"
+	q.Levels, q.Limiter = 2, "minmod"
 	q = s.apply(q)
-	if q.Levels != 2 || q.Cycle != "cascade" || q.Limiter != "minmod" {
-		t.Fatalf("problem multilevel knobs overridden: levels=%d cycle=%q limiter=%q",
-			q.Levels, q.Cycle, q.Limiter)
+	if q.Levels != 2 || q.Limiter != "minmod" {
+		t.Fatalf("problem multilevel knobs overridden: levels=%d limiter=%q", q.Levels, q.Limiter)
 	}
 }
 
@@ -301,11 +300,47 @@ func TestSessionUnknownCycleAndLimiterFail(t *testing.T) {
 	if testing.Short() {
 		t.Skip("NS solves in short mode")
 	}
-	if _, err := NewSession(WithCycle("w")).Solve(context.Background(), fastNSProblem()); err == nil {
+	p := fastNSProblem()
+	p.Cycle = "w"
+	if _, err := NewSession().Solve(context.Background(), p); err == nil {
 		t.Error("unknown cycle accepted")
 	}
 	if _, err := NewSession(WithLimiter("superbee")).Solve(context.Background(), fastNSProblem()); err == nil {
 		t.Error("unknown limiter accepted")
+	}
+}
+
+// The cycle is validated input only: a case or problem naming any schedule
+// but the cascade — the removed "v" included — fails ParseCase and
+// Session.Normalize with an error naming the removal, while "cascade" still
+// parses and turns sequencing on.
+func TestRemovedCycleRejected(t *testing.T) {
+	for _, cycle := range []string{"v", "w"} {
+		_, err := ParseCase([]byte(`{"class":"ns","p_inf":100,"t_inf":250,"v_inf":2000,"nose_radius":0.3,"cycle":"` + cycle + `"}`))
+		if err == nil || !strings.Contains(err.Error(), "removed") {
+			t.Errorf("ParseCase cycle %q: error %v, want one naming the removal", cycle, err)
+		}
+		p := fastNSProblem()
+		p.Cycle = cycle
+		if _, err := NewSession().Normalize(p); err == nil || !strings.Contains(err.Error(), "removed") {
+			t.Errorf("Normalize cycle %q: error %v, want one naming the removal", cycle, err)
+		}
+	}
+	if _, err := ParseCase([]byte(`{"class":"ns","p_inf":100,"t_inf":250,"v_inf":2000,"nose_radius":0.3,"cycle":"cascade"}`)); err != nil {
+		t.Fatalf("cycle \"cascade\" rejected: %v", err)
+	}
+	if testing.Short() {
+		return
+	}
+	p := fastNSProblem()
+	p.Cycle = "cascade"
+	seen := map[string]bool{}
+	p.Monitor = MonitorFunc(func(pr Progress) { seen[pr.Phase] = true })
+	if _, err := NewSession().Solve(context.Background(), p); err != nil {
+		t.Fatal(err)
+	}
+	if !seen["level0"] || !seen["level1"] || seen["solve"] {
+		t.Fatalf("cycle \"cascade\" phases %v, want the two-level cascade", seen)
 	}
 }
 
@@ -323,7 +358,7 @@ func TestMultilevelRunPhases(t *testing.T) {
 	if _, err := s.Submit(context.Background(), p).Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if !seen["level0"] || !seen["level1"] || seen["level2"] || seen["coarse"] || seen["solve"] {
+	if !seen["level0"] || !seen["level1"] || seen["level2"] || seen["solve"] {
 		t.Fatalf("multilevel phases %v, want level0+level1", seen)
 	}
 	q := fastNSProblem()
