@@ -8,11 +8,6 @@ import (
 	"cataero/internal/core"
 )
 
-// CaseSpec is the declarative, JSON-marshalable mirror of a Problem — the
-// case-file format behind `catsim run`. See core.CaseSpec for the field
-// list and README.md for the schema.
-type CaseSpec = core.CaseSpec
-
 // BodySpec names a body shape declaratively ("sphere", "sphere-cone",
 // "hyperboloid") with its dimensions; it stands in for the geometry.Body
 // interface in case files.

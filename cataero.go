@@ -31,9 +31,9 @@
 // without touching the dispatcher. Contexts are threaded into the solver
 // iteration loops, so sweeps cancel promptly.
 //
-// Problems also have a declarative form: a JSON case file (LoadCase,
-// SaveCase, CaseSpec) with named body shapes standing in for the
-// geometry.Body interface, runnable from the command line via
+// Problems also have a declarative form: a Problem's JSON encoding is a
+// case file (LoadCase, SaveCase), with named body shapes standing in for
+// the geometry.Body interface, runnable from the command line via
 // `catsim run case.json`.
 //
 // The public surface also re-exports the core problem/environment types and
@@ -44,8 +44,6 @@
 package cataero
 
 import (
-	"context"
-
 	"cataero/internal/core"
 	"cataero/internal/fvm"
 )
@@ -124,7 +122,7 @@ func FluxKernels() []string { return fvm.FluxKernels() }
 func TimeSteppings() []string { return fvm.Integrators() }
 
 // ImplicitSweeps returns the valid implicit sweep-pattern names — the
-// values of Problem.ImplicitSweep and WithImplicitSweep: "jline"
+// values of Problem.ImplicitSweep: "jline"
 // (wall-normal line relaxation only, the default) and "adi" (alternating
 // wall-normal and streamwise block-tridiagonal passes per step).
 func ImplicitSweeps() []string { return fvm.ImplicitSweeps() }
@@ -157,16 +155,13 @@ const CheckpointFormat = fvm.CheckpointFormat
 // checkpoint file can never be resumed from.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) { return fvm.DecodeCheckpoint(data) }
 
-// CanonicalSpec returns the canonical, default-normalized case spec of a
-// problem: the label cleared, every default a solve would fill spelled
-// explicitly (core normalization plus the finite-volume registry defaults).
-// Semantically identical problems produce identical canonical specs — the
-// content-addressing basis of the run ledger.
-func CanonicalSpec(p Problem) (CaseSpec, error) { return core.Canonical(p) }
-
 // CanonicalJSON returns the canonical JSON encoding of a problem — the
-// CanonicalSpec re-marshaled with sorted object keys — the exact bytes
-// CaseKey hashes.
+// bytes CaseKey hashes: the case file with the label cleared, every default
+// a solve would fill spelled explicitly (core normalization plus the
+// finite-volume registry defaults) and object keys sorted. Semantically
+// identical problems produce identical bytes — the content-addressing basis
+// of the run ledger — and the bytes parse back (ParseCase) to a problem
+// with the same key.
 func CanonicalJSON(p Problem) ([]byte, error) { return core.CanonicalJSON(p) }
 
 // CaseKey returns a problem's content address: the lowercase hex SHA-256 of
@@ -180,27 +175,3 @@ func CaseKey(p Problem) (string, error) { return core.CaseKey(p) }
 // "pns", "ns"), or "" for a class without one — the inverse of the names
 // accepted by case files.
 func ClassName(c SolverClass) string { return core.ClassName(c) }
-
-// Solve dispatches a problem to its solver class and returns the
-// aerothermal environment.
-//
-// Deprecated: use Session.Solve, which adds cancellation, cached model
-// stacks and batch sweeps. This wrapper delegates to a shared default
-// session.
-func Solve(p Problem) (*Environment, error) {
-	return defaultSession().Solve(context.Background(), p)
-}
-
-// ShockShape computes an Euler bow-shock locus for a problem (Fig. 4
-// machinery): ideal or equilibrium air.
-//
-// Deprecated: use Session.ShockShape, which returns the full envelope and
-// adds cancellation and table caching. This wrapper delegates to a shared
-// default session.
-func ShockShape(p Problem) (xs, ys []float64, standoff float64, err error) {
-	env, err := defaultSession().ShockShape(context.Background(), p)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return env.X, env.Y, env.Standoff, nil
-}

@@ -1,7 +1,7 @@
 // Command catlint runs cataero's domain-specific static analyzers:
 //
 //	hotpath    //cataero:hotpath functions and their callees must not allocate
-//	registry   registered names stay in sync with enumerators, fail-fasts, CaseSpec
+//	registry   registered names stay in sync with enumerators, fail-fasts, case files
 //	ctxloop    solver march loops must poll context cancellation
 //	physconst  physical-constant literals belong in the property packages
 //

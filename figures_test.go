@@ -1,6 +1,7 @@
 package cataero
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -9,7 +10,7 @@ import (
 // end to end; detailed physics tests live next to each internal package.
 
 func TestPublicSolveVSL(t *testing.T) {
-	env, err := Solve(Problem{
+	env, err := NewSession().Solve(context.Background(), Problem{
 		Class:     VSL,
 		Chemistry: EquilibriumAir,
 		PInf:      4.8, TInf: 217, VInf: 6740,

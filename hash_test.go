@@ -37,6 +37,7 @@ func TestCaseKeyGolden(t *testing.T) {
 		if key != want {
 			t.Errorf("%s: key %s, want %s (a deliberate canonical-format change must update goldenKeys)", path, key, want)
 		}
+		reparsesToKey(t, p)
 	}
 }
 
@@ -62,6 +63,29 @@ func TestCaseKeyGoldenSequenced(t *testing.T) {
 		if key := keyOf(t, p); key != c.key {
 			t.Errorf("bench.json levels=%d refit_every=%d: key %s, want %s", c.levels, c.refitEvery, key, c.key)
 		}
+		reparsesToKey(t, p)
+	}
+}
+
+// reparsesToKey checks the canonical JSON stored beside a ledger
+// checkpoint: Server.Recover re-parses and re-keys it after a restart, so it
+// must parse back to a problem with the key it was stored under.
+func reparsesToKey(t *testing.T, p Problem) {
+	t.Helper()
+	np, err := NewSession().Normalize(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	canon, err := CanonicalJSON(np)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := ParseCase(canon)
+	if err != nil {
+		t.Fatalf("canonical json %s does not parse: %v", canon, err)
+	}
+	if got, want := keyOf(t, q), keyOf(t, np); got != want {
+		t.Errorf("canonical json re-keys to %s, want %s\njson %s", got, want, canon)
 	}
 }
 
@@ -112,11 +136,7 @@ func TestCaseKeyFieldOrderInvariant(t *testing.T) {
 	}
 	base := keyOf(t, p)
 
-	spec, err := CanonicalSpec(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc, err := json.Marshal(spec)
+	doc, err := CanonicalJSON(p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,12 +22,13 @@ import (
 //   - the finite-volume registry choices left empty resolve to the solver
 //     defaults (DefaultFlux/DefaultTimeStepping/DefaultLimiter), and the
 //     multilevel cycle to "cascade" when a sequenced solve would use it;
-//   - the spec is re-marshaled through a generic map, so object keys are
-//     emitted in sorted order regardless of struct declaration order.
+//   - the case-file JSON is re-marshaled through a generic map, so object
+//     keys are emitted in sorted order regardless of struct declaration
+//     order.
 //
-// Problems whose configuration lives in function fields (Standoff, Mu, K)
-// have no canonical form and are rejected by SpecOf; the Monitor is dropped
-// (it never affects the solution).
+// Runtime-only fields have no case-file form and so no part in the key: the
+// Monitor and checkpointing never affect the solution, and configuration
+// held in function fields (Standoff, Mu, K) is invisible to the ledger.
 
 // Normalize validates the problem and fills the solve-independent defaults
 // (freestream checks, sphere body from NoseRadius, ideal-gas chemistry,
@@ -38,11 +39,11 @@ func Normalize(p Problem) (Problem, error) {
 	return normalize(p)
 }
 
-// Canonical returns the canonical, default-normalized case spec of a
-// problem: the form whose JSON encoding is hashed into the ledger key. The
-// label is cleared and every default a solve would fill is made explicit,
-// so semantically identical cases produce identical specs.
-func Canonical(p Problem) (CaseSpec, error) {
+// Canonical returns the canonical, default-normalized form of a problem:
+// the form whose JSON encoding is hashed into the ledger key. The label is
+// cleared and every default a solve would fill is made explicit, so
+// semantically identical cases produce identical problems.
+func Canonical(p Problem) (Problem, error) {
 	p.Name = ""
 	p.Monitor = nil
 	// Checkpointing never changes the converged solution, so it must not
@@ -53,7 +54,7 @@ func Canonical(p Problem) (CaseSpec, error) {
 	p.Restore = nil
 	np, err := normalize(p)
 	if err != nil {
-		return CaseSpec{}, err
+		return Problem{}, err
 	}
 	if np.Flux == "" {
 		np.Flux = fvm.DefaultFlux
@@ -77,18 +78,19 @@ func Canonical(p Problem) (CaseSpec, error) {
 	if np.Cycle == "" && np.Levels >= 2 {
 		np.Cycle = cycleCascade
 	}
-	return SpecOf(np)
+	return np, nil
 }
 
 // CanonicalJSON returns the canonical JSON encoding of a problem: the
-// Canonical spec re-marshaled through a generic map so object keys are
-// sorted, suitable for hashing and for storing alongside a ledger entry.
+// Canonical problem's case file re-marshaled through a generic map so
+// object keys are sorted, suitable for hashing and for storing alongside a
+// ledger entry.
 func CanonicalJSON(p Problem) ([]byte, error) {
-	spec, err := Canonical(p)
+	cp, err := Canonical(p)
 	if err != nil {
 		return nil, err
 	}
-	raw, err := json.Marshal(spec)
+	raw, err := json.Marshal(cp)
 	if err != nil {
 		return nil, err
 	}

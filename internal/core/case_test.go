@@ -57,7 +57,34 @@ func TestProblemJSONRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(p, q) {
 			t.Errorf("case %d: round trip changed the problem:\n got %+v\nwant %+v\njson %s", i, q, p, data)
 		}
+		// The canonical JSON is a case file too, and parses back to a
+		// problem with its own key: Server.Recover re-submits a stored
+		// checkpoint's spec on exactly that property.
+		np, err := Normalize(p)
+		if err != nil {
+			t.Fatalf("case %d: normalize: %v", i, err)
+		}
+		canon, err := CanonicalJSON(np)
+		if err != nil {
+			t.Fatalf("case %d: canonical json: %v", i, err)
+		}
+		var r Problem
+		if err := json.Unmarshal(canon, &r); err != nil {
+			t.Fatalf("case %d: canonical json %s does not parse: %v", i, canon, err)
+		}
+		if want, got := caseKey(t, np), caseKey(t, r); got != want {
+			t.Errorf("case %d: canonical json re-keys to %s, want %s\njson %s", i, got, want, canon)
+		}
 	}
+}
+
+func caseKey(t *testing.T, p Problem) string {
+	t.Helper()
+	key, err := CaseKey(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return key
 }
 
 func TestProblemJSONHyperboloidBody(t *testing.T) {
@@ -98,6 +125,10 @@ func TestCaseSpecErrors(t *testing.T) {
 		`{"class":"ns","levels":-2,"p_inf":1,"t_inf":1,"v_inf":1}`,
 		`{"class":"ns","cycle":"v","p_inf":1,"t_inf":1,"v_inf":1}`,
 		`{"class":"ns","refit_every":-3,"p_inf":1,"t_inf":1,"v_inf":1}`,
+		`{"class":"ns","checkpoint_every":-1,"p_inf":1,"t_inf":1,"v_inf":1}`,
+		`{"class":"ns","freeze_limiter_at":2,"p_inf":1,"t_inf":1,"v_inf":1}`,
+		// An absent class must not decode as VSL, the zero value.
+		`{"p_inf":1,"t_inf":1,"v_inf":1,"nose_radius":1}`,
 	}
 	for i, s := range bad {
 		var p Problem

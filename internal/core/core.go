@@ -16,9 +16,8 @@
 //     registers itself at init and the dispatcher resolves classes through
 //     the registry, so new solver classes plug in without touching core.
 //
-// SolveWith/ShockShapeWith are the session-oriented entry points (explicit
-// context and stack); Solve/ShockShape are the legacy one-shot wrappers
-// over a package-level default stack.
+// SolveWith/ShockShapeWith are the entry points: each takes an explicit
+// context and stack (the root package's Session holds the stack).
 package core
 
 import (
@@ -124,77 +123,86 @@ func (t Toggle) Enabled(def bool) bool {
 	return def
 }
 
-// Problem is a complete aerothermal case specification.
+// Problem is a complete aerothermal case specification, and its JSON
+// encoding is the case-file format (case.go): the json tags name the
+// case-file keys, enumerations are spelled by name, and the Body stands
+// behind a named BodySpec. Runtime-only fields (functions, checkpoints, the
+// Monitor) are tagged "-" and have no case-file form.
 type Problem struct {
 	// Name is an optional case label for reports and case files; it does
 	// not affect the solve.
-	Name string
+	Name string `json:"name,omitempty"`
 
-	Class     SolverClass
-	Chemistry GasChemistry
-	Gamma     float64 // ideal-gas gamma (default 1.4)
+	Class     SolverClass  `json:"class"`
+	Chemistry GasChemistry `json:"chemistry,omitempty"`
+	Gamma     float64      `json:"gamma,omitempty"` // ideal-gas gamma (default 1.4)
 
 	// Freestream.
-	PInf, TInf, VInf float64
+	PInf float64 `json:"p_inf"`
+	TInf float64 `json:"t_inf"`
+	VInf float64 `json:"v_inf"`
 
-	// Geometry: either an explicit body or a nose radius for a sphere.
-	Body       geometry.Body
-	NoseRadius float64
+	// Geometry: either an explicit body or a nose radius for a sphere. A
+	// case file spells the body as a BodySpec ("body").
+	Body       geometry.Body `json:"-"`
+	NoseRadius float64       `json:"nose_radius,omitempty"`
 
 	// Wall.
-	TWall  float64
-	GammaW float64 // catalytic recombination coefficient (EBL class)
+	TWall  float64 `json:"t_wall,omitempty"`
+	GammaW float64 `json:"gamma_w,omitempty"` // catalytic recombination coefficient (EBL class)
 
 	// Radiation coupling (VSL class).
-	Radiation bool
+	Radiation bool `json:"radiation,omitempty"`
 
 	// Discretization hints.
-	NStations int // surface stations (EBL/PNS, default 20); VSL profile points (default 60)
-	NI, NJ    int // grid cells (NS)
-	MaxSteps  int
+	NStations int `json:"n_stations,omitempty"` // surface stations (EBL/PNS, default 20); VSL profile points (default 60)
+	NI        int `json:"ni,omitempty"`         // grid cells (NS)
+	NJ        int `json:"nj,omitempty"`
+	MaxSteps  int `json:"max_steps,omitempty"`
 
 	// Flux selects the finite-volume upwind flux kernel by name for the
 	// NS and Euler shock-shape classes ("hlle", "hllc", "ausm+"; empty =
 	// solver default).
-	Flux string
+	Flux string `json:"flux,omitempty"`
 
 	// TimeStepping selects the finite-volume time integrator by name for
 	// the NS and Euler shock-shape classes ("explicit", "implicit"; empty =
 	// session or solver default). Implicit (line-implicit, DPLR-style)
 	// stepping removes the wall-normal CFL restriction and converges
 	// clustered viscous grids in several-fold fewer steps.
-	TimeStepping string
+	TimeStepping string `json:"time_stepping,omitempty"`
 
 	// ImplicitSweep selects the implicit line-relaxation sweep pattern for
 	// the NS and Euler shock-shape classes ("jline" = wall-normal lines only,
-	// "adi" = alternating wall-normal and streamwise passes; empty = session
-	// or solver default — see the fvm.ImplicitSweeps list). Ignored by the
-	// explicit integrator.
-	ImplicitSweep string
+	// "adi" = alternating wall-normal and streamwise passes; empty = solver
+	// default — see the fvm.ImplicitSweeps list). Ignored by the explicit
+	// integrator.
+	ImplicitSweep string `json:"implicit_sweep,omitempty"`
 
 	// CFLRamp tunes the implicit integrator's CFL schedule; zero-valued
 	// fields take the fvm.DefaultCFLRamp defaults. Ignored by the explicit
 	// integrator.
-	CFLRamp fvm.CFLRamp
+	CFLRamp fvm.CFLRamp `json:"cfl_ramp,omitzero"`
 
 	// Limiter selects the MUSCL slope limiter by name for the NS and Euler
 	// shock-shape classes ("minmod", "vanalbada"; empty = session or solver
 	// default). The smooth van Albada limiter lets the implicit CFL ramp
 	// climb past the minmod limit cycle.
-	Limiter string
+	Limiter string `json:"limiter,omitempty"`
 
 	// FreezeLimiterAt freezes the MUSCL limiter for the NS and Euler
 	// shock-shape classes once the residual has dropped by this factor
 	// (e.g. 1e-2), replaying the recorded slopes for the rest of the march.
-	// Must be in (0, 1); 0 disables (or defers to the session default).
-	FreezeLimiterAt float64
+	// Must be in (0, 1); 0 disables.
+	FreezeLimiterAt float64 `json:"freeze_limiter_at,omitempty"`
 
 	// GridSequencing controls grid-sequenced NS and Euler shock-shape
 	// solves (converge on a coarsened grid, then finish on the fine grid
 	// from the interpolated coarse state). The zero value defers to the
 	// session default; ToggleOff disables sequencing even on a session that
 	// enables it (including multilevel solves requested via Levels/Cycle).
-	GridSequencing Toggle
+	// A case file spells it "on", "off" or omits it.
+	GridSequencing Toggle `json:"grid_sequencing,omitempty"`
 
 	// Levels selects the number of grid levels for multilevel NS and Euler
 	// shock-shape solves (fine level included): 0 defers to the session
@@ -202,51 +210,49 @@ type Problem struct {
 	// cascade, 3 or more a deeper hierarchy with levels the grid cannot
 	// reach dropped automatically. Setting Levels (or Cycle, or RefitEvery)
 	// turns sequencing on unless GridSequencing is ToggleOff.
-	Levels int
+	Levels int `json:"levels,omitempty"`
 
 	// Cycle names the multilevel schedule. The cascade is the only one, so
 	// the field is validated input only: "" or "cascade" (which, like
 	// Levels, turns sequencing on). Any other name is an error. It stays
 	// because stored ledger specs and case files spell it.
-	Cycle string
+	Cycle string `json:"cycle,omitempty"`
 
 	// RefitEvery, when positive, re-fits the outer boundary to the detected
 	// shock locus every RefitEvery steps on the finest level mid-march,
 	// transferring the solution onto the refitted grid.
-	RefitEvery int
+	RefitEvery int `json:"refit_every,omitempty"`
 
 	// Standoff optionally places the outer grid boundary as a function of
 	// arc length (Euler shock-shape solves); nil uses the solver default.
-	Standoff func(s float64) float64
+	Standoff func(s float64) float64 `json:"-"`
 
 	// Mu and K optionally override the NS-class transport closures (e.g.
 	// equilibrium-composition viscosity/conductivity); nil uses Sutherland.
-	Mu, K func(T float64) float64
+	Mu, K func(T float64) float64 `json:"-"`
 
 	// CheckpointEvery, when positive, asks the NS and Euler shock-shape
 	// classes to emit a solver-state checkpoint every CheckpointEvery steps
-	// through CheckpointSink. It is part of the case specification wire form
-	// (CaseSpec) but is cleared by Canonical, so it never perturbs a case's
-	// ledger key: a checkpointed solve and a plain solve of the same case
-	// produce the same artifact.
-	CheckpointEvery int
+	// through CheckpointSink. A case file can set it, but Canonical clears
+	// it, so it never perturbs a case's ledger key: a checkpointed solve and
+	// a plain solve of the same case produce the same artifact.
+	CheckpointEvery int `json:"checkpoint_every,omitempty"`
 
 	// CheckpointSink receives each emitted checkpoint. The *fvm.Checkpoint
 	// is scratch owned by the solver — encode it (Checkpoint.AppendBinary)
-	// before returning. Runtime-only: dropped by SpecOf/Canonical like
-	// Monitor.
-	CheckpointSink func(*fvm.Checkpoint)
+	// before returning. Runtime-only, like Monitor.
+	CheckpointSink func(*fvm.Checkpoint) `json:"-"`
 
 	// Restore, when non-nil, resumes the solve from a previously captured
 	// checkpoint instead of a cold start. A checkpoint that does not match
 	// the case (grid size, phase) is ignored and the solve starts cold:
 	// restore is an optimization, never a requirement. Runtime-only.
-	Restore *fvm.Checkpoint
+	Restore *fvm.Checkpoint `json:"-"`
 
 	// Monitor, when non-nil, observes the solve's iteration loops (see
 	// Monitor). The session layer installs its own monitor for Run handles
 	// and forwards to this one.
-	Monitor Monitor
+	Monitor Monitor `json:"-"`
 }
 
 // SurfacePoint is one station of a surface distribution. The JSON tags are
@@ -270,8 +276,11 @@ type Environment struct {
 	Raw any
 }
 
-// normalize validates the freestream and geometry and fills defaults.
+// normalize validates the problem and fills defaults.
 func normalize(p Problem) (Problem, error) {
+	if err := validate(p); err != nil {
+		return p, err
+	}
 	if p.VInf <= 0 || p.PInf <= 0 || p.TInf <= 0 {
 		return p, fmt.Errorf("core: freestream required")
 	}
@@ -293,9 +302,6 @@ func normalize(p Problem) (Problem, error) {
 	if p.Gamma == 0 {
 		p.Gamma = thermo.GammaAir
 	}
-	if err := validateCycle(p.Cycle); err != nil {
-		return p, err
-	}
 	return p, nil
 }
 
@@ -303,13 +309,25 @@ func normalize(p Problem) (Problem, error) {
 // Problem.Cycle accepts besides empty.
 const cycleCascade = "cascade"
 
-// validateCycle rejects any Cycle but "" and "cascade", naming the removal
-// so a case written for the deleted FAS V-cycle fails with the reason.
-func validateCycle(cycle string) error {
-	if cycle == "" || cycle == cycleCascade {
-		return nil
+// validate range-checks the solve knobs. Case files (UnmarshalJSON) and
+// in-code problems (normalize) both pass through it, so a problem no case
+// file could spell never reaches a solve or a ledger key. A Cycle other
+// than "cascade" names the removal, so a case written for the deleted FAS
+// V-cycle fails with the reason.
+func validate(p Problem) error {
+	switch {
+	case p.Levels < 0:
+		return fmt.Errorf("core: levels %d negative", p.Levels)
+	case p.Cycle != "" && p.Cycle != cycleCascade:
+		return fmt.Errorf("core: cycle %q: the multilevel cycle choice was removed along with the FAS V-cycle; the cascade is the only schedule (use %q or omit the field)", p.Cycle, cycleCascade)
+	case p.RefitEvery < 0:
+		return fmt.Errorf("core: refit_every %d negative", p.RefitEvery)
+	case p.CheckpointEvery < 0:
+		return fmt.Errorf("core: checkpoint_every %d negative", p.CheckpointEvery)
+	case !(p.FreezeLimiterAt >= 0 && p.FreezeLimiterAt < 1):
+		return fmt.Errorf("core: freeze_limiter_at %g outside [0, 1)", p.FreezeLimiterAt)
 	}
-	return fmt.Errorf("core: cycle %q: the multilevel cycle choice was removed along with the FAS V-cycle; the cascade is the only schedule (use %q or omit the field)", cycle, cycleCascade)
+	return nil
 }
 
 // stations resolves the surface-station count for the EBL/PNS classes.
@@ -330,9 +348,6 @@ func SolveWith(ctx context.Context, st *Stack, p Problem) (*Environment, error) 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if st == nil {
-		st = DefaultStack()
-	}
 	p, err := normalize(p)
 	if err != nil {
 		return nil, err
@@ -344,32 +359,10 @@ func SolveWith(ctx context.Context, st *Stack, p Problem) (*Environment, error) 
 	return s.Solve(ctx, st, p)
 }
 
-// Solve dispatches the problem to its solver class over the package default
-// stack.
-//
-// Deprecated: use SolveWith (or the root package's Session) for explicit
-// cancellation and cache control.
-func Solve(p Problem) (*Environment, error) {
-	return SolveWith(context.Background(), DefaultStack(), p)
-}
-
 // ShockEnvelope is the result of an Euler bow-shock solve: the shock locus,
 // the wall nodes it envelopes, and the stagnation-line standoff.
 type ShockEnvelope struct {
 	X, Y         []float64 // bow-shock locus
 	BodyX, BodyY []float64 // wall nodes for reference
 	Standoff     float64   // stagnation-line standoff, m
-}
-
-// ShockShape computes an Euler bow-shock locus for a problem (Fig. 4
-// machinery): ideal or equilibrium air.
-//
-// Deprecated: use ShockShapeWith (or the root package's Session) for
-// explicit cancellation and cache control.
-func ShockShape(p Problem) (xs, ys []float64, standoff float64, err error) {
-	env, err := ShockShapeWith(context.Background(), DefaultStack(), p)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return env.X, env.Y, env.Standoff, nil
 }

@@ -7,6 +7,10 @@ import (
 	"testing"
 )
 
+// testStack is shared by the dispatch tests, as a session's stack is shared
+// by its solves, so each model set and EOS table builds once per run.
+var testStack = NewStack()
+
 // A Shuttle-like entry point used across the dispatch tests.
 func entryProblem(class SolverClass) Problem {
 	return Problem{
@@ -30,7 +34,7 @@ func TestSolverClassStrings(t *testing.T) {
 }
 
 func TestDispatchVSL(t *testing.T) {
-	env, err := Solve(entryProblem(VSL))
+	env, err := SolveWith(context.Background(), testStack, entryProblem(VSL))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +52,7 @@ func TestDispatchVSL(t *testing.T) {
 func TestDispatchEBL(t *testing.T) {
 	p := entryProblem(EBL)
 	p.GammaW = 1
-	env, err := Solve(p)
+	env, err := SolveWith(context.Background(), testStack, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +79,7 @@ func TestEBLStationProgress(t *testing.T) {
 		stations = append(stations, pr.Step)
 		total = pr.MaxSteps
 	})
-	if _, err := Solve(p); err != nil {
+	if _, err := SolveWith(context.Background(), testStack, p); err != nil {
 		t.Fatal(err)
 	}
 	if len(stations) != p.NStations || total != p.NStations {
@@ -89,7 +93,7 @@ func TestEBLStationProgress(t *testing.T) {
 }
 
 func TestDispatchPNS(t *testing.T) {
-	env, err := Solve(entryProblem(PNS))
+	env, err := SolveWith(context.Background(), testStack, entryProblem(PNS))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +117,7 @@ func TestDispatchNS(t *testing.T) {
 		NoseRadius: 0.3, TWall: 1500,
 		NI: 12, NJ: 22, MaxSteps: 2200,
 	}
-	env, err := Solve(p)
+	env, err := SolveWith(context.Background(), testStack, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,17 +132,17 @@ func TestDispatchNS(t *testing.T) {
 func TestCrossClassConsistency(t *testing.T) {
 	// The framework claim: different members of the hierarchy agree on the
 	// stagnation heating within a factor ~2 for the same problem.
-	envV, err := Solve(entryProblem(VSL))
+	envV, err := SolveWith(context.Background(), testStack, entryProblem(VSL))
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := entryProblem(EBL)
 	p.GammaW = 1
-	envE, err := Solve(p)
+	envE, err := SolveWith(context.Background(), testStack, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	envP, err := Solve(entryProblem(PNS))
+	envP, err := SolveWith(context.Background(), testStack, entryProblem(PNS))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,38 +165,38 @@ func TestShockShapeReactingCloser(t *testing.T) {
 	}
 	pI := base
 	pI.Chemistry = IdealGas
-	_, _, dI, err := ShockShape(pI)
+	envI, err := ShockShapeWith(context.Background(), testStack, pI)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pE := base
 	pE.Chemistry = EquilibriumAir
-	_, _, dE, err := ShockShape(pE)
+	envE, err := ShockShapeWith(context.Background(), testStack, pE)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dE >= dI {
-		t.Errorf("reacting standoff %g should be below ideal %g", dE, dI)
+	if envE.Standoff >= envI.Standoff {
+		t.Errorf("reacting standoff %g should be below ideal %g", envE.Standoff, envI.Standoff)
 	}
 }
 
 func TestProblemValidation(t *testing.T) {
-	if _, err := Solve(Problem{}); err == nil {
+	if _, err := SolveWith(context.Background(), testStack, Problem{}); err == nil {
 		t.Error("empty problem accepted")
 	}
-	if _, err := Solve(Problem{PInf: 1, TInf: 1, VInf: 1}); err == nil {
+	if _, err := SolveWith(context.Background(), testStack, Problem{PInf: 1, TInf: 1, VInf: 1}); err == nil {
 		t.Error("problem without geometry accepted")
 	}
 	p := entryProblem(VSL)
 	p.Chemistry = IdealGas
-	if _, err := Solve(p); err == nil {
+	if _, err := SolveWith(context.Background(), testStack, p); err == nil {
 		t.Error("VSL with ideal gas should demand equilibrium chemistry")
 	}
 }
 
 func TestDispatchUnknownClass(t *testing.T) {
 	p := entryProblem(SolverClass(99))
-	if _, err := Solve(p); err == nil {
+	if _, err := SolveWith(context.Background(), testStack, p); err == nil {
 		t.Fatal("unknown class accepted")
 	}
 }
@@ -226,7 +230,7 @@ func TestDispatchPNSIdealGas(t *testing.T) {
 	p := entryProblem(PNS)
 	p.Chemistry = IdealGas
 	p.Gamma = 1.2
-	env, err := Solve(p)
+	env, err := SolveWith(context.Background(), testStack, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,6 +31,20 @@ func sequenceFor(p Problem) *fvm.SequenceOptions {
 	return &fvm.SequenceOptions{Levels: p.Levels, RefitEvery: p.RefitEvery}
 }
 
+// fvmOptions builds the finite-volume numerics of an NS or Euler solve: the
+// problem's solve knobs pass through unchanged, the sweeps run on the
+// stack's shared pool, and progress reaches the problem's Monitor stamped
+// with the solver name. The solver class fills in the physics fields.
+func fvmOptions(st *Stack, p Problem, solver string) fvm.Options {
+	return fvm.Options{
+		Flux: p.Flux, TimeStepping: p.TimeStepping, ImplicitSweep: p.ImplicitSweep,
+		CFLRamp: p.CFLRamp,
+		Limiter: p.Limiter, FreezeLimiterAt: p.FreezeLimiterAt,
+		CheckpointEvery: p.CheckpointEvery, CheckpointSink: p.CheckpointSink, Restore: p.Restore,
+		Pool: st.Pool(), Progress: fvmProgress(p, solver),
+	}
+}
+
 // fvmProgress adapts the problem's Monitor to the finite-volume kernel's
 // per-step callback, stamping the solver identity onto every observation.
 func fvmProgress(p Problem, solver string) fvm.ProgressFunc {
@@ -286,12 +300,8 @@ func (nsSolver) Solve(ctx context.Context, st *Stack, p Problem) (*Environment, 
 		VInf: p.VInf, PInf: p.PInf, TInf: p.TInf,
 		TWall: p.TWall, MaxSteps: p.MaxSteps,
 		Mu: p.Mu, K: p.K,
-		Flux: p.Flux, TimeStepping: p.TimeStepping, ImplicitSweep: p.ImplicitSweep,
-		CFLRamp: p.CFLRamp,
-		Limiter: p.Limiter, FreezeLimiterAt: p.FreezeLimiterAt,
-		Sequence:        sequenceFor(p),
-		CheckpointEvery: p.CheckpointEvery, CheckpointSink: p.CheckpointSink, Restore: p.Restore,
-		Pool: st.Pool(), Progress: fvmProgress(p, "ns"),
+		Options:  fvmOptions(st, p, "ns"),
+		Sequence: sequenceFor(p),
 	})
 	if err != nil {
 		return nil, err
@@ -317,9 +327,6 @@ func ShockShapeWith(ctx context.Context, st *Stack, p Problem) (*ShockEnvelope, 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if st == nil {
-		st = DefaultStack()
-	}
 	p, err := normalize(p)
 	if err != nil {
 		return nil, err
@@ -334,12 +341,8 @@ func ShockShapeWith(ctx context.Context, st *Stack, p Problem) (*ShockEnvelope, 
 		VInf: p.VInf, PInf: p.PInf, TInf: p.TInf,
 		MaxSteps: p.MaxSteps,
 		Standoff: p.Standoff,
-		Flux:     p.Flux, TimeStepping: p.TimeStepping, ImplicitSweep: p.ImplicitSweep,
-		CFLRamp: p.CFLRamp,
-		Limiter: p.Limiter, FreezeLimiterAt: p.FreezeLimiterAt,
-		Sequence:        sequenceFor(p),
-		CheckpointEvery: p.CheckpointEvery, CheckpointSink: p.CheckpointSink, Restore: p.Restore,
-		Pool: st.Pool(), Progress: fvmProgress(p, "euler"),
+		Options:  fvmOptions(st, p, "euler"),
+		Sequence: sequenceFor(p),
 	})
 	if err != nil {
 		return nil, err

@@ -185,15 +185,3 @@ func (st *Stack) Pool() *fvm.Pool {
 	st.poolOnce.Do(func() { st.pool = fvm.NewPool(0) })
 	return st.pool
 }
-
-var (
-	defaultStackOnce sync.Once
-	defaultStack     *Stack
-)
-
-// DefaultStack returns the package-level stack behind the legacy one-shot
-// entry points, so even pre-session callers share model caches.
-func DefaultStack() *Stack {
-	defaultStackOnce.Do(func() { defaultStack = NewStack() })
-	return defaultStack
-}

@@ -31,46 +31,17 @@ type Case struct {
 	Axisym   bool
 	MaxSteps int
 	CFL      float64
-	// Flux selects the upwind flux kernel by name (default fvm.DefaultFlux).
-	Flux string
-	// TimeStepping selects the time integrator by name ("explicit",
-	// "implicit"; default fvm.DefaultTimeStepping). Grid-sequenced solves
-	// use the same integrator on both levels.
-	TimeStepping string
-	// ImplicitSweep selects the implicit sweep pattern ("jline", "adi";
-	// default fvm.DefaultImplicitSweep). Ignored by the explicit integrator.
-	ImplicitSweep string
-	// CFLRamp tunes the implicit integrator's CFL schedule (zero value =
-	// fvm.DefaultCFLRamp).
-	CFLRamp fvm.CFLRamp
-	// Limiter selects the MUSCL slope limiter by name ("minmod",
-	// "vanalbada"; default fvm.DefaultLimiter).
-	Limiter string
-	// FreezeLimiterAt freezes the MUSCL limiter once the residual has
-	// dropped by this factor (see fvm.Options.FreezeLimiterAt; 0 = never).
-	FreezeLimiterAt float64
+	// Options carries the finite-volume numerics — flux, time stepping,
+	// implicit sweep, CFL ramp, limiter and its freeze, checkpointing, pool
+	// and progress — through to the kernel unchanged. Solve sets the
+	// physics fields the case owns over it: Gas, an inviscid slip wall,
+	// CFL, MUSCL and the freestream.
+	Options fvm.Options
 	// Sequence, when non-nil, runs the solve grid-sequenced through the
 	// multilevel cascade: converge coarse grids first, then finish on the
 	// fine grid (see fvm.SolveMultilevel and the Levels and RefitEvery
 	// fields of fvm.SequenceOptions).
 	Sequence *fvm.SequenceOptions
-	// CheckpointEvery, when positive, emits a solver-state checkpoint every
-	// CheckpointEvery steps through CheckpointSink (see
-	// fvm.Options.CheckpointEvery).
-	CheckpointEvery int
-	// CheckpointSink receives each emitted checkpoint; the argument is
-	// solver-owned scratch, encode before returning.
-	CheckpointSink func(*fvm.Checkpoint)
-	// Restore, when non-nil, resumes the solve from a checkpoint captured by
-	// an earlier run of the same case; mismatched checkpoints are ignored
-	// and the solve starts cold.
-	Restore *fvm.Checkpoint
-	// Pool, when non-nil, is a shared worker pool for the finite-volume
-	// sweeps (see fvm.Options.Pool); nil gives the solve a private pool.
-	Pool *fvm.Pool
-	// Progress, when non-nil, observes every time step (see
-	// fvm.ProgressFunc).
-	Progress fvm.ProgressFunc
 }
 
 // Result is the converged Euler solution.
@@ -115,26 +86,11 @@ func Solve(ctx context.Context, c Case) (*Result, error) {
 		return nil, err
 	}
 	g.Axisymmetric = c.Axisym
-	o := fvm.Options{
-		Gas:           c.Gas,
-		FreestreamV:   [2]float64{c.VInf, 0},
-		FreestreamPT:  [2]float64{c.PInf, c.TInf},
-		CFL:           c.CFL,
-		MUSCL:         true,
-		Flux:          c.Flux,
-		TimeStepping:  c.TimeStepping,
-		CFLRamp:       c.CFLRamp,
-		ImplicitSweep: c.ImplicitSweep,
-		Limiter:       c.Limiter,
-		Pool:          c.Pool,
-		Progress:      c.Progress,
-
-		FreezeLimiterAt: c.FreezeLimiterAt,
-
-		CheckpointEvery: c.CheckpointEvery,
-		CheckpointSink:  c.CheckpointSink,
-		Restore:         c.Restore,
-	}
+	o := c.Options
+	o.Gas, o.Viscous, o.Wall = c.Gas, false, fvm.SlipWall
+	o.CFL, o.MUSCL = c.CFL, true
+	o.FreestreamV = [2]float64{c.VInf, 0}
+	o.FreestreamPT = [2]float64{c.PInf, c.TInf}
 	const dropTol = 5e-4
 	var (
 		s   *fvm.Solver

@@ -10,17 +10,22 @@ import (
 // CFLRamp is the implicit integrator's CFL schedule: start low while the
 // transient establishes the shock, grow geometrically as the solution
 // settles, and cap at the relaxation limit. A diverging line halves the
-// ramp (never below Start) before it resumes growing.
+// ramp (never below Start) before it resumes growing. The JSON tags are the
+// case-file spelling ("cfl_ramp": {"start", "growth", "max"}).
 type CFLRamp struct {
 	// Start is the initial CFL number (default 2).
-	Start float64
+	Start float64 `json:"start,omitempty"`
 	// Growth is the geometric per-step growth factor (default 1.25).
 	// Values below 1 are floored at 1 — the ramp never shrinks the CFL on
 	// its own; 1 holds it constant at Start.
-	Growth float64
+	Growth float64 `json:"growth,omitempty"`
 	// Max caps the ramp (default 200; floored at Start).
-	Max float64
+	Max float64 `json:"max,omitempty"`
 }
+
+// IsZero reports an all-default ramp, so a json omitzero field omits it
+// (a -0 field counts as zero, as its omitempty tag treats it).
+func (r CFLRamp) IsZero() bool { return r == CFLRamp{} }
 
 // DefaultCFLRamp is the schedule used for zero-valued CFLRamp fields.
 var DefaultCFLRamp = CFLRamp{Start: 2, Growth: 1.25, Max: 200}

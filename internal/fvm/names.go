@@ -6,23 +6,23 @@ package fvm
 // registry analyzer enforces it, so a renamed registry entry fails the
 // build-time lint instead of a runtime lookup.
 const (
-	// Flux kernels (Options.Flux, CaseSpec "flux").
+	// Flux kernels (Options.Flux, case-file "flux").
 	FluxHLLE       = "hlle"
 	FluxHLLEEF     = "hlle-ef"
 	FluxHLLC       = "hllc"
 	FluxAUSMPlus   = "ausm+"
 	FluxAUSMPlusUp = "ausm+up"
 
-	// Time integrators (Options.TimeStepping, CaseSpec "time_stepping").
+	// Time integrators (Options.TimeStepping, case-file "time_stepping").
 	TimeSteppingExplicit = "explicit"
 	TimeSteppingImplicit = "implicit"
 
-	// Slope limiters (Options.Limiter, CaseSpec "limiter").
+	// Slope limiters (Options.Limiter, case-file "limiter").
 	LimiterMinmod    = "minmod"
 	LimiterVanAlbada = "vanalbada"
 
-	// Implicit sweep schedules (Options.ImplicitSweep, CaseSpec
-	// "implicit_sweep").
+	// Implicit sweep schedules (Options.ImplicitSweep,
+	// case-file "implicit_sweep").
 	ImplicitSweepJLine = "jline"
 	ImplicitSweepADI   = "adi"
 )

@@ -35,19 +35,19 @@ type Family struct {
 
 	// Class-keyed registries (the solver registry): Register(Class, impl)
 	// where Class is a named constant; every registered class must appear as
-	// a key of the ClassMap map literal (the CaseSpec name mapping).
+	// a key of the ClassMap map literal (the case-file name mapping).
 	ClassKeyed bool
 	ClassMap   string
 }
 
 // Registry returns the registry analyzer for the given families: every
 // registered name must reach the exported enumerator, the catsim fail-fast
-// and the CaseSpec surface, and bare name literals outside the registering
+// and the case-file surface, and bare name literals outside the registering
 // package must use the exported constants.
 func Registry(families ...Family) *Analyzer {
 	return &Analyzer{
 		Name: "registry",
-		Doc:  "registered names must stay in sync across enumerators, fail-fast checks and CaseSpec",
+		Doc:  "registered names must stay in sync across enumerators, fail-fast checks and the case-file Problem",
 		Run: func(prog *Program) []Diagnostic {
 			var diags []Diagnostic
 			for i := range families {
@@ -66,26 +66,26 @@ func CataeroFamilies() []Family {
 		{
 			Kind: "flux kernel", Pkg: "internal/fvm", RegisterFunc: "RegisterFlux",
 			Enumerator: "FluxKernels", CheckCall: "cataero.FluxKernels", CheckPkg: "cmd/catsim",
-			SpecPkg: "internal/core", SpecType: "CaseSpec", SpecJSON: "flux",
+			SpecPkg: "internal/core", SpecType: "Problem", SpecJSON: "flux",
 			Consts: name(map[string]string{"hlle": "fvm.FluxHLLE", "hlle-ef": "fvm.FluxHLLEEF", "hllc": "fvm.FluxHLLC", "ausm+": "fvm.FluxAUSMPlus", "ausm+up": "fvm.FluxAUSMPlusUp"}),
 		},
 		{
 			Kind: "time stepping", Pkg: "internal/fvm", RegisterFunc: "RegisterIntegrator",
 			Enumerator: "Integrators", CheckCall: "cataero.TimeSteppings", CheckPkg: "cmd/catsim",
-			SpecPkg: "internal/core", SpecType: "CaseSpec", SpecJSON: "time_stepping",
+			SpecPkg: "internal/core", SpecType: "Problem", SpecJSON: "time_stepping",
 			Consts: name(map[string]string{"explicit": "fvm.TimeSteppingExplicit", "implicit": "fvm.TimeSteppingImplicit"}),
 		},
 		{
 			Kind: "implicit sweep", Pkg: "internal/fvm", ListFunc: "ImplicitSweeps",
 			Enumerator: "ImplicitSweeps", CheckCall: "cataero.ImplicitSweeps", CheckPkg: "cmd/catsim",
-			SpecPkg: "internal/core", SpecType: "CaseSpec", SpecJSON: "implicit_sweep",
+			SpecPkg: "internal/core", SpecType: "Problem", SpecJSON: "implicit_sweep",
 			CompareField: "ImplicitSweep",
 			Consts:       name(map[string]string{"jline": "fvm.ImplicitSweepJLine", "adi": "fvm.ImplicitSweepADI"}),
 		},
 		{
 			Kind: "limiter", Pkg: "internal/fvm", TableVar: "limiterTable",
 			Enumerator: "Limiters", CheckCall: "cataero.Limiters", CheckPkg: "cmd/catsim",
-			SpecPkg: "internal/core", SpecType: "CaseSpec", SpecJSON: "limiter",
+			SpecPkg: "internal/core", SpecType: "Problem", SpecJSON: "limiter",
 			Consts: name(map[string]string{"minmod": "fvm.LimiterMinmod", "vanalbada": "fvm.LimiterVanAlbada"}),
 		},
 		{

@@ -32,47 +32,17 @@ type Case struct {
 	CFL      float64
 	Mu       func(T float64) float64
 	K        func(T float64) float64
-	// Flux selects the upwind flux kernel by name (default fvm.DefaultFlux).
-	Flux string
-	// TimeStepping selects the time integrator by name ("explicit",
-	// "implicit"; default fvm.DefaultTimeStepping). The implicit integrator
-	// removes the wall-normal CFL restriction, converging clustered viscous
-	// grids in several-fold fewer steps.
-	TimeStepping string
-	// ImplicitSweep selects the implicit sweep pattern ("jline", "adi";
-	// default fvm.DefaultImplicitSweep). Ignored by the explicit integrator.
-	ImplicitSweep string
-	// CFLRamp tunes the implicit integrator's CFL schedule (zero value =
-	// fvm.DefaultCFLRamp).
-	CFLRamp fvm.CFLRamp
-	// Limiter selects the MUSCL slope limiter by name ("minmod",
-	// "vanalbada"; default fvm.DefaultLimiter).
-	Limiter string
-	// FreezeLimiterAt freezes the MUSCL limiter once the residual has
-	// dropped by this factor (see fvm.Options.FreezeLimiterAt; 0 = never).
-	FreezeLimiterAt float64
+	// Options carries the finite-volume numerics — flux, time stepping,
+	// implicit sweep, CFL ramp, limiter and its freeze, checkpointing, pool
+	// and progress — through to the kernel unchanged. Solve sets the
+	// physics fields the case owns over it: Gas, Viscous, Wall, TWall, Mu,
+	// K, CFL, MUSCL and the freestream.
+	Options fvm.Options
 	// Sequence, when non-nil, runs the solve grid-sequenced through the
 	// multilevel cascade: converge coarse grids first, then finish on the
 	// fine grid (see fvm.SolveMultilevel and the Levels and RefitEvery
 	// fields of fvm.SequenceOptions).
 	Sequence *fvm.SequenceOptions
-	// CheckpointEvery, when positive, emits a solver-state checkpoint every
-	// CheckpointEvery steps through CheckpointSink (see
-	// fvm.Options.CheckpointEvery).
-	CheckpointEvery int
-	// CheckpointSink receives each emitted checkpoint; the argument is
-	// solver-owned scratch, encode before returning.
-	CheckpointSink func(*fvm.Checkpoint)
-	// Restore, when non-nil, resumes the solve from a checkpoint captured by
-	// an earlier run of the same case; mismatched checkpoints are ignored
-	// and the solve starts cold.
-	Restore *fvm.Checkpoint
-	// Pool, when non-nil, is a shared worker pool for the finite-volume
-	// sweeps (see fvm.Options.Pool); nil gives the solve a private pool.
-	Pool *fvm.Pool
-	// Progress, when non-nil, observes every time step (see
-	// fvm.ProgressFunc).
-	Progress fvm.ProgressFunc
 }
 
 // Result carries the converged field and surface data.
@@ -118,31 +88,11 @@ func Solve(ctx context.Context, c Case) (*Result, error) {
 		return nil, err
 	}
 	g.Axisymmetric = true
-	o := fvm.Options{
-		Gas:           c.Gas,
-		Viscous:       true,
-		Wall:          fvm.NoSlipIsothermal,
-		TWall:         c.TWall,
-		Mu:            c.Mu,
-		K:             c.K,
-		FreestreamV:   [2]float64{c.VInf, 0},
-		FreestreamPT:  [2]float64{c.PInf, c.TInf},
-		CFL:           c.CFL,
-		MUSCL:         true,
-		Flux:          c.Flux,
-		TimeStepping:  c.TimeStepping,
-		CFLRamp:       c.CFLRamp,
-		ImplicitSweep: c.ImplicitSweep,
-		Limiter:       c.Limiter,
-		Pool:          c.Pool,
-		Progress:      c.Progress,
-
-		FreezeLimiterAt: c.FreezeLimiterAt,
-
-		CheckpointEvery: c.CheckpointEvery,
-		CheckpointSink:  c.CheckpointSink,
-		Restore:         c.Restore,
-	}
+	o := c.Options
+	o.Gas, o.Viscous, o.Wall, o.TWall = c.Gas, true, fvm.NoSlipIsothermal, c.TWall
+	o.Mu, o.K, o.CFL, o.MUSCL = c.Mu, c.K, c.CFL, true
+	o.FreestreamV = [2]float64{c.VInf, 0}
+	o.FreestreamPT = [2]float64{c.PInf, c.TInf}
 	const dropTol = 5e-4
 	var s *fvm.Solver
 	if c.Sequence != nil {

@@ -299,9 +299,13 @@ func TestDeadlineCheckpointsThenCancels(t *testing.T) {
 	}
 	_, ts := newTestServer(t, Config{Ledger: l, CheckpointEvery: 5})
 
-	// slowNSProblem marches far past any test-scale deadline, so the bound
-	// reliably fires mid-solve.
-	resp, v := postCase(t, ts.URL+"/api/runs?wait=1", slowNSProblem(),
+	// An ideal-gas 48x64 march has no EOS table to build, so its first
+	// checkpoints land within tens of milliseconds even under -race, yet it
+	// needs thousands of steps (seconds) to converge: the bound reliably
+	// fires mid-solve, after a checkpoint.
+	p := slowNSProblem()
+	p.Chemistry = cataero.IdealGas
+	resp, v := postCase(t, ts.URL+"/api/runs?wait=1", p,
 		map[string]string{"X-Deadline-Ms": "400"})
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("deadlined solve: status %d %+v", resp.StatusCode, v)

@@ -8,7 +8,7 @@
 // # Endpoints
 //
 //	GET  /healthz                 liveness (also reports ledger stats)
-//	POST /api/runs                submit one CaseSpec; ?wait=1 blocks for the
+//	POST /api/runs                submit one case file; ?wait=1 blocks for the
 //	                              result. Ledger hits return immediately with
 //	                              "cached": true; misses return 202 + run ID
 //	                              (in-flight duplicates coalesce onto one run).
@@ -18,7 +18,7 @@
 //	                              one done event); plain GET is the polling
 //	                              fallback
 //	DELETE /api/runs/{id}         cancel a queued or running solve
-//	POST /api/batch               submit an array of CaseSpecs (the HTTP form
+//	POST /api/batch               submit an array of case files (the HTTP form
 //	                              of Session.SubmitAll); per-case hit/miss
 //	GET  /api/ledger              list ledger entries
 //	GET  /api/ledger/{key}        fetch one ledger entry
@@ -571,7 +571,7 @@ func (s *Server) installCheckpointing(p cataero.Problem, sr *srvRun) cataero.Pro
 	if s.cfg.Ledger == nil {
 		return p
 	}
-	if p.CheckpointEvery == 0 {
+	if p.CheckpointEvery == 0 && s.cfg.CheckpointEvery > 0 {
 		p.CheckpointEvery = s.cfg.CheckpointEvery
 	}
 	if p.CheckpointEvery <= 0 {

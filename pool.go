@@ -3,6 +3,8 @@ package cataero
 import (
 	"context"
 	"runtime"
+
+	"cataero/internal/core"
 )
 
 // The session's shared pool has two layers, both sized once per session:
@@ -33,10 +35,12 @@ func (s *Session) enqueue() ticket {
 	s.admitMu.Lock()
 	if s.workers == 0 {
 		// Zero-value Session (constructed without NewSession): adopt the
-		// default admission width lazily so legacy `var s Session` callers
-		// keep working instead of queueing forever.
+		// default admission width and a model stack lazily so legacy
+		// `var s Session` callers keep working instead of queueing forever.
+		// The run goroutine that reads the stack starts after this returns.
 		s.workers = runtime.GOMAXPROCS(0)
 		s.admitFree = s.workers
+		s.stack = core.NewStack()
 	}
 	if s.admitFree > 0 && len(s.admitQueue) == 0 {
 		s.admitFree--

@@ -21,19 +21,16 @@ import (
 // watchable view of the solver's progress, and Solve/SolveBatch are thin
 // blocking wrappers over submitted runs.
 type Session struct {
-	stack     *core.Stack
-	chem      GasChemistry
-	quality   Quality
-	workers   int
-	gamma     float64
-	flux      string
-	timestep  string
-	sweep     string
-	limiter   string
-	freezeLim float64
-	gridSeq   bool
-	levels    int
-	ckptEvery int
+	stack    *core.Stack
+	chem     GasChemistry
+	quality  Quality
+	workers  int
+	gamma    float64
+	flux     string
+	timestep string
+	limiter  string
+	gridSeq  bool
+	levels   int
 	// Solve admission (see pool.go): at most `workers` submitted runs
 	// execute concurrently; the rest wait FIFO in admitQueue.
 	admitMu    sync.Mutex
@@ -97,17 +94,6 @@ func WithTimeStepping(name string) Option {
 	return func(s *Session) { s.timestep = name }
 }
 
-// WithImplicitSweep sets the default implicit sweep pattern ("jline",
-// "adi" — see ImplicitSweeps) stamped onto problems whose ImplicitSweep
-// field is left empty; an unknown name fails at solve time with the valid
-// list. The alternating-direction "adi" schedule adds a streamwise
-// block-tridiagonal pass after each wall-normal pass, which pays off on
-// high-aspect-ratio grids where streamwise coupling limits the wall-normal
-// relaxation. Ignored by explicit solves.
-func WithImplicitSweep(name string) Option {
-	return func(s *Session) { s.sweep = name }
-}
-
 // WithGridSequencing turns on grid-sequenced NS and Euler shock-shape
 // solves by default: each solve converges on a coarsened grid first and
 // finishes on the fine grid from the interpolated coarse state, which
@@ -137,34 +123,6 @@ func WithLevels(n int) Option {
 // cycle.
 func WithLimiter(name string) Option {
 	return func(s *Session) { s.limiter = name }
-}
-
-// WithFreezeLimiter sets the default limiter-freeze threshold stamped onto
-// problems that leave FreezeLimiterAt at zero: once a finite-volume solve's
-// residual has dropped by the threshold (e.g. 1e-2), the MUSCL limiter is
-// frozen and its recorded slopes replayed for the rest of the march, cutting
-// per-step cost through the long convergence tail. Thresholds outside (0, 1)
-// are ignored.
-func WithFreezeLimiter(threshold float64) Option {
-	return func(s *Session) {
-		if threshold > 0 && threshold < 1 {
-			s.freezeLim = threshold
-		}
-	}
-}
-
-// WithCheckpoint sets the default checkpoint cadence stamped onto problems
-// that leave CheckpointEvery at zero: finite-volume solves emit a resumable
-// solver-state checkpoint every `every` steps through the problem's
-// CheckpointSink (services install the sink per run — typically a ledger
-// write). Non-positive cadences are ignored. Checkpointing never changes a
-// case's result or its ledger key.
-func WithCheckpoint(every int) Option {
-	return func(s *Session) {
-		if every > 0 {
-			s.ckptEvery = every
-		}
-	}
 }
 
 // NewSession builds a session from functional options. The zero
@@ -197,20 +155,11 @@ func (s *Session) apply(p Problem) Problem {
 	if p.TimeStepping == "" && s.timestep != "" {
 		p.TimeStepping = s.timestep
 	}
-	if p.ImplicitSweep == "" && s.sweep != "" {
-		p.ImplicitSweep = s.sweep
-	}
 	if p.Limiter == "" && s.limiter != "" {
 		p.Limiter = s.limiter
 	}
-	if p.FreezeLimiterAt == 0 && s.freezeLim != 0 {
-		p.FreezeLimiterAt = s.freezeLim
-	}
 	if p.Levels == 0 && s.levels != 0 {
 		p.Levels = s.levels
-	}
-	if p.CheckpointEvery == 0 && s.ckptEvery != 0 {
-		p.CheckpointEvery = s.ckptEvery
 	}
 	// Grid sequencing is tri-state: the session default fills only an unset
 	// toggle, so a case can force sequencing off on a session that enables
@@ -385,8 +334,8 @@ var (
 	defaultSessionVal  *Session
 )
 
-// defaultSession backs the deprecated one-shot entry points and the figure
-// runners, so even legacy callers share one model-stack cache.
+// defaultSession backs the package-level figure runners, so they share one
+// model-stack cache.
 func defaultSession() *Session {
 	defaultSessionOnce.Do(func() { defaultSessionVal = NewSession() })
 	return defaultSessionVal

@@ -310,6 +310,39 @@ func TestSessionUnknownCycleAndLimiterFail(t *testing.T) {
 	}
 }
 
+// Session.Normalize range-checks an in-code problem exactly as ParseCase
+// checks a case file — same rule, same error — so nothing a case file
+// rejects can be keyed or solved by building the Problem in code instead.
+func TestNormalizeRejectsWhatCaseFilesReject(t *testing.T) {
+	const fields = `"class":"ns","p_inf":5474.9,"t_inf":216.65,"v_inf":1770.4,"nose_radius":0.3`
+	for _, c := range []struct {
+		knob string
+		set  func(*Problem)
+	}{
+		{`"levels":-2`, func(p *Problem) { p.Levels = -2 }},
+		{`"refit_every":-3`, func(p *Problem) { p.RefitEvery = -3 }},
+		{`"checkpoint_every":-1`, func(p *Problem) { p.CheckpointEvery = -1 }},
+		{`"freeze_limiter_at":2`, func(p *Problem) { p.FreezeLimiterAt = 2 }},
+		{`"cycle":"v"`, func(p *Problem) { p.Cycle = "v" }},
+	} {
+		_, fileErr := ParseCase([]byte("{" + fields + "," + c.knob + "}"))
+		if fileErr == nil {
+			t.Fatalf("case file with %s parsed", c.knob)
+		}
+		p := Problem{Class: NS, PInf: 5474.9, TInf: 216.65, VInf: 1770.4, NoseRadius: 0.3}
+		c.set(&p)
+		_, err := NewSession().Normalize(p)
+		if err == nil {
+			key, _ := CaseKey(p)
+			t.Errorf("Normalize accepted %s and keyed it %.12s", c.knob, key)
+			continue
+		}
+		if want := errors.Unwrap(fileErr).Error(); err.Error() != want {
+			t.Errorf("%s: Normalize error %q, case-file error %q", c.knob, err, want)
+		}
+	}
+}
+
 // The cycle is validated input only: a case or problem naming any schedule
 // but the cascade — the removed "v" included — fails ParseCase and
 // Session.Normalize with an error naming the removal, while "cascade" still
