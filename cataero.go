@@ -26,10 +26,9 @@
 // keyed cache of tabulated equilibrium EOS tables, and one shared worker
 // pool serving every solve, so repeated NS or shock-shape solves build each
 // table exactly once and concurrent sweeps keep a fixed resident worker
-// count. Behind the session, every solver class resolves through a registry
-// in internal/core — new equation sets register themselves and plug in
-// without touching the dispatcher. Contexts are threaded into the solver
-// iteration loops, so sweeps cancel promptly.
+// count. Behind the session, every solver class resolves through one static
+// table in internal/core. Contexts are threaded into the solver iteration
+// loops, so sweeps cancel promptly.
 //
 // Problems also have a declarative form: a Problem's JSON encoding is a
 // case file (LoadCase, SaveCase), with named body shapes standing in for
@@ -111,14 +110,14 @@ type MonitorFunc = core.MonitorFunc
 // Progress is one live observation of a running solve.
 type Progress = core.Progress
 
-// FluxKernels returns the names of the registered finite-volume flux
-// kernels, ascending — the valid values of Problem.Flux and WithFlux, for
+// FluxKernels returns the names of the finite-volume flux kernels,
+// ascending — the valid values of Problem.Flux and WithFlux, for
 // services and CLIs that validate or enumerate kernels up front.
 func FluxKernels() []string { return fvm.FluxKernels() }
 
-// TimeSteppings returns the names of the registered finite-volume time
-// integrators, ascending — the valid values of Problem.TimeStepping and
-// WithTimeStepping ("explicit", "implicit" out of the box).
+// TimeSteppings returns the names of the finite-volume time integrators,
+// ascending — the valid values of Problem.TimeStepping and
+// WithTimeStepping ("explicit", "implicit").
 func TimeSteppings() []string { return fvm.Integrators() }
 
 // ImplicitSweeps returns the valid implicit sweep-pattern names — the
@@ -127,9 +126,8 @@ func TimeSteppings() []string { return fvm.Integrators() }
 // wall-normal and streamwise block-tridiagonal passes per step).
 func ImplicitSweeps() []string { return fvm.ImplicitSweeps() }
 
-// Limiters returns the names of the registered MUSCL slope limiters,
-// ascending — the valid values of Problem.Limiter and WithLimiter
-// ("minmod", "vanalbada").
+// Limiters returns the names of the MUSCL slope limiters, ascending — the
+// valid values of Problem.Limiter and WithLimiter ("minmod", "vanalbada").
 func Limiters() []string { return fvm.Limiters() }
 
 // CFLRamp tunes the implicit integrator's CFL schedule (see
@@ -158,7 +156,7 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) { return fvm.DecodeCheck
 // CanonicalJSON returns the canonical JSON encoding of a problem — the
 // bytes CaseKey hashes: the case file with the label cleared, every default
 // a solve would fill spelled explicitly (core normalization plus the
-// finite-volume registry defaults) and object keys sorted. Semantically
+// finite-volume name defaults) and object keys sorted. Semantically
 // identical problems produce identical bytes — the content-addressing basis
 // of the run ledger — and the bytes parse back (ParseCase) to a problem
 // with the same key.

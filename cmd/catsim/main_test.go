@@ -83,8 +83,9 @@ func TestRunCmdSmokeCase(t *testing.T) {
 	}
 }
 
-// A bad flux inside the case file itself must fail fast (exit 2, usage
-// class) before the session builds anything — not mid-solve.
+// A bad flux inside the case file itself must fail when LoadCase parses
+// it (exit 1, like a case-file "cycle":"v"), before the session builds
+// anything — not mid-solve.
 func TestRunCmdRejectsCaseFileFlux(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bad.json")
 	data := []byte(`{"class":"ns","chemistry":"ideal","p_inf":100,"t_inf":250,"v_inf":2000,
@@ -92,8 +93,8 @@ func TestRunCmdRejectsCaseFileFlux(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if code := runCmd([]string{path}); code != 2 {
-		t.Errorf("case-file flux exit code %d, want 2", code)
+	if code := runCmd([]string{path}); code != 1 {
+		t.Errorf("case-file flux exit code %d, want 1", code)
 	}
 }
 

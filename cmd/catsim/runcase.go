@@ -98,12 +98,6 @@ func runCmd(args []string) int {
 	if *refitEvery != 0 {
 		p.RefitEvery = *refitEvery
 	}
-	// The case file's own flux, integrator, sweep and limiter fields fail
-	// fast too — before the session builds models or any solve starts. (A
-	// bad cycle already failed LoadCase.)
-	if !checkFlux(p.Flux) || !checkTimeStepping(p.TimeStepping) || !checkImplicitSweep(p.ImplicitSweep) || !checkLimiter(p.Limiter) {
-		return 2
-	}
 
 	var opts []cataero.Option
 	if *workers > 0 {

@@ -19,7 +19,7 @@ import (
 //   - the solve-independent defaults are filled (normalize: chemistry,
 //     gamma, wall temperature, body from nose radius), so a spec that
 //     spells a default explicitly collides with one that omits it;
-//   - the finite-volume registry choices left empty resolve to the solver
+//   - the finite-volume names left empty resolve to the solver
 //     defaults (DefaultFlux/DefaultTimeStepping/DefaultLimiter), and the
 //     multilevel cycle to "cascade" when a sequenced solve would use it;
 //   - the case-file JSON is re-marshaled through a generic map, so object

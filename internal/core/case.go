@@ -64,8 +64,8 @@ func namedBody(body geometry.Body) (*BodySpec, error) {
 	return nil, fmt.Errorf("core: body %T has no case-file representation", body)
 }
 
-// The case-file name tables, inverted by parseName. classNames matches the
-// solver registry names.
+// The case-file name tables, inverted by parseName. classNames has the keys
+// of the solvers table.
 var (
 	classNames = map[SolverClass]string{VSL: "vsl", EBL: "ebl", PNS: "pns", NS: "ns"}
 

@@ -127,6 +127,10 @@ func TestCaseSpecErrors(t *testing.T) {
 		`{"class":"ns","refit_every":-3,"p_inf":1,"t_inf":1,"v_inf":1}`,
 		`{"class":"ns","checkpoint_every":-1,"p_inf":1,"t_inf":1,"v_inf":1}`,
 		`{"class":"ns","freeze_limiter_at":2,"p_inf":1,"t_inf":1,"v_inf":1}`,
+		`{"class":"ns","flux":"bogus","p_inf":1,"t_inf":1,"v_inf":1}`,
+		`{"class":"ns","time_stepping":"rk4","p_inf":1,"t_inf":1,"v_inf":1}`,
+		`{"class":"ns","implicit_sweep":"zebra","p_inf":1,"t_inf":1,"v_inf":1}`,
+		`{"class":"ns","limiter":"superbee","p_inf":1,"t_inf":1,"v_inf":1}`,
 		// An absent class must not decode as VSL, the zero value.
 		`{"p_inf":1,"t_inf":1,"v_inf":1,"nose_radius":1}`,
 	}
@@ -142,6 +146,20 @@ func TestCaseSpecErrors(t *testing.T) {
 		t.Error("unnamed body marshaled")
 	} else if !strings.Contains(err.Error(), "case-file representation") {
 		t.Errorf("wrong error: %v", err)
+	}
+}
+
+// validate runs up to four times per serve request, so accepting a
+// problem — names included — must cost no allocation.
+func TestValidateAcceptsWithoutAllocating(t *testing.T) {
+	p := Problem{Class: NS, Flux: fvm.FluxHLLC, TimeStepping: fvm.TimeSteppingImplicit,
+		ImplicitSweep: fvm.ImplicitSweepADI, Limiter: fvm.LimiterVanAlbada, Levels: 2}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := validate(p); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("validate allocates %g times per accepted problem", n)
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package core is the computational-aerothermodynamics framework of the
-// paper: a single problem specification dispatched to a registry of solver
+// paper: a single problem specification dispatched to a table of solver
 // classes (VSL, E+BL, PNS, NS) over a shared, cached real-gas model stack,
 // producing an aerothermal-environment report (convective and radiative
 // heating, shock standoff, surface distributions). This synthesis layer —
@@ -12,9 +12,8 @@
 //   - Stack (stack.go): lazily-built, cached model stacks — one per
 //     chemistry — plus a keyed cache of tabulated EOS tables, shared by
 //     every solve that goes through the same stack.
-//   - Solver registry (registry.go, solvers.go): each equation set
-//     registers itself at init and the dispatcher resolves classes through
-//     the registry, so new solver classes plug in without touching core.
+//   - Solver table (registry.go, solvers.go): the dispatcher resolves each
+//     class to its equation set through one static map.
 //
 // SolveWith/ShockShapeWith are the entry points: each takes an explicit
 // context and stack (the root package's Session holds the stack).
@@ -309,12 +308,17 @@ func normalize(p Problem) (Problem, error) {
 // Problem.Cycle accepts besides empty.
 const cycleCascade = "cascade"
 
-// validate range-checks the solve knobs. Case files (UnmarshalJSON) and
-// in-code problems (normalize) both pass through it, so a problem no case
-// file could spell never reaches a solve or a ledger key. A Cycle other
-// than "cascade" names the removal, so a case written for the deleted FAS
-// V-cycle fails with the reason.
+// validate checks the finite-volume names against fvm's tables and
+// range-checks the solve knobs. Case files (UnmarshalJSON) and in-code
+// problems (normalize) both pass through it, so a problem no case file
+// could spell never reaches a solve or a ledger key. A Cycle other than
+// "cascade" names the removal, so a case written for the deleted FAS
+// V-cycle fails with the reason. An accepted problem costs no allocation:
+// a serve request runs validate up to four times.
 func validate(p Problem) error {
+	if err := fvm.CheckNames(p.Flux, p.TimeStepping, p.ImplicitSweep, p.Limiter); err != nil {
+		return err
+	}
 	switch {
 	case p.Levels < 0:
 		return fmt.Errorf("core: levels %d negative", p.Levels)
@@ -340,7 +344,7 @@ func stations(p Problem) int {
 	return 20
 }
 
-// SolveWith dispatches the problem through the solver registry against the
+// SolveWith dispatches the problem through the solver table against the
 // given model stack. This is the session entry point: the stack's caches
 // make repeated and batched solves cheap, and the context is threaded into
 // the solver iteration loops.

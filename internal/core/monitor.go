@@ -10,7 +10,7 @@ type Progress struct {
 	// Class is the problem's solver class. Shock-shape solves do not
 	// dispatch on Class; identify them by Solver ("euler") instead.
 	Class SolverClass
-	// Solver is the registry name of the executing solver ("vsl", "ebl",
+	// Solver is the name of the executing solver ("vsl", "ebl",
 	// "pns", "ns", "euler" for shock-shape solves).
 	Solver string
 	// Phase names the stage of the solver's schedule: "solve" for a plain

@@ -3,58 +3,34 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
-	"sync"
 )
 
 // Solver is one member of the equation-set hierarchy: it consumes a
 // normalized Problem, pulls whatever models it needs from the shared Stack,
-// and produces an aerothermal-environment report. Implementations register
-// themselves with Register; the dispatcher never hard-codes a class, so new
-// equation sets (free-flight/DSMC bridging, shock-tube, ...) plug in
-// without touching it.
+// and produces an aerothermal-environment report.
 type Solver interface {
-	// Name is a short identifier for reports and registry listings.
+	// Name is a short identifier for reports.
 	Name() string
 	// Solve runs the problem. The context is threaded into the solver's
 	// iteration loops; cancellation aborts with ctx.Err().
 	Solve(ctx context.Context, st *Stack, p Problem) (*Environment, error)
 }
 
-var (
-	regMu    sync.RWMutex
-	registry = map[SolverClass]Solver{}
-)
-
-// Register installs a solver for a class, replacing any previous one.
-func Register(class SolverClass, s Solver) {
-	if s == nil {
-		panic("core: Register with nil solver")
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	registry[class] = s
+// solvers maps each of the paper's four equation sets to its solver; the
+// dispatcher in SolveWith resolves classes through it, and its keys match
+// the case-file classNames.
+var solvers = map[SolverClass]Solver{
+	VSL: vslSolver{},
+	EBL: eblSolver{},
+	PNS: pnsSolver{},
+	NS:  nsSolver{},
 }
 
-// Lookup returns the registered solver for a class.
+// Lookup returns the solver for a class.
 func Lookup(class SolverClass) (Solver, error) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	s, ok := registry[class]
+	s, ok := solvers[class]
 	if !ok {
-		return nil, fmt.Errorf("core: no solver registered for class %d (%s)", class, class)
+		return nil, fmt.Errorf("core: no solver for class %d (%s)", class, class)
 	}
 	return s, nil
-}
-
-// Registered returns the registered classes in ascending order.
-func Registered() []SolverClass {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]SolverClass, 0, len(registry))
-	for c := range registry {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -92,15 +92,6 @@ func phaseProgress(p Problem, solver string) func(phase string, step, total int)
 	}
 }
 
-// The paper's four equation sets register themselves here; the dispatcher
-// in SolveWith only ever consults the registry.
-func init() {
-	Register(VSL, vslSolver{})
-	Register(EBL, eblSolver{})
-	Register(PNS, pnsSolver{})
-	Register(NS, nsSolver{})
-}
-
 // equilibriumModels pulls the cached model set and optional radiation model
 // for a problem that requires equilibrium chemistry.
 func equilibriumModels(st *Stack, p Problem) (*Models, *radiation.Model, error) {

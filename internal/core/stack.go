@@ -52,7 +52,7 @@ type tableEntry struct {
 }
 
 // Stack owns the lazily-built, cached model stacks shared by every solver
-// in the registry: one Models set per chemistry (built under sync.Once), the
+// class: one Models set per chemistry (built under sync.Once), the
 // radiation models, the exact equilibrium-air EOS and a keyed cache of
 // tabulated EOS tables. A Stack is safe for concurrent use; sessions hold
 // one and hand it to each solve so repeated and batched solves stop paying

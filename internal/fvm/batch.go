@@ -26,8 +26,7 @@ func newFaceStates(n int) FaceStates {
 }
 
 // prim returns face f of the pencil as a Prim value — the bridge back to
-// the scalar kernel API, used by the non-batched fallback and the
-// equivalence tests.
+// the scalar kernel API, used by the equivalence tests.
 func (fs *FaceStates) prim(f int) Prim {
 	return Prim{Rho: fs.Rho[f], U: fs.U[f], V: fs.V[f], P: fs.P[f], T: fs.T[f], A: fs.A[f], E: fs.E[f]}
 }
@@ -52,9 +51,7 @@ func (fs *FaceStates) setPrim(f int, q Prim) {
 // gather. Implementations must reproduce the scalar Flux arithmetic (the
 // two paths are cross-checked to a few ulp by the kernel equivalence
 // tests); the scalar Flux remains the reference path and serves the
-// boundary faces. The solver type-asserts its kernel once at construction
-// and falls back to per-face scalar calls for kernels without a batched
-// form.
+// boundary faces.
 type BatchFluxKernel interface {
 	FluxKernel
 	BatchFlux(dst []float64, L, R *FaceStates, nrm []float64, n int)

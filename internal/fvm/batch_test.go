@@ -52,10 +52,6 @@ func TestBatchFluxMatchesScalar(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bk, ok := k.(BatchFluxKernel)
-			if !ok {
-				t.Fatalf("kernel %q has no batched form", name)
-			}
 			L, R := newFaceStates(n), newFaceStates(n)
 			nrm := make([]float64, 3*n)
 			dst := make([]float64, 4*n)
@@ -68,7 +64,7 @@ func TestBatchFluxMatchesScalar(t *testing.T) {
 					nrm[3*f+1] = math.Sin(th)
 					nrm[3*f+2] = 0.1 + r.Float64()*3
 				}
-				bk.BatchFlux(dst, &L, &R, nrm, n)
+				k.BatchFlux(dst, &L, &R, nrm, n)
 				for f := 0; f < n; f++ {
 					want := k.Flux(L.prim(f), R.prim(f), nrm[3*f], nrm[3*f+1], nrm[3*f+2])
 					scale := 0.0

@@ -240,46 +240,13 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	return cp, nil
 }
 
-// rampKeeper is the optional integrator hook checkpointing uses to capture
-// and restore the CFL ramp's convergence bookkeeping. Integrators without
-// ramp state (the explicit scheme) simply do not implement it.
-type rampKeeper interface {
-	saveRamp() rampSnapshot
-	restoreRamp(rampSnapshot)
-}
-
-// rampSnapshot mirrors implicitStepper's mutable schedule state.
-type rampSnapshot struct {
-	cfl, best float64
-	stall     int
-	cap       float64
-	lows      int
-	fallbacks int
-}
-
-func (st *implicitStepper) saveRamp() rampSnapshot {
-	return rampSnapshot{st.cfl, st.best, st.stall, st.cap, st.lows, st.fallbacks}
-}
-
-func (st *implicitStepper) restoreRamp(r rampSnapshot) {
-	st.cfl, st.best, st.stall, st.cap, st.lows, st.fallbacks = r.cfl, r.best, r.stall, r.cap, r.lows, r.fallbacks
-}
-
-// fallbackCounter is the optional integrator hook the divergence-recovery
-// diagnostics read (Diag.Fallbacks).
-type fallbackCounter interface{ Fallbacks() int }
-
-// Fallbacks returns the cumulative count of implicit lines that fell back
-// to the explicit stage over the run.
-func (st *implicitStepper) Fallbacks() int { return st.fallbacks }
-
 // diag assembles the solver's divergence-recovery diagnostics for a
 // progress callback; refits is supplied by the multilevel driver (a plain
 // march never refits).
 func (s *Solver) diag(refits int) Diag {
 	d := Diag{Refits: refits, Restarts: s.restarts}
-	if fc, ok := s.stepper.(fallbackCounter); ok {
-		d.Fallbacks = fc.Fallbacks()
+	if s.imp != nil {
+		d.Fallbacks = s.imp.fallbacks
 	}
 	return d
 }
@@ -319,10 +286,9 @@ func (s *Solver) Checkpoint() *Checkpoint {
 		copy(cp.U[4*k:4*k+4], s.U[k][:])
 	}
 	cp.CFL, cp.RampBest, cp.RampStall, cp.RampCap, cp.RampLows, cp.Fallbacks = 0, 0, 0, 0, 0, 0
-	if rk, ok := s.stepper.(rampKeeper); ok {
-		r := rk.saveRamp()
-		cp.CFL, cp.RampBest, cp.RampStall = r.cfl, r.best, r.stall
-		cp.RampCap, cp.RampLows, cp.Fallbacks = r.cap, r.lows, r.fallbacks
+	if st := s.imp; st != nil {
+		cp.CFL, cp.RampBest, cp.RampStall = st.cfl, st.best, st.stall
+		cp.RampCap, cp.RampLows, cp.Fallbacks = st.cap, st.lows, st.fallbacks
 	}
 	cp.LimMode, cp.LimFirst = s.limMode, s.limFirst
 	if s.limMode == limFrozen && s.frzI != nil {
@@ -372,8 +338,9 @@ func (s *Solver) Restore(cp *Checkpoint) error {
 	for k := range s.U {
 		copy(s.U[k][:], cp.U[4*k:4*k+4])
 	}
-	if rk, ok := s.stepper.(rampKeeper); ok && cp.CFL > 0 {
-		rk.restoreRamp(rampSnapshot{cp.CFL, cp.RampBest, cp.RampStall, cp.RampCap, cp.RampLows, cp.Fallbacks})
+	if st := s.imp; st != nil && cp.CFL > 0 {
+		st.cfl, st.best, st.stall = cp.CFL, cp.RampBest, cp.RampStall
+		st.cap, st.lows, st.fallbacks = cp.RampCap, cp.RampLows, cp.Fallbacks
 	}
 	if s.frzI != nil {
 		s.limFirst = cp.LimFirst

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 )
 
 // FluxKernel computes the numerical flux through a face with unit normal
@@ -13,68 +12,45 @@ import (
 // of the per-face hot loop (the metrics cache stores unit normals).
 // Kernels must be conservative and symmetric:
 // Flux(L, R, n, area) == -Flux(R, L, -n, area).
-// Implementations register themselves with RegisterFlux and are selected by
-// name via Options.Flux, mirroring the core.Solver registry: new upwind
-// schemes plug in without touching the solver loops.
+// The kernels are the rows of fluxTable, selected by name via
+// Options.Flux.
 type FluxKernel interface {
-	// Name is the registry key (e.g. "hlle").
+	// Name is the kernel's fluxTable key (e.g. "hlle").
 	Name() string
 	// Flux returns the area-scaled numerical flux through the face.
 	Flux(L, R Prim, nx, ny, area float64) Cons
 }
 
-var (
-	fluxMu       sync.RWMutex
-	fluxRegistry = map[string]FluxKernel{}
-)
-
 // DefaultFlux is the kernel used when Options.Flux is empty.
 const DefaultFlux = FluxHLLE
 
-func init() {
-	RegisterFlux(hlleKernel{})
-	RegisterFlux(hlleEFKernel{})
-	RegisterFlux(hllcKernel{})
-	RegisterFlux(ausmKernel{})
-	RegisterFlux(ausmUpKernel{})
+// fluxTable maps the Options.Flux names to their kernels. Its element type
+// makes a batched form part of every kernel.
+var fluxTable = map[string]BatchFluxKernel{
+	FluxHLLE:       hlleKernel{},
+	FluxHLLEEF:     hlleEFKernel{},
+	FluxHLLC:       hllcKernel{},
+	FluxAUSMPlus:   ausmKernel{},
+	FluxAUSMPlusUp: ausmUpKernel{},
 }
 
-// RegisterFlux installs a flux kernel under its name, replacing any
-// previous kernel with the same name.
-func RegisterFlux(k FluxKernel) {
-	if k == nil {
-		panic("fvm: RegisterFlux with nil kernel")
-	}
-	fluxMu.Lock()
-	defer fluxMu.Unlock()
-	fluxRegistry[k.Name()] = k
-}
-
-// FluxKernelFor resolves a registered kernel by name; the empty name
-// resolves to DefaultFlux.
-func FluxKernelFor(name string) (FluxKernel, error) {
+// FluxKernelFor resolves a kernel by name; the empty name resolves to
+// DefaultFlux.
+func FluxKernelFor(name string) (BatchFluxKernel, error) {
 	if name == "" {
 		name = DefaultFlux
 	}
-	fluxMu.RLock()
-	defer fluxMu.RUnlock()
-	k, ok := fluxRegistry[name]
+	k, ok := fluxTable[name]
 	if !ok {
-		return nil, fmt.Errorf("fvm: no flux kernel %q (have %v)", name, fluxNamesLocked())
+		return nil, fmt.Errorf("fvm: no flux kernel %q (have %v)", name, FluxKernels())
 	}
 	return k, nil
 }
 
-// FluxKernels returns the registered kernel names in ascending order.
+// FluxKernels returns the kernel names in ascending order.
 func FluxKernels() []string {
-	fluxMu.RLock()
-	defer fluxMu.RUnlock()
-	return fluxNamesLocked()
-}
-
-func fluxNamesLocked() []string {
-	out := make([]string, 0, len(fluxRegistry))
-	for n := range fluxRegistry {
+	out := make([]string, 0, len(fluxTable))
+	for n := range fluxTable {
 		out = append(out, n)
 	}
 	sort.Strings(out)
@@ -336,7 +312,7 @@ const (
 // O(M) diffusion scaled by fa so they vanish at transonic and supersonic
 // Mach numbers and leave captured shocks as crisp as AUSM+. Both terms are
 // antisymmetric under (L,R,n) -> (R,L,-n) and vanish at L == R, so the
-// kernel keeps the registry's symmetry and consistency contracts.
+// kernel keeps the FluxKernel symmetry and consistency contracts.
 //
 //cataero:hotpath
 func (ausmUpKernel) Flux(L, R Prim, nx, ny, area float64) Cons {

@@ -1,8 +1,8 @@
 // Package fvm is the shared structured finite-volume kernel behind the
-// paper's Euler and Navier-Stokes solver classes: pluggable upwind flux
-// kernels (HLLE, HLLC, AUSM+) for a general equation of state, optional
-// MUSCL/minmod reconstruction, planar or axisymmetric metrics, thin-layer
-// viscous terms, characteristic boundary conditions and pluggable time
+// paper's Euler and Navier-Stokes solver classes: upwind flux kernels
+// (HLLE, HLLC, AUSM+) for a general equation of state selected by name,
+// optional MUSCL/minmod reconstruction, planar or axisymmetric metrics,
+// thin-layer viscous terms, characteristic boundary conditions and two time
 // integrators — two-stage explicit local-time-step relaxation, or
 // DPLR-style line-implicit relaxation along wall-normal lines that runs
 // CFL in the hundreds on clustered viscous grids. Grid metrics are
@@ -12,6 +12,7 @@
 package fvm
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sort"
@@ -146,17 +147,11 @@ type Solver struct {
 	dt   []float64
 
 	met  *grid.Metrics // precomputed face vectors, volumes, centroids
-	flux FluxKernel
-	// batch is the kernel's batched fast path, type-asserted once here so
-	// the sweeps pay no per-face interface dispatch; nil when the kernel
-	// has no batched form (the sweeps then fall back to scalar Flux calls
-	// over the same pencils).
-	batch BatchFluxKernel
-	lim   LimiterFunc // MUSCL slope limiter (Options.Limiter)
-	// limKind specializes the batched reconstruction's limiter calls (see
-	// recon.go); limMode/limFirst drive the frozen-limiter state machine
-	// and frzI/frzJ hold the recorded per-face limiter offsets (allocated
-	// only when Options.FreezeLimiterAt is set).
+	flux BatchFluxKernel
+	// limKind selects the batched reconstruction's limiter (see recon.go);
+	// limMode/limFirst drive the frozen-limiter state machine and frzI/frzJ
+	// hold the recorded per-face limiter offsets (allocated only when
+	// Options.FreezeLimiterAt is set).
 	limKind    int
 	limMode    int
 	limFirst   float64
@@ -168,9 +163,9 @@ type Solver struct {
 	// SolveMultilevel relabels its levels "level0".."levelN").
 	phase string
 
-	// stepper is the configured time integrator bound to this solver
-	// (Options.TimeStepping); Step delegates to it.
-	stepper Stepper
+	// imp is the line-implicit integrator's state, nil under explicit
+	// stepping (Options.TimeStepping); Step branches on it.
+	imp *implicitStepper
 	// cfl is the CFL number timeSteps reads: Opts.CFL for the explicit
 	// integrator, the live ramped value for the implicit one.
 	cfl float64
@@ -219,19 +214,13 @@ func New(g *grid.Grid2D, o Options) (*Solver, error) {
 	if o.FreezeLimiterAt < 0 || o.FreezeLimiterAt >= 1 {
 		return nil, fmt.Errorf("fvm: FreezeLimiterAt %g outside [0, 1)", o.FreezeLimiterAt)
 	}
-	flux, err := FluxKernelFor(o.Flux)
-	if err != nil {
+	if err := CheckNames(o.Flux, o.TimeStepping, o.ImplicitSweep, o.Limiter); err != nil {
 		return nil, err
 	}
-	lim, err := LimiterFor(o.Limiter)
-	if err != nil {
-		return nil, err
+	s := &Solver{G: g, Opts: o, ni: g.NI, nj: g.NJ, met: g.Metrics(), phase: "solve", cfl: o.CFL,
+		flux:    fluxTable[cmp.Or(o.Flux, DefaultFlux)],
+		limKind: limiterTable[cmp.Or(o.Limiter, DefaultLimiter)],
 	}
-	integ, err := IntegratorFor(o.TimeStepping)
-	if err != nil {
-		return nil, err
-	}
-	s := &Solver{G: g, Opts: o, ni: g.NI, nj: g.NJ, met: g.Metrics(), flux: flux, lim: lim, phase: "solve", cfl: o.CFL}
 	n := s.ni * s.nj
 	s.U = make([]Cons, n)
 	s.prim = make([]Prim, n)
@@ -274,15 +263,6 @@ func New(g *grid.Grid2D, o Options) (*Solver, error) {
 		s.bws[w].L = newFaceStates(s.nj)
 		s.bws[w].R = newFaceStates(s.nj)
 	}
-	s.batch, _ = flux.(BatchFluxKernel)
-	switch o.Limiter {
-	case "", LimiterMinmod:
-		s.limKind = limKindMinmod
-	case LimiterVanAlbada:
-		s.limKind = limKindVanAlbada
-	default:
-		s.limKind = limKindGeneric
-	}
 	if o.FreezeLimiterAt > 0 && o.MUSCL {
 		s.frzI = make([]float64, 8*(s.ni+1)*s.nj)
 		s.frzJ = make([]float64, 8*s.ni*(s.nj+1))
@@ -294,8 +274,8 @@ func New(g *grid.Grid2D, o Options) (*Solver, error) {
 	s.swAccum = s.accumRange
 	s.swStage1 = s.stage1Range
 	s.swStage2 = s.stage2Range
-	if s.stepper, err = integ.NewStepper(s); err != nil {
-		return nil, err
+	if cmp.Or(o.TimeStepping, DefaultTimeStepping) == TimeSteppingImplicit {
+		s.imp = newImplicitStepper(s)
 	}
 	return s, nil
 }
@@ -390,38 +370,22 @@ func consOf(q Prim) Cons {
 	}
 }
 
-// LimiterFunc is a MUSCL slope limiter: given the backward and forward
-// one-sided differences of a quantity, it returns the limited slope used for
-// the half-cell extrapolation.
-type LimiterFunc func(a, b float64) float64
-
 // DefaultLimiter is the slope limiter used when Options.Limiter is empty.
 const DefaultLimiter = LimiterMinmod
 
-// limiterTable maps the Options.Limiter names; minmod is the strictly TVD
-// default, vanalbada the smooth (differentiable) variant whose limited slope
-// varies continuously with the solution — under implicit stepping that
-// continuity is what keeps the residual from limit-cycling between limiter
-// branches, so the convergence-gated CFL ramp climbs instead of stalling.
-var limiterTable = map[string]LimiterFunc{
-	LimiterMinmod:    minmod,
-	LimiterVanAlbada: vanAlbada,
+// limiterTable maps the Options.Limiter names to the limiter kinds `limited`
+// dispatches on; minmod is the strictly TVD default, vanalbada the smooth
+// (differentiable) variant whose limited slope varies continuously with the
+// solution — under implicit stepping that continuity is what keeps the
+// residual from limit-cycling between limiter branches, so the
+// convergence-gated CFL ramp climbs instead of stalling.
+var limiterTable = map[string]int{
+	LimiterMinmod:    limKindMinmod,
+	LimiterVanAlbada: limKindVanAlbada,
 }
 
-// LimiterFor resolves a MUSCL slope limiter by name; the empty name resolves
-// to DefaultLimiter.
-func LimiterFor(name string) (LimiterFunc, error) {
-	if name == "" {
-		name = DefaultLimiter
-	}
-	if f, ok := limiterTable[name]; ok {
-		return f, nil
-	}
-	return nil, fmt.Errorf("fvm: no slope limiter %q (have %v)", name, Limiters())
-}
-
-// Limiters returns the registered slope-limiter names in ascending order —
-// the valid values of Options.Limiter.
+// Limiters returns the slope-limiter names in ascending order — the valid
+// values of Options.Limiter.
 func Limiters() []string {
 	out := make([]string, 0, len(limiterTable))
 	for n := range limiterTable {
@@ -463,7 +427,7 @@ func vanAlbada(a, b float64) float64 {
 // the face between cells m (left) and p (right), using neighbors mm and pp
 // and the configured slope limiter. ok flags indicate whether the outer
 // neighbors exist.
-func reconstruct(lim LimiterFunc, qmm, qm, qp, qpp Prim, hasMM, hasPP bool) (Prim, Prim) {
+func reconstruct(lim func(a, b float64) float64, qmm, qm, qp, qpp Prim, hasMM, hasPP bool) (Prim, Prim) {
 	L, R := qm, qp
 	if hasMM {
 		L.Rho = qm.Rho + 0.5*lim(qm.Rho-qmm.Rho, qp.Rho-qm.Rho)

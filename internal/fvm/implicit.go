@@ -1,7 +1,6 @@
 package fvm
 
 import (
-	"fmt"
 	"math"
 
 	"cataero/internal/numerics"
@@ -55,8 +54,8 @@ func (r CFLRamp) withDefaults() CFLRamp {
 // is empty.
 const DefaultImplicitSweep = ImplicitSweepJLine
 
-// ImplicitSweeps returns the registered implicit sweep schedules in
-// ascending order — the valid values of Options.ImplicitSweep.
+// ImplicitSweeps returns the implicit sweep schedules in ascending order —
+// the valid values of Options.ImplicitSweep.
 func ImplicitSweeps() []string { return []string{ImplicitSweepADI, ImplicitSweepJLine} }
 
 // --- implicit: DPLR-style line-implicit relaxation ---
@@ -88,21 +87,16 @@ func ImplicitSweeps() []string { return []string{ImplicitSweepADI, ImplicitSweep
 // block-tridiagonal solver equilibrates and factors the plane in a single
 // fused traversal (numerics.SolveFlatScaled).
 
-type implicitIntegrator struct{}
-
-func (implicitIntegrator) Name() string { return TimeSteppingImplicit }
-
-func (implicitIntegrator) NewStepper(s *Solver) (Stepper, error) {
+// newImplicitStepper binds the implicit integrator to a solver whose names
+// New has checked, allocating its per-chunk line workspaces.
+func newImplicitStepper(s *Solver) *implicitStepper {
 	st := &implicitStepper{
 		s:    s,
 		ramp: s.Opts.CFLRamp.withDefaults(),
 	}
 	switch s.Opts.ImplicitSweep {
-	case "", ImplicitSweepJLine:
 	case ImplicitSweepADI:
 		st.adi = true
-	default:
-		return nil, fmt.Errorf("fvm: no implicit sweep %q (have %v)", s.Opts.ImplicitSweep, ImplicitSweeps())
 	}
 	st.cfl = st.ramp.Start
 	vs := s.pInf.A + math.Hypot(s.pInf.U, s.pInf.V)
@@ -147,7 +141,7 @@ func (implicitIntegrator) NewStepper(s *Solver) (Stepper, error) {
 	}
 	st.sweepJ = st.lineRangeJ
 	st.sweepI = st.lineRangeI
-	return st, nil
+	return st
 }
 
 // implicitLineWS is the per-worker-chunk workspace of the line sweeps: one
@@ -214,11 +208,7 @@ const stallWindow = 12
 // transient proves a high CFL is safe, so the finer level starts there
 // instead of re-climbing from Start. The convergence bookkeeping re-latches
 // fresh (the levels' residual scales differ).
-func (st *implicitStepper) carryCFL(from Stepper) {
-	src, ok := from.(*implicitStepper)
-	if !ok {
-		return
-	}
+func (st *implicitStepper) carryCFL(src *implicitStepper) {
 	cfl := src.cfl
 	if cfl > st.ramp.Max {
 		cfl = st.ramp.Max

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"cataero/internal/gas"
@@ -83,17 +84,23 @@ func TestIntegratorRegistry(t *testing.T) {
 			t.Errorf("integrator %q not registered (have %v)", n, names)
 		}
 	}
-	if _, err := IntegratorFor(""); err != nil {
-		t.Errorf("empty name should resolve to the default: %v", err)
-	}
-	if _, err := IntegratorFor("no-such-scheme"); err == nil {
-		t.Error("unknown integrator name should fail")
-	}
 	g, _ := grid.NewBlunt(geometry.NewSphere(1), geometry.NewSphere(1).MaxS(), 6, 8,
 		func(s float64) float64 { return 0.5 + 0.4*s }, 1.3)
+	for _, ts := range append(names, "") {
+		s, err := New(g, Options{Gas: gas.NewIdealAir(), FreestreamV: [2]float64{600, 0},
+			FreestreamPT: [2]float64{100, 250}, TimeStepping: ts})
+		if err != nil {
+			t.Errorf("TimeStepping %q: %v", ts, err)
+			continue
+		}
+		if implicit := s.imp != nil; implicit != (ts == TimeSteppingImplicit) {
+			t.Errorf("TimeStepping %q built the implicit integrator: %v", ts, implicit)
+		}
+		s.Close()
+	}
 	if _, err := New(g, Options{Gas: gas.NewIdealAir(), FreestreamV: [2]float64{600, 0},
-		FreestreamPT: [2]float64{100, 250}, TimeStepping: "bogus"}); err == nil {
-		t.Error("New should reject an unknown TimeStepping name")
+		FreestreamPT: [2]float64{100, 250}, TimeStepping: "bogus"}); err == nil || !strings.Contains(err.Error(), "implicit") {
+		t.Errorf("New should reject an unknown TimeStepping name with the valid list, got %v", err)
 	}
 }
 
@@ -318,7 +325,7 @@ func TestImplicitStepCountAdvantage(t *testing.T) {
 func TestImplicitDivergenceFallback(t *testing.T) {
 	s := viscousCase(t, "implicit", CFLRamp{Start: 1e12, Growth: 1.0000001, Max: 1e12})
 	defer s.Close()
-	st := s.stepper.(*implicitStepper)
+	st := s.imp
 	for n := 0; n < 5; n++ {
 		if r := s.Step(); math.IsNaN(r) {
 			t.Fatalf("residual NaN at step %d", n)

@@ -11,7 +11,7 @@ import (
 // the larger one-sided difference; van Albada is smooth — a small slope
 // perturbation moves the limited slope a little, never discontinuously.
 func TestLimiterProperties(t *testing.T) {
-	for name, lim := range map[string]LimiterFunc{"minmod": minmod, "vanalbada": vanAlbada} {
+	for name, lim := range map[string]func(a, b float64) float64{"minmod": minmod, "vanalbada": vanAlbada} {
 		if got := lim(1, -1); got != 0 {
 			t.Errorf("%s(1,-1) = %g, want 0", name, got)
 		}
@@ -76,11 +76,7 @@ func TestVanAlbadaLiftsRampCap(t *testing.T) {
 		if _, err := s.Run(6000, 5e-4); err != nil {
 			t.Fatal(err)
 		}
-		st, ok := s.stepper.(*implicitStepper)
-		if !ok {
-			t.Fatal("implicit stepper expected")
-		}
-		caps[lim] = st.cap
+		caps[lim] = s.imp.cap
 		s.Close()
 		o.Pool.Close()
 	}

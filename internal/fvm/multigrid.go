@@ -134,16 +134,6 @@ func validateMultilevel(sq SequenceOptions) error {
 	return nil
 }
 
-// cflCarrier is the optional integrator hook a multilevel transition uses to
-// seed a finer level's CFL schedule from the coarser level that just
-// converged (see implicitStepper.carryCFL).
-type cflCarrier interface{ carryCFL(from Stepper) }
-
-// rampResetter is the optional integrator hook a mid-march refit uses to
-// re-latch convergence bookkeeping after the grid (and thus the residual
-// landscape) changes under the integrator.
-type rampResetter interface{ resetRamp() }
-
 // multilevel is the state of one multilevel solve: the per-level solvers
 // (index 0 = finest) and per-level step counters for progress reporting.
 type multilevel struct {
@@ -211,8 +201,8 @@ func (m *multilevel) cascade(ctx context.Context) (float64, error) {
 			return 0, errNaNCalibration
 		}
 		finer.injectFrom(s)
-		if cc, ok := finer.stepper.(cflCarrier); ok {
-			cc.carryCFL(s.stepper)
+		if finer.imp != nil {
+			finer.imp.carryCFL(s.imp)
 		}
 		if l-1 == 0 {
 			return r0 * m.dropTol, nil
@@ -402,8 +392,8 @@ func (m *multilevel) refitFinest() (bool, error) {
 	if err := s.RefitTo(ng); err != nil {
 		return false, err
 	}
-	if rr, ok := s.stepper.(rampResetter); ok {
-		rr.resetRamp()
+	if s.imp != nil {
+		s.imp.resetRamp()
 	}
 	return true, nil
 }

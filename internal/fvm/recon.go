@@ -10,13 +10,11 @@ type batchWS struct {
 	L, R FaceStates
 }
 
-// Limiter specialization for the batched reconstruction: the registered
-// limiters are small pure functions, so dispatching on an enum inside
-// `limited` (a predictable branch) is far cheaper than the eight
-// LimiterFunc indirect calls per face the scalar path pays.
+// Limiter kinds, the values of limiterTable: `limited` dispatches on the
+// kind with a predictable branch, so both small limiter functions inline
+// into it instead of costing eight indirect calls per face.
 const (
-	limKindGeneric = iota // fall back to the s.lim func value
-	limKindMinmod
+	limKindMinmod = iota
 	limKindVanAlbada
 )
 
@@ -32,29 +30,14 @@ const (
 	limFrozen
 )
 
-// limited applies the configured slope limiter, specialized by limKind so
-// the common limiters inline into the reconstruction loop.
+// limited applies the configured slope limiter (Options.Limiter).
 //
 //cataero:hotpath
 func (s *Solver) limited(a, b float64) float64 {
-	switch s.limKind {
-	case limKindMinmod:
-		if a*b <= 0 {
-			return 0
-		}
-		if math.Abs(a) < math.Abs(b) {
-			return a
-		}
-		return b
-	case limKindVanAlbada:
-		if a*b <= 0 {
-			return 0
-		}
-		const eps = 1e-32
-		return a * b * (a + b) / (a*a + b*b + eps)
-	default:
-		return s.lim(a, b)
+	if s.limKind == limKindVanAlbada {
+		return vanAlbada(a, b)
 	}
+	return minmod(a, b)
 }
 
 // reconFace MUSCL-reconstructs the left/right states of one face from its
@@ -243,23 +226,5 @@ func (s *Solver) reconLineJ(ws *batchWS, i int) {
 		} else {
 			s.reconFace(ws, f, &cells[im], &cells[f], &cells[f+1], &cells[ip])
 		}
-	}
-}
-
-// scalarFluxPencil is the reference fallback for kernels without a batched
-// form: per-face scalar Flux calls over the assembled pencils.
-func (s *Solver) scalarFluxPencil(dst []float64, L, R *FaceStates, nrm []float64, n int) {
-	for f := 0; f < n; f++ {
-		nx, ny, area := nrm[3*f], nrm[3*f+1], nrm[3*f+2]
-		k := 4 * f
-		if area == 0 {
-			dst[k], dst[k+1], dst[k+2], dst[k+3] = 0, 0, 0, 0
-			continue
-		}
-		fc := s.flux.Flux(L.prim(f), R.prim(f), nx, ny, area)
-		dst[k] = fc[0]
-		dst[k+1] = fc[1]
-		dst[k+2] = fc[2]
-		dst[k+3] = fc[3]
 	}
 }

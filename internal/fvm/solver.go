@@ -69,11 +69,7 @@ func (s *Solver) fluxIRange(ci, lo, hi int) {
 		default:
 			ws := &s.bws[ci]
 			s.reconColI(ws, i)
-			if s.batch != nil {
-				s.batch.BatchFlux(col, &ws.L, &ws.R, nrm, nj)
-			} else {
-				s.scalarFluxPencil(col, &ws.L, &ws.R, nrm, nj)
-			}
+			s.flux.BatchFlux(col, &ws.L, &ws.R, nrm, nj)
 		}
 	}
 }
@@ -103,11 +99,7 @@ func (s *Solver) fluxJRange(ci, lo, hi int) {
 		n := nj - 1
 		ws := &s.bws[ci]
 		s.reconLineJ(ws, i)
-		if s.batch != nil {
-			s.batch.BatchFlux(row[4:4+4*n], &ws.L, &ws.R, nrm[3:3+3*n], n)
-		} else {
-			s.scalarFluxPencil(row[4:4+4*n], &ws.L, &ws.R, nrm[3:3+3*n], n)
-		}
+		s.flux.BatchFlux(row[4:4+4*n], &ws.L, &ws.R, nrm[3:3+3*n], n)
 		if s.Opts.Viscous {
 			for j := 1; j < nj; j++ {
 				area := nrm[3*j+2]
@@ -298,7 +290,12 @@ func (s *Solver) dtRange(ci, lo, hi int) {
 //
 //cataero:hotpath
 func (s *Solver) Step() float64 {
-	r := s.stepper.Step()
+	var r float64
+	if s.imp != nil {
+		r = s.imp.Step()
+	} else {
+		r = s.stepExplicit()
+	}
 	if s.frzI != nil {
 		s.freezeLatch(r)
 	}

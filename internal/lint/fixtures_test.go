@@ -114,18 +114,18 @@ func TestRegistryFixture(t *testing.T) {
 	prog := loadFixture(t, "./internal/lint/testdata/src/registryfix/...")
 	families := []Family{
 		{
-			Kind: "widget", Pkg: "src/registryfix/reg", RegisterFunc: "RegisterWidget",
+			Kind: "widget", Pkg: "src/registryfix/reg", TableVar: "widgets",
 			Enumerator: "Widgets", CheckCall: "reg.Widgets", CheckPkg: "src/registryfix/use",
 			SpecPkg: "src/registryfix/use", SpecType: "Spec", SpecJSON: "widget",
 			Consts: map[string]string{"alpha": "reg.WidgetAlpha", "beta": "reg.WidgetBeta"},
 		},
 		{
-			Kind: "orphan widget", Pkg: "src/registryfix/regbad", RegisterFunc: "RegisterWidget",
+			Kind: "orphan widget", Pkg: "src/registryfix/regbad", TableVar: "widgets",
 			Enumerator: "Widgets",
 			Consts:     map[string]string{"gamma": "regbad.WidgetGamma"},
 		},
 		{
-			Kind: "solver class", Pkg: "src/registryfix/classes", RegisterFunc: "Register",
+			Kind: "solver class", Pkg: "src/registryfix/classes", TableVar: "solvers",
 			ClassKeyed: true, ClassMap: "classNames",
 		},
 	}

@@ -112,15 +112,11 @@ func report(prog *Program, pkg *Package, out *[]Diagnostic, analyzer string, pos
 // All returns the analyzer suite configured for this repository.
 func All() []*Analyzer {
 	return []*Analyzer{
-		HotPath(
-			IfaceRoot{Pkg: "internal/fvm", Iface: "BatchFluxKernel", Method: "BatchFlux"},
-			// Stepper.Step is the per-time-step unit the integrator registry
-			// dispatches to: rooting it keeps the whole batched LHS-assembly
-			// closure (assembleLineJ/assembleLineI, jacPlanes, the batched
-			// block-tridiagonal factor/solve) covered even if an annotation
-			// on an interior function is dropped.
-			IfaceRoot{Pkg: "internal/fvm", Iface: "Stepper", Method: "Step"},
-		),
+		// The annotated (*fvm.Solver).Step calls both integrators directly,
+		// so the batched LHS-assembly closure (assembleLineJ/assembleLineI,
+		// jacPlanes, the block-tridiagonal factor/solve) stays covered even
+		// if an annotation on an interior function is dropped.
+		HotPath(IfaceRoot{Pkg: "internal/fvm", Iface: "BatchFluxKernel", Method: "BatchFlux"}),
 		Registry(CataeroFamilies()...),
 		CtxLoop("internal/fvm", "internal/vsl", "internal/pns", "internal/ns", "internal/euler", "internal/blayer"),
 		PhysConst("internal/thermo", "internal/gas", "internal/transport", "internal/chem"),

@@ -11,17 +11,15 @@ import (
 	"strings"
 )
 
-// Family describes one name-string registry the registry analyzer checks.
-// Exactly one of RegisterFunc, TableVar or ListFunc identifies how names
-// enter the registry.
+// Family describes one name table the registry analyzer checks. Exactly
+// one of TableVar or ListFunc identifies where the names are written.
 type Family struct {
 	Kind string // human-readable, e.g. "flux kernel"
-	Pkg  string // registering package (import-path suffix)
+	Pkg  string // package holding the table (import-path suffix)
 
 	// Name sources.
-	RegisterFunc string // names via RegisterX(impl) where impl.Name() returns a constant
-	TableVar     string // names are the keys of this package-level map literal
-	ListFunc     string // names via a func returning a []string literal
+	TableVar string // names are the keys of this package-level map literal
+	ListFunc string // names via a func returning a []string literal
 
 	// Invariants.
 	Enumerator   string            // exported enumerator func in Pkg that must cover every name
@@ -33,17 +31,17 @@ type Family struct {
 	CompareField string            // field whose ==/!= string comparisons must match the name set
 	Consts       map[string]string // name -> exported constant; enables the bare-literal check
 
-	// Class-keyed registries (the solver registry): Register(Class, impl)
-	// where Class is a named constant; every registered class must appear as
-	// a key of the ClassMap map literal (the case-file name mapping).
+	// Class-keyed tables (the solver table): TableVar is a map literal keyed
+	// by named class constants, and its keys must equal the keys of the
+	// ClassMap map literal (the case-file name mapping).
 	ClassKeyed bool
 	ClassMap   string
 }
 
 // Registry returns the registry analyzer for the given families: every
-// registered name must reach the exported enumerator, the catsim fail-fast
-// and the case-file surface, and bare name literals outside the registering
-// package must use the exported constants.
+// name in a family's table must reach the exported enumerator, the catsim
+// fail-fast and the case-file surface, and bare name literals outside the
+// table's package must use the exported constants.
 func Registry(families ...Family) *Analyzer {
 	return &Analyzer{
 		Name: "registry",
@@ -64,13 +62,13 @@ func CataeroFamilies() []Family {
 	name := func(m map[string]string) map[string]string { return m }
 	return []Family{
 		{
-			Kind: "flux kernel", Pkg: "internal/fvm", RegisterFunc: "RegisterFlux",
+			Kind: "flux kernel", Pkg: "internal/fvm", TableVar: "fluxTable",
 			Enumerator: "FluxKernels", CheckCall: "cataero.FluxKernels", CheckPkg: "cmd/catsim",
 			SpecPkg: "internal/core", SpecType: "Problem", SpecJSON: "flux",
 			Consts: name(map[string]string{"hlle": "fvm.FluxHLLE", "hlle-ef": "fvm.FluxHLLEEF", "hllc": "fvm.FluxHLLC", "ausm+": "fvm.FluxAUSMPlus", "ausm+up": "fvm.FluxAUSMPlusUp"}),
 		},
 		{
-			Kind: "time stepping", Pkg: "internal/fvm", RegisterFunc: "RegisterIntegrator",
+			Kind: "time stepping", Pkg: "internal/fvm", ListFunc: "Integrators",
 			Enumerator: "Integrators", CheckCall: "cataero.TimeSteppings", CheckPkg: "cmd/catsim",
 			SpecPkg: "internal/core", SpecType: "Problem", SpecJSON: "time_stepping",
 			Consts: name(map[string]string{"explicit": "fvm.TimeSteppingExplicit", "implicit": "fvm.TimeSteppingImplicit"}),
@@ -89,7 +87,7 @@ func CataeroFamilies() []Family {
 			Consts: name(map[string]string{"minmod": "fvm.LimiterMinmod", "vanalbada": "fvm.LimiterVanAlbada"}),
 		},
 		{
-			Kind: "solver class", Pkg: "internal/core", RegisterFunc: "Register",
+			Kind: "solver class", Pkg: "internal/core", TableVar: "solvers",
 			ClassKeyed: true, ClassMap: "classNames",
 		},
 	}
@@ -112,16 +110,16 @@ func checkFamily(prog *Program, f *Family, diags *[]Diagnostic) {
 		return
 	}
 
-	// Enumerator exists and (for map/table registries) actually reads the
-	// registry storage, so nothing registered can be left unenumerable.
+	// Enumerator exists and (for map tables) actually reads the table, so
+	// no name can be left unenumerable.
 	enum := pkg.Types.Scope().Lookup(f.Enumerator)
 	if enum == nil {
 		report(prog, pkg, diags, "registry", anchor,
 			"%s registry has no exported enumerator %s()", f.Kind, f.Enumerator)
-	} else if src := registryStorage(f); src != "" {
-		if !funcReferences(prog, pkg, f.Enumerator, src, 2) {
+	} else if f.TableVar != "" {
+		if !funcReferences(prog, pkg, f.Enumerator, f.TableVar, 2) {
 			report(prog, pkg, diags, "registry", prog.DeclPos(pkg, f.Enumerator),
-				"enumerator %s() does not read %s; registered %ss would be invisible", f.Enumerator, src, f.Kind)
+				"enumerator %s() does not read %s; registered %ss would be invisible", f.Enumerator, f.TableVar, f.Kind)
 		}
 	}
 
@@ -144,49 +142,12 @@ func checkFamily(prog *Program, f *Family, diags *[]Diagnostic) {
 	}
 }
 
-func registryStorage(f *Family) string {
-	if f.TableVar != "" {
-		return f.TableVar
-	}
-	if f.ListFunc != "" {
-		return "" // the enumerator is the storage
-	}
-	return "" // RegisterFunc-backed maps are found dynamically below
-}
-
 // collectNames extracts the statically visible registered names and an
 // anchor position for family-level diagnostics.
 func collectNames(prog *Program, f *Family, pkg *Package, diags *[]Diagnostic) (map[string]bool, token.Pos) {
 	names := make(map[string]bool)
 	anchor := pkg.Files[0].Package
 	switch {
-	case f.RegisterFunc != "":
-		for _, file := range pkg.Files {
-			ast.Inspect(file, func(n ast.Node) bool {
-				c, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if id, ok := ast.Unparen(c.Fun).(*ast.Ident); !ok || id.Name != f.RegisterFunc {
-					return true
-				}
-				if len(c.Args) == 0 {
-					return true
-				}
-				anchor = c.Pos()
-				impl := pkg.Info.TypeOf(c.Args[len(c.Args)-1])
-				if impl == nil {
-					return true
-				}
-				if name, ok := constNameMethod(prog, impl); ok {
-					names[name] = true
-				} else {
-					report(prog, pkg, diags, "registry", c.Pos(),
-						"cannot statically determine the registered %s name: %s must have a Name() method returning a constant", f.Kind, impl.String())
-				}
-				return true
-			})
-		}
 	case f.TableVar != "":
 		lit, pos := packageMapLiteral(pkg, f.TableVar)
 		if lit == nil {
@@ -216,27 +177,6 @@ func collectNames(prog *Program, f *Family, pkg *Package, diags *[]Diagnostic) (
 		}
 	}
 	return names, anchor
-}
-
-// constNameMethod resolves impl's Name() method to its constant return.
-func constNameMethod(prog *Program, impl types.Type) (string, bool) {
-	ms := types.NewMethodSet(impl)
-	for i := 0; i < ms.Len(); i++ {
-		fn, ok := ms.At(i).Obj().(*types.Func)
-		if !ok || fn.Name() != "Name" {
-			continue
-		}
-		decl := prog.DeclOf(fn)
-		if decl == nil || decl.Decl.Body == nil || len(decl.Decl.Body.List) != 1 {
-			return "", false
-		}
-		ret, ok := decl.Decl.Body.List[0].(*ast.ReturnStmt)
-		if !ok || len(ret.Results) != 1 {
-			return "", false
-		}
-		return constString(decl.Pkg, ret.Results[0])
-	}
-	return "", false
 }
 
 func constString(pkg *Package, e ast.Expr) (string, bool) {
@@ -502,54 +442,40 @@ func checkBareLiterals(prog *Program, f *Family, regPkg *Package, names map[stri
 	}
 }
 
-// checkClassFamily verifies class-keyed registries: the set of classes
-// passed to Register must equal the keys of the ClassMap literal.
+// checkClassFamily verifies class-keyed tables: the keys of the TableVar
+// map literal must equal the keys of the ClassMap literal. A missing table
+// is a finding, so renaming it cannot switch the check off.
 func checkClassFamily(prog *Program, f *Family, pkg *Package, diags *[]Diagnostic) {
-	registered := make(map[string]bool)
-	var anchor token.Pos
-	for _, file := range pkg.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			c, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if id, ok := ast.Unparen(c.Fun).(*ast.Ident); !ok || id.Name != f.RegisterFunc {
-				return true
-			}
-			if len(c.Args) < 2 {
-				return true
-			}
-			if key, ok := ast.Unparen(c.Args[0]).(*ast.Ident); ok {
-				registered[key.Name] = true
-				if !anchor.IsValid() {
-					anchor = c.Pos()
-				}
-			}
-			return true
-		})
-	}
-	if len(registered) == 0 {
+	table, anchor := packageMapLiteral(pkg, f.TableVar)
+	if table == nil {
+		report(prog, pkg, diags, "registry", pkg.Files[0].Package, "%s table %s not found", f.Kind, f.TableVar)
 		return
 	}
-	lit, pos := packageMapLiteral(pkg, f.ClassMap)
-	if lit == nil {
+	names, pos := packageMapLiteral(pkg, f.ClassMap)
+	if names == nil {
 		report(prog, pkg, diags, "registry", anchor,
-			"solver classes are registered but the name map %s was not found", f.ClassMap)
+			"%s table %s has no name map %s", f.Kind, f.TableVar, f.ClassMap)
 		return
 	}
-	mapped := make(map[string]bool)
+	tabled, mapped := identKeys(table), identKeys(names)
+	if !sameStringSet(tabled, mapped) {
+		report(prog, pkg, diags, "registry", pos,
+			"%s table %s keys %v and %s keys %v disagree; a class missing from the map is unreachable from case files",
+			f.Kind, f.TableVar, sortedKeys(tabled), f.ClassMap, sortedKeys(mapped))
+	}
+}
+
+// identKeys returns the identifier keys of a map literal.
+func identKeys(lit *ast.CompositeLit) map[string]bool {
+	keys := make(map[string]bool)
 	for _, el := range lit.Elts {
 		if kv, ok := el.(*ast.KeyValueExpr); ok {
 			if id, ok := ast.Unparen(kv.Key).(*ast.Ident); ok {
-				mapped[id.Name] = true
+				keys[id.Name] = true
 			}
 		}
 	}
-	if !sameStringSet(registered, mapped) {
-		report(prog, pkg, diags, "registry", pos,
-			"registered solver classes %v and %s keys %v disagree; a class missing from the map is unreachable from case files",
-			sortedKeys(registered), f.ClassMap, sortedKeys(mapped))
-	}
+	return keys
 }
 
 func sameStringSet(a, b map[string]bool) bool {

@@ -1,12 +1,13 @@
-// Package hotpathasmfix exercises the Stepper-rooted half of the hotpath
-// analyzer: Step methods on types satisfying Stepper are hot-path roots, and
-// the closure must reach the batched assembly helpers they call even when
-// those helpers carry no annotation of their own — dropping a directive off
-// an interior assembly function must not exempt it from the no-allocation
-// rule. The `// want` comments are matched by TestHotPathAssemblyFixture.
+// Package hotpathasmfix exercises an interface root of the hotpath analyzer
+// over assembly code: Step methods on types satisfying Stepper are hot-path
+// roots, and the closure must reach the batched assembly helpers they call
+// even when those helpers carry no annotation of their own — dropping a
+// directive off an interior assembly function must not exempt it from the
+// no-allocation rule. The `// want` comments are matched by
+// TestHotPathAssemblyFixture.
 package hotpathasmfix
 
-// Stepper mimics fvm.Stepper for the fixture.
+// Stepper is the fixture's rooted interface.
 type Stepper interface {
 	Step() float64
 }

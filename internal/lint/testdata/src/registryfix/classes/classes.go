@@ -1,30 +1,25 @@
-// Package classes is the class-keyed registry of the registry-analyzer
-// fixture: ClassB is registered but missing from the classNames map, so the
-// analyzer must flag the drift at the map.
+// Package classes is the class-keyed table of the registry-analyzer
+// fixture: ClassB has a solver but is missing from the classNames map, so
+// the analyzer must flag the drift at the map.
 package classes
 
-// Class keys the registry.
+// Class keys the table.
 type Class int
 
-// The registered classes.
+// The tabled classes.
 const (
 	ClassA Class = iota
 	ClassB
 )
 
-// Solver is the registered implementation.
+// Solver is the tabled implementation.
 type Solver struct{}
 
-var registry = map[Class]Solver{}
-
-// Register adds a solver under its class.
-func Register(c Class, s Solver) { registry[c] = s }
-
-var classNames = map[Class]string{ // want "registered solver classes .* disagree"
-	ClassA: "a",
+var solvers = map[Class]Solver{
+	ClassA: {},
+	ClassB: {},
 }
 
-func init() {
-	Register(ClassA, Solver{})
-	Register(ClassB, Solver{})
+var classNames = map[Class]string{ // want "solver class table solvers keys .* disagree"
+	ClassA: "a",
 }

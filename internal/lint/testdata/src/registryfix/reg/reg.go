@@ -1,9 +1,9 @@
-// Package reg is the well-formed registry of the registry-analyzer fixture:
-// constant names, an exported enumerator, and implementations whose Name()
-// methods return constants. TestRegistryFixture checks it stays silent.
+// Package reg is the well-formed name table of the registry-analyzer
+// fixture: constant names as the keys of a map literal and an exported
+// enumerator that reads it. TestRegistryFixture checks it stays silent.
 package reg
 
-// Widget is the registered implementation interface.
+// Widget is the table's element type.
 type Widget interface{ Name() string }
 
 // Exported name constants; consumers must use these instead of bare strings.
@@ -11,11 +11,6 @@ const (
 	WidgetAlpha = "alpha"
 	WidgetBeta  = "beta"
 )
-
-var widgets = map[string]Widget{}
-
-// RegisterWidget adds an implementation under its Name().
-func RegisterWidget(w Widget) { widgets[w.Name()] = w }
 
 type alphaWidget struct{}
 
@@ -25,12 +20,12 @@ type betaWidget struct{}
 
 func (betaWidget) Name() string { return WidgetBeta }
 
-func init() {
-	RegisterWidget(alphaWidget{})
-	RegisterWidget(betaWidget{})
+var widgets = map[string]Widget{
+	WidgetAlpha: alphaWidget{},
+	WidgetBeta:  betaWidget{},
 }
 
-// Widgets enumerates the registered names.
+// Widgets enumerates the table's names.
 func Widgets() []string {
 	out := make([]string, 0, len(widgets))
 	for k := range widgets {

@@ -1,20 +1,15 @@
-// Package regbad is the ill-formed registry of the registry-analyzer
-// fixture: it registers a widget but exports no enumerator, so nothing
-// outside the package can discover the name.
+// Package regbad is the ill-formed name table of the registry-analyzer
+// fixture: it holds a widget but exports no enumerator, so nothing outside
+// the package can discover the name.
 package regbad
 
-// Widget is the registered implementation interface.
+// Widget is the table's element type.
 type Widget interface{ Name() string }
-
-var widgets = map[string]Widget{}
-
-// RegisterWidget adds an implementation under its Name().
-func RegisterWidget(w Widget) { widgets[w.Name()] = w }
 
 type gammaWidget struct{}
 
 func (gammaWidget) Name() string { return "gamma" }
 
-func init() {
-	RegisterWidget(gammaWidget{}) // want "has no exported enumerator Widgets"
+var widgets = map[string]Widget{ // want "has no exported enumerator Widgets"
+	"gamma": gammaWidget{},
 }

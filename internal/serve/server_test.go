@@ -478,6 +478,27 @@ func TestRequestValidation(t *testing.T) {
 		t.Fatalf("invalid case: status %d", resp.StatusCode)
 	}
 
+	// An unknown flux kernel is rejected before admission: no run exists.
+	resp, err = http.Post(ts.URL+"/api/runs?wait=1", "application/json", strings.NewReader(
+		`{"class":"ns","p_inf":100,"t_inf":250,"v_inf":2000,"nose_radius":0.3,"flux":"bogus"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("unknown flux: status %d", resp.StatusCode)
+	}
+	resp, err = http.Get(ts.URL + "/api/runs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var views []runView
+	err = json.NewDecoder(resp.Body).Decode(&views)
+	resp.Body.Close()
+	if err != nil || len(views) != 0 {
+		t.Fatalf("runs after rejected requests: %+v (%v)", views, err)
+	}
+
 	// Unknown priority lane.
 	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/api/runs", strings.NewReader("[]"))
 	req.Header.Set("X-Priority", "urgent")

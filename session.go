@@ -78,17 +78,16 @@ func WithGamma(g float64) Option {
 
 // WithFlux sets the default finite-volume flux kernel ("hlle", "hlle-ef",
 // "hllc", "ausm+") stamped onto problems whose Flux field is left empty. The
-// kernel names come from the fvm flux registry; an unknown name fails at
-// solve time with the list of registered kernels.
+// valid names are FluxKernels; an unknown one fails Normalize and every solve
+// with that list.
 func WithFlux(name string) Option {
 	return func(s *Session) { s.flux = name }
 }
 
 // WithTimeStepping sets the default finite-volume time integrator
 // ("explicit", "implicit") stamped onto problems whose TimeStepping field is
-// left empty. The names come from the fvm integrator registry (see
-// TimeSteppings); an unknown name fails at solve time with the registered
-// list. Implicit (line-implicit, DPLR-style) stepping converges clustered
+// left empty. The valid names are TimeSteppings; an unknown one fails
+// Normalize and every solve with that list. Implicit (line-implicit, DPLR-style) stepping converges clustered
 // viscous NS grids in several-fold fewer steps than the explicit default.
 func WithTimeStepping(name string) Option {
 	return func(s *Session) { s.timestep = name }
@@ -255,7 +254,7 @@ func (s *Session) start(ctx context.Context, p Problem, h *runHandle, solve func
 	}()
 }
 
-// Solve dispatches one problem through the solver registry against the
+// Solve dispatches one problem through the solver table against the
 // session's cached model stack and blocks for the result — Submit + Wait.
 // The context is threaded into the solver iteration loops; cancellation
 // aborts with ctx.Err().

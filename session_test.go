@@ -3,6 +3,7 @@ package cataero
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"strings"
@@ -310,11 +311,14 @@ func TestSessionUnknownCycleAndLimiterFail(t *testing.T) {
 	}
 }
 
+// nsCaseFields is a valid NS case file's fields, less the braces, for tests
+// that add one knob to it.
+const nsCaseFields = `"class":"ns","p_inf":5474.9,"t_inf":216.65,"v_inf":1770.4,"nose_radius":0.3`
+
 // Session.Normalize range-checks an in-code problem exactly as ParseCase
 // checks a case file — same rule, same error — so nothing a case file
 // rejects can be keyed or solved by building the Problem in code instead.
 func TestNormalizeRejectsWhatCaseFilesReject(t *testing.T) {
-	const fields = `"class":"ns","p_inf":5474.9,"t_inf":216.65,"v_inf":1770.4,"nose_radius":0.3`
 	for _, c := range []struct {
 		knob string
 		set  func(*Problem)
@@ -324,8 +328,12 @@ func TestNormalizeRejectsWhatCaseFilesReject(t *testing.T) {
 		{`"checkpoint_every":-1`, func(p *Problem) { p.CheckpointEvery = -1 }},
 		{`"freeze_limiter_at":2`, func(p *Problem) { p.FreezeLimiterAt = 2 }},
 		{`"cycle":"v"`, func(p *Problem) { p.Cycle = "v" }},
+		{`"flux":"bogus"`, func(p *Problem) { p.Flux = "bogus" }},
+		{`"time_stepping":"rk4"`, func(p *Problem) { p.TimeStepping = "rk4" }},
+		{`"implicit_sweep":"zebra"`, func(p *Problem) { p.ImplicitSweep = "zebra" }},
+		{`"limiter":"superbee"`, func(p *Problem) { p.Limiter = "superbee" }},
 	} {
-		_, fileErr := ParseCase([]byte("{" + fields + "," + c.knob + "}"))
+		_, fileErr := ParseCase([]byte("{" + nsCaseFields + "," + c.knob + "}"))
 		if fileErr == nil {
 			t.Fatalf("case file with %s parsed", c.knob)
 		}
@@ -339,6 +347,28 @@ func TestNormalizeRejectsWhatCaseFilesReject(t *testing.T) {
 		}
 		if want := errors.Unwrap(fileErr).Error(); err.Error() != want {
 			t.Errorf("%s: Normalize error %q, case-file error %q", c.knob, err, want)
+		}
+	}
+}
+
+// Every name the four enumerators list parses as a case file and
+// normalizes, so the hand-written integrator and sweep lists cannot drift
+// from the name check that validates them.
+func TestEnumeratedNamesAccepted(t *testing.T) {
+	for key, names := range map[string][]string{
+		"flux": FluxKernels(), "time_stepping": TimeSteppings(),
+		"implicit_sweep": ImplicitSweeps(), "limiter": Limiters(),
+	} {
+		for _, name := range names {
+			knob := fmt.Sprintf("%q:%q", key, name)
+			p, err := ParseCase([]byte("{" + nsCaseFields + "," + knob + "}"))
+			if err != nil {
+				t.Errorf("case file with %s: %v", knob, err)
+				continue
+			}
+			if _, err := NewSession().Normalize(p); err != nil {
+				t.Errorf("Normalize with %s: %v", knob, err)
+			}
 		}
 	}
 }
