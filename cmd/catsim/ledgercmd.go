@@ -12,9 +12,9 @@ import (
 
 // ledgerCmd inspects and maintains a run ledger:
 //
-//	catsim ledger ls  -ledger DIR            list entries (key, solver, age, cost)
-//	catsim ledger get -ledger DIR KEY        print one full entry as JSON
-//	catsim ledger gc  -ledger DIR -older 30d remove entries older than a cutoff
+//	catsim ledger ls  -ledger DIR             list entries (key, solver, age, cost)
+//	catsim ledger get -ledger DIR KEY         print one full entry as JSON
+//	catsim ledger gc  -ledger DIR -older 720h remove entries and checkpoints past a cutoff
 func ledgerCmd(args []string) int {
 	if len(args) == 0 {
 		ledgerUsage(os.Stderr)
@@ -43,10 +43,10 @@ func ledgerUsage(w *os.File) {
 subcommands:
   ls   list stored entries: key, solver, age and original solve cost
   get  print one entry (full JSON) by key; KEY may be a unique prefix
-  gc   remove entries created before -older ago, plus damaged entries
-       and abandoned temp files; -max-bytes then evicts least-recently-
-       used files (checkpoints before results) until the ledger fits the
-       budget; -dry reports the age sweep without removing
+  gc   remove entries and checkpoints created before -older ago, plus
+       damaged ones and abandoned temp files; -max-bytes then evicts
+       least-recently-used files (checkpoints before results) until the
+       ledger fits the budget; -dry reports the age sweep without removing
 `)
 }
 
@@ -153,7 +153,7 @@ func resolveKey(l *ledger.Ledger, prefix string) (string, error) {
 
 func ledgerGC(args []string) int {
 	fs := flag.NewFlagSet("gc", flag.ExitOnError)
-	older := fs.Duration("older", 0, "remove entries created more than this long ago (0 = only damaged entries)")
+	older := fs.Duration("older", 0, "remove entries and checkpoints created more than this long ago (0 = only damaged ones)")
 	maxBytes := fs.Int64("max-bytes", 0, "evict least-recently-used files (checkpoints first) until the ledger fits this size (0 = no size budget)")
 	dry := fs.Bool("dry", false, "report what would be removed without removing")
 	l, rest, code := openLedgerFlag(fs, args)
@@ -168,28 +168,16 @@ func ledgerGC(args []string) int {
 	if *older > 0 {
 		cutoff = time.Now().UTC().Add(-*older)
 	}
-	if *dry {
-		entries, err := l.Entries()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "catsim ledger gc: %v\n", err)
-			return 1
-		}
-		n := 0
-		for _, e := range entries {
-			if !cutoff.IsZero() && e.Created.Before(cutoff) {
-				fmt.Printf("would remove %s (created %s)\n", e.Key[:16], e.Created.Format(time.RFC3339))
-				n++
-			}
-		}
-		fmt.Printf("%d of %d entries past cutoff (damaged entries are counted only by a real gc)\n", n, len(entries))
-		return 0
-	}
-	removed, err := l.GC(cutoff)
+	entries, checkpoints, err := l.GC(cutoff, *dry)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "catsim ledger gc: %v\n", err)
 		return 1
 	}
-	fmt.Printf("removed %d entries\n", removed)
+	if *dry {
+		fmt.Printf("would remove %d entries and %d checkpoints (expired or damaged)\n", entries, checkpoints)
+		return 0
+	}
+	fmt.Printf("removed %d entries and %d checkpoints\n", entries, checkpoints)
 	if *maxBytes > 0 {
 		evicted, freed, err := l.GCSize(*maxBytes)
 		if err != nil {

@@ -11,6 +11,7 @@ import (
 
 	"cataero"
 	"cataero/internal/ledger"
+	"cataero/internal/serve"
 )
 
 // runCmd solves a declarative JSON case file: `catsim run case.json
@@ -29,9 +30,8 @@ func runCmd(args []string) int {
 	refitEvery := fs.Int("refitevery", 0, "re-fit the outer boundary to the shock locus every N fine steps")
 	workers := fs.Int("workers", 0, "concurrent solve bound (0 = GOMAXPROCS)")
 	timeout := fs.Duration("timeout", 0, "abort the solve after this duration (0 = none)")
-	ledgerDir := fs.String("ledger", "", "consult and update a run ledger (shared with 'catsim serve')")
+	ledgerDir := fs.String("ledger", "", "consult and update a run ledger (shared with 'catsim serve'); a stored checkpoint of the case is resumed")
 	checkpoint := fs.Int("checkpoint", 0, "persist a resumable checkpoint to the ledger every N steps (requires -ledger)")
-	resume := fs.Bool("resume", false, "resume from the newest valid ledger checkpoint of this case (requires -ledger)")
 	outPath := fs.String("out", "", "write the solved environment as JSON to this file (the serve artifact)")
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: catsim run [flags] case.json")
@@ -67,8 +67,8 @@ func runCmd(args []string) int {
 		fmt.Fprintln(os.Stderr, "catsim run: -checkpoint must be non-negative")
 		return 2
 	}
-	if (*checkpoint > 0 || *resume) && *ledgerDir == "" {
-		fmt.Fprintln(os.Stderr, "catsim run: -checkpoint and -resume need -ledger DIR to store and find checkpoints")
+	if *checkpoint > 0 && *ledgerDir == "" {
+		fmt.Fprintln(os.Stderr, "catsim run: -checkpoint needs -ledger DIR to store checkpoints")
 		return 2
 	}
 
@@ -98,6 +98,9 @@ func runCmd(args []string) int {
 	if *refitEvery != 0 {
 		p.RefitEvery = *refitEvery
 	}
+	if *checkpoint != 0 {
+		p.CheckpointEvery = *checkpoint
+	}
 
 	var opts []cataero.Option
 	if *workers > 0 {
@@ -107,63 +110,27 @@ func runCmd(args []string) int {
 
 	// With a ledger, identical cases hash to identical content keys (field
 	// order and explicit defaults do not matter), so a prior solve — by this
-	// command or by `catsim serve` over the same directory — is reused.
+	// command or by `catsim serve` over the same directory — is reused, and
+	// an interrupted one resumes from the checkpoint it left under the key.
 	var store *ledger.Ledger
-	var caseKey string
+	var job serve.Job
+	solve := p
 	if *ledgerDir != "" {
 		var err error
 		if store, err = ledger.Open(*ledgerDir); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
-		np, err := s.Normalize(p)
-		if err != nil {
+		if job, err = serve.Prepare(s, p); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
-		if caseKey, err = cataero.CaseKey(np); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		if e, err := store.Get(caseKey); err == nil && e != nil {
+		if e, err := store.Get(job.Key); err == nil && e != nil {
 			return reportLedgerHit(path, e, *outPath)
 		}
-		// Checkpoint sink and resume source share the entry's content key, so
-		// an interrupted `catsim run` and a `catsim serve` over the same
-		// directory can continue each other's solves.
-		if *checkpoint > 0 {
-			// The stored spec is the normalized canonical JSON — the same
-			// bytes `catsim serve` stores, so its restart recovery can
-			// re-submit a run this command left behind.
-			spec, _ := cataero.CanonicalJSON(np)
-			p.CheckpointEvery = *checkpoint
-			p.CheckpointSink = func(cp *cataero.Checkpoint) {
-				data, err := cp.AppendBinary(nil)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "catsim run: encode checkpoint: %v\n", err)
-					return
-				}
-				err = store.PutCheckpoint(&ledger.Checkpoint{
-					Key: caseKey, Spec: spec, Step: cp.Step,
-					Version: cataero.Version, Data: data,
-				})
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "catsim run: checkpoint: %v\n", err)
-				}
-			}
-		}
-		if *resume {
-			if lc, err := store.GetCheckpoint(caseKey); err == nil && lc != nil {
-				if cp, err := cataero.DecodeCheckpoint(lc.Data); err == nil {
-					p.Restore = cp
-					fmt.Printf("resuming from ledger checkpoint at step %d\n", lc.Step)
-				} else {
-					fmt.Fprintf(os.Stderr, "catsim run: stored checkpoint unreadable (%v); solving from step 0\n", err)
-				}
-			} else {
-				fmt.Println("no stored checkpoint for this case; solving from step 0")
-			}
-		}
+		solve = job.Resumable(store, 0, func(format string, args ...any) {
+			fmt.Fprintf(os.Stderr, "catsim run: %s\n", fmt.Sprintf(format, args...))
+		})
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -179,7 +146,7 @@ func runCmd(args []string) int {
 		label = fmt.Sprintf("%s (%q)", path, p.Name)
 	}
 	fmt.Printf("case %s: %s class, %s\n", label, p.Class, p.Chemistry)
-	run := s.Submit(ctx, p)
+	run := s.Submit(ctx, solve)
 	if *progress {
 		followRun(run)
 	}
@@ -197,27 +164,10 @@ func runCmd(args []string) int {
 		return 1
 	}
 	if store != nil {
-		entry := &ledger.Entry{
-			Key:       caseKey,
-			Result:    result,
-			Solver:    snap.Solver,
-			Version:   cataero.Version,
-			ElapsedMS: float64(snap.Elapsed) / float64(time.Millisecond),
-		}
-		if spec, err := cataero.CanonicalJSON(p); err == nil {
-			entry.Spec = spec
-		}
-		if snapJSON, err := json.Marshal(snap); err == nil {
-			entry.Snapshot = snapJSON
-		}
-		if err := store.Put(entry); err != nil {
+		if err := job.Store(store, result, snap); err != nil {
 			fmt.Fprintf(os.Stderr, "catsim run: ledger: %v\n", err)
 		} else {
-			fmt.Printf("  ledger       + %s\n", caseKey[:16])
-			// The result supersedes any partial-run checkpoint.
-			if err := store.DeleteCheckpoint(caseKey); err != nil {
-				fmt.Fprintf(os.Stderr, "catsim run: drop checkpoint: %v\n", err)
-			}
+			fmt.Printf("  ledger       + %s\n", job.Key[:16])
 		}
 	}
 	if *outPath != "" {

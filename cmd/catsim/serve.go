@@ -21,8 +21,9 @@ import (
 // Repeat submissions of a case the ledger already holds are answered from
 // disk without re-solving; `catsim run -ledger` shares the same store.
 //
-// With -checkpoint N, in-flight solves persist resumable checkpoints to the
-// ledger every N steps. SIGTERM/SIGINT drains the server — new submissions
+// With a ledger, every solve resumes from a checkpoint stored under its case
+// key, and with -checkpoint N, in-flight solves persist one to the ledger
+// every N steps. SIGTERM/SIGINT drains the server — new submissions
 // get 503, in-flight runs are checkpointed and cancelled within
 // -drain-timeout — and the next `catsim serve` over the same ledger
 // re-submits interrupted runs from their checkpoints.
@@ -33,7 +34,7 @@ func serveCmd(args []string) int {
 	workers := fs.Int("workers", 0, "concurrent solve bound (0 = GOMAXPROCS)")
 	quotaRate := fs.Float64("quota-rate", 0, "per-client solve admissions per second (0 = unlimited)")
 	quotaBurst := fs.Int("quota-burst", 4, "per-client admission burst (token-bucket depth)")
-	checkpoint := fs.Int("checkpoint", 0, "checkpoint in-flight solves to the ledger every N steps (0 = off; requires -ledger)")
+	checkpoint := fs.Int("checkpoint", 0, "checkpoint in-flight solves to the ledger every N steps (0 = none; stored checkpoints resume either way; requires -ledger)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "bound on checkpointing and stopping in-flight runs at shutdown")
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: catsim serve [-addr :8080] [-ledger DIR] [-workers N] [-quota-rate R] [-quota-burst B] [-checkpoint N] [-drain-timeout D]")

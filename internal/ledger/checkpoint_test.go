@@ -88,7 +88,7 @@ func TestCheckpointTornFileQuarantined(t *testing.T) {
 	if l.Stats().Corrupt == 0 {
 		t.Fatal("quarantine not counted")
 	}
-	if _, err := os.Stat(l.ckptPath(c.Key)); !os.IsNotExist(err) {
+	if _, err := os.Stat(l.path(c.Key, ckptFile)); !os.IsNotExist(err) {
 		t.Fatal("torn checkpoint not removed")
 	}
 }
@@ -103,7 +103,7 @@ func TestCheckpointChecksumMismatchQuarantined(t *testing.T) {
 	if err := l.PutCheckpoint(c); err != nil {
 		t.Fatal(err)
 	}
-	path := l.ckptPath(c.Key)
+	path := l.path(c.Key, ckptFile)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -168,12 +168,12 @@ func TestCheckpointsListAndGC(t *testing.T) {
 		}
 	}
 	// Age-based GC removes expired checkpoints alongside entries.
-	removed, err := l.GC(time.Now().Add(time.Hour))
+	entries, checkpoints, err := l.GC(time.Now().Add(time.Hour), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if removed != 4 {
-		t.Fatalf("GC removed %d files, want 4", removed)
+	if entries != 1 || checkpoints != 3 {
+		t.Fatalf("GC removed %d entries and %d checkpoints, want 1 and 3", entries, checkpoints)
 	}
 	if cks, _ = l.Checkpoints(); len(cks) != 0 {
 		t.Fatalf("%d checkpoints survived GC", len(cks))
@@ -203,7 +203,7 @@ func TestGCSizeEvictsCheckpointsFirst(t *testing.T) {
 	// Stamp mtimes so the LRU order is deterministic: cA colder than cB,
 	// eOld colder than eNew.
 	base := time.Now().Add(-time.Hour)
-	for i, path := range []string{l.ckptPath(cA.Key), l.ckptPath(cB.Key), l.path(eOld.Key), l.path(eNew.Key)} {
+	for i, path := range []string{l.path(cA.Key, ckptFile), l.path(cB.Key, ckptFile), l.path(eOld.Key, entryFile), l.path(eNew.Key, entryFile)} {
 		if err := os.Chtimes(path, base.Add(time.Duration(i)*time.Minute), base.Add(time.Duration(i)*time.Minute)); err != nil {
 			t.Fatal(err)
 		}
@@ -215,10 +215,10 @@ func TestGCSizeEvictsCheckpointsFirst(t *testing.T) {
 		}
 		return info.Size()
 	}
-	total := size(l.ckptPath(cA.Key)) + size(l.ckptPath(cB.Key)) + size(l.path(eOld.Key)) + size(l.path(eNew.Key))
+	total := size(l.path(cA.Key, ckptFile)) + size(l.path(cB.Key, ckptFile)) + size(l.path(eOld.Key, entryFile)) + size(l.path(eNew.Key, entryFile))
 
 	// Budget that forces out both checkpoints and the older entry.
-	budget := size(l.path(eNew.Key))
+	budget := size(l.path(eNew.Key, entryFile))
 	removed, freed, err := l.GCSize(budget)
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +229,7 @@ func TestGCSizeEvictsCheckpointsFirst(t *testing.T) {
 	if freed != total-budget {
 		t.Fatalf("GCSize freed %d bytes, want %d", freed, total-budget)
 	}
-	for _, gone := range []string{l.ckptPath(cA.Key), l.ckptPath(cB.Key), l.path(eOld.Key)} {
+	for _, gone := range []string{l.path(cA.Key, ckptFile), l.path(cB.Key, ckptFile), l.path(eOld.Key, entryFile)} {
 		if _, err := os.Stat(gone); !os.IsNotExist(err) {
 			t.Fatalf("%s survived eviction", filepath.Base(gone))
 		}
@@ -256,7 +256,7 @@ func TestGCSizePartialBudget(t *testing.T) {
 	if err := l.PutCheckpoint(testCheckpoint("partial-ck", 7)); err != nil {
 		t.Fatal(err)
 	}
-	info, err := os.Stat(l.path(testKey("partial")))
+	info, err := os.Stat(l.path(testKey("partial"), entryFile))
 	if err != nil {
 		t.Fatal(err)
 	}

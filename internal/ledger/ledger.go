@@ -6,21 +6,32 @@
 //
 // # Layout
 //
-// One directory per ledger, one JSON file per entry, sharded by the first
-// two hex digits of the key to keep directory fan-out bounded:
+// One directory per ledger. A key has up to two record files, sharded by
+// the first two hex digits of the key to keep directory fan-out bounded:
 //
-//	<root>/ab/abcdef…0123.json
+//	<root>/ab/abcdef…0123.json   the result entry (Entry)
+//	<root>/ab/abcdef…0123.ckpt   the partial-run checkpoint (Checkpoint)
+//
+// A checkpoint is the latest resumable solver state of an in-flight or
+// interrupted solve, stored under the key its result will have. A
+// restarted server or CLI finds it by the key it would look the result up
+// by and resumes the march instead of re-solving from step 0; Put removes
+// it once the result lands.
 //
 // # Crash safety
 //
-// Entries are written to a temporary file in the destination directory,
-// flushed, and atomically renamed into place, so a reader never observes a
-// partially written entry under its final name. Defense in depth on the
-// read side: every Get re-verifies the entry's format version, key and
-// result checksum, and a file that fails any of these (for example a
-// half-written file restored from a snapshot, or bit rot) is quarantined —
-// removed and reported as a miss — so a corrupt entry is re-solved, never
-// served.
+// Both kinds are one record format — a JSON header (format version, key,
+// creation time, payload checksum) around a payload: the result artifact
+// or the encoded solver checkpoint — with one write, one verified read
+// and one directory scan. A record is written to a temporary file in the
+// destination directory, flushed, and atomically renamed into place, so a
+// reader never observes a partially written record under its final name.
+// Defense in depth on the read side: every read re-verifies the format
+// version, key and payload checksum, and a file that fails (a half-written
+// file restored from a snapshot, bit rot) is quarantined — removed and
+// reported as a miss — so a corrupt result is re-solved, never served, and
+// a torn checkpoint is never resumed from. A record of another format
+// version is a plain miss, left in place for the version that owns it.
 package ledger
 
 import (
@@ -40,8 +51,8 @@ import (
 	"cataero/internal/faultinject"
 )
 
-// FormatVersion is the on-disk entry schema version. Entries written with a
-// different version are treated as misses (and left in place for the
+// FormatVersion is the on-disk record schema version. Records written with
+// a different version are treated as misses (and left in place for the
 // version that owns them).
 const FormatVersion = 1
 
@@ -74,11 +85,66 @@ type Entry struct {
 	Checksum string `json:"checksum"`
 }
 
+// Checkpoint is one stored partial run.
+type Checkpoint struct {
+	Format int    `json:"format"`
+	Key    string `json:"key"`
+	// Spec is the canonical case JSON of the run (core.CanonicalJSON), so a
+	// restarted service can reconstruct and re-submit the problem from the
+	// checkpoint alone.
+	Spec json.RawMessage `json:"spec,omitempty"`
+	// Step is the completed-step count the checkpoint resumes at (display
+	// only; the authoritative position travels inside Data).
+	Step    int       `json:"step,omitempty"`
+	Solver  string    `json:"solver,omitempty"`  // registry name of the executing solver
+	Version string    `json:"version,omitempty"` // toolkit version that wrote the checkpoint
+	Created time.Time `json:"created"`
+	// Data is the encoded solver checkpoint (fvm.Checkpoint.AppendBinary),
+	// base64 in the JSON encoding.
+	Data []byte `json:"data"`
+	// Checksum is the hex SHA-256 of Data, verified on every read.
+	Checksum string `json:"checksum"`
+}
+
+// record is the codec's view of an Entry or a Checkpoint: the header
+// fields both kinds share and the payload the checksum covers.
+type record interface {
+	header() (format *int, key *string, created *time.Time, checksum *string, payload []byte)
+}
+
+func (e *Entry) header() (*int, *string, *time.Time, *string, []byte) {
+	return &e.Format, &e.Key, &e.Created, &e.Checksum, e.Result
+}
+
+func (c *Checkpoint) header() (*int, *string, *time.Time, *string, []byte) {
+	return &c.Format, &c.Key, &c.Created, &c.Checksum, c.Data
+}
+
+// kind is one of the two record files a key may have.
+type kind struct {
+	ext       string // file name suffix after the key
+	fault     string // faultinject point that fails the write
+	mangle    string // faultinject point that corrupts the written bytes ("" = none)
+	newRecord func() record
+}
+
+var (
+	entryFile = &kind{
+		ext: ".json", fault: "ledger.put",
+		newRecord: func() record { return new(Entry) },
+	}
+	ckptFile = &kind{
+		ext: ".ckpt", fault: "ledger.put-checkpoint", mangle: "ledger.checkpoint-data",
+		newRecord: func() record { return new(Checkpoint) },
+	}
+	kinds = [...]*kind{entryFile, ckptFile}
+)
+
 // Stats are the ledger's monotonic operation counters.
 type Stats struct {
 	Hits    int64 // Get found a valid entry
 	Misses  int64 // Get found nothing
-	Corrupt int64 // Get quarantined an invalid entry
+	Corrupt int64 // a read quarantined an invalid entry or checkpoint
 	Puts    int64 // entries written
 }
 
@@ -116,9 +182,10 @@ func (l *Ledger) Stats() Stats {
 	}
 }
 
-// path maps a key to its entry file, sharded on the leading two hex digits.
-func (l *Ledger) path(key string) string {
-	return filepath.Join(l.dir, key[:2], key+".json")
+// path maps a key to its file of one kind, sharded on the leading two hex
+// digits.
+func (l *Ledger) path(key string, k *kind) string {
+	return filepath.Join(l.dir, key[:2], key+k.ext)
 }
 
 func validKey(key string) bool {
@@ -134,176 +201,210 @@ func validKey(key string) bool {
 	return true
 }
 
-// checksum is the integrity digest of an entry's result bytes.
-func checksum(result []byte) string {
-	sum := sha256.Sum256(result)
+// Checksum is the ledger's digest: the lowercase hex SHA-256 of b. It is
+// the payload checksum every record carries (an entry's doubles as the
+// serve ETag), and over a canonical case spec it is the content key.
+func Checksum(b []byte) string {
+	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
 }
 
-// Get returns the stored entry for a key, or nil when the ledger has none.
-// An entry that exists but fails verification — truncated or otherwise
-// half-written, wrong key, checksum mismatch — is quarantined: removed,
-// counted in Stats.Corrupt, and reported as a miss, so the caller re-solves
-// instead of serving a corrupt result. A different format version is a
-// plain miss.
-func (l *Ledger) Get(key string) (*Entry, error) {
-	if !validKey(key) {
-		return nil, fmt.Errorf("ledger: invalid key %q", key)
+// decode parses one record file into rec and verifies it against the key
+// it is filed under. It reports false with a nil error for a foreign
+// format version, which is not ours to serve or to remove; an error means
+// the record is damaged and should be quarantined.
+func decode(data []byte, key string, rec record) (bool, error) {
+	if err := json.Unmarshal(data, rec); err != nil {
+		return false, err
 	}
-	data, err := os.ReadFile(l.path(key))
-	if errors.Is(err, fs.ErrNotExist) {
-		l.misses.Add(1)
-		return nil, nil
+	format, k, _, sum, payload := rec.header()
+	if *format != FormatVersion {
+		return false, nil
 	}
-	if err != nil {
-		return nil, fmt.Errorf("ledger: get %s: %w", key, err)
+	if *k != key {
+		return false, fmt.Errorf("ledger: record key %q under file for %q", *k, key)
 	}
-	e, err := decodeEntry(data, key)
-	if err != nil {
-		// Half-written or damaged: quarantine so the next writer can
-		// replace it with a good entry.
-		l.corrupt.Add(1)
-		_ = os.Remove(l.path(key))
-		return nil, nil
+	if len(payload) == 0 || *sum != Checksum(payload) {
+		return false, errors.New("ledger: payload checksum mismatch")
 	}
-	if e == nil {
-		// Foreign format version: not ours to serve or to delete.
-		l.misses.Add(1)
-		return nil, nil
-	}
-	l.hits.Add(1)
-	// Best-effort access bump: GCSize evicts oldest-mtime first, so a hit
-	// keeps a hot entry out of the next size-budget sweep.
-	now := time.Now()
-	_ = os.Chtimes(l.path(key), now, now)
-	return e, nil
+	return true, nil
 }
 
-// decodeEntry parses and verifies one entry file. A nil entry with nil
-// error means a foreign (newer/older) format version; an error means the
-// entry is damaged and should be quarantined.
-func decodeEntry(data []byte, wantKey string) (*Entry, error) {
-	var e Entry
-	if err := json.Unmarshal(data, &e); err != nil {
-		return nil, err
+// put stamps the record's header — format version, payload checksum, and
+// creation time when unset — and publishes it as its key's file of kind k:
+// a temp file, flushed, then renamed into place. Concurrent writers of one
+// key race benignly (both write valid, equivalent records), and a crash
+// mid-write leaves only a temp file for GC to sweep, never a damaged
+// record under the final name.
+func (l *Ledger) put(k *kind, rec record) error {
+	format, key, created, sum, payload := rec.header()
+	if !validKey(*key) {
+		return fmt.Errorf("ledger: put: invalid key %q", *key)
 	}
-	if e.Format != FormatVersion {
-		return nil, nil
+	if len(payload) == 0 {
+		return fmt.Errorf("ledger: put %s%s: empty payload", *key, k.ext)
 	}
-	if wantKey != "" && e.Key != wantKey {
-		return nil, fmt.Errorf("ledger: entry key %q under file for %q", e.Key, wantKey)
+	fail := func(err error) error { return fmt.Errorf("ledger: put %s%s: %w", *key, k.ext, err) }
+	if err := faultinject.Fire(k.fault); err != nil {
+		return fail(err)
 	}
-	if len(e.Result) == 0 || e.Checksum != checksum(e.Result) {
-		return nil, errors.New("ledger: result checksum mismatch")
+	*format, *sum = FormatVersion, Checksum(payload)
+	if created.IsZero() {
+		*created = time.Now().UTC()
 	}
-	return &e, nil
-}
-
-// Put stores an entry, computing its checksum and stamping the format
-// version. The write is atomic (temp file + rename): concurrent writers of
-// the same key race benignly — both write valid, semantically identical
-// entries — and a crash mid-write leaves only a temp file the next GC
-// sweeps up, never a damaged entry under the final name.
-func (l *Ledger) Put(e *Entry) error {
-	if e == nil || !validKey(e.Key) {
-		return fmt.Errorf("ledger: put: invalid entry key")
-	}
-	if len(e.Result) == 0 {
-		return errors.New("ledger: put: empty result")
-	}
-	if err := faultinject.Fire("ledger.put"); err != nil {
-		return fmt.Errorf("ledger: put %s: %w", e.Key, err)
-	}
-	stored := *e
-	stored.Format = FormatVersion
-	stored.Checksum = checksum(stored.Result)
-	if stored.Created.IsZero() {
-		stored.Created = time.Now().UTC()
-	}
-	data, err := json.Marshal(&stored)
+	data, err := json.Marshal(rec)
 	if err != nil {
-		return fmt.Errorf("ledger: put %s: %w", e.Key, err)
+		return fail(err)
 	}
+	data = faultinject.Mangle(k.mangle, data)
 
-	dst := l.path(stored.Key)
+	dst := l.path(*key, k)
 	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-		return fmt.Errorf("ledger: put %s: %w", e.Key, err)
+		return fail(err)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(dst), "."+stored.Key[:8]+".tmp-")
+	tmp, err := os.CreateTemp(filepath.Dir(dst), "."+(*key)[:8]+".tmp-")
 	if err != nil {
-		return fmt.Errorf("ledger: put %s: %w", e.Key, err)
+		return fail(err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
 	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
-		return fmt.Errorf("ledger: put %s: %w", e.Key, err)
+		return fail(err)
 	}
 	// Flush file contents before the rename publishes the name, so a crash
-	// cannot leave a published-but-empty entry.
+	// cannot leave a published-but-empty record.
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
-		return fmt.Errorf("ledger: put %s: %w", e.Key, err)
+		return fail(err)
 	}
 	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("ledger: put %s: %w", e.Key, err)
+		return fail(err)
 	}
 	if err := os.Rename(tmp.Name(), dst); err != nil {
-		return fmt.Errorf("ledger: put %s: %w", e.Key, err)
+		return fail(err)
 	}
-	l.puts.Add(1)
 	return nil
 }
 
-// Delete removes an entry. Deleting an absent key is not an error.
-func (l *Ledger) Delete(key string) error {
+// lookup is how a verified read of one record file ended.
+type lookup int
+
+const (
+	absent  lookup = iota // no file, or a foreign format version
+	damaged               // failed verification and was quarantined
+	found
+)
+
+// get reads and verifies its key's file of kind k into rec. A damaged file
+// is quarantined: removed, so the next writer can replace it, and counted
+// in Stats.Corrupt. A hit bumps the file's mtime (best effort): GCSize
+// evicts oldest-mtime first, so reads keep hot records out of the next
+// size-budget sweep.
+func (l *Ledger) get(key string, k *kind, rec record) (lookup, error) {
+	if !validKey(key) {
+		return absent, fmt.Errorf("ledger: invalid key %q", key)
+	}
+	path := l.path(key, k)
+	data, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return absent, nil
+	}
+	if err != nil {
+		return absent, fmt.Errorf("ledger: get %s%s: %w", key, k.ext, err)
+	}
+	ok, err := decode(data, key, rec)
+	if err != nil {
+		l.corrupt.Add(1)
+		_ = os.Remove(path)
+		return damaged, nil
+	}
+	if !ok {
+		return absent, nil
+	}
+	now := time.Now()
+	_ = os.Chtimes(path, now, now)
+	return found, nil
+}
+
+// Get returns the stored entry for a key, or nil when the ledger has none.
+// An entry that exists but fails verification — truncated or otherwise
+// half-written, wrong key, checksum mismatch — is quarantined and reported
+// as a miss, so the caller re-solves instead of serving a corrupt result.
+// A different format version is a plain miss.
+func (l *Ledger) Get(key string) (*Entry, error) {
+	var e Entry
+	res, err := l.get(key, entryFile, &e)
+	switch {
+	case err != nil:
+		return nil, err
+	case res == found:
+		l.hits.Add(1)
+		return &e, nil
+	case res == absent:
+		l.misses.Add(1)
+	}
+	return nil, nil
+}
+
+// Put stores an entry, stamping its format version, checksum and (when
+// unset) creation time, and then removes the key's partial-run checkpoint,
+// which the result supersedes. That removal is best-effort: a leftover
+// checkpoint is harmless, because Get answers first and a server's
+// restart recovery drops a checkpoint whose result exists.
+func (l *Ledger) Put(e *Entry) error {
+	if e == nil {
+		return errors.New("ledger: put: nil entry")
+	}
+	stored := *e
+	if err := l.put(entryFile, &stored); err != nil {
+		return err
+	}
+	l.puts.Add(1)
+	_ = l.DeleteCheckpoint(e.Key)
+	return nil
+}
+
+// GetCheckpoint returns the stored partial-run checkpoint for a key, or nil
+// when there is none. Damage quarantines the file and reads as a miss,
+// exactly like Get: a resumable state that cannot be verified is worth
+// less than a cold start. A foreign format version is a plain miss.
+func (l *Ledger) GetCheckpoint(key string) (*Checkpoint, error) {
+	var c Checkpoint
+	if res, err := l.get(key, ckptFile, &c); res != found {
+		return nil, err
+	}
+	return &c, nil
+}
+
+// PutCheckpoint stores (replacing) the partial-run checkpoint for a key,
+// with the same atomic write as Put. Fault-injection points:
+// "ledger.put-checkpoint" fails the write, "ledger.checkpoint-data" mangles
+// the file bytes (simulating a torn write that the next read must catch).
+func (l *Ledger) PutCheckpoint(c *Checkpoint) error {
+	if c == nil {
+		return errors.New("ledger: put checkpoint: nil checkpoint")
+	}
+	stored := *c
+	return l.put(ckptFile, &stored)
+}
+
+// DeleteCheckpoint removes the partial-run checkpoint for a key. Absent
+// keys are not an error.
+func (l *Ledger) DeleteCheckpoint(key string) error {
 	if !validKey(key) {
 		return fmt.Errorf("ledger: invalid key %q", key)
 	}
-	err := os.Remove(l.path(key))
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil
+	if err := os.Remove(l.path(key, ckptFile)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return err
 	}
-	return err
+	return nil
 }
 
-// Keys returns every stored key in sorted order, without decoding entries.
-func (l *Ledger) Keys() ([]string, error) {
-	var keys []string
-	err := l.walk(func(key, _ string) error {
-		keys = append(keys, key)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(keys)
-	return keys, nil
-}
-
-// Entries decodes every valid stored entry, sorted by key. Entries that
-// fail verification are skipped (they are quarantined by the next Get that
-// addresses them); foreign format versions are skipped silently.
-func (l *Ledger) Entries() ([]*Entry, error) {
-	var out []*Entry
-	err := l.walk(func(key, path string) error {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil // racing deletion
-		}
-		if e, err := decodeEntry(data, key); err == nil && e != nil {
-			out = append(out, e)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out, nil
-}
-
-// walk visits every plausible entry file as (key, path).
-func (l *Ledger) walk(visit func(key, path string) error) error {
+// scan visits, in key order, every record file — named <key><ext> in its
+// key's shard — and, with a nil kind and an empty key, every temp file a
+// writer has open or abandoned. Other names are skipped. Key order comes
+// free: os.ReadDir sorts by name, and keys are fixed-length hex.
+func (l *Ledger) scan(visit func(key string, k *kind, path string, f fs.DirEntry)) error {
 	shards, err := os.ReadDir(l.dir)
 	if err != nil {
 		return fmt.Errorf("ledger: %w", err)
@@ -312,83 +413,161 @@ func (l *Ledger) walk(visit func(key, path string) error) error {
 		if !shard.IsDir() || len(shard.Name()) != 2 {
 			continue
 		}
-		files, err := os.ReadDir(filepath.Join(l.dir, shard.Name()))
+		dir := filepath.Join(l.dir, shard.Name())
+		files, err := os.ReadDir(dir)
 		if err != nil {
 			continue // racing removal of an emptied shard
 		}
 		for _, f := range files {
-			key, ok := strings.CutSuffix(f.Name(), ".json")
-			if !ok || !validKey(key) || key[:2] != shard.Name() {
+			path := filepath.Join(dir, f.Name())
+			if strings.Contains(f.Name(), ".tmp-") {
+				visit("", nil, path, f)
 				continue
 			}
-			if err := visit(key, filepath.Join(l.dir, shard.Name(), f.Name())); err != nil {
-				return err
+			for _, k := range kinds {
+				key, ok := strings.CutSuffix(f.Name(), k.ext)
+				if ok && validKey(key) && key[:2] == shard.Name() {
+					visit(key, k, path, f)
+				}
 			}
 		}
 	}
 	return nil
 }
 
-// GC removes entries and partial-run checkpoints created before the cutoff
-// (a zero cutoff keeps all of them) plus any abandoned temp files from
-// crashed writers, and reports how many files it removed. Files that fail
-// verification are removed regardless of age — they could never be served
-// or resumed from.
-func (l *Ledger) GC(before time.Time) (removed int, err error) {
-	shards, err := os.ReadDir(l.dir)
-	if err != nil {
-		return 0, fmt.Errorf("ledger: gc: %w", err)
-	}
-	for _, shard := range shards {
-		if !shard.IsDir() || len(shard.Name()) != 2 {
-			continue
+// each decodes every valid record of kind k, in key order. Damaged files
+// are skipped (the next read of the key quarantines them), and so are
+// foreign format versions.
+func (l *Ledger) each(k *kind, keep func(record)) error {
+	return l.scan(func(key string, fk *kind, path string, _ fs.DirEntry) {
+		if fk != k {
+			return
 		}
-		dir := filepath.Join(l.dir, shard.Name())
-		files, err := os.ReadDir(dir)
+		data, err := os.ReadFile(path)
 		if err != nil {
-			continue
+			return // racing deletion
 		}
-		for _, f := range files {
-			path := filepath.Join(dir, f.Name())
-			if strings.Contains(f.Name(), ".tmp-") {
-				// A writer that crashed between CreateTemp and rename; any
-				// live writer holds its temp open for well under a second,
-				// so only clearly abandoned files are swept.
-				if info, err := f.Info(); err == nil && time.Since(info.ModTime()) > time.Minute {
-					_ = os.Remove(path)
-				}
-				continue
+		rec := k.newRecord()
+		if ok, _ := decode(data, key, rec); ok {
+			keep(rec)
+		}
+	})
+}
+
+// Keys returns every key with a stored entry, in sorted order, without
+// decoding entries.
+func (l *Ledger) Keys() ([]string, error) {
+	var keys []string
+	err := l.scan(func(key string, k *kind, _ string, _ fs.DirEntry) {
+		if k == entryFile {
+			keys = append(keys, key)
+		}
+	})
+	return keys, err
+}
+
+// Entries decodes every valid stored entry, sorted by key.
+func (l *Ledger) Entries() ([]*Entry, error) {
+	var out []*Entry
+	err := l.each(entryFile, func(r record) { out = append(out, r.(*Entry)) })
+	return out, err
+}
+
+// Checkpoints decodes every valid stored partial-run checkpoint, sorted by
+// key — the restart-recovery scan a server runs to find interrupted work.
+func (l *Ledger) Checkpoints() ([]*Checkpoint, error) {
+	var out []*Checkpoint
+	err := l.each(ckptFile, func(r record) { out = append(out, r.(*Checkpoint)) })
+	return out, err
+}
+
+// GC sweeps the ledger by age. It removes the entries and checkpoints
+// created before the cutoff (a zero cutoff keeps all of them), every
+// record that fails verification whatever its age — it could never be
+// served or resumed from — and temp files that crashed writers abandoned.
+// It reports how many entries and checkpoints it removed; temp files are
+// not counted. A dry sweep removes nothing and reports what a real one
+// would remove.
+func (l *Ledger) GC(before time.Time, dry bool) (entries, checkpoints int, err error) {
+	err = l.scan(func(key string, k *kind, path string, f fs.DirEntry) {
+		if k == nil {
+			// A writer that crashed between CreateTemp and rename; any live
+			// writer holds its temp open for well under a second, so only
+			// clearly abandoned files are swept.
+			if info, err := f.Info(); err == nil && time.Since(info.ModTime()) > time.Minute && !dry {
+				_ = os.Remove(path)
 			}
-			if key, ok := strings.CutSuffix(f.Name(), ".ckpt"); ok && validKey(key) {
-				data, err := os.ReadFile(path)
-				if err != nil {
-					continue
-				}
-				c, derr := decodeCheckpoint(data, key)
-				expired := derr == nil && c != nil && !before.IsZero() && c.Created.Before(before)
-				if derr != nil || expired {
-					if os.Remove(path) == nil {
-						removed++
-					}
-				}
-				continue
+			return
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return // racing deletion
+		}
+		rec := k.newRecord()
+		if ok, derr := decode(data, key, rec); derr == nil {
+			_, _, created, _, _ := rec.header()
+			if !ok || before.IsZero() || !created.Before(before) {
+				return // foreign format, or not expired
 			}
-			key, ok := strings.CutSuffix(f.Name(), ".json")
-			if !ok || !validKey(key) {
-				continue
+		}
+		if dry || os.Remove(path) == nil {
+			if k == entryFile {
+				entries++
+			} else {
+				checkpoints++
 			}
-			data, err := os.ReadFile(path)
-			if err != nil {
-				continue
-			}
-			e, derr := decodeEntry(data, key)
-			expired := derr == nil && e != nil && !before.IsZero() && e.Created.Before(before)
-			if derr != nil || expired {
-				if os.Remove(path) == nil {
-					removed++
-				}
-			}
+		}
+	})
+	return entries, checkpoints, err
+}
+
+// gcFile is one eviction candidate of a size-budget sweep.
+type gcFile struct {
+	path  string
+	size  int64
+	mtime time.Time
+	ckpt  bool
+}
+
+// GCSize evicts stored files until the ledger's total size (entries plus
+// checkpoints) fits maxBytes, least-recently-accessed first with every
+// checkpoint considered before any result entry — a checkpoint only saves
+// part of a solve, a result saves all of it. Reads bump mtimes (see Get /
+// GetCheckpoint), so mtime order approximates LRU. Returns how many files
+// were removed and the bytes freed. maxBytes <= 0 evicts everything.
+func (l *Ledger) GCSize(maxBytes int64) (removed int, freed int64, err error) {
+	var files []gcFile
+	var total int64
+	err = l.scan(func(_ string, k *kind, path string, f fs.DirEntry) {
+		if k == nil {
+			return // temp files are GC's to sweep
+		}
+		info, err := f.Info()
+		if err != nil {
+			return // racing deletion
+		}
+		total += info.Size()
+		files = append(files, gcFile{path: path, size: info.Size(), mtime: info.ModTime(), ckpt: k == ckptFile})
+	})
+	if err != nil {
+		return 0, 0, err
+	}
+	// Checkpoints strictly before entries; oldest access first within each.
+	sort.Slice(files, func(i, j int) bool {
+		if files[i].ckpt != files[j].ckpt {
+			return files[i].ckpt
+		}
+		return files[i].mtime.Before(files[j].mtime)
+	})
+	for _, f := range files {
+		if total <= maxBytes {
+			break
+		}
+		if os.Remove(f.path) == nil {
+			removed++
+			freed += f.size
+			total -= f.size
 		}
 	}
-	return removed, nil
+	return removed, freed, nil
 }

@@ -116,6 +116,15 @@ func TestInvalidKeyRejected(t *testing.T) {
 		if err := l.Put(&Entry{Key: key, Result: json.RawMessage(`{}`)}); err == nil {
 			t.Errorf("Put(%q): no error", key)
 		}
+		if _, err := l.GetCheckpoint(key); err == nil {
+			t.Errorf("GetCheckpoint(%q): no error", key)
+		}
+		if err := l.PutCheckpoint(&Checkpoint{Key: key, Data: []byte{1}}); err == nil {
+			t.Errorf("PutCheckpoint(%q): no error", key)
+		}
+		if err := l.DeleteCheckpoint(key); err == nil {
+			t.Errorf("DeleteCheckpoint(%q): no error", key)
+		}
 	}
 }
 
@@ -201,19 +210,31 @@ func TestForeignFormatIsMissNotQuarantine(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := testKey("future format")
-	path := filepath.Join(dir, key[:2], key+".json")
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		k       *kind
+		payload string
+		get     func() (found bool, err error)
+	}{
+		{entryFile, `"result":{}`, func() (bool, error) { e, err := l.Get(key); return e != nil, err }},
+		{ckptFile, `"data":"AQ=="`, func() (bool, error) { c, err := l.GetCheckpoint(key); return c != nil, err }},
+	} {
+		path := l.path(key, tc.k)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		future := fmt.Sprintf(`{"format":%d,"key":%q,%s,"checksum":"x"}`, FormatVersion+1, key, tc.payload)
+		if err := os.WriteFile(path, []byte(future), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if found, err := tc.get(); err != nil || found {
+			t.Fatalf("foreign-format %s: found %v, err %v", tc.k.ext, found, err)
+		}
+		if _, err := os.Stat(path); err != nil {
+			t.Fatalf("foreign-format %s was deleted", tc.k.ext)
+		}
 	}
-	future := fmt.Sprintf(`{"format":%d,"key":%q,"result":{},"checksum":"x"}`, FormatVersion+1, key)
-	if err := os.WriteFile(path, []byte(future), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := l.Get(key); err != nil || got != nil {
-		t.Fatalf("foreign format: got %v, %v", got, err)
-	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatal("foreign-format entry was deleted")
+	if st := l.Stats(); st.Corrupt != 0 {
+		t.Fatalf("foreign formats counted as corrupt: %+v", st)
 	}
 }
 
@@ -276,12 +297,12 @@ func TestGC(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	removed, err := l.GC(time.Now().UTC().Add(-24 * time.Hour))
+	removed, checkpoints, err := l.GC(time.Now().UTC().Add(-24*time.Hour), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if removed != 2 {
-		t.Fatalf("gc removed %d, want 2 (expired + damaged)", removed)
+	if removed != 2 || checkpoints != 0 {
+		t.Fatalf("gc removed %d entries and %d checkpoints, want 2 (expired + damaged) and 0", removed, checkpoints)
 	}
 	if got, _ := l.Get(old.Key); got != nil {
 		t.Fatal("expired entry survived gc")
@@ -291,8 +312,70 @@ func TestGC(t *testing.T) {
 	}
 
 	// A zero cutoff keeps everything.
-	if removed, err := l.GC(time.Time{}); err != nil || removed != 0 {
+	if removed, _, err := l.GC(time.Time{}, false); err != nil || removed != 0 {
 		t.Fatalf("zero-cutoff gc: removed %d, %v", removed, err)
+	}
+}
+
+// TestGCDryRunMatchesSweep: a dry sweep removes nothing and reports exactly
+// what the real sweep then removes — expired and damaged entries and an
+// expired checkpoint alike.
+func TestGCDryRunMatchesSweep(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cutoff := time.Now().UTC().Add(-time.Hour)
+	old, fresh, damaged := testEntry("dry old"), testEntry("dry fresh"), testEntry("dry damaged")
+	old.Created = cutoff.Add(-time.Hour)
+	oldCk, freshCk := testCheckpoint("dry old ckpt", 5), testCheckpoint("dry fresh ckpt", 6)
+	oldCk.Created = cutoff.Add(-time.Hour)
+	for _, e := range []*Entry{old, fresh, damaged} {
+		if err := l.Put(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []*Checkpoint{oldCk, freshCk} {
+		if err := l.PutCheckpoint(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(l.path(damaged.Key, entryFile), []byte("{"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	swept := []string{l.path(old.Key, entryFile), l.path(damaged.Key, entryFile), l.path(oldCk.Key, ckptFile)}
+	kept := []string{l.path(fresh.Key, entryFile), l.path(freshCk.Key, ckptFile)}
+
+	entries, checkpoints, err := l.GC(cutoff, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if entries != 2 || checkpoints != 1 {
+		t.Fatalf("dry gc reports %d entries and %d checkpoints, want 2 and 1", entries, checkpoints)
+	}
+	for _, path := range append(swept, kept...) {
+		if _, err := os.Stat(path); err != nil {
+			t.Fatalf("dry gc removed %s", filepath.Base(path))
+		}
+	}
+
+	gotE, gotC, err := l.GC(cutoff, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotE != entries || gotC != checkpoints {
+		t.Fatalf("gc removed %d entries and %d checkpoints; the dry run reported %d and %d", gotE, gotC, entries, checkpoints)
+	}
+	for _, path := range swept {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("gc kept %s", filepath.Base(path))
+		}
+	}
+	for _, path := range kept {
+		if _, err := os.Stat(path); err != nil {
+			t.Fatalf("gc removed %s", filepath.Base(path))
+		}
 	}
 }
 

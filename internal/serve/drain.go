@@ -47,10 +47,9 @@ func (s *Server) Drain(ctx context.Context) error {
 // Recover re-submits every interrupted run found in the ledger: a stored
 // partial-run checkpoint whose result has not landed marks a solve a
 // previous process left unfinished. Each is re-admitted (quota-free, normal
-// lane) and — with checkpointing configured — resumes from its checkpoint
-// instead of step 0. Checkpoints whose result already exists are stale and
-// dropped. Returns how many runs were re-submitted. Call once, after New,
-// before serving traffic.
+// lane) and resumes from its checkpoint instead of step 0. Checkpoints
+// whose result already exists are stale and dropped. Returns how many runs
+// were re-submitted. Call once, after New, before serving traffic.
 func (s *Server) Recover() (int, error) {
 	if s.cfg.Ledger == nil {
 		return 0, nil
@@ -74,20 +73,20 @@ func (s *Server) Recover() (int, error) {
 			s.logf("serve: recover %s: bad spec: %v", ck.Key, err)
 			continue
 		}
-		sub, err := s.prepare(p)
+		job, err := Prepare(s.cfg.Session, p)
 		if err != nil {
 			s.logf("serve: recover %s: %v", ck.Key, err)
 			continue
 		}
-		if sub.key != ck.Key {
+		if job.Key != ck.Key {
 			// The spec no longer hashes to the stored key (e.g. a toolkit
 			// upgrade changed canonicalization); resuming would file the
 			// result under the wrong address.
-			s.logf("serve: recover %s: spec re-keys to %s; dropping", ck.Key, sub.key)
+			s.logf("serve: recover %s: spec re-keys to %s; dropping", ck.Key, job.Key)
 			_ = s.cfg.Ledger.DeleteCheckpoint(ck.Key)
 			continue
 		}
-		if sr, coalesced, _ := s.admit(sub, prioNormal, ""); sr != nil && !coalesced {
+		if sr, coalesced, _ := s.admit(job, 0, prioNormal, ""); sr != nil && !coalesced {
 			resumed++
 			s.logf("serve: recovered %s from checkpoint at step %d (created %s)",
 				ck.Key, ck.Step, ck.Created.Format(time.RFC3339))

@@ -78,10 +78,12 @@ func TestDrainRejectsSubmissions(t *testing.T) {
 }
 
 // TestDrainCheckpointsAndRecoverResumes is the crash-safety acceptance path:
-// a solve interrupted by Drain leaves a resumable checkpoint in the ledger;
-// a new server over the same directory re-submits it via Recover, and the
-// resumed run converges to a result byte-identical to an uninterrupted
-// solve while marching strictly fewer steps in the resumed process.
+// a solve interrupted by Drain leaves a resumable checkpoint in the ledger,
+// and a new server over the same directory resumes it — re-submitted by
+// Recover, or re-posted to a server with no checkpoint cadence, since a
+// stored checkpoint is always resumed. The resumed run converges to a
+// result byte-identical to an uninterrupted solve while marching strictly
+// fewer steps in the resumed process.
 func TestDrainCheckpointsAndRecoverResumes(t *testing.T) {
 	// Uninterrupted reference solve over its own ledger. Compare stored
 	// ledger artifacts, not HTTP bodies — the response encoder re-indents.
@@ -103,24 +105,89 @@ func TestDrainCheckpointsAndRecoverResumes(t *testing.T) {
 		t.Fatalf("cold solve finished in %d steps; too fast to interrupt reliably", coldStep)
 	}
 
-	// Victim server: checkpoint every few steps, then drain mid-march.
+	for _, restart := range []struct {
+		name   string
+		finish func(t *testing.T, l *ledger.Ledger) *ledger.Entry
+	}{
+		{"recover", func(t *testing.T, l *ledger.Ledger) *ledger.Entry {
+			s, _ := newTestServer(t, Config{Ledger: l, CheckpointEvery: 5})
+			n, err := s.Recover()
+			if err != nil || n != 1 {
+				t.Fatalf("recover: %d resumed, err %v; want 1", n, err)
+			}
+			deadline := time.Now().Add(120 * time.Second)
+			for {
+				if entry, _ := l.Get(cold.Key); entry != nil {
+					return entry
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("recovered run never produced a result")
+				}
+				time.Sleep(20 * time.Millisecond)
+			}
+		}},
+		{"repost", func(t *testing.T, l *ledger.Ledger) *ledger.Entry {
+			_, ts := newTestServer(t, Config{Ledger: l})
+			resp, v := postCase(t, ts.URL+"/api/runs?wait=1", ckptNSProblem(), nil)
+			if resp.StatusCode != http.StatusOK || v.Error != "" || v.Cached {
+				t.Fatalf("re-posted solve: status %d %+v", resp.StatusCode, v)
+			}
+			entry, err := l.Get(cold.Key)
+			if err != nil || entry == nil {
+				t.Fatalf("re-posted result not in ledger (err %v)", err)
+			}
+			return entry
+		}},
+	} {
+		t.Run(restart.name, func(t *testing.T) {
+			dir, ck := drainMidSolve(t, cold.Key)
+			// A restarted process: a new ledger handle over the same directory.
+			l, err := ledger.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			entry := restart.finish(t, l)
+			if !bytes.Equal(entry.Result, coldEntry.Result) {
+				t.Fatalf("resumed result differs from uninterrupted solve (resumed step %d, ckpt step %d, cold step %d):\n%.300s\nvs\n%.300s",
+					snapStep(t, entry.Snapshot), ck.Step, coldStep, entry.Result, coldEntry.Result)
+			}
+			resumedStep := snapStep(t, entry.Snapshot)
+			if resumedStep >= coldStep {
+				t.Fatalf("resumed run marched %d steps, cold %d; resume saved nothing", resumedStep, coldStep)
+			}
+			if resumedStep+ck.Step < coldStep {
+				t.Fatalf("resumed steps %d + checkpoint step %d fall short of cold %d", resumedStep, ck.Step, coldStep)
+			}
+			// The landed result supersedes the checkpoint.
+			if c, _ := l.GetCheckpoint(cold.Key); c != nil {
+				t.Fatal("checkpoint survived its run's result")
+			}
+		})
+	}
+}
+
+// drainMidSolve posts ckptNSProblem to a server checkpointing every few
+// steps over a fresh ledger directory and drains it mid-march. It returns
+// the directory and the checkpoint that survived the drain.
+func drainMidSolve(t *testing.T, key string) (string, *ledger.Checkpoint) {
+	t.Helper()
 	dir := t.TempDir()
-	lA, err := ledger.Open(dir)
+	l, err := ledger.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sA, tsA := newTestServer(t, Config{Ledger: lA, CheckpointEvery: 5})
-	_, victim := postCase(t, tsA.URL+"/api/runs", ckptNSProblem(), nil)
-	if victim.ID == "" || victim.Key != cold.Key {
-		t.Fatalf("victim submission: %+v (cold key %s)", victim, cold.Key)
+	s, ts := newTestServer(t, Config{Ledger: l, CheckpointEvery: 5})
+	_, victim := postCase(t, ts.URL+"/api/runs", ckptNSProblem(), nil)
+	if victim.ID == "" || victim.Key != key {
+		t.Fatalf("victim submission: %+v (cold key %s)", victim, key)
 	}
 
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		if c, err := lA.GetCheckpoint(victim.Key); err == nil && c != nil && c.Step > 0 {
+		if c, err := l.GetCheckpoint(key); err == nil && c != nil && c.Step > 0 {
 			break
 		}
-		if e, _ := lA.Get(victim.Key); e != nil {
+		if e, _ := l.Get(key); e != nil {
 			t.Fatal("solve finished before the first checkpoint; case too fast for this test")
 		}
 		if time.Now().After(deadline) {
@@ -130,57 +197,20 @@ func TestDrainCheckpointsAndRecoverResumes(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := sA.Drain(ctx); err != nil {
+	if err := s.Drain(ctx); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	if e, _ := lA.Get(victim.Key); e != nil {
+	if e, _ := l.Get(key); e != nil {
 		t.Fatal("drained run still produced a result entry")
 	}
-	ck, err := lA.GetCheckpoint(victim.Key)
+	ck, err := l.GetCheckpoint(key)
 	if err != nil || ck == nil {
 		t.Fatalf("no checkpoint survived the drain (err %v)", err)
 	}
 	if len(ck.Spec) == 0 {
 		t.Fatal("checkpoint stored without its case spec")
 	}
-
-	// Restarted server over the same ledger directory resumes the run.
-	lB, err := ledger.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sB, _ := newTestServer(t, Config{Ledger: lB, CheckpointEvery: 5})
-	n, err := sB.Recover()
-	if err != nil || n != 1 {
-		t.Fatalf("recover: %d resumed, err %v; want 1", n, err)
-	}
-
-	var entry *ledger.Entry
-	deadline = time.Now().Add(120 * time.Second)
-	for {
-		if entry, _ = lB.Get(victim.Key); entry != nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("recovered run never produced a result")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if !bytes.Equal(entry.Result, coldEntry.Result) {
-		t.Fatalf("resumed result differs from uninterrupted solve (resumed step %d, ckpt step %d, cold step %d):\n%.300s\nvs\n%.300s",
-			snapStep(t, entry.Snapshot), ck.Step, coldStep, entry.Result, coldEntry.Result)
-	}
-	resumedStep := snapStep(t, entry.Snapshot)
-	if resumedStep >= coldStep {
-		t.Fatalf("resumed run marched %d steps, cold %d; resume saved nothing", resumedStep, coldStep)
-	}
-	if resumedStep+ck.Step < coldStep {
-		t.Fatalf("resumed steps %d + checkpoint step %d fall short of cold %d", resumedStep, ck.Step, coldStep)
-	}
-	// The landed result supersedes the checkpoint.
-	if c, _ := lB.GetCheckpoint(victim.Key); c != nil {
-		t.Fatal("checkpoint survived its run's result")
-	}
+	return dir, ck
 }
 
 // TestRecoverDropsStaleCheckpoint: a checkpoint whose result already landed

@@ -32,18 +32,17 @@
 //
 // # Fault tolerance
 //
-// With a ledger and a checkpoint cadence configured, in-flight solves
-// periodically persist resumable checkpoints under their case key. Drain
-// (SIGTERM in `catsim serve`) rejects new admissions with 503 + Retry-After,
-// checkpoints and cancels in-flight runs, and Recover on the next start
-// re-submits interrupted runs from their checkpoints, so a restarted server
-// continues long solves instead of repeating them.
+// With a ledger, every solve resumes from a valid checkpoint stored under
+// its case key, and with a checkpoint cadence configured, in-flight solves
+// periodically persist one (see Job). Drain (SIGTERM in `catsim serve`)
+// rejects new admissions with 503 + Retry-After, checkpoints and cancels
+// in-flight runs, and Recover on the next start re-submits interrupted runs
+// from their checkpoints, so a restarted server continues long solves
+// instead of repeating them.
 package serve
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -77,9 +76,10 @@ type Config struct {
 	QuotaBurst int
 	// CheckpointEvery, when positive (and a Ledger is configured), makes
 	// every executed solve persist a resumable checkpoint to the ledger
-	// every CheckpointEvery steps, and makes new solves resume from any
-	// valid checkpoint already stored under their case key. A case spec's
-	// own checkpoint_every takes precedence over this default.
+	// every CheckpointEvery steps. A case spec's own checkpoint_every takes
+	// precedence over this default. Resuming needs no cadence: with a
+	// Ledger, every solve resumes from a valid checkpoint already stored
+	// under its case key.
 	CheckpointEvery int
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
@@ -122,13 +122,10 @@ type Server struct {
 // published by channel close: run is valid once admitted is closed; result,
 // finalSnap and err once done is closed.
 type srvRun struct {
+	Job
 	id       string
-	key      string
-	name     string
 	lane     priority
 	created  time.Time
-	spec     json.RawMessage // canonical case JSON (the hashed bytes)
-	problem  cataero.Problem
 	cancel   context.CancelFunc
 	deadline time.Duration // per-request solve bound (X-Deadline-Ms); 0 = none
 	admitted chan struct{}
@@ -233,33 +230,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		resp["ledger"] = s.cfg.Ledger.Stats()
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// submission is one parsed, keyed case ready for admission.
-type submission struct {
-	problem  cataero.Problem
-	key      string
-	spec     json.RawMessage
-	name     string
-	deadline time.Duration
-}
-
-// prepare normalizes a problem against the session and computes its
-// content key.
-func (s *Server) prepare(p cataero.Problem) (submission, error) {
-	np, err := s.cfg.Session.Normalize(p)
-	if err != nil {
-		return submission{}, err
-	}
-	spec, err := cataero.CanonicalJSON(np)
-	if err != nil {
-		return submission{}, err
-	}
-	key, err := cataero.CaseKey(np)
-	if err != nil {
-		return submission{}, err
-	}
-	return submission{problem: np, key: key, spec: spec, name: p.Name}, nil
 }
 
 // lookupLedger returns the cached view for a key, when the ledger holds a
@@ -367,25 +337,24 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "parse case: %v", err)
 		return
 	}
-	sub, err := s.prepare(p)
+	job, err := Prepare(s.cfg.Session, p)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	sub.deadline = deadline
 
-	if s.notModified(w, r, sub.key) {
+	if s.notModified(w, r, job.Key) {
 		return
 	}
-	if hit := s.lookupLedger(sub.key); hit != nil {
-		if tag := s.etagFor(sub.key); tag != "" {
+	if hit := s.lookupLedger(job.Key); hit != nil {
+		if tag := s.etagFor(job.Key); tag != "" {
 			w.Header().Set("ETag", `"`+tag+`"`)
 		}
 		writeJSON(w, http.StatusOK, hit)
 		return
 	}
 
-	sr, coalesced, retryAfter := s.admit(sub, lane, clientKey(r))
+	sr, coalesced, retryAfter := s.admit(job, deadline, lane, clientKey(r))
 	if sr == nil {
 		retryAfterError(w, retryAfter)
 		return
@@ -420,13 +389,14 @@ func retryAfterError(w http.ResponseWriter, retryAfter time.Duration) {
 		"quota exhausted; retry in %ds", secs)
 }
 
-// admit registers a new run for the submission — or coalesces onto an
-// identical in-flight one — charging the client's quota only for genuinely
-// new solves. A nil run means the quota rejected the submission. The empty
+// admit registers a new run for the job — or coalesces onto an identical
+// in-flight one — charging the client's quota only for genuinely new
+// solves. A nil run means the quota rejected the submission. The empty
 // client is the server itself (restart recovery) and is never quota-charged.
-func (s *Server) admit(sub submission, lane priority, client string) (sr *srvRun, coalesced bool, retryAfter time.Duration) {
+// A positive deadline bounds the solve's wall clock (X-Deadline-Ms).
+func (s *Server) admit(job Job, deadline time.Duration, lane priority, client string) (sr *srvRun, coalesced bool, retryAfter time.Duration) {
 	s.mu.Lock()
-	if existing := s.byKey[sub.key]; existing != nil {
+	if existing := s.byKey[job.Key]; existing != nil {
 		s.mu.Unlock()
 		return existing, true, 0
 	}
@@ -439,20 +409,17 @@ func (s *Server) admit(sub submission, lane priority, client string) (sr *srvRun
 	ctx, cancel := context.WithCancel(s.ctx)
 	s.nextID++
 	sr = &srvRun{
+		Job:      job,
 		id:       fmt.Sprintf("r%06d", s.nextID),
-		key:      sub.key,
-		name:     sub.name,
 		lane:     lane,
 		created:  time.Now().UTC(),
-		spec:     sub.spec,
-		problem:  sub.problem,
 		cancel:   cancel,
-		deadline: sub.deadline,
+		deadline: deadline,
 		admitted: make(chan struct{}),
 		done:     make(chan struct{}),
 	}
 	s.runs[sr.id] = sr
-	s.byKey[sub.key] = sr
+	s.byKey[job.Key] = sr
 	s.order = append(s.order, sr)
 	s.evictLocked()
 	s.mu.Unlock()
@@ -486,9 +453,10 @@ func (s *Server) evictLocked() {
 }
 
 // execute runs one admitted solve to completion: lane gate, session
-// submission, ledger write-back. With checkpointing configured, the solve
-// persists resumable checkpoints under its case key, resumes from a stored
-// one when present, and drops the checkpoint once the result lands.
+// submission, ledger write-back. With a ledger, the solve resumes from a
+// checkpoint stored under its case key and persists new ones at the
+// configured cadence (Job.Resumable); its stored result supersedes the
+// checkpoint.
 func (s *Server) execute(ctx context.Context, sr *srvRun) {
 	defer close(sr.done)
 	if err := s.adm.acquire(ctx, sr.lane); err != nil {
@@ -503,7 +471,10 @@ func (s *Server) execute(ctx context.Context, sr *srvRun) {
 		ctx, cancel = context.WithTimeout(ctx, sr.deadline)
 		defer cancel()
 	}
-	p := s.installCheckpointing(sr.problem, sr)
+	p := sr.Problem
+	if s.cfg.Ledger != nil {
+		p = sr.Resumable(s.cfg.Ledger, s.cfg.CheckpointEvery, s.logf)
+	}
 
 	run := s.cfg.Session.Submit(ctx, p)
 	sr.run = run
@@ -525,29 +496,12 @@ func (s *Server) execute(ctx context.Context, sr *srvRun) {
 	sr.result = result
 
 	if s.cfg.Ledger != nil {
-		snapJSON, err := json.Marshal(sr.finalSnap)
-		if err != nil {
-			snapJSON = nil
-		}
-		entry := &ledger.Entry{
-			Key:       sr.key,
-			Spec:      sr.spec,
-			Result:    result,
-			Snapshot:  snapJSON,
-			Solver:    sr.finalSnap.Solver,
-			Version:   cataero.Version,
-			ElapsedMS: float64(sr.finalSnap.Elapsed) / float64(time.Millisecond),
-		}
-		if err := s.cfg.Ledger.Put(entry); err != nil {
+		if err := sr.Store(s.cfg.Ledger, result, sr.finalSnap); err != nil {
 			// A failing ledger (full or read-only disk) degrades the server
 			// to cache-less operation; the solve itself still succeeded.
-			s.logf("serve: ledger put %s: %v", sr.key, err)
+			s.logf("serve: ledger put %s: %v", sr.Key, err)
 		} else {
-			s.setEtag(sr.key, hexSum(result))
-			// The result supersedes any partial-run checkpoint.
-			if err := s.cfg.Ledger.DeleteCheckpoint(sr.key); err != nil {
-				s.logf("serve: drop checkpoint %s: %v", sr.key, err)
-			}
+			s.setEtag(sr.Key, ledger.Checksum(result))
 		}
 	}
 	// Unkey only after the ledger write: a submission arriving in between
@@ -556,56 +510,11 @@ func (s *Server) execute(ctx context.Context, sr *srvRun) {
 	s.unkey(sr)
 }
 
-// hexSum is the ledger's result digest (the entry Checksum / ETag).
-func hexSum(b []byte) string {
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
-}
-
-// installCheckpointing wires a run's problem to the ledger's partial-run
-// store: a sink persisting each emitted checkpoint under the case key, and
-// a restore from the newest valid stored checkpoint. No ledger or no
-// cadence leaves the problem untouched. Sink failures are logged and
-// dropped — checkpoint persistence must never fail a run.
-func (s *Server) installCheckpointing(p cataero.Problem, sr *srvRun) cataero.Problem {
-	if s.cfg.Ledger == nil {
-		return p
-	}
-	if p.CheckpointEvery == 0 && s.cfg.CheckpointEvery > 0 {
-		p.CheckpointEvery = s.cfg.CheckpointEvery
-	}
-	if p.CheckpointEvery <= 0 {
-		return p
-	}
-	lg := s.cfg.Ledger
-	p.CheckpointSink = func(cp *cataero.Checkpoint) {
-		data, err := cp.AppendBinary(nil)
-		if err != nil {
-			s.logf("serve: encode checkpoint %s: %v", sr.key, err)
-			return
-		}
-		err = lg.PutCheckpoint(&ledger.Checkpoint{
-			Key: sr.key, Spec: sr.spec, Step: cp.Step,
-			Version: cataero.Version, Data: data,
-		})
-		if err != nil {
-			s.logf("serve: checkpoint %s: %v", sr.key, err)
-		}
-	}
-	if lc, err := lg.GetCheckpoint(sr.key); err == nil && lc != nil {
-		if cp, err := cataero.DecodeCheckpoint(lc.Data); err == nil {
-			p.Restore = cp
-			s.logf("serve: resuming %s from checkpoint at step %d", sr.key, lc.Step)
-		}
-	}
-	return p
-}
-
 // unkey removes a finished run from the in-flight coalescing index.
 func (s *Server) unkey(sr *srvRun) {
 	s.mu.Lock()
-	if s.byKey[sr.key] == sr {
-		delete(s.byKey, sr.key)
+	if s.byKey[sr.Key] == sr {
+		delete(s.byKey, sr.Key)
 	}
 	s.mu.Unlock()
 }
@@ -637,8 +546,8 @@ func (s *Server) respondRun(w http.ResponseWriter, r *http.Request, sr *srvRun, 
 func (s *Server) view(sr *srvRun) runView {
 	v := runView{
 		ID:       sr.id,
-		Key:      sr.key,
-		Name:     sr.name,
+		Key:      sr.Key,
+		Name:     sr.Problem.Name,
 		Priority: sr.lane.String(),
 		Created:  sr.created,
 		State:    cataero.RunQueued.String(),
@@ -852,20 +761,20 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var waits []*srvRun
 	waitIdx := make(map[*srvRun][]int)
 	for i, p := range problems {
-		sub, err := s.prepare(p)
+		job, err := Prepare(s.cfg.Session, p)
 		if err != nil {
 			views[i] = runView{State: cataero.RunDone.String(), Error: err.Error()}
 			continue
 		}
-		if hit := s.lookupLedger(sub.key); hit != nil {
+		if hit := s.lookupLedger(job.Key); hit != nil {
 			views[i] = *hit
 			continue
 		}
-		sr, coalesced, retryAfter := s.admit(sub, lane, client)
+		sr, coalesced, retryAfter := s.admit(job, 0, lane, client)
 		if sr == nil {
 			secs := int(retryAfter/time.Second) + 1
 			views[i] = runView{
-				Key:   sub.key,
+				Key:   job.Key,
 				State: cataero.RunDone.String(),
 				Error: fmt.Sprintf("quota exhausted; retry in %ds", secs),
 			}
