@@ -99,6 +99,19 @@ const (
 	ToggleOff     = core.ToggleOff
 )
 
+// Priority is a problem's lane in the session's admission queue (see
+// Problem.Priority and WithWorkers): a freed solve slot goes to the oldest
+// waiting run in the highest non-empty lane. It never changes a solve or its
+// CaseKey.
+type Priority = core.Priority
+
+// Admission lanes; the zero value is PriorityNormal.
+const (
+	PriorityLow    = core.PriorityLow
+	PriorityNormal = core.PriorityNormal
+	PriorityHigh   = core.PriorityHigh
+)
+
 // Monitor observes solver progress (see core.Monitor). Problem.Monitor
 // receives every iteration report in addition to the Run handle's own
 // snapshot tracking.

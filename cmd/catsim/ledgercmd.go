@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -12,7 +13,7 @@ import (
 
 // ledgerCmd inspects and maintains a run ledger:
 //
-//	catsim ledger ls  -ledger DIR             list entries (key, solver, age, cost)
+//	catsim ledger ls  -ledger DIR             list entries (key, solver, age, cost) and checkpoints
 //	catsim ledger get -ledger DIR KEY         print one full entry as JSON
 //	catsim ledger gc  -ledger DIR -older 720h remove entries and checkpoints past a cutoff
 func ledgerCmd(args []string) int {
@@ -41,12 +42,13 @@ func ledgerUsage(w *os.File) {
 	fmt.Fprintf(w, `usage: catsim ledger <ls|get|gc> -ledger DIR [args]
 
 subcommands:
-  ls   list stored entries: key, solver, age and original solve cost
+  ls   list stored entries (key, solver, age, original solve cost), then
+       the checkpoints of unfinished runs (key, step, age)
   get  print one entry (full JSON) by key; KEY may be a unique prefix
   gc   remove entries and checkpoints created before -older ago, plus
        damaged ones and abandoned temp files; -max-bytes then evicts
        least-recently-used files (checkpoints before results) until the
-       ledger fits the budget; -dry reports the age sweep without removing
+       ledger fits the budget; -dry reports what both would remove
 `)
 }
 
@@ -76,22 +78,44 @@ func ledgerLs(args []string) int {
 		fmt.Fprintf(os.Stderr, "catsim ledger ls: unexpected argument %q\n", rest[0])
 		return 2
 	}
-	entries, err := l.Entries()
-	if err != nil {
+	if err := listLedger(os.Stdout, l); err != nil {
 		fmt.Fprintf(os.Stderr, "catsim ledger ls: %v\n", err)
 		return 1
 	}
-	if len(entries) == 0 {
-		fmt.Println("ledger is empty")
-		return 0
-	}
-	fmt.Printf("%-16s  %-8s  %-12s  %s\n", "KEY", "SOLVER", "AGE", "SOLVED IN")
-	for _, e := range entries {
-		age := time.Since(e.Created).Round(time.Minute)
-		fmt.Printf("%-16s  %-8s  %-12s  %.1f ms\n", e.Key[:16], e.Solver, age, e.ElapsedMS)
-	}
-	fmt.Printf("%d entries\n", len(entries))
 	return 0
+}
+
+// listLedger prints the stored entries (key, solver, age, original solve
+// cost), then the checkpoints of unfinished runs (key, step, age), and a
+// summary with both counts.
+func listLedger(w io.Writer, l *ledger.Ledger) error {
+	entries, err := l.Entries()
+	if err != nil {
+		return err
+	}
+	cks, err := l.Checkpoints()
+	if err != nil {
+		return err
+	}
+	if len(entries)+len(cks) == 0 {
+		fmt.Fprintln(w, "ledger is empty")
+		return nil
+	}
+	age := func(created time.Time) time.Duration { return time.Since(created).Round(time.Minute) }
+	if len(entries) > 0 {
+		fmt.Fprintf(w, "%-16s  %-8s  %-12s  %s\n", "KEY", "SOLVER", "AGE", "SOLVED IN")
+		for _, e := range entries {
+			fmt.Fprintf(w, "%-16s  %-8s  %-12s  %.1f ms\n", e.Key[:16], e.Solver, age(e.Created), e.ElapsedMS)
+		}
+	}
+	if len(cks) > 0 {
+		fmt.Fprintf(w, "%-16s  %-8s  %s\n", "CHECKPOINT", "STEP", "AGE")
+		for _, c := range cks {
+			fmt.Fprintf(w, "%-16s  %-8d  %s\n", c.Key[:16], c.Step, age(c.Created))
+		}
+	}
+	fmt.Fprintf(w, "%d entries, %d checkpoints\n", len(entries), len(cks))
+	return nil
 }
 
 func ledgerGet(args []string) int {
@@ -168,23 +192,15 @@ func ledgerGC(args []string) int {
 	if *older > 0 {
 		cutoff = time.Now().UTC().Add(-*older)
 	}
-	entries, checkpoints, err := l.GC(cutoff, *dry)
+	entries, checkpoints, err := l.GC(cutoff, *maxBytes, *dry)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "catsim ledger gc: %v\n", err)
 		return 1
 	}
+	verb := "removed"
 	if *dry {
-		fmt.Printf("would remove %d entries and %d checkpoints (expired or damaged)\n", entries, checkpoints)
-		return 0
+		verb = "would remove"
 	}
-	fmt.Printf("removed %d entries and %d checkpoints\n", entries, checkpoints)
-	if *maxBytes > 0 {
-		evicted, freed, err := l.GCSize(*maxBytes)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "catsim ledger gc: %v\n", err)
-			return 1
-		}
-		fmt.Printf("evicted %d files (%d bytes) to fit %d bytes\n", evicted, freed, *maxBytes)
-	}
+	fmt.Printf("%s %d entries and %d checkpoints\n", verb, entries, checkpoints)
 	return 0
 }

@@ -31,7 +31,7 @@ func serveCmd(args []string) int {
 	fs := flag.NewFlagSet("catsim serve", flag.ExitOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	ledgerDir := fs.String("ledger", "", "run-ledger directory (empty = serve without caching)")
-	workers := fs.Int("workers", 0, "concurrent solve bound (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "concurrent solve bound: the session's width, whose queue admits waiting runs by X-Priority lane (0 = GOMAXPROCS)")
 	quotaRate := fs.Float64("quota-rate", 0, "per-client solve admissions per second (0 = unlimited)")
 	quotaBurst := fs.Int("quota-burst", 4, "per-client admission burst (token-bucket depth)")
 	checkpoint := fs.Int("checkpoint", 0, "checkpoint in-flight solves to the ledger every N steps (0 = none; stored checkpoints resume either way; requires -ledger)")
@@ -76,7 +76,6 @@ func serveCmd(args []string) int {
 	srv, err := serve.New(serve.Config{
 		Session:         session,
 		Ledger:          store,
-		Workers:         *workers,
 		QuotaRate:       *quotaRate,
 		QuotaBurst:      *quotaBurst,
 		CheckpointEvery: *checkpoint,

@@ -122,11 +122,34 @@ func (t Toggle) Enabled(def bool) bool {
 	return def
 }
 
+// Priority is a problem's admission lane in the session queue: a freed
+// solve slot goes to the oldest waiting run in the highest non-empty lane.
+// The zero value is PriorityNormal; a value above PriorityHigh or below
+// PriorityLow queues in the nearest lane.
+type Priority int
+
+const (
+	PriorityLow Priority = iota - 1
+	PriorityNormal
+	PriorityHigh
+)
+
+// String names the lane the priority queues in: "low", "normal" or "high".
+func (p Priority) String() string {
+	switch {
+	case p < PriorityNormal:
+		return "low"
+	case p > PriorityNormal:
+		return "high"
+	}
+	return "normal"
+}
+
 // Problem is a complete aerothermal case specification, and its JSON
 // encoding is the case-file format (case.go): the json tags name the
 // case-file keys, enumerations are spelled by name, and the Body stands
 // behind a named BodySpec. Runtime-only fields (functions, checkpoints, the
-// Monitor) are tagged "-" and have no case-file form.
+// Monitor, the Priority) are tagged "-" and have no case-file form.
 type Problem struct {
 	// Name is an optional case label for reports and case files; it does
 	// not affect the solve.
@@ -252,6 +275,10 @@ type Problem struct {
 	// Monitor). The session layer installs its own monitor for Run handles
 	// and forwards to this one.
 	Monitor Monitor `json:"-"`
+
+	// Priority is the run's lane in the session's admission queue. It
+	// orders waiting runs and never changes a solve. Runtime-only.
+	Priority Priority `json:"-"`
 }
 
 // SurfacePoint is one station of a surface distribution. The JSON tags are

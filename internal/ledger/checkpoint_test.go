@@ -168,7 +168,7 @@ func TestCheckpointsListAndGC(t *testing.T) {
 		}
 	}
 	// Age-based GC removes expired checkpoints alongside entries.
-	entries, checkpoints, err := l.GC(time.Now().Add(time.Hour), false)
+	entries, checkpoints, err := l.GC(time.Now().Add(time.Hour), 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,26 +208,17 @@ func TestGCSizeEvictsCheckpointsFirst(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	size := func(path string) int64 {
-		info, err := os.Stat(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return info.Size()
-	}
-	total := size(l.path(cA.Key, ckptFile)) + size(l.path(cB.Key, ckptFile)) + size(l.path(eOld.Key, entryFile)) + size(l.path(eNew.Key, entryFile))
-
 	// Budget that forces out both checkpoints and the older entry.
-	budget := size(l.path(eNew.Key, entryFile))
-	removed, freed, err := l.GCSize(budget)
+	info, err := os.Stat(l.path(eNew.Key, entryFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if removed != 3 {
-		t.Fatalf("GCSize removed %d files, want 3", removed)
+	entries, checkpoints, err := l.GC(time.Time{}, info.Size(), false)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if freed != total-budget {
-		t.Fatalf("GCSize freed %d bytes, want %d", freed, total-budget)
+	if entries != 1 || checkpoints != 2 {
+		t.Fatalf("size-budget GC removed %d entries and %d checkpoints, want 1 and 2", entries, checkpoints)
 	}
 	for _, gone := range []string{l.path(cA.Key, ckptFile), l.path(cB.Key, ckptFile), l.path(eOld.Key, entryFile)} {
 		if _, err := os.Stat(gone); !os.IsNotExist(err) {
@@ -239,8 +230,8 @@ func TestGCSizeEvictsCheckpointsFirst(t *testing.T) {
 	}
 
 	// A budget the ledger already fits evicts nothing.
-	if removed, _, err = l.GCSize(1 << 30); err != nil || removed != 0 {
-		t.Fatalf("GCSize under budget removed %d (err %v), want 0", removed, err)
+	if entries, checkpoints, err = l.GC(time.Time{}, 1<<30, false); err != nil || entries+checkpoints != 0 {
+		t.Fatalf("GC under budget removed %d entries and %d checkpoints (err %v), want none", entries, checkpoints, err)
 	}
 }
 
@@ -261,12 +252,12 @@ func TestGCSizePartialBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Budget fits the entry alone: only the checkpoint goes.
-	removed, _, err := l.GCSize(info.Size())
+	entries, checkpoints, err := l.GC(time.Time{}, info.Size(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if removed != 1 {
-		t.Fatalf("removed %d, want 1 (the checkpoint)", removed)
+	if entries != 0 || checkpoints != 1 {
+		t.Fatalf("removed %d entries and %d checkpoints, want only the checkpoint", entries, checkpoints)
 	}
 	if got, _ := l.Get(testKey("partial")); got == nil {
 		t.Fatal("entry evicted although budget fits it")

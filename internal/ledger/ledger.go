@@ -297,9 +297,9 @@ const (
 
 // get reads and verifies its key's file of kind k into rec. A damaged file
 // is quarantined: removed, so the next writer can replace it, and counted
-// in Stats.Corrupt. A hit bumps the file's mtime (best effort): GCSize
-// evicts oldest-mtime first, so reads keep hot records out of the next
-// size-budget sweep.
+// in Stats.Corrupt. A hit bumps the file's mtime (best effort): GC's size
+// budget evicts oldest-mtime first, so reads keep hot records out of the
+// next size-budget sweep.
 func (l *Ledger) get(key string, k *kind, rec record) (lookup, error) {
 	if !validKey(key) {
 		return absent, fmt.Errorf("ledger: invalid key %q", key)
@@ -481,20 +481,41 @@ func (l *Ledger) Checkpoints() ([]*Checkpoint, error) {
 	return out, err
 }
 
-// GC sweeps the ledger by age. It removes the entries and checkpoints
-// created before the cutoff (a zero cutoff keeps all of them), every
-// record that fails verification whatever its age — it could never be
-// served or resumed from — and temp files that crashed writers abandoned.
-// It reports how many entries and checkpoints it removed; temp files are
-// not counted. A dry sweep removes nothing and reports what a real one
-// would remove.
-func (l *Ledger) GC(before time.Time, dry bool) (entries, checkpoints int, err error) {
+// GC sweeps the ledger in one scan. It removes the entries and checkpoints
+// created before the cutoff (a zero cutoff keeps all of them), every record
+// that fails verification whatever its age — it could never be served or
+// resumed from — and temp files that crashed writers abandoned. Then, with
+// a positive maxBytes, it evicts what that sweep kept until the ledger's
+// size (entries plus checkpoints) fits the budget: least recently accessed
+// first, with every checkpoint before any result entry — a checkpoint saves
+// part of a solve, a result all of it. Reads bump mtimes (see Get /
+// GetCheckpoint), so mtime order approximates LRU. GC reports how many
+// entries and checkpoints it removed; temp files are not counted. A dry
+// sweep removes nothing and reports what a real one would remove.
+func (l *Ledger) GC(before time.Time, maxBytes int64, dry bool) (entries, checkpoints int, err error) {
+	remove := func(path string, k *kind) bool {
+		if !dry && os.Remove(path) != nil {
+			return false
+		}
+		if k == entryFile {
+			entries++
+		} else {
+			checkpoints++
+		}
+		return true
+	}
+	var kept []gcFile
+	var total int64
 	err = l.scan(func(key string, k *kind, path string, f fs.DirEntry) {
+		info, err := f.Info()
+		if err != nil {
+			return // racing deletion
+		}
 		if k == nil {
 			// A writer that crashed between CreateTemp and rename; any live
 			// writer holds its temp open for well under a second, so only
 			// clearly abandoned files are swept.
-			if info, err := f.Info(); err == nil && time.Since(info.ModTime()) > time.Minute && !dry {
+			if time.Since(info.ModTime()) > time.Minute && !dry {
 				_ = os.Remove(path)
 			}
 			return
@@ -507,67 +528,39 @@ func (l *Ledger) GC(before time.Time, dry bool) (entries, checkpoints int, err e
 		if ok, derr := decode(data, key, rec); derr == nil {
 			_, _, created, _, _ := rec.header()
 			if !ok || before.IsZero() || !created.Before(before) {
-				return // foreign format, or not expired
+				// A foreign format, or not expired: kept for the size budget.
+				kept = append(kept, gcFile{path: path, size: info.Size(), mtime: info.ModTime(), kind: k})
+				total += info.Size()
+				return
 			}
 		}
-		if dry || os.Remove(path) == nil {
-			if k == entryFile {
-				entries++
-			} else {
-				checkpoints++
-			}
-		}
+		remove(path, k)
 	})
-	return entries, checkpoints, err
+	if err != nil || maxBytes <= 0 {
+		return entries, checkpoints, err
+	}
+	// Checkpoints strictly before entries; oldest access first within each.
+	sort.Slice(kept, func(i, j int) bool {
+		if ci, cj := kept[i].kind == ckptFile, kept[j].kind == ckptFile; ci != cj {
+			return ci
+		}
+		return kept[i].mtime.Before(kept[j].mtime)
+	})
+	for _, f := range kept {
+		if total <= maxBytes {
+			break
+		}
+		if remove(f.path, f.kind) {
+			total -= f.size
+		}
+	}
+	return entries, checkpoints, nil
 }
 
-// gcFile is one eviction candidate of a size-budget sweep.
+// gcFile is one candidate of GC's size-budget eviction.
 type gcFile struct {
 	path  string
 	size  int64
 	mtime time.Time
-	ckpt  bool
-}
-
-// GCSize evicts stored files until the ledger's total size (entries plus
-// checkpoints) fits maxBytes, least-recently-accessed first with every
-// checkpoint considered before any result entry — a checkpoint only saves
-// part of a solve, a result saves all of it. Reads bump mtimes (see Get /
-// GetCheckpoint), so mtime order approximates LRU. Returns how many files
-// were removed and the bytes freed. maxBytes <= 0 evicts everything.
-func (l *Ledger) GCSize(maxBytes int64) (removed int, freed int64, err error) {
-	var files []gcFile
-	var total int64
-	err = l.scan(func(_ string, k *kind, path string, f fs.DirEntry) {
-		if k == nil {
-			return // temp files are GC's to sweep
-		}
-		info, err := f.Info()
-		if err != nil {
-			return // racing deletion
-		}
-		total += info.Size()
-		files = append(files, gcFile{path: path, size: info.Size(), mtime: info.ModTime(), ckpt: k == ckptFile})
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	// Checkpoints strictly before entries; oldest access first within each.
-	sort.Slice(files, func(i, j int) bool {
-		if files[i].ckpt != files[j].ckpt {
-			return files[i].ckpt
-		}
-		return files[i].mtime.Before(files[j].mtime)
-	})
-	for _, f := range files {
-		if total <= maxBytes {
-			break
-		}
-		if os.Remove(f.path) == nil {
-			removed++
-			freed += f.size
-			total -= f.size
-		}
-	}
-	return removed, freed, nil
+	kind  *kind
 }

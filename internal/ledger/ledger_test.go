@@ -297,7 +297,7 @@ func TestGC(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	removed, checkpoints, err := l.GC(time.Now().UTC().Add(-24*time.Hour), false)
+	removed, checkpoints, err := l.GC(time.Now().UTC().Add(-24*time.Hour), 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,69 +312,86 @@ func TestGC(t *testing.T) {
 	}
 
 	// A zero cutoff keeps everything.
-	if removed, _, err := l.GC(time.Time{}, false); err != nil || removed != 0 {
+	if removed, _, err := l.GC(time.Time{}, 0, false); err != nil || removed != 0 {
 		t.Fatalf("zero-cutoff gc: removed %d, %v", removed, err)
 	}
 }
 
 // TestGCDryRunMatchesSweep: a dry sweep removes nothing and reports exactly
 // what the real sweep then removes — expired and damaged entries and an
-// expired checkpoint alike.
+// expired checkpoint alike, and under a size budget what the budget then
+// evicts from the rest.
 func TestGCDryRunMatchesSweep(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cutoff := time.Now().UTC().Add(-time.Hour)
-	old, fresh, damaged := testEntry("dry old"), testEntry("dry fresh"), testEntry("dry damaged")
-	old.Created = cutoff.Add(-time.Hour)
-	oldCk, freshCk := testCheckpoint("dry old ckpt", 5), testCheckpoint("dry fresh ckpt", 6)
-	oldCk.Created = cutoff.Add(-time.Hour)
-	for _, e := range []*Entry{old, fresh, damaged} {
-		if err := l.Put(e); err != nil {
+	for _, budgeted := range []bool{false, true} {
+		l, err := Open(t.TempDir())
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	for _, c := range []*Checkpoint{oldCk, freshCk} {
-		if err := l.PutCheckpoint(c); err != nil {
+		cutoff := time.Now().UTC().Add(-time.Hour)
+		old, fresh, damaged := testEntry("dry old"), testEntry("dry fresh"), testEntry("dry damaged")
+		old.Created = cutoff.Add(-time.Hour)
+		oldCk, freshCk := testCheckpoint("dry old ckpt", 5), testCheckpoint("dry fresh ckpt", 6)
+		oldCk.Created = cutoff.Add(-time.Hour)
+		for _, e := range []*Entry{old, fresh, damaged} {
+			if err := l.Put(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, c := range []*Checkpoint{oldCk, freshCk} {
+			if err := l.PutCheckpoint(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.WriteFile(l.path(damaged.Key, entryFile), []byte("{"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := os.WriteFile(l.path(damaged.Key, entryFile), []byte("{"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	swept := []string{l.path(old.Key, entryFile), l.path(damaged.Key, entryFile), l.path(oldCk.Key, ckptFile)}
-	kept := []string{l.path(fresh.Key, entryFile), l.path(freshCk.Key, ckptFile)}
-
-	entries, checkpoints, err := l.GC(cutoff, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if entries != 2 || checkpoints != 1 {
-		t.Fatalf("dry gc reports %d entries and %d checkpoints, want 2 and 1", entries, checkpoints)
-	}
-	for _, path := range append(swept, kept...) {
-		if _, err := os.Stat(path); err != nil {
-			t.Fatalf("dry gc removed %s", filepath.Base(path))
+		swept := []string{l.path(old.Key, entryFile), l.path(damaged.Key, entryFile), l.path(oldCk.Key, ckptFile)}
+		kept := []string{l.path(fresh.Key, entryFile), l.path(freshCk.Key, ckptFile)}
+		wantE, wantC := 2, 1
+		var maxBytes int64
+		if budgeted {
+			// A budget the fresh entry alone fits: the age sweep leaves the
+			// fresh checkpoint too, and the budget evicts it.
+			info, err := os.Stat(kept[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			maxBytes = info.Size()
+			swept, kept = append(swept, kept[1]), kept[:1]
+			wantC = 2
 		}
-	}
 
-	gotE, gotC, err := l.GC(cutoff, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotE != entries || gotC != checkpoints {
-		t.Fatalf("gc removed %d entries and %d checkpoints; the dry run reported %d and %d", gotE, gotC, entries, checkpoints)
-	}
-	for _, path := range swept {
-		if _, err := os.Stat(path); !os.IsNotExist(err) {
-			t.Fatalf("gc kept %s", filepath.Base(path))
+		entries, checkpoints, err := l.GC(cutoff, maxBytes, true)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for _, path := range kept {
-		if _, err := os.Stat(path); err != nil {
-			t.Fatalf("gc removed %s", filepath.Base(path))
+		if entries != wantE || checkpoints != wantC {
+			t.Fatalf("dry gc (max %d bytes) reports %d entries and %d checkpoints, want %d and %d",
+				maxBytes, entries, checkpoints, wantE, wantC)
+		}
+		for _, path := range append(swept, kept...) {
+			if _, err := os.Stat(path); err != nil {
+				t.Fatalf("dry gc removed %s", filepath.Base(path))
+			}
+		}
+
+		gotE, gotC, err := l.GC(cutoff, maxBytes, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotE != entries || gotC != checkpoints {
+			t.Fatalf("gc (max %d bytes) removed %d entries and %d checkpoints; the dry run reported %d and %d",
+				maxBytes, gotE, gotC, entries, checkpoints)
+		}
+		for _, path := range swept {
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Fatalf("gc (max %d bytes) kept %s", maxBytes, filepath.Base(path))
+			}
+		}
+		for _, path := range kept {
+			if _, err := os.Stat(path); err != nil {
+				t.Fatalf("gc (max %d bytes) removed %s", maxBytes, filepath.Base(path))
+			}
 		}
 	}
 }

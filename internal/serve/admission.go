@@ -1,142 +1,36 @@
 package serve
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sync"
 	"time"
+
+	"cataero"
 )
 
-// Admission control for the serve layer, layered in front of the session's
-// FIFO semaphore:
+// Admission control for the serve layer, ahead of the session's queue:
 //
-//   - priority lanes (admitter): at most Workers solves execute at once,
-//     and when a slot frees it goes to the oldest waiter in the highest
-//     non-empty lane — interactive traffic overtakes bulk campaigns without
-//     starving them of running slots they already hold;
+//   - priority lanes (X-Priority): a request's lane becomes its problem's
+//     Priority, and the session queue hands each freed solve slot to the
+//     oldest waiter in the highest non-empty lane — interactive traffic
+//     overtakes bulk campaigns without preempting running solves;
 //   - per-client quotas (quotas): a token bucket per API key bounds the
 //     solve-submission rate of any one client; an exhausted bucket turns
 //     into HTTP 429 with a Retry-After estimate.
-//
-// The session behind the server keeps its own admission width; the server
-// sizes it to match Workers, so the session's FIFO queue never reorders
-// what the lanes decided.
 
-// priority is a request's admission lane. Higher values are admitted first.
-type priority int
-
-const (
-	prioLow priority = iota
-	prioNormal
-	prioHigh
-	numPriorities
-)
-
-// laneNames are the wire names of the priority lanes (X-Priority header).
-var laneNames = [numPriorities]string{prioLow: "low", prioNormal: "normal", prioHigh: "high"}
-
-func (p priority) String() string {
-	if p >= 0 && int(p) < len(laneNames) {
-		return laneNames[p]
-	}
-	return "unknown"
-}
-
-// parsePriority resolves an X-Priority header value; empty means normal.
-func parsePriority(s string) (priority, error) {
+// parsePriority resolves an X-Priority header value, a lane's name; empty
+// means normal.
+func parsePriority(s string) (cataero.Priority, error) {
 	if s == "" {
-		return prioNormal, nil
+		return cataero.PriorityNormal, nil
 	}
-	for p, n := range laneNames {
-		if n == s {
-			return priority(p), nil
+	for p := cataero.PriorityLow; p <= cataero.PriorityHigh; p++ {
+		if p.String() == s {
+			return p, nil
 		}
 	}
 	return 0, fmt.Errorf("serve: unknown priority %q (want low, normal or high)", s)
-}
-
-// admitter is the priority-laned solve semaphore. The invariant is that a
-// slot is free only while every lane is empty: an arrival with no free slot
-// queues in its lane, and a released slot is handed to the highest
-// non-empty lane's oldest waiter.
-type admitter struct {
-	mu    sync.Mutex
-	slots int
-	lanes [numPriorities][]grant
-}
-
-// grant is one waiter's slot-delivery channel, granted (sent to) at most
-// once.
-type grant chan struct{}
-
-func newAdmitter(slots int) *admitter {
-	if slots < 1 {
-		slots = 1
-	}
-	return &admitter{slots: slots}
-}
-
-// acquire blocks until a solve slot is granted or the context is done. On
-// cancellation the waiter withdraws from its lane; a slot granted
-// concurrently with the cancellation is handed straight back.
-func (a *admitter) acquire(ctx context.Context, lane priority) error {
-	a.mu.Lock()
-	if a.slots > 0 {
-		a.slots--
-		a.mu.Unlock()
-		return nil
-	}
-	g := make(grant, 1)
-	a.lanes[lane] = append(a.lanes[lane], g)
-	a.mu.Unlock()
-
-	select {
-	case <-g:
-		return nil
-	case <-ctx.Done():
-	}
-	a.mu.Lock()
-	for i, q := range a.lanes[lane] {
-		if q == g {
-			a.lanes[lane] = append(a.lanes[lane][:i], a.lanes[lane][i+1:]...)
-			a.mu.Unlock()
-			return ctx.Err()
-		}
-	}
-	a.mu.Unlock()
-	// Not queued anymore: the slot arrived between Done and the lock —
-	// consume the buffered grant and pass it on.
-	<-g
-	a.release()
-	return ctx.Err()
-}
-
-// release returns a slot: to the oldest waiter in the highest non-empty
-// lane, or back to the free count.
-func (a *admitter) release() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for lane := numPriorities - 1; lane >= 0; lane-- {
-		if q := a.lanes[lane]; len(q) > 0 {
-			a.lanes[lane] = q[1:]
-			q[0] <- struct{}{}
-			return
-		}
-	}
-	a.slots++
-}
-
-// queued reports how many waiters sit in each lane (for status endpoints
-// and tests).
-func (a *admitter) queued() [numPriorities]int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	var n [numPriorities]int
-	for lane, q := range a.lanes {
-		n[lane] = len(q)
-	}
-	return n
 }
 
 // quotas is a per-client token-bucket rate limiter: each client (API key)

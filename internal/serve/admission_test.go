@@ -1,121 +1,11 @@
 package serve
 
 import (
-	"context"
-	"sync"
 	"testing"
 	"time"
+
+	"cataero"
 )
-
-// waitQueued polls until the admitter shows n total queued waiters.
-func waitQueued(t *testing.T, a *admitter, n int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		q := a.queued()
-		if q[prioLow]+q[prioNormal]+q[prioHigh] == n {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("queue never reached %d waiters: %v", n, a.queued())
-}
-
-// TestLaneOrdering: with one slot held and one waiter in each lane, freed
-// slots go high → normal → low regardless of arrival order.
-func TestLaneOrdering(t *testing.T) {
-	a := newAdmitter(1)
-	if err := a.acquire(context.Background(), prioNormal); err != nil {
-		t.Fatal(err)
-	}
-
-	var mu sync.Mutex
-	var order []priority
-	var wg sync.WaitGroup
-	// Arrival order low, normal, high — the opposite of admission order.
-	for _, lane := range []priority{prioLow, prioNormal, prioHigh} {
-		wg.Add(1)
-		go func(lane priority) {
-			defer wg.Done()
-			if err := a.acquire(context.Background(), lane); err != nil {
-				t.Error(err)
-				return
-			}
-			mu.Lock()
-			order = append(order, lane)
-			mu.Unlock()
-			a.release()
-		}(lane)
-		waitQueued(t, a, int(lane)+1)
-	}
-
-	a.release() // free the held slot; the chain drains highest-first
-	wg.Wait()
-	want := []priority{prioHigh, prioNormal, prioLow}
-	for i, lane := range want {
-		if order[i] != lane {
-			t.Fatalf("admission order %v, want %v", order, want)
-		}
-	}
-}
-
-// TestLaneFIFOWithinLane: same-lane waiters are admitted in arrival order.
-func TestLaneFIFOWithinLane(t *testing.T) {
-	a := newAdmitter(1)
-	if err := a.acquire(context.Background(), prioNormal); err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	var order []int
-	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := a.acquire(context.Background(), prioNormal); err != nil {
-				t.Error(err)
-				return
-			}
-			mu.Lock()
-			order = append(order, i)
-			mu.Unlock()
-			a.release()
-		}(i)
-		waitQueued(t, a, i+1)
-	}
-	a.release()
-	wg.Wait()
-	for i := range order {
-		if order[i] != i {
-			t.Fatalf("same-lane admission order %v, want FIFO", order)
-		}
-	}
-}
-
-// TestAcquireCancel: a canceled waiter withdraws from its lane and does not
-// leak the slot.
-func TestAcquireCancel(t *testing.T) {
-	a := newAdmitter(1)
-	if err := a.acquire(context.Background(), prioNormal); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	errc := make(chan error, 1)
-	go func() { errc <- a.acquire(ctx, prioHigh) }()
-	waitQueued(t, a, 1)
-	cancel()
-	if err := <-errc; err == nil {
-		t.Fatal("canceled acquire returned nil")
-	}
-	if q := a.queued(); q[prioHigh] != 0 {
-		t.Fatalf("canceled waiter still queued: %v", q)
-	}
-	// The held slot still releases cleanly to a fresh waiter.
-	a.release()
-	if err := a.acquire(context.Background(), prioLow); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // TestQuotaTakeAndRefill drives the token bucket with explicit clocks, so
 // the arithmetic is deterministic: burst spends down, an empty bucket
@@ -156,8 +46,8 @@ func TestQuotaDisabled(t *testing.T) {
 }
 
 func TestParsePriority(t *testing.T) {
-	for s, want := range map[string]priority{
-		"": prioNormal, "low": prioLow, "normal": prioNormal, "high": prioHigh,
+	for s, want := range map[string]cataero.Priority{
+		"": cataero.PriorityNormal, "low": cataero.PriorityLow, "normal": cataero.PriorityNormal, "high": cataero.PriorityHigh,
 	} {
 		got, err := parsePriority(s)
 		if err != nil || got != want {

@@ -86,7 +86,7 @@ func (s *Server) Recover() (int, error) {
 			_ = s.cfg.Ledger.DeleteCheckpoint(ck.Key)
 			continue
 		}
-		if sr, coalesced, _ := s.admit(job, 0, prioNormal, ""); sr != nil && !coalesced {
+		if sr, coalesced, _ := s.admit(job, 0, ""); sr != nil && !coalesced {
 			resumed++
 			s.logf("serve: recovered %s from checkpoint at step %d (created %s)",
 				ck.Key, ck.Step, ck.Created.Format(time.RFC3339))

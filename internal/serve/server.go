@@ -2,8 +2,9 @@
 // solve service over cataero.Session with a persistent, content-addressed
 // run ledger. Millions of reentry-heating queries cluster around a few
 // thousand flight conditions; the ledger turns that repeat traffic into
-// disk hits, and the admission layer (priority lanes, per-client quotas)
-// keeps the solver farm responsive under mixed interactive/bulk load.
+// disk hits, and admission control (priority lanes in the session's queue,
+// per-client quotas) keeps the solver farm responsive under mixed
+// interactive/bulk load.
 //
 // # Endpoints
 //
@@ -25,10 +26,11 @@
 //
 // Requests authenticate a client (for quota accounting only) with the
 // X-API-Key header, and pick an admission lane with X-Priority: low,
-// normal (default) or high. X-Deadline-Ms bounds one solve's wall clock:
-// a run that exceeds it is checkpointed and cancelled. Cached submissions
-// carry an ETag (the result checksum); If-None-Match returns 304 without
-// re-reading the artifact.
+// normal (default) or high. X-Deadline-Ms bounds how long one submission
+// takes, its wait in the session queue included: a run still queued or
+// solving at the deadline is cancelled, and a solving one is checkpointed
+// first. Cached submissions carry an ETag (the result checksum);
+// If-None-Match returns 304 without re-reading the artifact.
 //
 // # Fault tolerance
 //
@@ -60,15 +62,13 @@ import (
 
 // Config assembles a Server.
 type Config struct {
-	// Session executes the solves. Required. Its admission width should be
-	// at least Workers (cmd/catsim sizes the two together) so the session's
-	// FIFO never reorders what the priority lanes decided.
+	// Session executes the solves. Required. Its admission queue is the
+	// server's: WithWorkers bounds how many solves run at once, waiting runs
+	// are admitted by X-Priority lane, and an X-Deadline-Ms deadline counts
+	// the wait.
 	Session *cataero.Session
 	// Ledger is the persistent run store; nil serves without caching.
 	Ledger *ledger.Ledger
-	// Workers bounds concurrently executing solves (default GOMAXPROCS via
-	// the session; the admitter floors at 1).
-	Workers int
 	// QuotaRate is the per-client solve-admission rate in requests/second;
 	// <= 0 disables quotas.
 	QuotaRate float64
@@ -99,7 +99,6 @@ const maxRetainedRuns = 4096
 // with Close.
 type Server struct {
 	cfg Config
-	adm *admitter
 	quo *quotas
 	mux *http.ServeMux
 
@@ -118,27 +117,24 @@ type Server struct {
 	nextID uint64
 }
 
-// srvRun is one submitted solve tracked by the server. Lifecycle fields are
-// published by channel close: run is valid once admitted is closed; result,
-// finalSnap and err once done is closed.
+// srvRun is one submitted solve tracked by the server. Its session run is
+// set before the srvRun is published; result, finalSnap and err are
+// published by closing done.
 type srvRun struct {
 	Job
-	id       string
-	lane     priority
-	created  time.Time
-	cancel   context.CancelFunc
-	deadline time.Duration // per-request solve bound (X-Deadline-Ms); 0 = none
-	admitted chan struct{}
-	done     chan struct{}
+	id      string
+	created time.Time
+	cancel  context.CancelFunc
+	run     *cataero.Run
+	done    chan struct{}
 
-	run       *cataero.Run
 	result    json.RawMessage
 	finalSnap cataero.Snapshot
 	err       error
 }
 
-// New builds a Server and starts nothing: solves run on demand, each on its
-// own goroutine gated by the admitter.
+// New builds a Server and starts nothing: each solve is submitted to the
+// session on demand.
 func New(cfg Config) (*Server, error) {
 	if cfg.Session == nil {
 		return nil, errors.New("serve: Config.Session is required")
@@ -146,7 +142,6 @@ func New(cfg Config) (*Server, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:    cfg,
-		adm:    newAdmitter(cfg.Workers),
 		quo:    newQuotas(cfg.QuotaRate, cfg.QuotaBurst),
 		mux:    http.NewServeMux(),
 		ctx:    ctx,
@@ -337,6 +332,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "parse case: %v", err)
 		return
 	}
+	p.Priority = lane
 	job, err := Prepare(s.cfg.Session, p)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
@@ -354,7 +350,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	sr, coalesced, retryAfter := s.admit(job, deadline, lane, clientKey(r))
+	sr, coalesced, retryAfter := s.admit(job, deadline, clientKey(r))
 	if sr == nil {
 		retryAfterError(w, retryAfter)
 		return
@@ -389,42 +385,58 @@ func retryAfterError(w http.ResponseWriter, retryAfter time.Duration) {
 		"quota exhausted; retry in %ds", secs)
 }
 
-// admit registers a new run for the job — or coalesces onto an identical
-// in-flight one — charging the client's quota only for genuinely new
-// solves. A nil run means the quota rejected the submission. The empty
-// client is the server itself (restart recovery) and is never quota-charged.
-// A positive deadline bounds the solve's wall clock (X-Deadline-Ms).
-func (s *Server) admit(job Job, deadline time.Duration, lane priority, client string) (sr *srvRun, coalesced bool, retryAfter time.Duration) {
+// admit registers a new run for the job and submits it to the session —
+// or coalesces onto an identical in-flight one — charging the client's quota
+// only for genuinely new solves. A nil run means the quota rejected the
+// submission. The empty client is the server itself (restart recovery) and
+// is never quota-charged. A positive deadline (X-Deadline-Ms) bounds the
+// whole submission, its wait in the session queue included. With a ledger,
+// the solve resumes from a checkpoint stored under its case key and
+// persists new ones at the configured cadence (Job.Resumable).
+func (s *Server) admit(job Job, deadline time.Duration, client string) (sr *srvRun, coalesced bool, retryAfter time.Duration) {
 	s.mu.Lock()
+	existing := s.byKey[job.Key]
+	s.mu.Unlock()
+	if existing != nil {
+		return existing, true, 0
+	}
+	// The ledger wiring reads the disk and logs, so it runs unlocked; the
+	// check below catches an identical case admitted meanwhile.
+	p := job.Problem
+	if s.cfg.Ledger != nil {
+		p = job.Resumable(s.cfg.Ledger, s.cfg.CheckpointEvery, s.logf)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if existing := s.byKey[job.Key]; existing != nil {
-		s.mu.Unlock()
 		return existing, true, 0
 	}
 	if client != "" {
 		if ok, wait := s.quo.take(client, time.Now()); !ok {
-			s.mu.Unlock()
 			return nil, false, wait
 		}
 	}
-	ctx, cancel := context.WithCancel(s.ctx)
+	var ctx context.Context
+	var cancel context.CancelFunc
+	if deadline > 0 {
+		ctx, cancel = context.WithTimeout(s.ctx, deadline)
+	} else {
+		ctx, cancel = context.WithCancel(s.ctx)
+	}
 	s.nextID++
 	sr = &srvRun{
-		Job:      job,
-		id:       fmt.Sprintf("r%06d", s.nextID),
-		lane:     lane,
-		created:  time.Now().UTC(),
-		cancel:   cancel,
-		deadline: deadline,
-		admitted: make(chan struct{}),
-		done:     make(chan struct{}),
+		Job:     job,
+		id:      fmt.Sprintf("r%06d", s.nextID),
+		created: time.Now().UTC(),
+		cancel:  cancel,
+		run:     s.cfg.Session.Submit(ctx, p),
+		done:    make(chan struct{}),
 	}
 	s.runs[sr.id] = sr
 	s.byKey[job.Key] = sr
 	s.order = append(s.order, sr)
 	s.evictLocked()
-	s.mu.Unlock()
-
-	go s.execute(ctx, sr)
+	go s.execute(sr)
 	return sr, false, 0
 }
 
@@ -452,36 +464,14 @@ func (s *Server) evictLocked() {
 	s.order = kept
 }
 
-// execute runs one admitted solve to completion: lane gate, session
-// submission, ledger write-back. With a ledger, the solve resumes from a
-// checkpoint stored under its case key and persists new ones at the
-// configured cadence (Job.Resumable); its stored result supersedes the
-// checkpoint.
-func (s *Server) execute(ctx context.Context, sr *srvRun) {
+// execute waits for one submitted solve and files its outcome: the result
+// is written back to the ledger, where it supersedes the key's checkpoint,
+// and then published with the run.
+func (s *Server) execute(sr *srvRun) {
 	defer close(sr.done)
-	if err := s.adm.acquire(ctx, sr.lane); err != nil {
-		sr.err = err
-		s.unkey(sr)
-		return
-	}
-	defer s.adm.release()
-
-	if sr.deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, sr.deadline)
-		defer cancel()
-	}
-	p := sr.Problem
-	if s.cfg.Ledger != nil {
-		p = sr.Resumable(s.cfg.Ledger, s.cfg.CheckpointEvery, s.logf)
-	}
-
-	run := s.cfg.Session.Submit(ctx, p)
-	sr.run = run
-	close(sr.admitted)
-
-	env, err := run.Wait()
-	sr.finalSnap = run.Snapshot()
+	defer sr.cancel()
+	env, err := sr.run.Wait()
+	sr.finalSnap = sr.run.Snapshot()
 	if err != nil {
 		sr.err = err
 		s.unkey(sr)
@@ -548,22 +538,17 @@ func (s *Server) view(sr *srvRun) runView {
 		ID:       sr.id,
 		Key:      sr.Key,
 		Name:     sr.Problem.Name,
-		Priority: sr.lane.String(),
+		Priority: sr.Problem.Priority.String(),
 		Created:  sr.created,
-		State:    cataero.RunQueued.String(),
 	}
 	select {
 	case <-sr.done:
 		v.State = cataero.RunDone.String()
-		// A run canceled before reaching the session has no snapshot or
-		// solver provenance to report — only its error.
-		if sr.run != nil {
-			if snap, err := json.Marshal(sr.finalSnap); err == nil {
-				v.Snapshot = snap
-			}
-			v.SolvedInMS = float64(sr.finalSnap.Elapsed) / float64(time.Millisecond)
-			v.Solver = sr.finalSnap.Solver
+		if snap, err := json.Marshal(sr.finalSnap); err == nil {
+			v.Snapshot = snap
 		}
+		v.SolvedInMS = float64(sr.finalSnap.Elapsed) / float64(time.Millisecond)
+		v.Solver = sr.finalSnap.Solver
 		v.Result = sr.result
 		if sr.err != nil {
 			v.Error = sr.err.Error()
@@ -571,21 +556,16 @@ func (s *Server) view(sr *srvRun) runView {
 		return v
 	default:
 	}
-	select {
-	case <-sr.admitted:
-		snap := sr.run.Snapshot()
-		// The session run finishes before execute has stored the result
-		// (marshalling, the ledger write) and closed sr.done: until then
-		// the run is still running here, so done always comes with its
-		// result or error.
-		if snap.State == cataero.RunDone {
-			snap.State, snap.Err = cataero.RunRunning, nil
-		}
-		v.State = snap.State.String()
-		if data, err := json.Marshal(snap); err == nil {
-			v.Snapshot = data
-		}
-	default:
+	snap := sr.run.Snapshot()
+	// The session run finishes before execute has stored the result
+	// (marshalling, the ledger write) and closed sr.done: until then the run
+	// is still running here, so done always comes with its result or error.
+	if snap.State == cataero.RunDone {
+		snap.State, snap.Err = cataero.RunRunning, nil
+	}
+	v.State = snap.State.String()
+	if data, err := json.Marshal(snap); err == nil {
+		v.Snapshot = data
 	}
 	return v
 }
@@ -661,71 +641,32 @@ func (s *Server) handleRunEvents(w http.ResponseWriter, r *http.Request) {
 		return true
 	}
 
-	// Queued phase: the solve has not reached the session yet (priority
-	// lane wait); tick a queued snapshot so clients see liveness.
-	tick := time.NewTicker(250 * time.Millisecond)
-	defer tick.Stop()
-	if !emit("snapshot", orQueued(s.view(sr).Snapshot)) {
+	// Latest-value snapshots until the watch channel closes at the terminal
+	// one. A run waiting in the session queue sends nothing until it starts,
+	// so the stream opens with its queued state.
+	watch := sr.run.Watch()
+	if snap := sr.run.Snapshot(); snap.State == cataero.RunQueued && !emit("snapshot", snap) {
 		return
 	}
-waitAdmitted:
 	for {
 		select {
-		case <-sr.admitted:
-			break waitAdmitted
-		case <-sr.done: // canceled while queued
-			break waitAdmitted
-		case <-r.Context().Done():
-			return
-		case <-tick.C:
-			if !emit("snapshot", orQueued(s.view(sr).Snapshot)) {
-				return
-			}
-		}
-	}
-
-	// Running phase: latest-value snapshots until the watch channel closes
-	// at the terminal snapshot. sr.run is nil only when the run was
-	// canceled before reaching the session.
-	admitted := false
-	select {
-	case <-sr.admitted:
-		admitted = true
-	default:
-	}
-	if admitted && sr.run != nil {
-		watch := sr.run.Watch()
-		for {
-			select {
-			case snap, ok := <-watch:
-				if !ok {
-					goto finished
-				}
+		case snap, ok := <-watch:
+			if ok {
 				if !emit("snapshot", snap) {
 					return
 				}
-			case <-r.Context().Done():
-				return
+				continue
 			}
+			select {
+			case <-sr.done:
+				emit("done", s.view(sr))
+			case <-r.Context().Done():
+			}
+			return
+		case <-r.Context().Done():
+			return
 		}
 	}
-
-finished:
-	select {
-	case <-sr.done:
-	case <-r.Context().Done():
-		return
-	}
-	emit("done", s.view(sr))
-}
-
-// orQueued substitutes a minimal queued-state document when a run has no
-// snapshot yet.
-func orQueued(raw json.RawMessage) json.RawMessage {
-	if len(raw) > 0 {
-		return raw
-	}
-	return json.RawMessage(fmt.Sprintf(`{"state":%q,"step":0,"elapsed_ms":0}`, cataero.RunQueued.String()))
 }
 
 // handleBatch submits an array of case specs — the HTTP form of
@@ -761,6 +702,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var waits []*srvRun
 	waitIdx := make(map[*srvRun][]int)
 	for i, p := range problems {
+		p.Priority = lane
 		job, err := Prepare(s.cfg.Session, p)
 		if err != nil {
 			views[i] = runView{State: cataero.RunDone.String(), Error: err.Error()}
@@ -770,7 +712,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			views[i] = *hit
 			continue
 		}
-		sr, coalesced, retryAfter := s.admit(job, 0, lane, client)
+		sr, coalesced, retryAfter := s.admit(job, 0, client)
 		if sr == nil {
 			secs := int(retryAfter/time.Second) + 1
 			views[i] = runView{

@@ -208,7 +208,7 @@ func TestQuotaExhausted429(t *testing.T) {
 // TestCoalescing: two concurrent submissions of one case share a single
 // solve; the second response is marked coalesced and carries the same run ID.
 func TestCoalescing(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1})
+	s, ts := newTestServer(t, Config{Session: cataero.NewSession(cataero.WithWorkers(1))})
 
 	// Hold the single worker slot so the coalescing target stays in flight.
 	_, blocker := postCase(t, ts.URL+"/api/runs", slowNSProblem(), nil)
@@ -258,7 +258,7 @@ func TestCoalescing(t *testing.T) {
 // TestCancelQueuedRun: with one worker held, a queued run canceled via
 // DELETE finishes with an error and no result.
 func TestCancelQueuedRun(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
+	_, ts := newTestServer(t, Config{Session: cataero.NewSession(cataero.WithWorkers(1))})
 
 	_, blocker := postCase(t, ts.URL+"/api/runs", slowNSProblem(), nil)
 	_, queued := postCase(t, ts.URL+"/api/runs", eblProblem(7300), nil)
@@ -299,6 +299,45 @@ func TestCancelQueuedRun(t *testing.T) {
 			t.Fatalf("canceled run never settled: %+v", v)
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestServerWidthIsSessionWidth: the session's admission width is the
+// server's only bound — two distinct solves on a two-wide session run at
+// once, with no second width to match.
+func TestServerWidthIsSessionWidth(t *testing.T) {
+	_, ts := newTestServer(t, Config{Session: cataero.NewSession(cataero.WithWorkers(2))})
+	var ids []string
+	for i, lane := range []string{"normal", "high"} {
+		p := slowNSProblem()
+		p.TWall += 100 * float64(i) // distinct keys
+		_, v := postCase(t, ts.URL+"/api/runs", p, map[string]string{"X-Priority": lane})
+		if v.ID == "" || v.Coalesced || v.Priority != lane {
+			t.Fatalf("%s submission: %+v", lane, v)
+		}
+		ids = append(ids, v.ID)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for _, id := range ids {
+		for {
+			resp, err := http.Get(ts.URL + "/api/runs/" + id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var v runView
+			err = json.NewDecoder(resp.Body).Decode(&v)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v.State == cataero.RunRunning.String() {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("run %s never ran beside the other: %+v", id, v)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
 	}
 }
 

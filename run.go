@@ -48,7 +48,7 @@ const HistoryDepth = 64
 // Snapshot is one consistent observation of a run's progress: the solver
 // class and registry name, the schedule phase (e.g. the "level1" (coarse)
 // vs "level0" (fine) grid-sequencing level), the step count and latest
-// residual, and the elapsed wall-clock time since submission. Snapshots are
+// residual, and the elapsed wall-clock time of the solve. Snapshots are
 // values — reading one never blocks the solve.
 type Snapshot struct {
 	State RunState
@@ -67,8 +67,11 @@ type Snapshot struct {
 	Fallbacks int
 	Refits    int
 	Restarts  int
-	Elapsed   time.Duration // since submission; frozen at completion
-	Err       error         // terminal error; non-nil only when State == RunDone
+	// Elapsed is the solve's wall clock: it starts when the run leaves the
+	// admission queue (0 while queued, and for a run canceled there) and is
+	// frozen at completion, so it never counts the wait for a slot.
+	Elapsed time.Duration
+	Err     error // terminal error; non-nil only when State == RunDone
 
 	history []HistoryPoint
 }
@@ -140,10 +143,10 @@ func (s Snapshot) History() []HistoryPoint { return s.history }
 type runHandle struct {
 	cancel func()
 	done   chan struct{}
-	start  time.Time
 
 	mu       sync.Mutex
 	snap     Snapshot
+	start    time.Time     // when the run left the queue; zero while queued
 	final    time.Duration // elapsed frozen when the run finishes
 	watchers []chan Snapshot
 	err      error
@@ -161,7 +164,6 @@ type runHandle struct {
 func (h *runHandle) init(cancel func(), p Problem) {
 	h.cancel = cancel
 	h.done = make(chan struct{})
-	h.start = time.Now()
 	h.snap = Snapshot{State: RunQueued, Class: p.Class, MaxSteps: p.MaxSteps}
 }
 
@@ -184,10 +186,11 @@ func (h *runHandle) Snapshot() Snapshot {
 
 func (h *runHandle) snapLocked() Snapshot {
 	s := h.snap
-	if s.State == RunDone {
-		s.Elapsed = h.final
-	} else {
+	switch s.State {
+	case RunRunning:
 		s.Elapsed = time.Since(h.start)
+	case RunDone:
+		s.Elapsed = h.final
 	}
 	return s
 }
@@ -262,10 +265,12 @@ func (h *runHandle) observe(p core.Progress) {
 	h.notifyLocked()
 }
 
-// running marks the transition out of the queue (a slot was acquired).
+// running marks the transition out of the queue (a slot was acquired) and
+// starts the solve clock.
 func (h *runHandle) running() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	h.start = time.Now()
 	h.snap.State = RunRunning
 	h.notifyLocked()
 }
@@ -278,7 +283,9 @@ func (h *runHandle) finish(err error) {
 	h.err = err
 	h.snap.State = RunDone
 	h.snap.Err = err
-	h.final = time.Since(h.start)
+	if !h.start.IsZero() {
+		h.final = time.Since(h.start)
+	}
 	h.notifyLocked()
 	for _, ch := range h.watchers {
 		close(ch)

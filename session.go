@@ -32,10 +32,11 @@ type Session struct {
 	gridSeq  bool
 	levels   int
 	// Solve admission (see pool.go): at most `workers` submitted runs
-	// execute concurrently; the rest wait FIFO in admitQueue.
+	// execute concurrently; the rest wait in admitQueue, one FIFO per
+	// priority lane.
 	admitMu    sync.Mutex
 	admitFree  int
-	admitQueue []ticket
+	admitQueue [numLanes][]ticket
 }
 
 // Option configures a Session at construction.
@@ -56,8 +57,9 @@ func WithQuality(q Quality) Option {
 
 // WithWorkers bounds how many submitted runs solve concurrently — the
 // session's admission width, shared by Submit, SolveBatch and
-// ShockShapeBatch (default GOMAXPROCS). Runs beyond the bound queue in
-// submission order.
+// ShockShapeBatch (default GOMAXPROCS). Runs beyond the bound queue in the
+// lane of their Problem.Priority: a freed slot goes to the highest non-empty
+// lane, and within a lane runs start in submission order.
 func WithWorkers(n int) Option {
 	return func(s *Session) {
 		if n > 0 {
@@ -194,12 +196,12 @@ func (s *Session) Normalize(p Problem) (Problem, error) {
 }
 
 // Submit starts one problem asynchronously and returns its Run handle
-// immediately. The run waits for a session solve slot (WithWorkers),
-// executes against the cached model stack, and exposes live progress via
-// Run.Snapshot and Run.Watch: solver class, schedule phase (e.g. the
-// level1 vs level0 grid-sequencing level), step count, latest residual and
-// elapsed time. Cancel the run with Run.Cancel or by canceling ctx; collect the
-// result with Run.Wait.
+// immediately. The run waits for a session solve slot (WithWorkers) in its
+// Problem.Priority lane, executes against the cached model stack, and
+// exposes live progress via Run.Snapshot and Run.Watch: solver class,
+// schedule phase (e.g. the level1 vs level0 grid-sequencing level), step
+// count, latest residual and elapsed time. Cancel the run with Run.Cancel
+// or by canceling ctx; collect the result with Run.Wait.
 func (s *Session) Submit(ctx context.Context, p Problem) *Run {
 	p = s.apply(p)
 	r := &Run{problem: p}
@@ -239,12 +241,13 @@ func (s *Session) start(ctx context.Context, p Problem, h *runHandle, solve func
 			user.OnProgress(pr)
 		}
 	})
-	// The queue position is taken here, synchronously, so runs start in
-	// submission order.
-	t := s.enqueue()
+	// The queue position is taken here, synchronously, so the runs of a
+	// lane start in submission order.
+	l := lane(p.Priority)
+	t := s.enqueue(l)
 	go func() {
 		defer cancel()
-		if err := s.await(ctx, t); err != nil {
+		if err := s.await(ctx, l, t); err != nil {
 			h.finish(err)
 			return
 		}
