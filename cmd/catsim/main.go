@@ -42,8 +42,6 @@ func main() {
 		code = ledgerCmd(args)
 	case "kernels":
 		code = kernelsCmd(args)
-	case "bench":
-		code = benchCmd(args)
 	case "help":
 		usage(os.Stdout)
 	default:
@@ -63,7 +61,6 @@ commands:
   serve    run the HTTP solve service with a persistent run ledger
   ledger   inspect or garbage-collect a run ledger (ls, get, gc)
   kernels  list the registered finite-volume flux kernels
-  bench    run the Solve/Step benchmarks and write machine-readable results
   help     print this message
 
 run 'catsim <command> -h' for the command's flags.

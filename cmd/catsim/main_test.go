@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -137,37 +136,6 @@ func TestCheckImplicitSweepFailsFast(t *testing.T) {
 // The baseline diff must fail in both directions: a result with no baseline
 // entry (a rename would silently drop its gate) and a baseline entry that no
 // longer runs.
-func TestDiffBaselineBothDirections(t *testing.T) {
-	write := func(results []BenchResult) string {
-		t.Helper()
-		path := filepath.Join(t.TempDir(), "base.json")
-		data, err := json.Marshal(results)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	a := BenchResult{Name: "StepA", NsPerOp: 100, N: 1}
-	b := BenchResult{Name: "StepB", NsPerOp: 100, N: 1}
-	if !diffBaseline([]BenchResult{a, b}, write([]BenchResult{a, b}), 0.3) {
-		t.Error("matching result sets failed the diff")
-	}
-	if diffBaseline([]BenchResult{a, b}, write([]BenchResult{a}), 0.3) {
-		t.Error("result with no baseline entry passed the diff")
-	}
-	if diffBaseline([]BenchResult{a}, write([]BenchResult{a, b}), 0.3) {
-		t.Error("baseline entry that no longer runs passed the diff")
-	}
-	renamed := b
-	renamed.Name = "StepBRenamed"
-	if diffBaseline([]BenchResult{a, renamed}, write([]BenchResult{a, b}), 0.3) {
-		t.Error("renamed benchmark passed the diff")
-	}
-}
-
 // Bad multilevel flags abort run/figs with a usage error before any solve
 // starts: unknown limiters and negative counts are rejected.
 func TestRunCmdRejectsBadMultilevelFlags(t *testing.T) {
@@ -189,11 +157,5 @@ func TestRunCmdSmokeCaseMultilevel(t *testing.T) {
 	}
 	if code := runCmd([]string{"testdata/smoke.json", "-timestep", "implicit", "-levels", "3"}); code != 0 {
 		t.Errorf("multilevel smoke exit code %d", code)
-	}
-}
-
-func TestBenchCmdRejectsArgs(t *testing.T) {
-	if code := benchCmd([]string{"unexpected"}); code != 2 {
-		t.Errorf("bench arg exit code %d, want 2", code)
 	}
 }

@@ -78,8 +78,8 @@ func TestStreamwiseBoundaryLinearizationFD(t *testing.T) {
 			up[col] += h
 			um[col] -= h
 			qp, qm := idealDecode(g, up), idealDecode(g, um)
-			fp := k.Flux(qp, qp, nx, ny, area)
-			fm := k.Flux(qm, qm, nx, ny, area)
+			fp := faceFlux(k, qp, qp, nx, ny, area)
+			fm := faceFlux(k, qm, qm, nx, ny, area)
 			for row := 0; row < 4; row++ {
 				fd := (fp[row] - fm[row]) / (2 * h)
 				an := jac[row*4+col]

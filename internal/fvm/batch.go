@@ -2,12 +2,12 @@ package fvm
 
 import "math"
 
-// FaceStates is a structure-of-arrays pencil of reconstructed face states:
-// one slice per primitive component, indexed by face. The batched flux
-// sweeps fill a pencil per grid line from the AoS primitive cache and hand
-// it to BatchFlux, so the kernel inner loop streams contiguous float64
-// slices instead of chasing Prim structs through an interface call per
-// face.
+// FaceStates is a structure-of-arrays pencil of face states: one slice per
+// primitive component, indexed by face. The flux sweeps fill a pencil per
+// grid line from the AoS primitive cache (reconstructed states on interior
+// faces, ghost states on boundary faces) and hand it to BatchFlux, so the
+// kernel inner loop streams contiguous float64 slices instead of chasing
+// Prim structs through an interface call per face.
 type FaceStates struct {
 	Rho, U, V, P, T, A, E []float64
 }
@@ -25,12 +25,6 @@ func newFaceStates(n int) FaceStates {
 	}
 }
 
-// prim returns face f of the pencil as a Prim value — the bridge back to
-// the scalar kernel API, used by the equivalence tests.
-func (fs *FaceStates) prim(f int) Prim {
-	return Prim{Rho: fs.Rho[f], U: fs.U[f], V: fs.V[f], P: fs.P[f], T: fs.T[f], A: fs.A[f], E: fs.E[f]}
-}
-
 // setPrim stores q as face f of the pencil.
 func (fs *FaceStates) setPrim(f int, q Prim) {
 	fs.Rho[f] = q.Rho
@@ -42,24 +36,30 @@ func (fs *FaceStates) setPrim(f int, q Prim) {
 	fs.E[f] = q.E
 }
 
-// BatchFluxKernel is the batched fast path of a flux kernel. BatchFlux
-// computes n face fluxes in one straight-line loop with no per-face
-// interface dispatch: dst is face-major (components dst[4*f..4*f+3]), L
-// and R hold the left/right states of face f at slice index f, and nrm
-// packs (nx, ny, area) triplets — exactly the layout of the cached
-// grid.Metrics face arrays, so metric subslices pass through without a
-// gather. Implementations must reproduce the scalar Flux arithmetic (the
-// two paths are cross-checked to a few ulp by the kernel equivalence
-// tests); the scalar Flux remains the reference path and serves the
-// boundary faces.
+// BatchFluxKernel is a numerical flux kernel, the element type of
+// fluxTable, selected by name via Options.Flux. BatchFlux computes the
+// area-scaled fluxes of n faces, from left state L to right state R, in
+// one straight-line loop with no per-face interface dispatch: dst is
+// face-major (components dst[4*f..4*f+3]), L and R hold the left/right
+// states of face f at slice index f, and nrm packs (nx, ny, area) triplets
+// of unit normal and area — exactly the layout of the cached grid.Metrics
+// face arrays, so metric subslices pass through without a gather or a
+// renormalization. It writes every face flux of a solve, interior and
+// boundary alike. Kernels must be consistent (L == R gives the physical
+// flux), conservative and symmetric (the flux of (L, R, n) is minus that of
+// (R, L, -n)), and must give exact zeros for a degenerate face, which the
+// metrics store with a zero normal and a zero area. The package tests keep
+// a scalar reference form of every kernel and hold BatchFlux to it
+// (TestBatchFluxMatchesScalar).
 type BatchFluxKernel interface {
-	FluxKernel
+	// Name is the kernel's fluxTable key (e.g. "hlle").
+	Name() string
 	BatchFlux(dst []float64, L, R *FaceStates, nrm []float64, n int)
 }
 
-// BatchFlux is the batched HLLE sweep: the same arithmetic as Flux with
-// the physical fluxes and conserved states expanded into scalars, so each
-// face stays register-resident and the loop carries no interface calls.
+// BatchFlux is the HLLE sweep, with the physical fluxes and conserved
+// states expanded into scalars, so each face stays register-resident and
+// the loop carries no interface calls.
 //
 //cataero:hotpath
 func (hlleKernel) BatchFlux(dst []float64, L, R *FaceStates, nrm []float64, n int) {
@@ -97,8 +97,7 @@ func (hlleKernel) BatchFlux(dst []float64, L, R *FaceStates, nrm []float64, n in
 }
 
 // hllMid is the HLL middle-state flux on expanded scalars, shared by the
-// batched HLLE/HLLE-EF loops and the batched HLLC degenerate fallback.
-// The expression order matches the scalar kernels exactly.
+// HLLE/HLLE-EF loops and the HLLC degenerate fallback.
 //
 //cataero:hotpath
 func hllMid(lRho, lU, lV, lP, lE, rRho, rU, rV, rP, rE, unL, unR, sl, sr, nx, ny float64) (f0, f1, f2, f3 float64) {
@@ -128,8 +127,8 @@ func hllMid(lRho, lU, lV, lP, lE, rRho, rU, rV, rP, rE, unL, unR, sl, sr, nx, ny
 	return f0, f1, f2, f3
 }
 
-// BatchFlux is the batched HLLE-EF sweep: HLLE wave speeds pushed past the
-// dissipation floor, always through the HLL average (see the scalar Flux).
+// BatchFlux is the HLLE-EF sweep: HLLE wave speeds pushed past the
+// dissipation floor, always through the HLL average.
 //
 //cataero:hotpath
 func (hlleEFKernel) BatchFlux(dst []float64, L, R *FaceStates, nrm []float64, n int) {
@@ -157,9 +156,9 @@ func (hlleEFKernel) BatchFlux(dst []float64, L, R *FaceStates, nrm []float64, n 
 	}
 }
 
-// BatchFlux is the batched HLLC sweep, mirroring the scalar Flux branch
-// for branch: pure upwind outside the wave fan, the left or right star
-// state inside it, and the HLL average on a degenerate contact.
+// BatchFlux is the HLLC sweep: pure upwind outside the wave fan, the left
+// or right star state inside it, and the HLL average on a degenerate
+// contact.
 //
 //cataero:hotpath
 func (hllcKernel) BatchFlux(dst []float64, L, R *FaceStates, nrm []float64, n int) {
@@ -236,8 +235,8 @@ func (hllcKernel) BatchFlux(dst []float64, L, R *FaceStates, nrm []float64, n in
 	}
 }
 
-// BatchFlux is the batched AUSM+ sweep: Liou's Mach and pressure
-// splittings on expanded scalars, identical expression order to Flux.
+// BatchFlux is the AUSM+ sweep: Liou's Mach and pressure splittings on
+// expanded scalars.
 //
 //cataero:hotpath
 func (ausmKernel) BatchFlux(dst []float64, L, R *FaceStates, nrm []float64, n int) {
@@ -287,9 +286,8 @@ func (ausmKernel) BatchFlux(dst []float64, L, R *FaceStates, nrm []float64, n in
 	}
 }
 
-// BatchFlux is the batched AUSM+up sweep: the AUSM+ splittings plus the
-// low-Mach pressure/velocity diffusion terms on expanded scalars, identical
-// expression order to the scalar Flux.
+// BatchFlux is the AUSM+up sweep: the AUSM+ splittings plus the low-Mach
+// pressure/velocity diffusion terms on expanded scalars.
 //
 //cataero:hotpath
 func (ausmUpKernel) BatchFlux(dst []float64, L, R *FaceStates, nrm []float64, n int) {
@@ -325,6 +323,8 @@ func (ausmUpKernel) BatchFlux(dst []float64, L, R *FaceStates, nrm []float64, n 
 			mMinus = -0.25*(mR-1)*(mR-1) - beta*(mR*mR-1)*(mR*mR-1)
 			pMinus = 0.25*(mR-1)*(mR-1)*(2+mR) - alpha*mR*(mR*mR-1)*(mR*mR-1)
 		}
+		// Scaling function fa in [fa(Mco), 1]: the mean Mach number squared,
+		// floored at the cutoff, mapped through Mo(2-Mo).
 		mBar2 := 0.5 * (mL*mL + mR*mR)
 		mo2 := mBar2
 		if mo2 < ausmUpMco*ausmUpMco {
@@ -336,6 +336,14 @@ func (ausmUpKernel) BatchFlux(dst []float64, L, R *FaceStates, nrm []float64, n 
 		mo := math.Sqrt(mo2)
 		fa := mo * (2 - mo)
 		rhoBar := 0.5 * (lRho + rRho)
+		// Pressure diffusion in the interface Mach number, clamped to a
+		// twentieth of a Mach unit: the correction targets O(M) pressure
+		// odd-even decoupling, but in a raw startup transient (near-vacuum
+		// cell against a fresh shock) the p-jump over rho*a^2 can reach
+		// thousands and the unclamped term then drives an unphysical mass
+		// flux — enough to reverse the interface Mach near a stagnation
+		// point — that diverges the solve. Converged low-Mach fields sit far
+		// inside the clamp.
 		mp := 0.0
 		if w := 1 - ausmUpSigma*mBar2; w > 0 {
 			mp = -(ausmUpKp / fa) * w * (rP - lP) / (rhoBar * a * a)
@@ -346,6 +354,7 @@ func (ausmUpKernel) BatchFlux(dst []float64, L, R *FaceStates, nrm []float64, n 
 			}
 		}
 		m12 := mPlus + mMinus + mp
+		// Velocity diffusion in the interface pressure.
 		pu := -ausmUpKu * pPlus * pMinus * (lRho + rRho) * (fa * a) * (unR - unL)
 		p12 := pPlus*lP + pMinus*rP + pu
 		qRho, qU, qV, qP, qE := lRho, lU, lV, lP, lE

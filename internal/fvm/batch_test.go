@@ -1,11 +1,13 @@
 package fvm
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"cataero/internal/gas"
+	"cataero/internal/grid"
 )
 
 // harshPrim draws states from the regimes that stress a flux kernel's
@@ -37,11 +39,14 @@ func harshPrim(r *rand.Rand) Prim {
 	}
 }
 
-// TestBatchFluxMatchesScalar cross-checks every batched kernel against its
-// scalar reference over randomized pencils: the batched sweep mirrors the
-// scalar arithmetic expression-for-expression, so the two paths must agree
-// to within a few ulp on every component, including the near-vacuum and
-// strong-shock states that exercise the wave-fan branches.
+// TestBatchFluxMatchesScalar cross-checks every kernel's BatchFlux against
+// its scalar reference Flux over randomized pencils: the batched sweep
+// mirrors the scalar arithmetic expression-for-expression, so the two
+// paths must agree to within a few ulp on every component, including the
+// near-vacuum and strong-shock states that exercise the wave-fan branches.
+// A kernel without a scalar reference fails. A last pencil of degenerate
+// faces (zero normal, zero area, as the metrics store them) must give
+// exact zeros.
 func TestBatchFluxMatchesScalar(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	const n = 64
@@ -51,6 +56,10 @@ func TestBatchFluxMatchesScalar(t *testing.T) {
 			k, err := FluxKernelFor(name)
 			if err != nil {
 				t.Fatal(err)
+			}
+			ref, ok := k.(fluxOracle)
+			if !ok {
+				t.Fatalf("kernel %s has no scalar reference Flux", name)
 			}
 			L, R := newFaceStates(n), newFaceStates(n)
 			nrm := make([]float64, 3*n)
@@ -66,7 +75,7 @@ func TestBatchFluxMatchesScalar(t *testing.T) {
 				}
 				k.BatchFlux(dst, &L, &R, nrm, n)
 				for f := 0; f < n; f++ {
-					want := k.Flux(L.prim(f), R.prim(f), nrm[3*f], nrm[3*f+1], nrm[3*f+2])
+					want := ref.Flux(L.prim(f), R.prim(f), nrm[3*f], nrm[3*f+1], nrm[3*f+2])
 					scale := 0.0
 					for c := 0; c < 4; c++ {
 						if m := math.Abs(want[c]); m > scale {
@@ -81,7 +90,118 @@ func TestBatchFluxMatchesScalar(t *testing.T) {
 					}
 				}
 			}
+			for f := 0; f < n; f++ {
+				L.setPrim(f, harshPrim(r))
+				R.setPrim(f, harshPrim(r))
+			}
+			clear(nrm)
+			k.BatchFlux(dst, &L, &R, nrm, n)
+			for i, v := range dst {
+				if v != 0 {
+					t.Fatalf("degenerate face %d component %d: flux %g, want 0", i/4, i%4, v)
+				}
+			}
 		})
+	}
+}
+
+// TestBoundaryFacesMatchScalar recomputes every boundary face flux of a
+// marched solve from the scalar reference kernels: the symmetry mirror at
+// i = 0, the zero-gradient outflow at i = ni, the wall (the mirrored
+// inviscid flux, plus shear and conduction on a no-slip wall) and the
+// freestream ghost at j = nj. The solver writes these faces with BatchFlux,
+// so they must match the oracles at TestBatchFluxMatchesScalar's tolerance,
+// for every kernel, on the reference viscous case and an inviscid
+// slip-wall case. The marched state is scattered by up to 1% so that no
+// ghost state coincides with its cell.
+func TestBoundaryFacesMatchScalar(t *testing.T) {
+	cases := []struct {
+		name  string
+		build func(t *testing.T) (*grid.Grid2D, Options)
+	}{
+		{"viscous", func(t *testing.T) (*grid.Grid2D, Options) {
+			g, o, err := ReferenceViscousCase(20, 32, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return g, o
+		}},
+		{"slipwall", func(t *testing.T) (*grid.Grid2D, Options) {
+			s := inviscidCase(t, "")
+			s.Close()
+			return s.G, s.Opts
+		}},
+	}
+	for _, name := range FluxKernels() {
+		for _, tc := range cases {
+			t.Run(name+"/"+tc.name, func(t *testing.T) {
+				g, o := tc.build(t)
+				o.Flux = name
+				s, err := New(g, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				for n := 0; n < 5; n++ {
+					s.Step()
+				}
+				r := rand.New(rand.NewSource(5))
+				for k := range s.U {
+					for c := range s.U[k] {
+						s.U[k][c] *= 1 + 0.01*(2*r.Float64()-1)
+					}
+				}
+				s.updatePrimitives()
+				s.computeResidual()
+				ref, ok := s.flux.(fluxOracle)
+				if !ok {
+					t.Fatalf("kernel %s has no scalar reference Flux", name)
+				}
+				check := func(face string, got []float64, want Cons) {
+					t.Helper()
+					scale := 0.0
+					for c := 0; c < 4; c++ {
+						scale = math.Max(scale, math.Abs(want[c]))
+					}
+					for c := 0; c < 4; c++ {
+						if d := math.Abs(got[c] - want[c]); d > 1e-13*(scale+1e-300) {
+							t.Fatalf("%s component %d: solver %g oracle %g (diff %g)", face, c, got[c], want[c], d)
+						}
+					}
+				}
+				ni, nj, met := s.ni, s.nj, s.met
+				for j := 0; j < nj; j++ {
+					f := j
+					n := met.FaceIN[3*f : 3*f+3]
+					q := s.prim[j]
+					check(fmt.Sprintf("symmetry face j=%d", j), s.fluxI[4*f:],
+						ref.Flux(mirror(q, n[0], n[1]), q, n[0], n[1], n[2]))
+					f = ni*nj + j
+					n = met.FaceIN[3*f : 3*f+3]
+					q = s.prim[(ni-1)*nj+j]
+					check(fmt.Sprintf("outflow face j=%d", j), s.fluxI[4*f:], ref.Flux(q, q, n[0], n[1], n[2]))
+				}
+				for i := 0; i < ni; i++ {
+					f := i * (nj + 1)
+					n := met.FaceJN[3*f : 3*f+3]
+					q := s.prim[i*nj]
+					want := ref.Flux(mirror(q, n[0], n[1]), q, n[0], n[1], n[2])
+					if o.Viscous && o.Wall == NoSlipIsothermal {
+						dn := met.WallHalf[i]
+						mu := o.Mu(0.5 * (q.T + o.TWall))
+						kth := o.K(0.5 * (q.T + o.TWall))
+						want[1] -= mu * q.U / dn * n[2]
+						want[2] -= mu * q.V / dn * n[2]
+						want[3] -= kth * (q.T - o.TWall) / dn * n[2]
+					}
+					check(fmt.Sprintf("wall face i=%d", i), s.fluxJ[4*f:], want)
+					f += nj
+					n = met.FaceJN[3*f : 3*f+3]
+					q = s.prim[i*nj+nj-1]
+					check(fmt.Sprintf("outer face i=%d", i), s.fluxJ[4*f:], ref.Flux(q, s.pInf, n[0], n[1], n[2]))
+				}
+			})
+		}
 	}
 }
 
@@ -131,19 +251,26 @@ func TestExpansionShockDecays(t *testing.T) {
 				}
 			}
 			u := make([]Cons, ncell)
-			fl := make([]Cons, ncell+1)
 			for i := range cells {
 				u[i] = consOf(cells[i])
 			}
+			// One pencil spans the ncell+1 faces: unit x normals, unit
+			// areas, zero-gradient ghosts at both ends.
+			L, R := newFaceStates(ncell+1), newFaceStates(ncell+1)
+			nrm := make([]float64, 3*(ncell+1))
+			for f := 0; f <= ncell; f++ {
+				nrm[3*f], nrm[3*f+2] = 1, 1
+			}
+			fl := make([]float64, 4*(ncell+1))
 			for step := 0; step < steps; step++ {
-				for i := 1; i < ncell; i++ {
-					fl[i] = k.Flux(cells[i-1], cells[i], 1, 0, 1)
+				for f := 0; f <= ncell; f++ {
+					L.setPrim(f, cells[max(f-1, 0)])
+					R.setPrim(f, cells[min(f, ncell-1)])
 				}
-				fl[0] = k.Flux(cells[0], cells[0], 1, 0, 1)
-				fl[ncell] = k.Flux(cells[ncell-1], cells[ncell-1], 1, 0, 1)
+				k.BatchFlux(fl, &L, &R, nrm, ncell+1)
 				for i := 0; i < ncell; i++ {
 					for c := 0; c < 4; c++ {
-						u[i][c] -= dt / dx * (fl[i+1][c] - fl[i][c])
+						u[i][c] -= dt / dx * (fl[4*(i+1)+c] - fl[4*i+c])
 					}
 					rho := u[i][0]
 					vx, vy := u[i][1]/rho, u[i][2]/rho

@@ -19,8 +19,8 @@ func benchSolver(b *testing.B, viscous bool) *Solver {
 }
 
 // benchSolverTS is benchSolver with an explicit time-integrator choice. The
-// viscous configuration is the shared ReferenceViscousCase, so `catsim
-// bench` and these benchmarks measure the same solve.
+// viscous configuration is ReferenceViscousCase, the case TestStepZeroAlloc
+// and TestADIStepZeroAlloc hold at 0 allocs/op.
 func benchSolverTS(b *testing.B, viscous bool, ts string) *Solver {
 	b.Helper()
 	if viscous {
@@ -180,8 +180,7 @@ func BenchmarkSolveImplicit(b *testing.B) {
 // level) — the headline comparison against BenchmarkSolveImplicit at the
 // same sizes: ~1.7x at 40x64 and ~2.3x at 80x128. The 20x32 grid is too
 // small to amortize the hierarchy and runs ~15% behind single-level — the
-// crossover sits between 20x32 and 40x64, and `catsim bench`'s
-// SolveMultigrid_20x32 entry tracks it per PR.
+// crossover sits between 20x32 and 40x64.
 func BenchmarkSolveMultigrid(b *testing.B) {
 	for _, sz := range benchSizes {
 		b.Run(fmt.Sprintf("%dx%d", sz[0], sz[1]), func(b *testing.B) {

@@ -174,7 +174,7 @@ type Solver struct {
 	// prebuilt range closures (method values), the reusable sweep
 	// WaitGroup, the per-chunk partial sums of the residual reduction, the
 	// face-major flux planes the residual passes difference, and the
-	// per-chunk SoA face-state pencils of the batched reconstruction.
+	// per-chunk SoA face-state pencils the flux sweeps fill.
 	sweepWG                        sync.WaitGroup
 	partial                        []float64
 	fluxI, fluxJ                   []float64 // face-major (4/face) flux planes
@@ -249,8 +249,9 @@ func New(g *grid.Grid2D, o Options) (*Solver, error) {
 		s.ownsPool = true
 	}
 	// Hoist the per-step sweep closures, reduction scratch, flux planes and
-	// reconstruction pencils out of the hot loop: everything binds and
-	// allocates once here, so Step allocates nothing.
+	// face-state pencils out of the hot loop: everything binds and
+	// allocates once here, so Step allocates nothing. A pencil holds the
+	// nj+1 faces of a whole J-line, boundary faces included.
 	s.partial = make([]float64, s.pool.chunkCount(s.ni))
 	s.fluxI = make([]float64, 4*(s.ni+1)*s.nj)
 	s.fluxJ = make([]float64, 4*s.ni*(s.nj+1))
@@ -260,8 +261,8 @@ func New(g *grid.Grid2D, o Options) (*Solver, error) {
 	}
 	s.bws = make([]batchWS, nws)
 	for w := range s.bws {
-		s.bws[w].L = newFaceStates(s.nj)
-		s.bws[w].R = newFaceStates(s.nj)
+		s.bws[w].L = newFaceStates(s.nj + 1)
+		s.bws[w].R = newFaceStates(s.nj + 1)
 	}
 	if o.FreezeLimiterAt > 0 && o.MUSCL {
 		s.frzI = make([]float64, 8*(s.ni+1)*s.nj)
@@ -347,26 +348,6 @@ func (s *Solver) primRange(ci, lo, hi int) {
 			k := s.idx(i, j)
 			s.prim[k] = s.decode(s.U[k])
 		}
-	}
-}
-
-func physFlux(q Prim, nx, ny float64) Cons {
-	un := q.U*nx + q.V*ny
-	H := q.E + q.P/q.Rho + 0.5*(q.U*q.U+q.V*q.V)
-	return Cons{
-		q.Rho * un,
-		q.Rho*q.U*un + q.P*nx,
-		q.Rho*q.V*un + q.P*ny,
-		q.Rho * un * H,
-	}
-}
-
-func consOf(q Prim) Cons {
-	return Cons{
-		q.Rho,
-		q.Rho * q.U,
-		q.Rho * q.V,
-		q.Rho * (q.E + 0.5*(q.U*q.U+q.V*q.V)),
 	}
 }
 

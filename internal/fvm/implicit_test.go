@@ -10,35 +10,18 @@ import (
 	"cataero/internal/gas"
 	"cataero/internal/geometry"
 	"cataero/internal/grid"
-	"cataero/internal/transport"
 )
 
-// viscousCase builds the reference Fig. 9-class viscous solver (clustered
-// axisymmetric hemisphere, Mach 6 ideal air) with the given integrator.
+// viscousCase builds the reference Fig. 9-class viscous solver
+// (ReferenceViscousCase at 20x32) with the given integrator and CFL ramp.
 func viscousCase(t testing.TB, ts string, ramp CFLRamp) *Solver {
 	t.Helper()
-	body := geometry.NewSphere(0.0127)
-	g, err := grid.NewBlunt(body, body.MaxS(), 20, 32, func(s float64) float64 {
-		return 0.35*0.0127 + 0.3*s
-	}, 1.08)
+	g, o, err := ReferenceViscousCase(20, 32, ts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Axisymmetric = true
-	s, err := New(g, Options{
-		Gas:          gas.NewIdealAir(),
-		FreestreamV:  [2]float64{6 * math.Sqrt(1.4*287.05*217), 0},
-		FreestreamPT: [2]float64{550, 217},
-		CFL:          0.4,
-		MUSCL:        true,
-		Viscous:      true,
-		Wall:         NoSlipIsothermal,
-		TWall:        1500,
-		Mu:           transport.Sutherland,
-		K:            transport.SutherlandConductivity,
-		TimeStepping: ts,
-		CFLRamp:      ramp,
-	})
+	o.CFLRamp = ramp
+	s, err := New(g, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,8 +208,8 @@ func TestImplicitLHSConsistencyPerKernel(t *testing.T) {
 				up[col] += h
 				um[col] -= h
 				qp, qm := idealDecode(g, up), idealDecode(g, um)
-				fp := k.Flux(qp, qp, nx, ny, area)
-				fm := k.Flux(qm, qm, nx, ny, area)
+				fp := faceFlux(k, qp, qp, nx, ny, area)
+				fm := faceFlux(k, qm, qm, nx, ny, area)
 				for row := 0; row < 4; row++ {
 					fd := (fp[row] - fm[row]) / (2 * h)
 					an := jac[row*4+col]

@@ -3,7 +3,7 @@ package fvm
 import "math"
 
 // batchWS is one sweep chunk's face-state workspace: the left/right SoA
-// pencils the batched reconstruction fills and BatchFlux consumes. One
+// pencils the flux sweeps fill and BatchFlux consumes. One
 // workspace per pool chunk, allocated in New, so stepping allocates
 // nothing and concurrent chunks never share a pencil.
 type batchWS struct {
@@ -187,44 +187,37 @@ func (s *Solver) reconColI(ws *batchWS, i int) {
 }
 
 // reconLineJ fills the chunk workspace with the face states of the
-// interior J-faces of i-line i (faces (i, j), j = 1..nj-1, pencil slot
-// f = j-1). The whole stencil lives in one contiguous prim run; the
-// neighbor indices clamp at the line ends, which zeroes the one-sided
-// difference exactly like a missing scalar-path neighbor.
+// interior J-faces of i-line i (faces (i, j), j = 1..nj-1, pencil slot j;
+// fluxJRange fills the boundary slots 0 and nj). The whole stencil lives in
+// one contiguous prim run; the neighbor indices clamp at the line ends,
+// which zeroes the one-sided difference exactly like a missing neighbor.
 func (s *Solver) reconLineJ(ws *batchWS, i int) {
 	nj := s.nj
 	cells := s.prim[i*nj : (i+1)*nj]
-	n := nj - 1
 	if !s.Opts.MUSCL {
-		for f := 0; f < n; f++ {
-			copyFace(ws, f, &cells[f], &cells[f+1])
+		for j := 1; j < nj; j++ {
+			copyFace(ws, j, &cells[j-1], &cells[j])
 		}
 		return
 	}
 	if s.limMode == limFrozen {
-		frz := s.frzJ[8*(i*(nj+1)+1) : 8*(i*(nj+1)+nj)]
-		for f := 0; f < n; f++ {
-			s.frozenFace(ws, f, &cells[f], &cells[f+1], frz)
+		frz := s.frzJ[8*i*(nj+1) : 8*(i+1)*(nj+1)]
+		for j := 1; j < nj; j++ {
+			s.frozenFace(ws, j, &cells[j-1], &cells[j], frz)
 		}
 		return
 	}
 	var frz []float64
 	if s.limMode == limRecord {
-		frz = s.frzJ[8*(i*(nj+1)+1) : 8*(i*(nj+1)+nj)]
+		frz = s.frzJ[8*i*(nj+1) : 8*(i+1)*(nj+1)]
 	}
-	for f := 0; f < n; f++ {
-		im := f - 1
-		if im < 0 {
-			im = 0
-		}
-		ip := f + 2
-		if ip > n {
-			ip = n
-		}
+	for j := 1; j < nj; j++ {
+		im := max(j-2, 0)
+		ip := min(j+1, nj-1)
 		if frz != nil {
-			s.reconFaceRecord(ws, f, &cells[im], &cells[f], &cells[f+1], &cells[ip], frz)
+			s.reconFaceRecord(ws, j, &cells[im], &cells[j-1], &cells[j], &cells[ip], frz)
 		} else {
-			s.reconFace(ws, f, &cells[im], &cells[f], &cells[f+1], &cells[ip])
+			s.reconFace(ws, j, &cells[im], &cells[j-1], &cells[j], &cells[ip])
 		}
 	}
 }

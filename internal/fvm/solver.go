@@ -27,80 +27,73 @@ func (s *Solver) computeResidual() {
 
 // fluxIRange fills the I-face flux plane for face columns [lo, hi): column
 // i holds faces (i, j), j = 0..nj-1, contiguously in both the plane and
-// the FaceIN metrics. Boundary columns (symmetry mirror at i=0, zero-
-// gradient outflow at i=ni) go through the scalar reference kernel;
-// interior columns are reconstructed into the chunk pencil and swept by
-// the batched kernel.
+// the FaceIN metrics. Each column's face states go into the chunk pencil —
+// ghost states on the boundary columns (symmetry mirror at i=0, zero-
+// gradient outflow at i=ni), reconstructed states inside — and one
+// batched kernel sweep fills the column.
 //
 //cataero:hotpath
 func (s *Solver) fluxIRange(ci, lo, hi int) {
 	ni, nj := s.ni, s.nj
 	met := s.met
+	ws := &s.bws[ci]
 	for i := lo; i < hi; i++ {
 		col := s.fluxI[4*i*nj : 4*(i+1)*nj]
 		nrm := met.FaceIN[3*i*nj : 3*(i+1)*nj]
-		switch {
-		case i == 0:
+		switch i {
+		case 0:
+			// Symmetry plane (stagnation line): mirror the first cell.
 			for j := 0; j < nj; j++ {
-				nx, ny, area := nrm[3*j], nrm[3*j+1], nrm[3*j+2]
-				k := 4 * j
-				if area == 0 {
-					col[k], col[k+1], col[k+2], col[k+3] = 0, 0, 0, 0
-					continue
-				}
-				// Symmetry plane (stagnation line): mirror the first cell.
 				in := s.prim[j]
-				f := s.flux.Flux(mirror(in, nx, ny), in, nx, ny, area)
-				col[k], col[k+1], col[k+2], col[k+3] = f[0], f[1], f[2], f[3]
+				ws.L.setPrim(j, mirror(in, nrm[3*j], nrm[3*j+1]))
+				ws.R.setPrim(j, in)
 			}
-		case i == ni:
-			for j := 0; j < nj; j++ {
-				nx, ny, area := nrm[3*j], nrm[3*j+1], nrm[3*j+2]
-				k := 4 * j
-				if area == 0 {
-					col[k], col[k+1], col[k+2], col[k+3] = 0, 0, 0, 0
-					continue
-				}
-				// Outflow: zero-gradient ghost.
-				in := s.prim[(ni-1)*nj+j]
-				f := s.flux.Flux(in, in, nx, ny, area)
-				col[k], col[k+1], col[k+2], col[k+3] = f[0], f[1], f[2], f[3]
+		case ni:
+			// Outflow: zero-gradient ghost.
+			row := s.prim[(ni-1)*nj : ni*nj]
+			for j := range row {
+				copyFace(ws, j, &row[j], &row[j])
 			}
 		default:
-			ws := &s.bws[ci]
 			s.reconColI(ws, i)
-			s.flux.BatchFlux(col, &ws.L, &ws.R, nrm, nj)
 		}
+		s.flux.BatchFlux(col, &ws.L, &ws.R, nrm, nj)
 	}
 }
 
 // fluxJRange fills the J-face flux plane for i-lines [lo, hi): line i
-// holds faces (i, j), j = 0..nj, contiguously in both the plane and the
-// FaceJN metrics. The wall (j=0) and freestream-ghost (j=nj) faces go
-// through the scalar reference kernel; the interior faces are
-// reconstructed from the line's contiguous cell run and swept by the
-// batched kernel, with the thin-layer viscous flux added scalar per face.
+// holds faces (i, j), j = 0..nj, contiguously in the plane, the FaceJN
+// metrics and the chunk pencil. The wall (j=0) and freestream-ghost (j=nj)
+// faces take ghost states, the interior faces are reconstructed from the
+// line's contiguous cell run, and one batched kernel sweep fills the line;
+// the thin-layer viscous fluxes are then added scalar per face.
 //
 //cataero:hotpath
 func (s *Solver) fluxJRange(ci, lo, hi int) {
 	nj := s.nj
 	met := s.met
+	ws := &s.bws[ci]
 	for i := lo; i < hi; i++ {
 		row := s.fluxJ[4*i*(nj+1) : 4*(i+1)*(nj+1)]
 		nrm := met.FaceJN[3*i*(nj+1) : 3*(i+1)*(nj+1)]
-		// Wall face j=0.
-		if nx, ny, area := nrm[0], nrm[1], nrm[2]; area == 0 {
-			row[0], row[1], row[2], row[3] = 0, 0, 0, 0
-		} else {
-			f := s.wallFlux(i, nx, ny, area)
-			row[0], row[1], row[2], row[3] = f[0], f[1], f[2], f[3]
-		}
-		// Interior faces j = 1..nj-1 (pencil slot j-1).
-		n := nj - 1
-		ws := &s.bws[ci]
+		// Wall face j=0: the upwind flux against the mirrored first cell,
+		// whose inviscid part is pressure only (tangency) and which stays
+		// robust through strong transients.
+		in := s.prim[i*nj]
+		ws.L.setPrim(0, mirror(in, nrm[0], nrm[1]))
+		ws.R.setPrim(0, in)
 		s.reconLineJ(ws, i)
-		s.flux.BatchFlux(row[4:4+4*n], &ws.L, &ws.R, nrm[3:3+3*n], n)
+		// Outer boundary j=nj: freestream ghost (supersonic inflow).
+		ws.L.setPrim(nj, s.prim[i*nj+nj-1])
+		ws.R.setPrim(nj, s.pInf)
+		s.flux.BatchFlux(row, &ws.L, &ws.R, nrm, nj+1)
 		if s.Opts.Viscous {
+			if s.Opts.Wall == NoSlipIsothermal {
+				fv := s.wallFlux(i, nrm[2])
+				row[1] += fv[1]
+				row[2] += fv[2]
+				row[3] += fv[3]
+			}
 			for j := 1; j < nj; j++ {
 				area := nrm[3*j+2]
 				if area == 0 {
@@ -112,15 +105,6 @@ func (s *Solver) fluxJRange(ci, lo, hi int) {
 				row[k+2] += fv[2]
 				row[k+3] += fv[3]
 			}
-		}
-		// Outer boundary j=nj: freestream ghost (supersonic inflow).
-		k := 4 * nj
-		if nx, ny, area := nrm[3*nj], nrm[3*nj+1], nrm[3*nj+2]; area == 0 {
-			row[k], row[k+1], row[k+2], row[k+3] = 0, 0, 0, 0
-		} else {
-			in := s.prim[i*nj+nj-1]
-			f := s.flux.Flux(in, s.pInf, nx, ny, area)
-			row[k], row[k+1], row[k+2], row[k+3] = f[0], f[1], f[2], f[3]
 		}
 	}
 }
@@ -163,26 +147,21 @@ func mirror(q Prim, nx, ny float64) Prim {
 	return out
 }
 
-// wallFlux returns the j=0 wall flux for column i through a face with unit
-// normal (nx, ny) and the given area.
-func (s *Solver) wallFlux(i int, nx, ny, area float64) Cons {
+// wallFlux returns the viscous flux of the no-slip isothermal wall face of
+// column i, of the given area, in viscousFluxJ's sign convention: shear
+// from the half-cell gradient and conduction against the fixed wall
+// temperature, added on top of the inviscid wall flux.
+func (s *Solver) wallFlux(i int, area float64) Cons {
 	q := s.prim[s.idx(i, 0)]
-	// Inviscid part: pressure only (tangency). Use the mirrored-state upwind
-	// flux for robustness at strong transients.
-	g := mirror(q, nx, ny)
-	f := s.flux.Flux(g, q, nx, ny, area)
-	if !s.Opts.Viscous || s.Opts.Wall != NoSlipIsothermal {
-		return f
-	}
-	// Viscous no-slip isothermal wall: shear from the half-cell gradient and
-	// conduction against the fixed wall temperature.
 	dn := s.met.WallHalf[i]
 	mu := s.Opts.Mu(0.5 * (q.T + s.Opts.TWall))
 	kth := s.Opts.K(0.5 * (q.T + s.Opts.TWall))
-	f[1] -= mu * q.U / dn * area
-	f[2] -= mu * q.V / dn * area
-	f[3] -= kth * (q.T - s.Opts.TWall) / dn * area
-	return f
+	return Cons{
+		0,
+		-mu * q.U / dn * area,
+		-mu * q.V / dn * area,
+		-kth * (q.T - s.Opts.TWall) / dn * area,
+	}
 }
 
 // viscousFluxJ returns the thin-layer viscous flux through interior j-face

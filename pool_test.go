@@ -138,9 +138,7 @@ func TestElapsedExcludesQueueWait(t *testing.T) {
 		t.Skip("NS solves in short mode")
 	}
 	s := NewSession(WithWorkers(1))
-	hold := longNSProblem()
-	hold.NI, hold.NJ = 48, 64 // thousands of steps: holds the slot for seconds
-	blocker := s.Submit(context.Background(), hold)
+	blocker := s.Submit(context.Background(), longNSProblem())
 	waitState(t, blocker.Snapshot, RunRunning)
 	run := s.Submit(context.Background(), fastNSProblem())
 	time.Sleep(200 * time.Millisecond)

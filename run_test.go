@@ -22,11 +22,13 @@ func fastNSProblem() Problem {
 	}
 }
 
-// A long-running ideal-gas NS case for cancellation tests: the step budget
-// is far beyond anything these tests let finish.
+// A long-running ideal-gas NS case for cancellation and queueing tests:
+// explicit stepping on a 48x64 grid takes thousands of steps to converge,
+// which holds a worker slot for seconds, and the step budget is far beyond
+// that, so a test cancels the run long before it can end on its own.
 func longNSProblem() Problem {
 	p := fastNSProblem()
-	p.NI, p.NJ = 12, 20
+	p.NI, p.NJ = 48, 64
 	p.MaxSteps = 5_000_000
 	return p
 }
