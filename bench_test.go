@@ -212,7 +212,7 @@ func BenchmarkFig9HemisphereNS(b *testing.B) {
 	b.ReportMetric(minX, "min-xN2")
 }
 
-// --- Ablation benches (design choices called out in DESIGN.md) ---
+// --- Ablation benches (one design choice each; helpers in ablation_test.go) ---
 
 // BenchmarkAblationEquilibriumTableVsExact: table lookup vs exact Gibbs
 // solve in the (rho,e) -> (p,T,a) hot path.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -17,18 +18,19 @@ import (
 )
 
 // sequenceFor maps the problem-level grid-sequencing toggle and multilevel
-// knobs onto the FVM sequencing options (solver defaults otherwise; the
-// outer boundary is left where the case put it so sequenced and plain solves
-// share a grid). Asking for multilevel machinery — Levels, the cascade
-// Cycle, or mid-march refitting — implies sequencing unless GridSequencing
-// is ToggleOff; an unresolved ToggleDefault with no multilevel knobs — a
-// plain problem solved outside a session — means off.
-func sequenceFor(p Problem) *fvm.SequenceOptions {
+// knobs onto the FVM sequencing options (the outer boundary is left where
+// the case put it so sequenced and plain solves share a grid). Asking for
+// multilevel machinery — Levels, the cascade Cycle, or mid-march refitting
+// — implies sequencing unless GridSequencing is ToggleOff; an unresolved
+// ToggleDefault with no multilevel knobs — a plain problem solved outside a
+// session — means off, the zero (single-level) options. Sequencing with
+// Levels unset runs the two-level cascade.
+func sequenceFor(p Problem) fvm.SequenceOptions {
 	multi := p.Levels >= 1 || p.Cycle != "" || p.RefitEvery > 0
 	if !p.GridSequencing.Enabled(multi) {
-		return nil
+		return fvm.SequenceOptions{}
 	}
-	return &fvm.SequenceOptions{Levels: p.Levels, RefitEvery: p.RefitEvery}
+	return fvm.SequenceOptions{Levels: cmp.Or(p.Levels, 2), RefitEvery: p.RefitEvery}
 }
 
 // fvmOptions builds the finite-volume numerics of an NS or Euler solve: the

@@ -37,11 +37,10 @@ type Case struct {
 	// physics fields the case owns over it: Gas, an inviscid slip wall,
 	// CFL, MUSCL and the freestream.
 	Options fvm.Options
-	// Sequence, when non-nil, runs the solve grid-sequenced through the
-	// multilevel cascade: converge coarse grids first, then finish on the
-	// fine grid (see fvm.SolveMultilevel and the Levels and RefitEvery
-	// fields of fvm.SequenceOptions).
-	Sequence *fvm.SequenceOptions
+	// Sequence configures the grid sequencing of the march (see
+	// fvm.SolveMultilevel and the Levels and RefitEvery fields of
+	// fvm.SequenceOptions); the zero value is the plain single-grid march.
+	Sequence fvm.SequenceOptions
 }
 
 // Result is the converged Euler solution.
@@ -92,17 +91,7 @@ func Solve(ctx context.Context, c Case) (*Result, error) {
 	o.FreestreamV = [2]float64{c.VInf, 0}
 	o.FreestreamPT = [2]float64{c.PInf, c.TInf}
 	const dropTol = 5e-4
-	var (
-		s   *fvm.Solver
-		res float64
-	)
-	if c.Sequence != nil {
-		s, res, err = fvm.SolveMultilevel(ctx, g, o, c.MaxSteps, dropTol, *c.Sequence)
-	} else {
-		if s, err = fvm.New(g, o); err == nil {
-			res, err = s.RunCtx(ctx, c.MaxSteps, dropTol)
-		}
-	}
+	s, res, err := fvm.SolveMultilevel(ctx, g, o, c.MaxSteps, dropTol, c.Sequence)
 	if err != nil {
 		return nil, err
 	}

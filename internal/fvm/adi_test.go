@@ -1,6 +1,7 @@
 package fvm
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -187,14 +188,11 @@ func TestADIStepCountAdvantageSlender(t *testing.T) {
 		}
 		steps := 0
 		o.Progress = func(phase string, step, maxSteps int, residual float64, diag Diag) { steps = step }
-		s, err := New(g, o)
+		s, _, err := SolveMultilevel(context.Background(), g, o, 2000, 5e-4, SequenceOptions{})
 		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		if _, err := s.Run(2000, 5e-4); err != nil {
 			t.Fatalf("%s: %v", sweep, err)
 		}
+		s.Close()
 		return steps
 	}
 	jline := run(ImplicitSweepJLine)

@@ -1,6 +1,7 @@
 package fvm
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -318,24 +319,18 @@ func TestFrozenLimiterConvergence(t *testing.T) {
 	// ones and the frozen fixed point coincides with the live one.
 	o.TimeStepping = TimeSteppingImplicit
 	o.Limiter = LimiterVanAlbada
-	ref, err := New(g, o)
+	ref, _, err := SolveMultilevel(context.Background(), g, o, 4000, 1e-5, SequenceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ref.Close()
-	if _, err := ref.Run(4000, 1e-5); err != nil {
-		t.Fatal(err)
-	}
 
 	o.FreezeLimiterAt = 1e-3
-	frz, err := New(g, o)
+	frz, _, err := SolveMultilevel(context.Background(), g, o, 4000, 1e-5, SequenceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer frz.Close()
-	if _, err := frz.Run(4000, 1e-5); err != nil {
-		t.Fatal(err)
-	}
 	if frz.limMode != limFrozen {
 		t.Fatalf("limiter never froze: limMode %d (threshold %g)", frz.limMode, o.FreezeLimiterAt)
 	}

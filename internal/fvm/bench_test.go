@@ -119,9 +119,8 @@ func BenchmarkStepImplicitADI(b *testing.B) {
 
 // benchSolveViscous converges the reference viscous (Fig. 9 class) case at
 // the given grid size: same gas and tolerance across integrators and
-// schedules, so the benchmarks compare only the marching strategy. A non-nil
-// seq routes the solve through the multilevel driver.
-func benchSolveViscous(b *testing.B, ni, nj int, ts string, seq *SequenceOptions) {
+// schedules, so the benchmarks compare only the marching strategy.
+func benchSolveViscous(b *testing.B, ni, nj int, ts string, sq SequenceOptions) {
 	b.Helper()
 	g, o, err := ReferenceViscousCase(ni, nj, ts)
 	if err != nil {
@@ -129,14 +128,7 @@ func benchSolveViscous(b *testing.B, ni, nj int, ts string, seq *SequenceOptions
 	}
 	steps := 0
 	o.Progress = func(phase string, step, maxSteps int, residual float64, diag Diag) { steps++ }
-	var s *Solver
-	if seq != nil {
-		s, _, err = SolveMultilevel(context.Background(), g, o, 6000, 5e-4, *seq)
-	} else {
-		if s, err = New(g, o); err == nil {
-			_, err = s.Run(6000, 5e-4)
-		}
-	}
+	s, _, err := SolveMultilevel(context.Background(), g, o, 6000, 5e-4, sq)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -156,7 +148,7 @@ var benchSizes = [][2]int{{20, 32}, {40, 64}, {80, 128}}
 func BenchmarkSolveExplicit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchSolveViscous(b, 20, 32, "explicit", nil)
+		benchSolveViscous(b, 20, 32, "explicit", SequenceOptions{})
 	}
 }
 
@@ -169,7 +161,7 @@ func BenchmarkSolveImplicit(b *testing.B) {
 	for _, sz := range benchSizes {
 		b.Run(fmt.Sprintf("%dx%d", sz[0], sz[1]), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				benchSolveViscous(b, sz[0], sz[1], "implicit", nil)
+				benchSolveViscous(b, sz[0], sz[1], "implicit", SequenceOptions{})
 			}
 		})
 	}
@@ -185,7 +177,7 @@ func BenchmarkSolveMultigrid(b *testing.B) {
 	for _, sz := range benchSizes {
 		b.Run(fmt.Sprintf("%dx%d", sz[0], sz[1]), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				benchSolveViscous(b, sz[0], sz[1], "implicit", &SequenceOptions{Levels: 3})
+				benchSolveViscous(b, sz[0], sz[1], "implicit", SequenceOptions{Levels: 3})
 			}
 		})
 	}
@@ -205,11 +197,8 @@ func BenchmarkSolveSlender(b *testing.B) {
 				}
 				steps := 0
 				o.Progress = func(phase string, step, maxSteps int, residual float64, diag Diag) { steps++ }
-				s, err := New(g, o)
+				s, _, err := SolveMultilevel(context.Background(), g, o, 2000, 5e-4, SequenceOptions{})
 				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := s.Run(2000, 5e-4); err != nil {
 					b.Fatal(err)
 				}
 				s.Close()
@@ -245,11 +234,8 @@ func BenchmarkSolveFineOnly(b *testing.B) {
 	g, o := benchSolveCase(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := New(g, o)
+		s, _, err := SolveMultilevel(context.Background(), g, o, 6000, 1e-3, SequenceOptions{})
 		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := s.Run(6000, 1e-3); err != nil {
 			b.Fatal(err)
 		}
 		s.Close()
@@ -264,7 +250,7 @@ func BenchmarkSolveSequenced(b *testing.B) {
 	g, o := benchSolveCase(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, _, err := SolveMultilevel(context.Background(), g, o, 6000, 1e-3, SequenceOptions{})
+		s, _, err := SolveMultilevel(context.Background(), g, o, 6000, 1e-3, SequenceOptions{Levels: 2})
 		if err != nil {
 			b.Fatal(err)
 		}

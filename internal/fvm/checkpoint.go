@@ -13,12 +13,12 @@ import (
 // serialization of everything a march needs to resume bit-exactly after a
 // process death — the conserved field, the grid nodes (a mid-march refit
 // moves them), the implicit integrator's CFL ramp bookkeeping, the
-// frozen-limiter latch, and the marching loop's own position (step offset,
-// latched first residual or absolute target, multilevel refit state).
+// frozen-limiter latch, and the finest march's own position (step count,
+// absolute residual target, refit state).
 //
 // Consistency: checkpoints are only taken at step boundaries, by the
-// marching loops themselves (RunCtx and SolveMultilevel's finest march) —
-// never from another goroutine — so a checkpoint always captures a state
+// finest-level march of SolveMultilevel itself — never from another
+// goroutine — so a checkpoint always captures a state
 // the uninterrupted march actually passed through. Resuming from it and
 // marching to convergence reproduces the uninterrupted run's terminal state
 // bit for bit on the same machine (the parallel sweep partition is fixed by
@@ -35,33 +35,31 @@ import (
 // other versions, so a resumed process never misreads a foreign layout.
 // Bump it (and the magic) on any incompatible change — see CONTRIBUTING.md
 // for the compatibility policy.
-const CheckpointFormat = 1
+const CheckpointFormat = 2
 
 // checkpointMagic brands an encoded checkpoint; the trailing digit is the
 // format version.
-const checkpointMagic = "CATCKPT1"
+const checkpointMagic = "CATCKPT2"
 
 // Checkpoint is a solver state snapshot at a step boundary, sufficient to
 // resume the march exactly where it stopped. Scalar fields travel in a JSON
 // header; the bulk float arrays travel as raw little-endian payloads (see
-// AppendBinary). The zero value of every field is the correct "not
-// applicable" marker, so one type serves the plain, sequenced and
-// multilevel marches.
+// AppendBinary). Every checkpoint is written by the finest-level march of
+// SolveMultilevel, one-level solves included, and the zero value of every
+// optional field is the correct "not applicable" marker.
 type Checkpoint struct {
 	Format int
 	NI, NJ int
-	// Phase names the marching stage that wrote the checkpoint ("solve" or
-	// "level0"), which is also how a restore is routed: a checkpoint resumes
-	// only the stage that produced it, and any other phase (such as the
-	// coarse and fine stages older builds wrote) restarts the solve cold.
+	// Phase names the finest level that wrote the checkpoint ("solve" for a
+	// one-level solve, "level0" for a sequenced one), which is also how a
+	// restore is routed: a checkpoint resumes only a solve whose finest
+	// level carries the same label, and any other phase restarts the solve
+	// cold.
 	Phase string
-	// Step counts completed steps of the phase's marching loop.
+	// Step counts the finest march's completed steps: the share of the
+	// step budget already spent.
 	Step int
-	// First is RunCtx's latched first-step residual (-1 before the latch);
-	// unused by the multilevel finest march.
-	First float64
-	// Target is the absolute residual target of a multilevel finest march;
-	// 0 for a relative-drop (RunCtx) march.
+	// Target is the finest march's absolute residual target.
 	Target float64
 
 	// Implicit CFL ramp state (zero when the integrator has no ramp).
@@ -76,11 +74,9 @@ type Checkpoint struct {
 	LimMode  int
 	LimFirst float64
 
-	// Multilevel finest-march position (SolveMultilevel): fine-step budget
-	// consumed, refits done, steps since the last refit, and the refit
-	// stall-out window. MarchBest stores 0 for "no best yet" (+Inf has no
-	// JSON form).
-	FineSteps    int
+	// Refit position of the finest march: refits done, steps since the
+	// last refit, and the refit stall-out window. MarchBest stores 0 for
+	// "no best yet" (+Inf has no JSON form).
 	Refits       int
 	SinceRefit   int
 	MarchBest    float64
@@ -110,7 +106,6 @@ type ckptHeader struct {
 	NJ           int     `json:"nj"`
 	Phase        string  `json:"phase"`
 	Step         int     `json:"step"`
-	First        float64 `json:"first"`
 	Target       float64 `json:"target,omitempty"`
 	CFL          float64 `json:"cfl,omitempty"`
 	RampBest     float64 `json:"ramp_best,omitempty"`
@@ -120,7 +115,6 @@ type ckptHeader struct {
 	Fallbacks    int     `json:"fallbacks,omitempty"`
 	LimMode      int     `json:"lim_mode,omitempty"`
 	LimFirst     float64 `json:"lim_first,omitempty"`
-	FineSteps    int     `json:"fine_steps,omitempty"`
 	Refits       int     `json:"refits,omitempty"`
 	SinceRefit   int     `json:"since_refit,omitempty"`
 	MarchBest    float64 `json:"march_best,omitempty"`
@@ -143,12 +137,11 @@ func (cp *Checkpoint) AppendBinary(dst []byte) ([]byte, error) {
 		Format: CheckpointFormat,
 		NI:     cp.NI, NJ: cp.NJ,
 		Phase: cp.Phase,
-		Step:  cp.Step,
-		First: cp.First, Target: cp.Target,
+		Step:  cp.Step, Target: cp.Target,
 		CFL: cp.CFL, RampBest: cp.RampBest, RampStall: cp.RampStall,
 		RampCap: cp.RampCap, RampLows: cp.RampLows, Fallbacks: cp.Fallbacks,
 		LimMode: cp.LimMode, LimFirst: cp.LimFirst,
-		FineSteps: cp.FineSteps, Refits: cp.Refits, SinceRefit: cp.SinceRefit,
+		Refits: cp.Refits, SinceRefit: cp.SinceRefit,
 		MarchBest: cp.MarchBest, MarchStalled: cp.MarchStalled,
 		Restarts: cp.Restarts,
 		NGrid:    len(cp.GridX), NU: len(cp.U),
@@ -202,11 +195,17 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if h.Format != CheckpointFormat {
 		return nil, fmt.Errorf("fvm: checkpoint format %d, want %d", h.Format, CheckpointFormat)
 	}
-	if h.NGrid < 0 || h.NU < 0 || h.NFrzI < 0 || h.NFrzJ < 0 {
-		return nil, fmt.Errorf("fvm: checkpoint with negative payload length")
-	}
-	total := 2*h.NGrid + h.NU + h.NFrzI + h.NFrzJ
 	payload := rest[hlen:]
+	// Bound each count by the payload before summing: a crafted header's
+	// counts could otherwise overflow the sum into a length that matches.
+	floats := len(payload) / 8
+	total := 0
+	for _, n := range []int{h.NGrid, h.NGrid, h.NU, h.NFrzI, h.NFrzJ} {
+		if n < 0 || n > floats {
+			return nil, fmt.Errorf("fvm: checkpoint payload length %d outside [0, %d]", n, floats)
+		}
+		total += n
+	}
 	if len(payload) != 8*total {
 		return nil, fmt.Errorf("fvm: checkpoint payload %d bytes, header promises %d", len(payload), 8*total)
 	}
@@ -225,12 +224,11 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 		Format: h.Format,
 		NI:     h.NI, NJ: h.NJ,
 		Phase: h.Phase,
-		Step:  h.Step,
-		First: h.First, Target: h.Target,
+		Step:  h.Step, Target: h.Target,
 		CFL: h.CFL, RampBest: h.RampBest, RampStall: h.RampStall,
 		RampCap: h.RampCap, RampLows: h.RampLows, Fallbacks: h.Fallbacks,
 		LimMode: h.LimMode, LimFirst: h.LimFirst,
-		FineSteps: h.FineSteps, Refits: h.Refits, SinceRefit: h.SinceRefit,
+		Refits: h.Refits, SinceRefit: h.SinceRefit,
 		MarchBest: h.MarchBest, MarchStalled: h.MarchStalled,
 		Restarts: h.Restarts,
 		GridX:    take(h.NGrid), GridY: take(h.NGrid),
@@ -241,8 +239,8 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 }
 
 // diag assembles the solver's divergence-recovery diagnostics for a
-// progress callback; refits is supplied by the multilevel driver (a plain
-// march never refits).
+// progress callback; refits is supplied by the marching driver, which
+// counts them.
 func (s *Solver) diag(refits int) Diag {
 	d := Diag{Refits: refits, Restarts: s.restarts}
 	if s.imp != nil {
@@ -253,10 +251,10 @@ func (s *Solver) diag(refits int) Diag {
 
 // Checkpoint captures the solver's state at the current step boundary into
 // a reusable scratch Checkpoint and returns it. Call it only between steps
-// on the marching goroutine — the loops in RunCtx and SolveMultilevel
-// do this for Options.CheckpointEvery — and encode or copy the result
-// before the next call, which overwrites it. After the first call the fill
-// is allocation-free.
+// on the marching goroutine — SolveMultilevel's finest march does this for
+// Options.CheckpointEvery and fills in its own position — and encode or
+// copy the result before the next call, which overwrites it. After the
+// first call the fill is allocation-free.
 func (s *Solver) Checkpoint() *Checkpoint {
 	cp := s.ckpt
 	if cp == nil {
@@ -274,8 +272,8 @@ func (s *Solver) Checkpoint() *Checkpoint {
 	cp.Format = CheckpointFormat
 	cp.NI, cp.NJ = s.ni, s.nj
 	cp.Phase = s.phase
-	cp.Step, cp.First, cp.Target = 0, -1, 0
-	cp.FineSteps, cp.Refits, cp.SinceRefit, cp.MarchBest, cp.MarchStalled = 0, 0, 0, 0, 0
+	cp.Step, cp.Target = 0, 0
+	cp.Refits, cp.SinceRefit, cp.MarchBest, cp.MarchStalled = 0, 0, 0, 0
 	cp.Restarts = s.restarts
 	nj1 := s.nj + 1
 	for i := 0; i <= s.ni; i++ {
@@ -308,9 +306,9 @@ func (s *Solver) Checkpoint() *Checkpoint {
 // Restore overwrites the solver's state from a checkpoint taken by a solver
 // of identical shape and configuration: grid nodes (rebuilding the metrics,
 // so refitted geometry survives), the conserved field, the integrator's
-// ramp state and the limiter latch. The marching loop that runs next picks
-// up the step offset and latched residual via takeResume, continuing the
-// march exactly where the checkpoint left it.
+// ramp state and the limiter latch. The march position (step count, target,
+// refit state) is the caller's to resume: SolveMultilevel reads it from the
+// same checkpoint and continues the finest march exactly where it stopped.
 func (s *Solver) Restore(cp *Checkpoint) error {
 	if cp == nil {
 		return fmt.Errorf("fvm: restore from nil checkpoint")
@@ -350,50 +348,6 @@ func (s *Solver) Restore(cp *Checkpoint) error {
 			copy(s.frzJ, cp.FrzJ)
 		}
 	}
-	s.resumeStep = cp.Step
-	s.resumeFirst = cp.First
 	s.restarts = cp.Restarts + 1
 	return nil
-}
-
-// takeResume consumes the marching-loop offset a Restore installed: the
-// completed-step count to continue from and the latched first residual.
-// Returns (0, -1) when no restore is pending.
-func (s *Solver) takeResume() (start int, first float64) {
-	start, first = s.resumeStep, s.resumeFirst
-	if start == 0 && first == 0 {
-		first = -1
-	}
-	s.resumeStep, s.resumeFirst = 0, 0
-	return start, first
-}
-
-// restoreForPhase applies Options.Restore when it targets the solver's
-// current phase, consuming it so a later loop on the same options cannot
-// re-apply it. Used by the relative-drop marching loops, whose resume needs
-// no external target; SolveMultilevel routes its absolute-target restores
-// explicitly. A shape or content mismatch falls back to a cold start rather
-// than failing the solve: a checkpoint is an optimization, never a
-// correctness requirement.
-func (s *Solver) restoreForPhase() {
-	cp := s.Opts.Restore
-	if cp == nil || cp.Phase != s.phase {
-		return
-	}
-	s.Opts.Restore = nil
-	_ = s.Restore(cp)
-}
-
-// checkpointNow fills the scratch checkpoint with RunCtx's loop position
-// and hands it to the sink.
-func (s *Solver) checkpointNow(step int, first float64) {
-	cp := s.Checkpoint()
-	cp.Step, cp.First, cp.Target = step, first, 0
-	s.Opts.CheckpointSink(cp)
-}
-
-// wantCheckpoints reports whether the marching loops should emit
-// checkpoints at all.
-func (s *Solver) wantCheckpoints() bool {
-	return s.Opts.CheckpointEvery > 0 && s.Opts.CheckpointSink != nil
 }

@@ -2,6 +2,8 @@ package fvm
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"math"
 	"testing"
 )
@@ -24,7 +26,7 @@ func TestCheckpointEncodeDecodeRoundTrip(t *testing.T) {
 		s.Step()
 	}
 	cp := s.Checkpoint()
-	cp.Step, cp.First, cp.Target = 20, 1.25, 3.5e-3
+	cp.Step, cp.Target = 20, 3.5e-3
 	enc, err := cp.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -36,9 +38,9 @@ func TestCheckpointEncodeDecodeRoundTrip(t *testing.T) {
 	if dec.Format != CheckpointFormat || dec.NI != cp.NI || dec.NJ != cp.NJ {
 		t.Fatalf("shape: got format %d %dx%d, want %d %dx%d", dec.Format, dec.NI, dec.NJ, CheckpointFormat, cp.NI, cp.NJ)
 	}
-	if dec.Phase != cp.Phase || dec.Step != cp.Step || dec.First != cp.First || dec.Target != cp.Target {
-		t.Fatalf("loop position: got %q %d %g %g, want %q %d %g %g",
-			dec.Phase, dec.Step, dec.First, dec.Target, cp.Phase, cp.Step, cp.First, cp.Target)
+	if dec.Phase != cp.Phase || dec.Step != cp.Step || dec.Target != cp.Target {
+		t.Fatalf("march position: got %q %d %g, want %q %d %g",
+			dec.Phase, dec.Step, dec.Target, cp.Phase, cp.Step, cp.Target)
 	}
 	if dec.CFL != cp.CFL || dec.RampBest != cp.RampBest || dec.RampStall != cp.RampStall ||
 		dec.RampCap != cp.RampCap || dec.RampLows != cp.RampLows || dec.Fallbacks != cp.Fallbacks {
@@ -91,6 +93,10 @@ func TestDecodeCheckpointRejectsDamage(t *testing.T) {
 		"bad magic":   append([]byte("NOTCKPT0"), enc[8:]...),
 		"flipped bit": flipByte(enc, len(enc)/2),
 		"torn tail":   enc[:len(enc)-7],
+		// Checksummed, but 8 times the payload counts' sum wraps to the
+		// empty payload's length.
+		"count overflow": seal(overflowBody()),
+		"format 1":       seal(format1Body()),
 	}
 	for name, data := range cases {
 		if _, err := DecodeCheckpoint(data); err == nil {
@@ -103,6 +109,34 @@ func flipByte(b []byte, i int) []byte {
 	out := append([]byte(nil), b...)
 	out[i] ^= 0xff
 	return out
+}
+
+// seal appends the SHA-256 trailer DecodeCheckpoint verifies, so a crafted
+// body reaches the header and payload checks.
+func seal(body []byte) []byte {
+	sum := sha256.Sum256(body)
+	return append(body[:len(body):len(body)], sum[:]...)
+}
+
+// checkpointBody assembles an unsealed checkpoint from a magic, a raw JSON
+// header and raw payload bytes.
+func checkpointBody(magic, header string, payload []byte) []byte {
+	b := binary.LittleEndian.AppendUint32([]byte(magic), uint32(len(header)))
+	return append(append(b, header...), payload...)
+}
+
+// overflowBody is a format-2 body whose header promises 2^61 grid floats
+// over an empty payload.
+func overflowBody() []byte {
+	return checkpointBody(checkpointMagic,
+		`{"format":2,"ni":1,"nj":1,"phase":"solve","step":1,"target":1,"n_grid":2305843009213693952,"n_u":0}`, nil)
+}
+
+// format1Body is a one-cell body in the format-1 layout, with the relative
+// march's latched first residual that format 2 dropped.
+func format1Body() []byte {
+	return checkpointBody("CATCKPT1",
+		`{"format":1,"ni":1,"nj":1,"phase":"solve","step":3,"first":0.5,"n_grid":0,"n_u":4}`, make([]byte, 32))
 }
 
 // TestRestoreRejectsMismatch: a checkpoint from a different grid shape must
@@ -138,111 +172,6 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 	}
 }
 
-// TestResumeBitExact is the crash/resume equivalence property: a march
-// cancelled mid-run and resumed from its last checkpoint must reach the
-// terminal state of the uninterrupted march bit for bit (same machine),
-// while reporting strictly fewer process-local steps.
-func TestResumeBitExact(t *testing.T) {
-	const (
-		maxSteps = 4000
-		dropTol  = 5e-5
-		cancelAt = 15
-	)
-	build := func() (*Solver, error) {
-		g, o, err := ReferenceViscousCase(8, 12, TimeSteppingImplicit)
-		if err != nil {
-			return nil, err
-		}
-		o.FreezeLimiterAt = 1e-1
-		return New(g, o)
-	}
-
-	// Uninterrupted reference march.
-	cold, err := build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cold.Close()
-	coldSteps := 0
-	cold.Opts.Progress = func(phase string, step, maxSteps int, residual float64, diag Diag) { coldSteps = step }
-	coldRes, err := cold.RunCtx(context.Background(), maxSteps, dropTol)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Interrupted march: periodic checkpoints, context cancelled mid-run;
-	// the cancellation branch emits a final checkpoint before returning.
-	victim, err := build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer victim.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var latest []byte
-	victim.Opts.CheckpointEvery = 10
-	victim.Opts.CheckpointSink = func(cp *Checkpoint) {
-		enc, err := cp.AppendBinary(nil)
-		if err != nil {
-			t.Errorf("encode checkpoint: %v", err)
-			return
-		}
-		latest = enc
-	}
-	victim.Opts.Progress = func(phase string, step, maxSteps int, residual float64, diag Diag) {
-		if step >= cancelAt {
-			cancel()
-		}
-	}
-	if _, err := victim.RunCtx(ctx, maxSteps, dropTol); err == nil {
-		t.Fatal("cancelled march returned no error (converged before the cancel point?)")
-	}
-	if latest == nil {
-		t.Fatal("cancelled march emitted no checkpoint")
-	}
-	cp, err := DecodeCheckpoint(latest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp.Step == 0 {
-		t.Fatal("checkpoint carries no step offset")
-	}
-
-	// Resume in a fresh solver and march to convergence.
-	resumed, err := build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resumed.Close()
-	resumedSteps, restarts := 0, 0
-	resumed.Opts.Progress = func(phase string, step, maxSteps int, residual float64, diag Diag) {
-		resumedSteps = step
-		restarts = diag.Restarts
-	}
-	resumed.Opts.Restore = cp
-	warmRes, err := resumed.RunCtx(context.Background(), maxSteps, dropTol)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if math.Float64bits(warmRes) != math.Float64bits(coldRes) {
-		t.Fatalf("terminal residual differs: resumed %v, cold %v", warmRes, coldRes)
-	}
-	for k := range cold.U {
-		for c := 0; c < 4; c++ {
-			if math.Float64bits(resumed.U[k][c]) != math.Float64bits(cold.U[k][c]) {
-				t.Fatalf("U[%d][%d] differs after resume: %v vs %v", k, c, resumed.U[k][c], cold.U[k][c])
-			}
-		}
-	}
-	if resumedSteps >= coldSteps {
-		t.Fatalf("resumed march reported %d process-local steps, cold march %d — resume saved nothing", resumedSteps, coldSteps)
-	}
-	if restarts != 1 {
-		t.Fatalf("resumed march reported %d restarts, want 1", restarts)
-	}
-}
-
 // TestCheckpointScratchReuse: after the first emission, Checkpoint() must
 // fill the same scratch object (the allocation-free contract for the
 // marching loop).
@@ -269,13 +198,15 @@ func TestCheckpointScratchReuse(t *testing.T) {
 	}
 }
 
-// TestResumeSequencedBitExact is the resume equivalence property for the
-// multilevel cascade, explicit and implicit, with and without mid-march
-// refits: a solve cancelled partway through its finest-level march resumes
-// from its level0 checkpoint — skipping the cascade — onto the
-// uninterrupted solve's terminal state bit for bit. A stale checkpoint with
-// the fine phase older builds wrote is ignored: the solve starts cold and
-// lands on the same state.
+// TestResumeSequencedBitExact is the crash/resume equivalence property of
+// the one marching driver, for one-level solves and the two-level cascade,
+// explicit and implicit, with and without mid-march refits and a frozen
+// limiter: a solve cancelled partway through its finest-level march resumes
+// from its checkpoint — skipping any cascade — onto the uninterrupted
+// solve's terminal state bit for bit, while reporting strictly fewer
+// process-local steps. A checkpoint of the other kind of solve (a "level0"
+// one offered to a one-level solve, or a "solve" one to a sequenced solve)
+// is ignored: the solve starts cold and lands on the same state.
 func TestResumeSequencedBitExact(t *testing.T) {
 	const (
 		maxSteps = 4000
@@ -284,16 +215,29 @@ func TestResumeSequencedBitExact(t *testing.T) {
 	)
 	for _, tc := range []struct {
 		name       string
+		levels     int
 		ts         string
 		refitEvery int
+		freeze     float64 // Options.FreezeLimiterAt
+		// frozenAtCut: the limiter latches before the cancel, so the
+		// checkpoint carries recorded offsets; otherwise the resumed march
+		// latches it from the restored first residual.
+		frozenAtCut bool
 	}{
-		{"explicit", TimeSteppingExplicit, 0},
-		{"explicit-refit", TimeSteppingExplicit, 20},
-		{"implicit", TimeSteppingImplicit, 0},
-		{"implicit-refit", TimeSteppingImplicit, 20},
+		{"one-level-explicit", 1, TimeSteppingExplicit, 0, 0, false},
+		{"one-level-implicit-freezing", 1, TimeSteppingImplicit, 0, 1e-1, false},
+		{"one-level-implicit-frozen", 1, TimeSteppingImplicit, 0, 3e-1, true},
+		{"explicit", 2, TimeSteppingExplicit, 0, 0, false},
+		{"explicit-refit", 2, TimeSteppingExplicit, 20, 0, false},
+		{"implicit", 2, TimeSteppingImplicit, 0, 0, false},
+		{"implicit-refit", 2, TimeSteppingImplicit, 20, 0, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sq := SequenceOptions{Levels: 2, RefitEvery: tc.refitEvery}
+			sq := SequenceOptions{Levels: tc.levels, RefitEvery: tc.refitEvery}
+			finest, other := "level0", "solve"
+			if tc.levels < 2 {
+				finest, other = other, finest
+			}
 			type outcome struct {
 				s        *Solver
 				res      float64
@@ -304,6 +248,7 @@ func TestResumeSequencedBitExact(t *testing.T) {
 			solve := func(ctx context.Context, restore *Checkpoint, every int, sink func(*Checkpoint), onStep func(phase string, step int)) (outcome, error) {
 				g, o := seqCase(t)
 				o.TimeStepping = tc.ts
+				o.FreezeLimiterAt = tc.freeze
 				o.Restore = restore
 				o.CheckpointEvery, o.CheckpointSink = every, sink
 				out := outcome{phases: map[string]int{}}
@@ -345,11 +290,14 @@ func TestResumeSequencedBitExact(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer cold.s.Close()
-			if cold.phases["level0"] <= 2*cancelAt {
-				t.Fatalf("finest march took %d steps, too few to interrupt at %d", cold.phases["level0"], cancelAt)
+			if cold.phases[finest] <= 2*cancelAt {
+				t.Fatalf("finest march took %d steps, too few to interrupt at %d", cold.phases[finest], cancelAt)
 			}
 			if tc.refitEvery > 0 && cold.refits == 0 {
 				t.Fatal("refit case never refitted")
+			}
+			if tc.freeze > 0 && cold.s.limMode != limFrozen {
+				t.Fatal("frozen-limiter case never froze")
 			}
 
 			// Interrupted solve: checkpoints every 7 finest steps, cancelled
@@ -366,7 +314,7 @@ func TestResumeSequencedBitExact(t *testing.T) {
 				latest = enc
 			}
 			_, err = solve(ctx, nil, 7, sink, func(phase string, step int) {
-				if phase == "level0" && step >= cancelAt {
+				if phase == finest && step >= cancelAt {
 					cancel()
 				}
 			})
@@ -380,14 +328,24 @@ func TestResumeSequencedBitExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if cp.Phase != "level0" || cp.FineSteps < cancelAt || cp.Target <= 0 {
-				t.Fatalf("checkpoint phase %q after %d finest steps (target %g), want a mid-march level0 one", cp.Phase, cp.FineSteps, cp.Target)
+			if cp.Phase != finest || cp.Step < cancelAt || cp.Target <= 0 {
+				t.Fatalf("checkpoint phase %q after %d finest steps (target %g), want a mid-march %s one", cp.Phase, cp.Step, cp.Target, finest)
 			}
 			if tc.refitEvery > 0 && cp.Refits == 0 {
 				t.Fatal("checkpoint cut before the first refit; the refit bookkeeping goes unexercised")
 			}
+			if frozen := cp.LimMode == limFrozen; frozen != tc.frozenAtCut {
+				t.Fatalf("checkpoint limiter frozen %v, want %v", frozen, tc.frozenAtCut)
+			}
 
-			warm, err := solve(context.Background(), cp, 0, nil, nil)
+			// The resumed march continues the step count (the budget spent),
+			// so its next checkpoint lands on the cadence after cp.Step.
+			next := 0
+			warm, err := solve(context.Background(), cp, 7, func(c *Checkpoint) {
+				if next == 0 {
+					next = c.Step
+				}
+			}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -396,22 +354,26 @@ func TestResumeSequencedBitExact(t *testing.T) {
 			if _, ok := warm.phases["level1"]; ok {
 				t.Error("resumed solve re-ran the coarse level")
 			}
-			if warm.phases["level0"] >= cold.phases["level0"] || warm.restarts != 1 {
+			if warm.phases[finest] >= cold.phases[finest] || warm.restarts != 1 {
 				t.Errorf("resumed solve: %d finest steps (cold %d), %d restarts; want fewer steps and 1 restart",
-					warm.phases["level0"], cold.phases["level0"], warm.restarts)
+					warm.phases[finest], cold.phases[finest], warm.restarts)
+			}
+			if want := (cp.Step/7 + 1) * 7; next != want {
+				t.Errorf("resumed solve's first checkpoint at step %d, want %d (resumed at %d)", next, want, cp.Step)
 			}
 
-			// A stale checkpoint from the removed two-level path restarts cold.
+			// The other kind of solve's checkpoint restarts cold.
 			stale := *cp
-			stale.Phase = "fine"
+			stale.Phase = other
 			again, err := solve(context.Background(), &stale, 0, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer again.s.Close()
 			sameState("stale checkpoint", again, cold)
-			if again.phases["level1"] == 0 || again.restarts != 0 {
-				t.Errorf("stale checkpoint: level1 steps %d, restarts %d; want a cold cascade", again.phases["level1"], again.restarts)
+			if again.phases[finest] != cold.phases[finest] || again.restarts != 0 {
+				t.Errorf("stale checkpoint: %d finest steps (cold %d), %d restarts; want a cold solve",
+					again.phases[finest], cold.phases[finest], again.restarts)
 			}
 		})
 	}

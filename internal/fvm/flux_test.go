@@ -103,7 +103,7 @@ func TestFluxKernelsShockCapture(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			s := bluntSolverFlux(t, name)
 			defer s.Close()
-			if _, err := s.Run(3000, 1e-3); err != nil {
+			if _, err := marchDrop(s, 3000, 1e-3); err != nil {
 				t.Fatal(err)
 			}
 			// Rayleigh pitot pressure for M=6, gamma=1.4: p02/p1 = 46.81.

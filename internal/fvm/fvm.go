@@ -39,13 +39,13 @@ const (
 )
 
 // ProgressFunc observes a marching loop: phase names the sequencing stage
-// ("solve" for a plain march, "level0" (finest) through "levelN" (coarsest)
-// for a grid-sequenced one), step counts completed time steps within the
-// phase (local to this process — a resumed run counts from its restore
-// point), maxSteps is the phase's step budget, residual is the latest RMS
-// density residual and diag carries the divergence-recovery counters. The
-// callback runs on the marching goroutine after every step, so it must be
-// cheap and must not call back into the solver.
+// ("solve" for a one-level solve, "level0" (finest) through "levelN"
+// (coarsest) for a grid-sequenced one), step counts completed time steps
+// within the phase (local to this process — a resumed run counts from its
+// restore point), maxSteps is the phase's step budget, residual is the
+// latest RMS density residual and diag carries the divergence-recovery
+// counters. The callback runs on the marching goroutine after every step,
+// so it must be cheap and must not call back into the solver.
 type ProgressFunc func(phase string, step, maxSteps int, residual float64, diag Diag)
 
 // Diag is the divergence-recovery diagnostics a progress callback carries:
@@ -113,11 +113,11 @@ type Options struct {
 	// solver builds a private GOMAXPROCS-sized pool and releases it on
 	// Close.
 	Pool *Pool
-	// Progress, when non-nil, is invoked after every time step of RunCtx
-	// and SolveMultilevel with the live step count and residual.
+	// Progress, when non-nil, is invoked after every time step of
+	// SolveMultilevel with the live step count and residual.
 	Progress ProgressFunc
 	// CheckpointEvery, when positive together with CheckpointSink, makes
-	// the marching loops hand a state checkpoint to the sink every
+	// the finest-level march hand a state checkpoint to the sink every
 	// CheckpointEvery completed steps, plus a final one when the march is
 	// cancelled mid-flight (context cancellation or deadline), so the work
 	// done before the cancellation survives. It never changes the solution.
@@ -127,11 +127,12 @@ type Options struct {
 	// emissions: encode (Checkpoint.AppendBinary) or deep-copy it before
 	// returning.
 	CheckpointSink func(*Checkpoint)
-	// Restore, when non-nil, resumes the march from the checkpoint instead
-	// of from freestream: the loop whose phase matches Restore.Phase
-	// reloads the saved state and continues at the saved step. A checkpoint
-	// that does not fit (wrong shape or phase) is ignored and the solve
-	// starts cold — restoring is an optimization, never a requirement.
+	// Restore, when non-nil, resumes the solve from the checkpoint instead
+	// of from freestream: when Restore.Phase matches the finest level's
+	// label, SolveMultilevel reloads the saved state and continues the
+	// finest march at the saved step, skipping any coarse levels. A
+	// checkpoint that does not fit (wrong shape or phase) is ignored and the
+	// solve starts cold — restoring is an optimization, never a requirement.
 	Restore *Checkpoint
 }
 
@@ -159,7 +160,7 @@ type Solver struct {
 	pool       *Pool
 	// ownsPool marks a private pool (no Options.Pool) that Close releases.
 	ownsPool bool
-	// phase labels Progress callbacks and checkpoints ("solve";
+	// phase labels Progress callbacks and checkpoints ("solve"; a sequenced
 	// SolveMultilevel relabels its levels "level0".."levelN").
 	phase string
 
@@ -187,13 +188,10 @@ type Solver struct {
 	ni, nj    int
 	closeOnce sync.Once
 
-	// Checkpoint/restore state: the reusable scratch Checkpoint fills, the
-	// pending loop offset a Restore installs (consumed by takeResume), and
+	// Checkpoint/restore state: the reusable scratch Checkpoint fills and
 	// the cumulative restore count reported in Diag.
-	ckpt        *Checkpoint
-	resumeStep  int
-	resumeFirst float64
-	restarts    int
+	ckpt     *Checkpoint
+	restarts int
 }
 
 // New builds a solver on grid g with options o and initializes every cell to
@@ -402,37 +400,4 @@ func vanAlbada(a, b float64) float64 {
 	}
 	const eps = 1e-32
 	return a * b * (a + b) / (a*a + b*b + eps)
-}
-
-// reconstruct returns the MUSCL-extrapolated left/right primitive states at
-// the face between cells m (left) and p (right), using neighbors mm and pp
-// and the configured slope limiter. ok flags indicate whether the outer
-// neighbors exist.
-func reconstruct(lim func(a, b float64) float64, qmm, qm, qp, qpp Prim, hasMM, hasPP bool) (Prim, Prim) {
-	L, R := qm, qp
-	if hasMM {
-		L.Rho = qm.Rho + 0.5*lim(qm.Rho-qmm.Rho, qp.Rho-qm.Rho)
-		L.U = qm.U + 0.5*lim(qm.U-qmm.U, qp.U-qm.U)
-		L.V = qm.V + 0.5*lim(qm.V-qmm.V, qp.V-qm.V)
-		L.P = qm.P + 0.5*lim(qm.P-qmm.P, qp.P-qm.P)
-	}
-	if hasPP {
-		R.Rho = qp.Rho - 0.5*lim(qp.Rho-qm.Rho, qpp.Rho-qp.Rho)
-		R.U = qp.U - 0.5*lim(qp.U-qm.U, qpp.U-qp.U)
-		R.V = qp.V - 0.5*lim(qp.V-qm.V, qpp.V-qp.V)
-		R.P = qp.P - 0.5*lim(qp.P-qm.P, qpp.P-qp.P)
-	}
-	if L.Rho <= 0 || L.P <= 0 {
-		L = qm
-	}
-	if R.Rho <= 0 || R.P <= 0 {
-		R = qp
-	}
-	// Recompute derived members approximately (a from pressure/density with
-	// the cell's gamma-like ratio; adequate for wave-speed estimates).
-	L.A = qm.A * math.Sqrt((L.P/qm.P)*(qm.Rho/L.Rho))
-	R.A = qp.A * math.Sqrt((R.P/qp.P)*(qp.Rho/R.Rho))
-	L.E = qm.E * (L.P / qm.P) * (qm.Rho / L.Rho)
-	R.E = qp.E * (R.P / qp.P) * (qp.Rho / R.Rho)
-	return L, R
 }

@@ -1,6 +1,7 @@
 package fvm
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -96,7 +97,8 @@ func TestBluntBodyShockCaptureIdeal(t *testing.T) {
 	// Mach 6 sphere: stagnation pressure from the solver should approach
 	// the normal-shock + isentropic-compression value (Rayleigh pitot).
 	s := bluntSolver(t, gas.NewIdealAir(), 6, true)
-	if _, err := s.Run(4000, 1e-3); err != nil {
+	defer s.Close()
+	if _, err := marchDrop(s, 4000, 1e-3); err != nil {
 		t.Fatal(err)
 	}
 	q := s.Primitive(0, 0)
@@ -127,20 +129,17 @@ func TestAxisymmetricRunsStable(t *testing.T) {
 	}
 	gr.Axisymmetric = true
 	aInf := math.Sqrt(1.4 * 287.05 * 217)
-	s, err := New(gr, Options{
+	s, res, err := SolveMultilevel(context.Background(), gr, Options{
 		Gas:          gas.NewIdealAir(),
 		FreestreamV:  [2]float64{5 * aInf, 0},
 		FreestreamPT: [2]float64{500, 217},
 		CFL:          0.5,
 		MUSCL:        true,
-	})
+	}, 2500, 1e-3, SequenceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run(2500, 1e-3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer s.Close()
 	if math.IsNaN(res) {
 		t.Fatal("NaN residual")
 	}
@@ -173,27 +172,23 @@ func TestEquilibriumGasShockCloser(t *testing.T) {
 		t.Fatal(err)
 	}
 	pInf, TInf := 10.0, 233.0
-	mkSolver := func(g gas.Model) *Solver {
-		s, err := New(gr, Options{
+	solve := func(g gas.Model) *Solver {
+		s, _, err := SolveMultilevel(context.Background(), gr, Options{
 			Gas:          g,
 			FreestreamV:  [2]float64{6700, 0},
 			FreestreamPT: [2]float64{pInf, TInf},
 			CFL:          0.5,
 			MUSCL:        true,
-		})
+		}, 2500, 1e-3, SequenceOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return s
 	}
-	sI := mkSolver(gas.NewIdealAir())
-	if _, err := sI.Run(2500, 1e-3); err != nil {
-		t.Fatal(err)
-	}
-	sE := mkSolver(tab)
-	if _, err := sE.Run(2500, 1e-3); err != nil {
-		t.Fatal(err)
-	}
+	sI := solve(gas.NewIdealAir())
+	defer sI.Close()
+	sE := solve(tab)
+	defer sE.Close()
 	xi, _ := sI.ShockLocus(3)
 	xe, _ := sE.ShockLocus(3)
 	standoffI := -xi[0]

@@ -239,6 +239,17 @@ func marchTo(s *Solver, maxSteps int, target float64) (float64, error) {
 	return res, nil
 }
 
+// marchDrop steps a solver a test already holds until its residual falls
+// by dropTol below the first step's, or maxSteps steps are taken: the stop
+// test of a one-level SolveMultilevel. Returns the last residual.
+func marchDrop(s *Solver, maxSteps int, dropTol float64) (float64, error) {
+	r0 := s.Step()
+	if math.IsNaN(r0) {
+		return r0, fmt.Errorf("residual NaN at the first step")
+	}
+	return marchTo(s, maxSteps-1, r0*dropTol)
+}
+
 // TestExplicitImplicitEquivalence drives the same inviscid case to the same
 // absolute residual target with both integrators and requires the converged
 // wall states to agree: the integrators share one discrete steady problem,
@@ -284,13 +295,17 @@ func TestExplicitImplicitEquivalence(t *testing.T) {
 // step count — the headline acceptance criterion of the scheme.
 func TestImplicitStepCountAdvantage(t *testing.T) {
 	run := func(ts string) int {
-		s := viscousCase(t, ts, CFLRamp{})
-		defer s.Close()
+		g, o, err := ReferenceViscousCase(20, 32, ts)
+		if err != nil {
+			t.Fatal(err)
+		}
 		steps := 0
-		s.Opts.Progress = func(phase string, step, maxSteps int, residual float64, diag Diag) { steps = step }
-		if _, err := s.Run(6000, 5e-4); err != nil {
+		o.Progress = func(phase string, step, maxSteps int, residual float64, diag Diag) { steps = step }
+		s, _, err := SolveMultilevel(context.Background(), g, o, 6000, 5e-4, SequenceOptions{})
+		if err != nil {
 			t.Fatalf("%s: %v", ts, err)
 		}
+		s.Close()
 		return steps
 	}
 	exp := run("explicit")
@@ -370,7 +385,7 @@ func TestSolveSequencedImplicit(t *testing.T) {
 		MUSCL:        true,
 		TimeStepping: "implicit",
 	}
-	s, res, err := SolveMultilevel(context.Background(), g, o, 6000, 1e-3, SequenceOptions{})
+	s, res, err := SolveMultilevel(context.Background(), g, o, 6000, 1e-3, SequenceOptions{Levels: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

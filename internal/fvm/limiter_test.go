@@ -1,6 +1,7 @@
 package fvm
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -69,11 +70,8 @@ func TestVanAlbadaLiftsRampCap(t *testing.T) {
 		}
 		o.Limiter = lim
 		o.Pool = NewPool(1) // deterministic reduction order
-		s, err := New(g, o)
+		s, _, err := SolveMultilevel(context.Background(), g, o, 6000, 5e-4, SequenceOptions{})
 		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Run(6000, 5e-4); err != nil {
 			t.Fatal(err)
 		}
 		caps[lim] = s.imp.cap
@@ -93,11 +91,8 @@ func TestLimitersAgreeOnPhysics(t *testing.T) {
 	var pstag [2]float64
 	for i, lim := range []string{"minmod", "vanalbada"} {
 		o.Limiter = lim
-		s, err := New(g, o)
+		s, _, err := SolveMultilevel(context.Background(), g, o, 4000, 1e-3, SequenceOptions{})
 		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Run(4000, 1e-3); err != nil {
 			t.Fatal(err)
 		}
 		pstag[i] = s.Primitive(0, 0).P

@@ -8,40 +8,46 @@ import (
 	"cataero/internal/grid"
 )
 
-// SolveMultilevel runs a grid-sequenced solve to steady state — the one
-// sequencing driver of the NS and Euler classes. It builds a level hierarchy
-// from chained grid.Coarsen calls (each level with its own cached metrics and
-// a Solver sharing Options.Pool) and marches it as a cascade: converge the
-// coarsest level from freestream, inject each converged level onto the next
-// finer one, and finish on the finest. Unreachable levels (cell counts not
-// divisible by the factor, or below the MUSCL floor) are dropped. The finest
-// level stops at the same absolute residual a freestream-started fine solve
-// would reach after dropping by dropTol; with RefitEvery set, the finest
-// march periodically re-fits the outer boundary to the detected shock locus
-// and transfers the solution onto the refitted grid. Progress and checkpoint
-// phases are labeled "level0" (finest) through "levelN" (coarsest). Returns
-// the finest solver (which the caller owns) and its final residual.
+// SolveMultilevel marches a solve to steady state — the one marching driver
+// of the NS and Euler classes. The zero SequenceOptions is the plain
+// single-grid march: one freestream-started step sets the absolute target
+// r0*dropTol, and the march stops below it or after maxSteps steps. With
+// Levels above 1 it builds a level hierarchy from chained grid.Coarsen calls
+// (each level with its own cached metrics and a Solver sharing Options.Pool)
+// and marches it as a cascade: converge the coarsest level from freestream,
+// inject each converged level onto the next finer one, and finish on the
+// finest. Unreachable levels (cell counts not divisible by the factor, or
+// below the MUSCL floor) are dropped. The finest level stops at the same
+// absolute residual a freestream-started fine solve would reach after
+// dropping by dropTol; with RefitEvery set, the finest march periodically
+// re-fits the outer boundary to the detected shock locus and transfers the
+// solution onto the refitted grid. Progress and checkpoint phases are
+// labeled "solve" for a one-level solve, and "level0" (finest) through
+// "levelN" (coarsest) for a sequenced one. Returns the finest solver (which
+// the caller owns) and its final residual.
 func SolveMultilevel(ctx context.Context, g *grid.Grid2D, o Options, maxSteps int, dropTol float64, sq SequenceOptions) (*Solver, float64, error) {
 	if maxSteps <= 0 {
 		maxSteps = 2000
 	}
-	if sq.Levels == 0 {
-		sq.Levels = 2
-	}
 	if err := validateMultilevel(sq); err != nil {
 		return nil, 0, err
 	}
+	sequenced := sq.Levels > 1
+	finest := "solve" // New's label, which a one-level solve keeps
+	if sequenced {
+		finest = "level0"
+	}
 
-	// A finest-level checkpoint carries the absolute target and the refit
-	// bookkeeping, so the entire coarse cascade is skipped on resume: build
-	// only the finest solver, restore it (refitted grid nodes included) and
-	// continue the march. Any other checkpoint (a foreign phase, such as the
-	// coarse and fine stages older builds wrote, or a shape mismatch) and any
-	// restore failure fall through to a cold solve.
+	// A checkpoint carries the finest march's absolute target and refit
+	// bookkeeping, so any coarse cascade is skipped on resume: build only
+	// the finest solver, restore it (refitted grid nodes included) and
+	// continue the march. A checkpoint of another phase (the other kind of
+	// solve) or shape, and any restore failure, fall through to a cold
+	// solve.
 	cp := o.Restore
 	o.Restore = nil
-	if cp != nil && cp.Phase == "level0" && cp.NI == g.NI && cp.NJ == g.NJ && cp.Target > 0 {
-		if s, res, err, ok := resumeMultilevel(ctx, g, o, maxSteps, dropTol, sq, cp); ok {
+	if cp != nil && cp.Phase == finest && cp.NI == g.NI && cp.NJ == g.NJ && cp.Target > 0 {
+		if s, res, err, ok := resumeMultilevel(ctx, g, o, maxSteps, sq, cp); ok {
 			return s, res, err
 		}
 	}
@@ -69,7 +75,9 @@ func SolveMultilevel(ctx context.Context, g *grid.Grid2D, o Options, maxSteps in
 			}
 			return nil, 0, err
 		}
-		s.phase = fmt.Sprintf("level%d", l)
+		if sequenced {
+			s.phase = fmt.Sprintf("level%d", l)
+		}
 		solvers[l] = s
 	}
 	m.solvers = solvers
@@ -93,22 +101,21 @@ func SolveMultilevel(ctx context.Context, g *grid.Grid2D, o Options, maxSteps in
 // did its work before the checkpoint), and the march picks up the saved
 // refit bookkeeping. ok reports whether the checkpoint was applied; on false
 // the caller solves cold.
-func resumeMultilevel(ctx context.Context, g *grid.Grid2D, o Options, maxSteps int, dropTol float64, sq SequenceOptions, cp *Checkpoint) (*Solver, float64, error, bool) {
+func resumeMultilevel(ctx context.Context, g *grid.Grid2D, o Options, maxSteps int, sq SequenceOptions, cp *Checkpoint) (*Solver, float64, error, bool) {
 	s, err := New(g, o)
 	if err != nil {
 		return nil, 0, nil, false
 	}
-	s.phase = "level0"
+	s.phase = cp.Phase // the finest level's label, which routed the restore
 	if err := s.Restore(cp); err != nil {
 		s.Close()
 		return nil, 0, nil, false
 	}
-	s.takeResume() // marchFinest tracks position via fineSteps, not a loop offset
 	m := &multilevel{
-		o: o, sq: sq, maxSteps: maxSteps, dropTol: dropTol,
+		o: o, sq: sq, maxSteps: maxSteps,
 		solvers:   []*Solver{s},
 		steps:     []int{0},
-		fineSteps: cp.FineSteps,
+		fineSteps: cp.Step,
 		refits:    cp.Refits,
 	}
 	best := math.Inf(1)
@@ -125,8 +132,8 @@ func resumeMultilevel(ctx context.Context, g *grid.Grid2D, o Options, maxSteps i
 
 // validateMultilevel fail-fast checks the multilevel knobs.
 func validateMultilevel(sq SequenceOptions) error {
-	if sq.Levels < 1 {
-		return fmt.Errorf("fvm: multilevel solve: Levels %d below 1", sq.Levels)
+	if sq.Levels < 0 {
+		return fmt.Errorf("fvm: multilevel solve: Levels %d negative", sq.Levels)
 	}
 	if sq.RefitEvery < 0 {
 		return fmt.Errorf("fvm: multilevel solve: RefitEvery %d negative", sq.RefitEvery)
@@ -212,7 +219,10 @@ func (m *multilevel) cascade(ctx context.Context) (float64, error) {
 	// Single reachable level: latch the target from the first real step.
 	// The step counts toward the fine budget; its residual cannot be below
 	// the target it just defined (dropTol < 1), so marchFinest simply
-	// continues from the next step.
+	// continues from the next step. Nothing has polled the context yet.
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
 	fine := m.solvers[0]
 	r0 := fine.Step()
 	m.fineSteps++
@@ -355,7 +365,6 @@ func (m *multilevel) checkpointFinest(target float64, sinceRefit int, best float
 	cp := s.Checkpoint()
 	cp.Step = m.fineSteps
 	cp.Target = target
-	cp.FineSteps = m.fineSteps
 	cp.Refits = m.refits
 	cp.SinceRefit = sinceRefit
 	if !math.IsInf(best, 1) {

@@ -11,14 +11,11 @@ import (
 // solve, at every depth.
 func TestSolveMultilevelMatchesFine(t *testing.T) {
 	g, o := seqCase(t)
-	fine, err := New(g, o)
+	fine, _, err := SolveMultilevel(context.Background(), g, o, 4000, 1e-3, SequenceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fine.Close()
-	if _, err := fine.Run(4000, 1e-3); err != nil {
-		t.Fatal(err)
-	}
 	qf := fine.Primitive(0, 0)
 	xf, _ := fine.ShockLocus(2)
 	for _, sq := range []SequenceOptions{{Levels: 3}, {Levels: 2}} {
@@ -63,19 +60,19 @@ func TestSolveMultilevelPhasesAndAutoDrop(t *testing.T) {
 	}
 }
 
-// The zero SequenceOptions run the two-level cascade (phases level0 and
-// level1 only), and a deeper Levels adds the coarser level phases.
+// Two levels run the two-level cascade (phases level0 and level1 only), and
+// a deeper Levels adds the coarser level phases.
 func TestSolveSequencedDispatch(t *testing.T) {
 	g, o := seqCase(t)
 	phases := map[string]bool{}
 	o.Progress = func(phase string, step, maxSteps int, residual float64, diag Diag) { phases[phase] = true }
-	s, _, err := SolveMultilevel(context.Background(), g, o, 4000, 1e-3, SequenceOptions{})
+	s, _, err := SolveMultilevel(context.Background(), g, o, 4000, 1e-3, SequenceOptions{Levels: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
 	if len(phases) != 2 || !phases["level0"] || !phases["level1"] {
-		t.Errorf("default sequenced phases %v, want level0+level1 only", phases)
+		t.Errorf("two-level phases %v, want level0+level1 only", phases)
 	}
 	phases = map[string]bool{}
 	s, _, err = SolveMultilevel(context.Background(), g, o, 4000, 1e-3, SequenceOptions{Levels: 3})
@@ -125,14 +122,11 @@ func TestRefitTransferWallPressure(t *testing.T) {
 		t.Errorf("refit outer boundary %g not inside original %g", d, d0)
 	}
 	// From-scratch reference on the refit-final grid.
-	ref, err := New(ml.G, o)
+	ref, _, err := SolveMultilevel(context.Background(), ml.G, o, 4000, 3e-4, SequenceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ref.Close()
-	if _, err := ref.Run(4000, 3e-4); err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < ml.ni; i++ {
 		a := ref.Primitive(i, 0).P
 		b := ml.Primitive(i, 0).P
@@ -147,14 +141,11 @@ func TestRefitTransferWallPressure(t *testing.T) {
 // profile span, so the interpolated transfer reproduces them nearly exactly.
 func TestRefitToTransfersWallRow(t *testing.T) {
 	g, o := seqCase(t)
-	s, err := New(g, o)
+	s, _, err := SolveMultilevel(context.Background(), g, o, 4000, 1e-3, SequenceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if _, err := s.Run(4000, 1e-3); err != nil {
-		t.Fatal(err)
-	}
 	wall := s.WallPressure()
 	ng, err := refitToShock(s)
 	if err != nil {

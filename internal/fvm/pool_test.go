@@ -12,28 +12,18 @@ import (
 func TestSharedPoolConcurrentSolvers(t *testing.T) {
 	pool := NewPool(4)
 	defer pool.Close()
-	g1, o1 := seqCase(t)
-	o1.Pool = pool
-	g2, o2 := seqCase(t)
-	o2.Pool = pool
-
-	s1, err := New(g1, o1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := New(g2, o2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var wg sync.WaitGroup
+	solvers := make([]*Solver, 2)
 	res := make([]float64, 2)
 	errs := make([]error, 2)
-	for i, s := range []*Solver{s1, s2} {
+	for i := range solvers {
+		g, o := seqCase(t)
+		o.Pool = pool
 		wg.Add(1)
-		go func(i int, s *Solver) {
+		go func(i int) {
 			defer wg.Done()
-			res[i], errs[i] = s.RunCtx(context.Background(), 600, 1e-2)
-		}(i, s)
+			solvers[i], res[i], errs[i] = SolveMultilevel(context.Background(), g, o, 600, 1e-2, SequenceOptions{})
+		}(i)
 	}
 	wg.Wait()
 	for i := 0; i < 2; i++ {
@@ -45,9 +35,10 @@ func TestSharedPoolConcurrentSolvers(t *testing.T) {
 		}
 	}
 	// Closing one solver must leave the shared pool alive for the other.
+	s1, s2 := solvers[0], solvers[1]
 	s1.Close()
-	if _, err := s2.RunCtx(context.Background(), 4, 0); err != nil {
-		t.Fatalf("solve after sibling Close: %v", err)
+	if _, err := marchTo(s2, 4, 0); err != nil {
+		t.Fatalf("steps after sibling Close: %v", err)
 	}
 	s2.Close()
 	// Identical configurations through one pool should land on the same
@@ -73,14 +64,11 @@ func TestRunProgressCallback(t *testing.T) {
 		phases = append(phases, phase)
 		lastRes = residual
 	}
-	s, err := New(g, o)
+	s, _, err := SolveMultilevel(context.Background(), g, o, 50, 0, SequenceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if _, err := s.RunCtx(context.Background(), 50, 0); err != nil {
-		t.Fatal(err)
-	}
 	if len(steps) != 50 {
 		t.Fatalf("got %d progress reports, want 50", len(steps))
 	}
@@ -105,7 +93,7 @@ func TestSequencedProgressPhases(t *testing.T) {
 	o.Progress = func(phase string, step, maxSteps int, residual float64, diag Diag) {
 		phases = append(phases, phase)
 	}
-	s, _, err := SolveMultilevel(context.Background(), g, o, 2000, 1e-2, SequenceOptions{})
+	s, _, err := SolveMultilevel(context.Background(), g, o, 2000, 1e-2, SequenceOptions{Levels: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,11 +41,11 @@ func (s *Solver) limited(a, b float64) float64 {
 }
 
 // reconFace MUSCL-reconstructs the left/right states of one face from its
-// four-cell stencil into pencil slot f, mirroring the scalar reconstruct
-// (including the positivity revert and the derived A/E recompute). Missing
-// outer neighbors are passed as qmm==qm / qpp==qp: the one-sided
-// difference is then exactly zero, which reproduces the scalar path's
-// unextrapolated state bitwise.
+// four-cell stencil into pencil slot f: limited half-slopes, a revert to the
+// cell state where the extrapolated density or pressure is not positive,
+// and the derived A/E recompute. Missing outer neighbors are passed as
+// qmm==qm / qpp==qp: the one-sided difference is then exactly zero, so the
+// face takes the unextrapolated cell state bitwise.
 //
 //cataero:hotpath
 func (s *Solver) reconFace(ws *batchWS, f int, qmm, qm, qp, qpp *Prim) {
@@ -112,10 +112,11 @@ func (s *Solver) frozenFace(ws *batchWS, f int, qm, qp *Prim, frz []float64) {
 	s.storeFace(ws, f, qm, qp, lRho, lU, lV, lP, rRho, rU, rV, rP)
 }
 
-// storeFace writes a reconstructed face into pencil slot f, recomputing
-// the derived sound speed and internal energy exactly like the scalar
-// reconstruct (for an unextrapolated state the factors are exactly 1, so
-// the cell values pass through bitwise).
+// storeFace writes a reconstructed face into pencil slot f. It recomputes
+// the derived sound speed and internal energy approximately, scaling the
+// cell's values by the change in p/rho (a gamma-like ratio, adequate for
+// wave-speed estimates); for an unextrapolated state the factors are
+// exactly 1, so the cell values pass through bitwise.
 //
 //cataero:hotpath
 func (s *Solver) storeFace(ws *batchWS, f int, qm, qp *Prim, lRho, lU, lV, lP, rRho, rU, rV, rP float64) {

@@ -6,11 +6,12 @@ import (
 	"cataero/internal/grid"
 )
 
-// SequenceOptions configures a grid-sequenced solve (SolveMultilevel).
+// SequenceOptions configures the grid sequencing of a solve
+// (SolveMultilevel); the zero value is the plain single-grid march.
 type SequenceOptions struct {
-	// Levels is the number of grid levels, fine level included: 0 and 2 run
-	// the two-level cascade, 1 solves single-level, and 3 or more build a
-	// deeper hierarchy by chained coarsening. Levels the grid cannot reach
+	// Levels is the number of grid levels, fine level included: 0 and 1
+	// solve single-level, 2 runs the two-level cascade, and 3 or more build
+	// a deeper hierarchy by chained coarsening. Levels the grid cannot reach
 	// (cell counts not divisible by the factor, or below the 4x4 MUSCL
 	// floor) are dropped automatically.
 	Levels int

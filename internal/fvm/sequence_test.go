@@ -31,19 +31,16 @@ func seqCase(t *testing.T) (*grid.Grid2D, Options) {
 	}
 }
 
-// A grid-sequenced (default two-level cascade) solve must land on the same
+// A grid-sequenced (two-level cascade) solve must land on the same
 // physics as a fine-grid-only solve: same pitot pressure, same standoff band.
 func TestSolveSequencedMatchesFine(t *testing.T) {
 	g, o := seqCase(t)
-	fine, err := New(g, o)
+	fine, _, err := SolveMultilevel(context.Background(), g, o, 4000, 1e-3, SequenceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fine.Close()
-	if _, err := fine.Run(4000, 1e-3); err != nil {
-		t.Fatal(err)
-	}
-	seq, res, err := SolveMultilevel(context.Background(), g, o, 4000, 1e-3, SequenceOptions{})
+	seq, res, err := SolveMultilevel(context.Background(), g, o, 4000, 1e-3, SequenceOptions{Levels: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +69,7 @@ func TestSolveSequencedFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, o := seqCase(t)
-	s, res, err := SolveMultilevel(context.Background(), g, o, 200, 1e-3, SequenceOptions{})
+	s, res, err := SolveMultilevel(context.Background(), g, o, 200, 1e-3, SequenceOptions{Levels: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

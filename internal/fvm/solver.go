@@ -1,10 +1,6 @@
 package fvm
 
-import (
-	"context"
-	"fmt"
-	"math"
-)
+import "math"
 
 // computeResidual assembles the flux balance of every cell into s.res
 // (d(U V)/dt = -res). Boundary conditions are applied at the flux level.
@@ -375,56 +371,6 @@ func (s *Solver) stage2Range(ci, lo, hi int) {
 		}
 	}
 	s.partial[ci] = line
-}
-
-// Run iterates until the density residual falls by dropTol relative to its
-// initial value or maxSteps is reached. Returns the final residual.
-func (s *Solver) Run(maxSteps int, dropTol float64) (float64, error) {
-	return s.RunCtx(context.Background(), maxSteps, dropTol)
-}
-
-// RunCtx is Run with cooperative cancellation: the context is polled every
-// few time steps and a cancellation aborts the march with ctx.Err() —
-// after emitting a final checkpoint when checkpointing is configured, so a
-// drained or deadlined solve resumes instead of restarting. A pending
-// Options.Restore whose phase matches resumes the march at its saved step.
-func (s *Solver) RunCtx(ctx context.Context, maxSteps int, dropTol float64) (float64, error) {
-	if maxSteps <= 0 {
-		maxSteps = 2000
-	}
-	s.restoreForPhase()
-	start, first := s.takeResume()
-	ckpt := s.wantCheckpoints()
-	res := 0.0
-	for n := start; n < maxSteps; n++ {
-		if n%16 == 0 {
-			select {
-			case <-ctx.Done():
-				if ckpt && n > start {
-					s.checkpointNow(n, first)
-				}
-				return res, ctx.Err()
-			default:
-			}
-		}
-		res = s.Step()
-		if s.Opts.Progress != nil {
-			s.Opts.Progress(s.phase, n+1-start, maxSteps, res, s.diag(0))
-		}
-		if math.IsNaN(res) {
-			return res, fmt.Errorf("fvm: residual NaN at step %d", n)
-		}
-		if first < 0 && res > 0 {
-			first = res
-		}
-		if first > 0 && res < first*dropTol {
-			return res, nil
-		}
-		if ckpt && (n+1)%s.Opts.CheckpointEvery == 0 {
-			s.checkpointNow(n+1, first)
-		}
-	}
-	return res, nil
 }
 
 // Primitive returns the primitive state of cell (i, j). It is a pure read:

@@ -25,7 +25,6 @@ type Session struct {
 	chem     GasChemistry
 	quality  Quality
 	workers  int
-	gamma    float64
 	flux     string
 	timestep string
 	limiter  string
@@ -64,16 +63,6 @@ func WithWorkers(n int) Option {
 	return func(s *Session) {
 		if n > 0 {
 			s.workers = n
-		}
-	}
-}
-
-// WithGamma sets the default ideal-gas specific-heat ratio for problems
-// that leave Gamma at zero (the solver default is 1.4).
-func WithGamma(g float64) Option {
-	return func(s *Session) {
-		if g > 1 {
-			s.gamma = g
 		}
 	}
 }
@@ -146,9 +135,6 @@ func NewSession(opts ...Option) *Session {
 func (s *Session) apply(p Problem) Problem {
 	if p.Chemistry == ChemistryUnset && s.chem != ChemistryUnset {
 		p.Chemistry = s.chem
-	}
-	if p.Gamma == 0 && s.gamma != 0 {
-		p.Gamma = s.gamma
 	}
 	if p.Flux == "" && s.flux != "" {
 		p.Flux = s.flux

@@ -45,9 +45,6 @@ func TestSessionOptionDefaults(t *testing.T) {
 	if s.chem != ChemistryUnset {
 		t.Errorf("default chemistry %v", s.chem)
 	}
-	if s.gamma != 0 {
-		t.Errorf("default gamma %g", s.gamma)
-	}
 }
 
 func TestSessionOptionApplication(t *testing.T) {
@@ -55,15 +52,14 @@ func TestSessionOptionApplication(t *testing.T) {
 		WithChemistry(EquilibriumTitan),
 		WithQuality(2),
 		WithWorkers(3),
-		WithGamma(1.2),
 	)
-	if s.workers != 3 || s.quality != 2 || s.chem != EquilibriumTitan || s.gamma != 1.2 {
+	if s.workers != 3 || s.quality != 2 || s.chem != EquilibriumTitan {
 		t.Fatalf("options not applied: %+v", s)
 	}
 	// Invalid values are ignored, not stored.
-	s2 := NewSession(WithWorkers(-1), WithGamma(0.5))
-	if s2.workers != runtime.GOMAXPROCS(0) || s2.gamma != 0 {
-		t.Errorf("invalid option values should be ignored: workers=%d gamma=%g", s2.workers, s2.gamma)
+	s2 := NewSession(WithWorkers(-1))
+	if s2.workers != runtime.GOMAXPROCS(0) {
+		t.Errorf("invalid option values should be ignored: workers=%d", s2.workers)
 	}
 
 	// The session chemistry stamps problems that leave Chemistry unset but
