@@ -340,3 +340,31 @@ func BenchmarkSessionReuse(b *testing.B) {
 		b.Fatalf("EOS table built %d times across the bench, want 1", builds)
 	}
 }
+
+// BenchmarkEngineeringTier: one Shuttle-point solve of each engineering
+// tier (VSL with radiation, E+BL, PNS) through one warmed session, so the
+// model stack is built once and each iteration times the solve alone. The
+// hierarchy pays only while these stay far cheaper than an NS solve.
+func BenchmarkEngineeringTier(b *testing.B) {
+	s := NewSession()
+	for _, tier := range []struct {
+		name  string
+		class SolverClass
+	}{{"vsl", VSL}, {"ebl", EBL}, {"pns", PNS}} {
+		p := shuttleTierProblem(tier.class)
+		if _, err := s.Solve(context.Background(), p); err != nil {
+			b.Fatalf("%s: %v", tier.name, err)
+		}
+		b.Run(tier.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				env, err := s.Solve(context.Background(), p)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if env.QConvStag <= 0 {
+					b.Fatal("no stagnation heating")
+				}
+			}
+		})
+	}
+}

@@ -22,6 +22,23 @@ func shuttleFS() FreeStream {
 	return FreeStream{P: 4.5, T: 216, Rho: 7.3e-5, V: 6740}
 }
 
+// shuttleEdges solves the equilibrium stagnation state of shuttleFS and the
+// edge distribution of ns stations expanding from it along body.
+func shuttleEdges(t *testing.T, body geometry.Body, ns int) ([]EdgeState, FreeStream) {
+	t.Helper()
+	_, eq, tr, y0 := setup(t)
+	fs := shuttleFS()
+	stag, err := shock.StagnationEquilibrium(eq, y0, fs.P, fs.T, fs.V)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges, err := EdgeDistribution(eq, tr, y0, stag, fs, body, ns, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return edges, fs
+}
+
 func TestFayRiddellMagnitude(t *testing.T) {
 	m, eq, tr, y0 := setup(t)
 	fs := shuttleFS()
@@ -132,13 +149,7 @@ func TestCatalyticWallOrdering(t *testing.T) {
 }
 
 func TestEdgeDistributionSphere(t *testing.T) {
-	_, eq, tr, y0 := setup(t)
-	fs := shuttleFS()
-	body := geometry.NewSphere(0.6)
-	edges, err := EdgeDistribution(eq, tr, y0, fs, body, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
+	edges, _ := shuttleEdges(t, geometry.NewSphere(0.6), 12)
 	// Pressure falls monotonically away from the stagnation point.
 	for i := 1; i < len(edges); i++ {
 		if edges[i].P > edges[i-1].P+1e-9 {
@@ -163,13 +174,7 @@ func TestEdgeDistributionSphere(t *testing.T) {
 }
 
 func TestLeesDistributionShape(t *testing.T) {
-	_, eq, tr, y0 := setup(t)
-	fs := shuttleFS()
-	body := geometry.NewSphere(0.6)
-	edges, err := EdgeDistribution(eq, tr, y0, fs, body, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
+	edges, fs := shuttleEdges(t, geometry.NewSphere(0.6), 20)
 	qr := LeesDistribution(edges, 0.6, fs.P)
 	if qr[0] != 1 {
 		t.Errorf("q(0)=%g want 1", qr[0])

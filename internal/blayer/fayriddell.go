@@ -55,7 +55,7 @@ func FayRiddell(m *thermo.Mixture, tr *transport.Mixture, in StagnationInputs) (
 		le = 1.4
 	}
 	edge := in.Edge
-	mue := tr.Viscosity(edge.T, edge.Y)
+	mue, ke := tr.ViscosityConductivity(edge.T, edge.Y)
 	// Wall properties at edge pressure and wall temperature. The wall gas is
 	// recombined (cold equilibrium), so its enthalpy carries no dissociation
 	// energy; using the frozen edge composition here would understate the
@@ -70,7 +70,7 @@ func FayRiddell(m *thermo.Mixture, tr *transport.Mixture, in StagnationInputs) (
 	hw := m.Enthalpy(in.WallT, wallY)
 	// Dissociation enthalpy carried by the edge gas.
 	hD := m.HFormation(edge.Y)
-	pr := tr.Prandtl(edge.T, edge.Y)
+	pr := transport.FrozenPrandtl(tr.Mix.Cp(edge.T, edge.Y), mue, ke)
 	if pr <= 0 {
 		pr = 0.71
 	}

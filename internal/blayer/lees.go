@@ -24,22 +24,13 @@ type EdgeState struct {
 
 // EdgeDistribution computes boundary-layer edge conditions along an
 // axisymmetric body from the modified-Newtonian pressure distribution and an
-// isentropic expansion from the equilibrium stagnation state (the normal-
-// shock entropy layer assumption of the era's E+BL codes).
-func EdgeDistribution(eq *chem.EquilibriumSolver, tr *transport.Mixture, y0 []float64, fs FreeStream, body geometry.Body, ns int) ([]EdgeState, error) {
-	return EdgeDistributionProgress(eq, tr, y0, fs, body, ns, nil)
-}
-
-// EdgeDistributionProgress is EdgeDistribution with a per-station progress
-// callback: progress(station, total) runs after each station's equilibrium
-// expansion (the expensive part of an E+BL solve), so run handles can show
-// station-level progress. A nil progress is ignored.
-func EdgeDistributionProgress(eq *chem.EquilibriumSolver, tr *transport.Mixture, y0 []float64, fs FreeStream, body geometry.Body, ns int, progress func(station, total int)) ([]EdgeState, error) {
+// isentropic expansion from the equilibrium stagnation state stag (the
+// normal-shock entropy layer assumption of the era's E+BL codes). A non-nil
+// progress(station, total) runs after each station's equilibrium expansion
+// (the expensive part of an E+BL solve), so run handles can show
+// station-level progress.
+func EdgeDistribution(eq *chem.EquilibriumSolver, tr *transport.Mixture, y0 []float64, stag shock.StagnationState, fs FreeStream, body geometry.Body, ns int, progress func(station, total int)) ([]EdgeState, error) {
 	m := eq.Mix
-	stag, err := shock.StagnationEquilibrium(eq, y0, fs.P, fs.T, fs.V)
-	if err != nil {
-		return nil, err
-	}
 	sStag := m.Entropy(stag.T, stag.P, stag.Y)
 	h0 := stag.H
 	cpMax := (stag.P - fs.P) / (0.5 * fs.Rho * fs.V * fs.V)

@@ -88,6 +88,8 @@ func SolveStagnation(m *thermo.Mixture, tr *transport.Mixture, edge shock.Stagna
 
 	// Property closure: T, rho, mu from sensible enthalpy at edge pressure
 	// with frozen edge composition.
+	muE := tr.Viscosity(edge.T, edge.Y)
+	rhoMuE := edge.Rho * muE
 	propAt := func(g float64) (C, rhoRatio, pr float64, err error) {
 		hs := hsw + g*(hse-hsw)
 		T, err := m.TemperatureFromH(hs+hf, edge.Y, edge.T*math.Max(g, 0.05))
@@ -95,9 +97,8 @@ func SolveStagnation(m *thermo.Mixture, tr *transport.Mixture, edge shock.Stagna
 			return 0, 0, 0, err
 		}
 		rho := m.Density(edge.P, T, edge.Y)
-		mu := tr.Viscosity(T, edge.Y)
-		rhoMuE := edge.Rho * tr.Viscosity(edge.T, edge.Y)
-		pr = tr.Prandtl(T, edge.Y)
+		mu, k := tr.ViscosityConductivity(T, edge.Y)
+		pr = transport.FrozenPrandtl(tr.Mix.Cp(T, edge.Y), mu, k)
 		if pr <= 0.3 || pr > 2 {
 			pr = 0.71
 		}
@@ -123,7 +124,6 @@ func SolveStagnation(m *thermo.Mixture, tr *transport.Mixture, edge shock.Stagna
 
 	// Wall catalycity: mixed BC z'(0) = B z(0).
 	beta := VelocityGradient(edge, pInf, rn)
-	rhoMuE := edge.Rho * tr.Viscosity(edge.T, edge.Y)
 	rhow := m.Density(edge.P, wallT, edge.Y)
 	var B float64
 	if opts.GammaW > 0 && cAtomE > 1e-12 {
@@ -263,7 +263,7 @@ func SolveStagnation(m *thermo.Mixture, tr *transport.Mixture, edge shock.Stagna
 	}
 	qRec := Cw * opts.Lewis / prW * zp0 * hD * math.Sqrt(2*beta*rhoMuE)
 	// Physical coordinate: dy = (rho_e/rho) deta / sqrt(2 beta rho_e/mu_e).
-	scale := 1 / math.Sqrt(2*beta*edge.Rho/(tr.Viscosity(edge.T, edge.Y)))
+	scale := 1 / math.Sqrt(2*beta*edge.Rho/muE)
 	yPhys := make([]float64, n)
 	delta := 0.0
 	deltaSet := false

@@ -223,7 +223,7 @@ func (mech *Mechanism) VibSource(rho, p, T, Tv float64, y, wdot []float64) float
 		case sp.IsMolecule():
 			poolT = sp.EVib(T) + sp.EElec(T)
 			poolTv = sp.EVib(Tv) + sp.EElec(Tv)
-			tau = thermo.RelaxationTime(m, sp, T, p, x)
+			tau = thermo.RelaxationTime(m, s, T, p, x)
 		default:
 			poolT = sp.EElec(T)
 			poolTv = sp.EElec(Tv)

@@ -13,6 +13,7 @@ import (
 	"cataero/internal/ns"
 	"cataero/internal/pns"
 	"cataero/internal/radiation"
+	"cataero/internal/shock"
 	"cataero/internal/thermo"
 	"cataero/internal/vsl"
 )
@@ -189,15 +190,15 @@ func (eblSolver) Solve(ctx context.Context, st *Stack, p Problem) (*Environment,
 	}
 	fs := blayer.FreeStream{P: p.PInf, T: p.TInf, V: p.VInf,
 		Rho: m.Mix.Density(p.PInf, p.TInf, m.Y0)}
-	// Station-level progress: the per-station equilibrium expansions are the
-	// bulk of an E+BL solve, so Run snapshots show live stations like the
-	// marching classes do.
-	edges, err := blayer.EdgeDistributionProgress(m.Eq, m.Tr, m.Y0, fs, p.Body, stations(p),
-		countProgress(p, "ebl", "stations"))
+	in, err := blayer.StagnationFromFreestream(m.Eq, m.Y0, fs, p.TWall, p.NoseRadius)
 	if err != nil {
 		return nil, err
 	}
-	in, err := blayer.StagnationFromFreestream(m.Eq, m.Y0, fs, p.TWall, p.NoseRadius)
+	// Station-level progress: the per-station equilibrium expansions are the
+	// bulk of an E+BL solve, so Run snapshots show live stations like the
+	// marching classes do.
+	edges, err := blayer.EdgeDistribution(m.Eq, m.Tr, m.Y0, in.Edge, fs, p.Body, stations(p),
+		countProgress(p, "ebl", "stations"))
 	if err != nil {
 		return nil, err
 	}
@@ -236,7 +237,7 @@ func (pnsSolver) Solve(ctx context.Context, st *Stack, p Problem) (*Environment,
 		const R = thermo.RAir
 		fs := blayer.FreeStream{P: p.PInf, T: p.TInf, V: p.VInf,
 			Rho: p.PInf / (R * p.TInf)}
-		edges, err = pns.IdealEdgeDistributionProgress(p.Gamma, R, fs, p.Body, stations(p),
+		edges, err = pns.IdealEdgeDistribution(p.Gamma, R, fs, p.Body, stations(p),
 			countProgress(p, "pns", "edges"))
 		if err != nil {
 			return nil, err
@@ -250,9 +251,13 @@ func (pnsSolver) Solve(ctx context.Context, st *Stack, p Problem) (*Environment,
 		}
 		fs := blayer.FreeStream{P: p.PInf, T: p.TInf, V: p.VInf,
 			Rho: m.Mix.Density(p.PInf, p.TInf, m.Y0)}
+		stag, err2 := shock.StagnationEquilibrium(m.Eq, m.Y0, p.PInf, p.TInf, p.VInf)
+		if err2 != nil {
+			return nil, err2
+		}
 		// The per-station equilibrium expansions are the bulk of the setup;
 		// report them as their own phase so the march doesn't appear hung.
-		edges, err = blayer.EdgeDistributionProgress(m.Eq, m.Tr, m.Y0, fs, p.Body, stations(p),
+		edges, err = blayer.EdgeDistribution(m.Eq, m.Tr, m.Y0, stag, fs, p.Body, stations(p),
 			countProgress(p, "pns", "edges"))
 		if err != nil {
 			return nil, err

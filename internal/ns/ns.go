@@ -182,8 +182,7 @@ func EquilibriumTransport(eqm *gas.Equilibrium, tr *transport.Mixture, rhoRef fl
 			return nil, nil, e
 		}
 		ts[i] = T
-		mus[i] = tr.Viscosity(T, y)
-		ks[i] = tr.Conductivity(T, y)
+		mus[i], ks[i] = tr.ViscosityConductivity(T, y)
 	}
 	muF = func(T float64) float64 { return interp(ts, mus, T) }
 	kF = func(T float64) float64 { return interp(ts, ks, T) }

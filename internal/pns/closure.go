@@ -85,15 +85,10 @@ func IdealProps(gamma, r float64) Props {
 
 // IdealEdgeDistribution builds ideal-gas boundary-layer edge states along an
 // axisymmetric body at freestream (p, T, V): normal-shock pitot stagnation
-// state, modified-Newtonian pressures and a closed-form isentrope.
-func IdealEdgeDistribution(gamma, r float64, fs blayer.FreeStream, body geometry.Body, ns int) ([]blayer.EdgeState, error) {
-	return IdealEdgeDistributionProgress(gamma, r, fs, body, ns, nil)
-}
-
-// IdealEdgeDistributionProgress is IdealEdgeDistribution with a per-station
-// (station, total) callback, so drivers can surface the setup sweep the same
-// way the equilibrium edge distribution does.
-func IdealEdgeDistributionProgress(gamma, r float64, fs blayer.FreeStream, body geometry.Body, ns int, progress func(station, total int)) ([]blayer.EdgeState, error) {
+// state, modified-Newtonian pressures and a closed-form isentrope. A non-nil
+// progress(station, total) runs after each station, so drivers can surface
+// the setup sweep the same way the equilibrium edge distribution does.
+func IdealEdgeDistribution(gamma, r float64, fs blayer.FreeStream, body geometry.Body, ns int, progress func(station, total int)) ([]blayer.EdgeState, error) {
 	cp := gamma * r / (gamma - 1)
 	a1 := math.Sqrt(gamma * r * fs.T)
 	m1 := fs.V / a1

@@ -8,6 +8,7 @@ import (
 	"cataero/internal/blayer"
 	"cataero/internal/chem"
 	"cataero/internal/geometry"
+	"cataero/internal/shock"
 	"cataero/internal/thermo"
 	"cataero/internal/transport"
 )
@@ -25,12 +26,24 @@ func sts3Setup(t *testing.T) (*chem.EquilibriumSolver, *transport.Mixture, []flo
 	return eq, tr, y0, fs, body
 }
 
-func TestMarchEquilibriumHeating(t *testing.T) {
-	eq, tr, y0, fs, body := sts3Setup(t)
-	edges, err := blayer.EdgeDistribution(eq, tr, y0, fs, body, 24)
+// equilibriumEdges solves the equilibrium stagnation state of fs and the
+// edge distribution of ns stations expanding from it along body.
+func equilibriumEdges(t *testing.T, eq *chem.EquilibriumSolver, tr *transport.Mixture, y0 []float64, fs blayer.FreeStream, body geometry.Body, ns int) []blayer.EdgeState {
+	t.Helper()
+	stag, err := shock.StagnationEquilibrium(eq, y0, fs.P, fs.T, fs.V)
 	if err != nil {
 		t.Fatal(err)
 	}
+	edges, err := blayer.EdgeDistribution(eq, tr, y0, stag, fs, body, ns, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return edges
+}
+
+func TestMarchEquilibriumHeating(t *testing.T) {
+	eq, tr, y0, fs, body := sts3Setup(t)
+	edges := equilibriumEdges(t, eq, tr, y0, fs, body, 24)
 	h0 := edges[0].H
 	hw, err := WallEnthalpyEquilibrium(eq, y0, edges[0].P, 1100)
 	if err != nil {
@@ -64,10 +77,7 @@ func TestMarchAgreesWithLeesShape(t *testing.T) {
 	// The marching PNS solution and the Lees local-similarity distribution
 	// should agree on the overall heating decay within ~40% pointwise.
 	eq, tr, y0, fs, body := sts3Setup(t)
-	edges, err := blayer.EdgeDistribution(eq, tr, y0, fs, body, 24)
-	if err != nil {
-		t.Fatal(err)
-	}
+	edges := equilibriumEdges(t, eq, tr, y0, fs, body, 24)
 	h0 := edges[0].H
 	hw, err := WallEnthalpyEquilibrium(eq, y0, edges[0].P, 1100)
 	if err != nil {
@@ -95,10 +105,7 @@ func TestIdealVsEquilibriumHeating(t *testing.T) {
 	// than equilibrium air near the nose for a fully catalytic wall...
 	// or at minimum the two must differ measurably and have the same shape.
 	eq, tr, y0, fs, body := sts3Setup(t)
-	edgesE, err := blayer.EdgeDistribution(eq, tr, y0, fs, body, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
+	edgesE := equilibriumEdges(t, eq, tr, y0, fs, body, 20)
 	h0 := edgesE[0].H
 	hwE, err := WallEnthalpyEquilibrium(eq, y0, edgesE[0].P, 1100)
 	if err != nil {
@@ -108,7 +115,7 @@ func TestIdealVsEquilibriumHeating(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	edgesI, err := IdealEdgeDistribution(1.2, 287.05, fs, body, 20)
+	edgesI, err := IdealEdgeDistribution(1.2, 287.05, fs, body, 20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +142,7 @@ func TestIdealVsEquilibriumHeating(t *testing.T) {
 func TestIdealEdgeDistribution(t *testing.T) {
 	fs := blayer.FreeStream{P: 100, T: 250, Rho: 100 / (287.05 * 250), V: 6 * math.Sqrt(1.4*287.05*250)}
 	body := geometry.NewSphere(0.5)
-	edges, err := IdealEdgeDistribution(1.4, 287.05, fs, body, 10)
+	edges, err := IdealEdgeDistribution(1.4, 287.05, fs, body, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +158,7 @@ func TestIdealEdgeDistribution(t *testing.T) {
 			t.Errorf("ideal edge total enthalpy drift at s=%g", e.S)
 		}
 	}
-	if _, err := IdealEdgeDistribution(1.4, 287.05, blayer.FreeStream{P: 100, T: 250, Rho: 1, V: 10}, body, 5); err == nil {
+	if _, err := IdealEdgeDistribution(1.4, 287.05, blayer.FreeStream{P: 100, T: 250, Rho: 1, V: 10}, body, 5, nil); err == nil {
 		t.Error("subsonic accepted")
 	}
 }

@@ -351,8 +351,10 @@ func TestDeadlineCheckpointsThenCancels(t *testing.T) {
 		t.Fatalf("no checkpoint survived the deadline (ck %+v, err %v)", ck, err)
 	}
 
-	// Malformed deadline headers are rejected up front.
-	for _, bad := range []string{"0", "-5", "soon", "1.5"} {
+	// Malformed deadline headers are rejected up front, and so are counts
+	// whose Duration would overflow: 10000000000000 ms wrapped to a negative
+	// (no) deadline and 18446744073710 ms to one of 448 µs.
+	for _, bad := range []string{"0", "-5", "soon", "1.5", "10000000000000", "18446744073710"} {
 		resp, _ := postCase(t, ts.URL+"/api/runs", eblProblem(6400),
 			map[string]string{"X-Deadline-Ms": bad})
 		if resp.StatusCode != http.StatusBadRequest {

@@ -48,6 +48,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -358,13 +359,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.respondRun(w, r, sr, coalesced)
 }
 
-// parseDeadline parses the X-Deadline-Ms header ("" = no deadline).
+// parseDeadline parses the X-Deadline-Ms header ("" = no deadline). A
+// count of milliseconds too large for a time.Duration is rejected rather
+// than left to overflow into a negative (no) or tiny deadline.
 func parseDeadline(h string) (time.Duration, error) {
 	if h == "" {
 		return 0, nil
 	}
-	ms, err := strconv.Atoi(h)
-	if err != nil || ms <= 0 {
+	ms, err := strconv.ParseInt(h, 10, 64)
+	if err != nil || ms <= 0 || ms > math.MaxInt64/int64(time.Millisecond) {
 		return 0, fmt.Errorf("X-Deadline-Ms %q: want a positive integer of milliseconds", h)
 	}
 	return time.Duration(ms) * time.Millisecond, nil

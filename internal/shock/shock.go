@@ -141,12 +141,18 @@ type StagnationState struct {
 }
 
 // StagnationEquilibrium builds the equilibrium stagnation state from
-// freestream conditions.
+// freestream conditions: the equilibrium jump, then StagnationBehind.
 func StagnationEquilibrium(eq *chem.EquilibriumSolver, y0 []float64, p1, T1, u1 float64) (StagnationState, error) {
 	post, err := EquilibriumJump(eq, y0, p1, T1, u1)
 	if err != nil {
 		return StagnationState{}, err
 	}
+	return StagnationBehind(eq, y0, post)
+}
+
+// StagnationBehind builds the equilibrium stagnation state behind an
+// already solved equilibrium jump post, for callers that need the jump too.
+func StagnationBehind(eq *chem.EquilibriumSolver, y0 []float64, post State) (StagnationState, error) {
 	pe := post.P + 0.5*post.Rho*post.U*post.U
 	h0 := post.H + 0.5*post.U*post.U
 	T, y, rho, err := eq.TemperaturePH(pe, h0, y0)

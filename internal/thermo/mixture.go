@@ -11,15 +11,28 @@ import (
 type Mixture struct {
 	Species []*Species
 	index   map[string]int
+	// mwA[s*n+r] and mwB[s*n+r] are the Millikan-White constants of
+	// molecule s relaxing against partner r (see MillikanWhiteTau); rows of
+	// species without a vibrational mode stay zero.
+	mwA, mwB []float64
 }
 
-// NewMixture wraps a species list.
+// NewMixture wraps a species list and tabulates its Millikan-White pair
+// constants.
 func NewMixture(species []*Species) *Mixture {
-	idx := make(map[string]int, len(species))
+	n := len(species)
+	m := &Mixture{Species: species, index: make(map[string]int, n),
+		mwA: make([]float64, n*n), mwB: make([]float64, n*n)}
 	for i, s := range species {
-		idx[s.Name] = i
+		m.index[s.Name] = i
+		if len(s.Vib) == 0 {
+			continue
+		}
+		for j, r := range species {
+			m.mwA[i*n+j], m.mwB[i*n+j] = millikanWhiteAB(s, r)
+		}
 	}
-	return &Mixture{Species: species, index: idx}
+	return m
 }
 
 // Len returns the number of species.

@@ -42,7 +42,7 @@ func TestParkCorrectionDominatesAtHighT(t *testing.T) {
 	// At very high T Millikan-White alone would collapse to ~0; Park's
 	// collision limit keeps tau above the hard floor.
 	T := 30000.0
-	tau := RelaxationTime(m, n2, T, p, x)
+	tau := RelaxationTime(m, AirN2, T, p, x)
 	n := p / (KB * T)
 	floor := ParkCollisionTau(n2, T, n)
 	if tau < floor {
@@ -54,20 +54,18 @@ func TestParkCorrectionDominatesAtHighT(t *testing.T) {
 }
 
 func TestRelaxationTimeMixtureAveraging(t *testing.T) {
-	sp := air()
-	m := NewMixture(sp)
-	n2 := sp[AirN2]
+	m := NewMixture(air())
 	// Pure N2.
 	x := make([]float64, m.Len())
 	x[AirN2] = 1
-	tauPure := RelaxationTime(m, n2, 3000, AtmPa, x)
+	tauPure := RelaxationTime(m, AirN2, 3000, AtmPa, x)
 	if tauPure <= 0 || math.IsInf(tauPure, 1) {
 		t.Fatalf("tau pure N2 = %g", tauPure)
 	}
 	// Adding atomic collision partners (more efficient relaxers, smaller
 	// reduced mass) should not increase tau by much; typically decreases.
 	x[AirN2], x[AirN] = 0.5, 0.5
-	tauMix := RelaxationTime(m, n2, 3000, AtmPa, x)
+	tauMix := RelaxationTime(m, AirN2, 3000, AtmPa, x)
 	if tauMix > tauPure*1.5 {
 		t.Errorf("mixture tau %g way above pure %g", tauMix, tauPure)
 	}
@@ -84,5 +82,70 @@ func TestRelaxationDefensiveCases(t *testing.T) {
 	}
 	if !math.IsInf(ParkCollisionTau(n2, 0, 1e20), 1) {
 		t.Error("Park tau with T=0 should be infinite")
+	}
+}
+
+// relaxationTimeRef is the scalar form of RelaxationTime: every pair time
+// from MillikanWhiteTau, mole-fraction averaged, plus the Park correction.
+func relaxationTimeRef(m *Mixture, s *Species, T, p float64, x []float64) float64 {
+	num, den := 0.0, 0.0
+	for i, r := range m.Species {
+		if x[i] <= 0 || r.Name == "e-" {
+			continue
+		}
+		tau := MillikanWhiteTau(s, r, T, p)
+		if math.IsInf(tau, 1) {
+			continue
+		}
+		num += x[i]
+		den += x[i] / tau
+	}
+	tauMW := math.Inf(1)
+	if den > 0 {
+		tauMW = num / den
+	}
+	return tauMW + ParkCollisionTau(s, T, p/(KB*T))
+}
+
+// TestRelaxationTimeMatchesPairwise: the tabulated Millikan-White pair
+// constants change the cost of RelaxationTime, not its value. For every
+// species of air-11 and Titan (atoms and electrons included), over shock-tube
+// and flight pressures, 300-60000 K, and compositions with zero entries, it
+// equals the mole-fraction average of MillikanWhiteTau plus
+// ParkCollisionTau exactly.
+func TestRelaxationTimeMatchesPairwise(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		species []*Species
+		y0      func([]*Species) []float64
+	}{
+		{"air11", air(), AirFreestreamMassFractions},
+		{"titan", TitanSpecies(), TitanFreestreamMassFractions},
+	} {
+		m := NewMixture(c.species)
+		n := m.Len()
+		// Freestream, all species equally present, and every other one.
+		even := make([]float64, n)
+		sparse := make([]float64, n)
+		for i := range even {
+			even[i] = 1 / float64(n)
+			if i%2 == 0 {
+				sparse[i] = 2 / float64(n)
+			}
+		}
+		comps := [][]float64{m.MoleFractions(c.y0(m.Species)), even, sparse}
+		for ci, x := range comps {
+			for _, p := range []float64{13, 1000, AtmPa} {
+				for T := 300.0; T <= 60000; T *= 1.3 {
+					for s, sp := range m.Species {
+						got := RelaxationTime(m, s, T, p, x)
+						want := relaxationTimeRef(m, sp, T, p, x)
+						if got != want {
+							t.Errorf("%s comp %d %s T=%g p=%g: tau %.17g, pairwise %.17g", c.name, ci, sp.Name, T, p, got, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -67,10 +67,10 @@ func Omega22(tStar float64) float64 {
 		2.16178*math.Exp(-2.43787*tStar)
 }
 
-// SpeciesConductivity returns the Eucken thermal conductivity of a species:
-// k = mu (5/2 cv_trans + cv_rot + cv_vib+elec), W/(m K).
-func SpeciesConductivity(s *thermo.Species, T float64) float64 {
-	mu := SpeciesViscosity(s, T)
+// SpeciesConductivity returns the Eucken thermal conductivity of a species
+// with viscosity mu at T: k = mu (5/2 cv_trans + cv_rot + cv_vib+elec),
+// W/(m K).
+func SpeciesConductivity(s *thermo.Species, T, mu float64) float64 {
 	R := s.R()
 	cvTr := 1.5 * R
 	cvRot := s.CvTransRot() - cvTr
@@ -78,21 +78,54 @@ func SpeciesConductivity(s *thermo.Species, T float64) float64 {
 	return mu * (2.5*cvTr + cvRot + cvInt)
 }
 
-// Wilke combines species viscosities (or conductivities) phi_s with mole
-// fractions x into a mixture value by Wilke's semi-empirical rule.
-func Wilke(species []*thermo.Species, x, phi []float64) float64 {
-	n := len(species)
+// Mixture bundles transport evaluation for a thermo mixture. It holds the
+// molar-mass factors of Wilke's pair weights, which depend only on the
+// species pair, so each mixing sum costs one square root per pair.
+type Mixture struct {
+	Mix *thermo.Mixture
+	// wPow[i*n+j] = (W_j/W_i)^(1/4) and wDen[i*n+j] = sqrt(8 (1 + W_i/W_j))
+	// for the n species of Mix.
+	wPow, wDen []float64
+}
+
+// NewMixture wraps m and tabulates its Wilke pair factors.
+func NewMixture(m *thermo.Mixture) *Mixture {
+	n := m.Len()
+	t := &Mixture{Mix: m, wPow: make([]float64, n*n), wDen: make([]float64, n*n)}
+	for i, si := range m.Species {
+		for j, sj := range m.Species {
+			t.wPow[i*n+j] = math.Pow(sj.W/si.W, 0.25)
+			t.wDen[i*n+j] = math.Sqrt(8 * (1 + si.W/sj.W))
+		}
+	}
+	return t
+}
+
+// wilke combines species viscosities (or conductivities) phi with mole
+// fractions x into a mixture value by Wilke's semi-empirical rule:
+//
+//	mix = sum_i x_i phi_i / sum_j x_j Phi_ij
+//	Phi_ij = [1 + sqrt(phi_i/phi_j) (W_j/W_i)^(1/4)]^2 / sqrt(8 (1 + W_i/W_j))
+func (t *Mixture) wilke(x, phi []float64) float64 {
+	n := len(x)
 	mix := 0.0
 	for i := 0; i < n; i++ {
 		if x[i] <= 0 {
 			continue
 		}
+		wPow, wDen := t.wPow[i*n:(i+1)*n], t.wDen[i*n:(i+1)*n]
 		den := 0.0
 		for j := 0; j < n; j++ {
 			if x[j] <= 0 {
 				continue
 			}
-			wij := phiWilke(phi[i], phi[j], species[i].W, species[j].W)
+			var wij float64
+			if phi[j] <= 0 {
+				wij = 1
+			} else {
+				r := math.Sqrt(phi[i]/phi[j]) * wPow[j]
+				wij = (1 + r) * (1 + r) / wDen[j]
+			}
 			den += x[j] * wij
 		}
 		if den > 0 {
@@ -102,56 +135,54 @@ func Wilke(species []*thermo.Species, x, phi []float64) float64 {
 	return mix
 }
 
-func phiWilke(mi, mj, wi, wj float64) float64 {
-	if mj <= 0 {
-		return 1
-	}
-	r := math.Sqrt(mi/mj) * math.Pow(wj/wi, 0.25)
-	num := (1 + r) * (1 + r)
-	den := math.Sqrt(8 * (1 + wi/wj))
-	return num / den
-}
-
-// Mixture bundles transport evaluation for a thermo mixture.
-type Mixture struct {
-	Mix *thermo.Mixture
-}
-
-// NewMixture wraps m.
-func NewMixture(m *thermo.Mixture) *Mixture { return &Mixture{Mix: m} }
-
 // Viscosity returns the Wilke-mixed viscosity at T for mass fractions y.
 func (t *Mixture) Viscosity(T float64, y []float64) float64 {
 	x := t.Mix.MoleFractions(y)
-	phi := make([]float64, t.Mix.Len())
+	mu := make([]float64, t.Mix.Len())
 	for i, s := range t.Mix.Species {
 		if x[i] > 0 {
-			phi[i] = SpeciesViscosity(s, T)
+			mu[i] = SpeciesViscosity(s, T)
 		}
 	}
-	return Wilke(t.Mix.Species, x, phi)
+	return t.wilke(x, mu)
+}
+
+// ViscosityConductivity returns the Wilke-mixed viscosity and thermal
+// conductivity at T for mass fractions y, evaluating each species viscosity
+// once for both.
+func (t *Mixture) ViscosityConductivity(T float64, y []float64) (mu, k float64) {
+	x := t.Mix.MoleFractions(y)
+	n := t.Mix.Len()
+	phi := make([]float64, 2*n)
+	mus, ks := phi[:n], phi[n:]
+	for i, s := range t.Mix.Species {
+		if x[i] > 0 {
+			mus[i] = SpeciesViscosity(s, T)
+			ks[i] = SpeciesConductivity(s, T, mus[i])
+		}
+	}
+	return t.wilke(x, mus), t.wilke(x, ks)
 }
 
 // Conductivity returns the Wilke-mixed thermal conductivity at T.
 func (t *Mixture) Conductivity(T float64, y []float64) float64 {
-	x := t.Mix.MoleFractions(y)
-	phi := make([]float64, t.Mix.Len())
-	for i, s := range t.Mix.Species {
-		if x[i] > 0 {
-			phi[i] = SpeciesConductivity(s, T)
-		}
-	}
-	return Wilke(t.Mix.Species, x, phi)
+	_, k := t.ViscosityConductivity(T, y)
+	return k
 }
 
-// Prandtl returns the frozen Prandtl number cp mu / k.
+// Prandtl returns the frozen Prandtl number cp mu / k at T.
 func (t *Mixture) Prandtl(T float64, y []float64) float64 {
-	mu := t.Viscosity(T, y)
-	k := t.Conductivity(T, y)
+	mu, k := t.ViscosityConductivity(T, y)
+	return FrozenPrandtl(t.Mix.Cp(T, y), mu, k)
+}
+
+// FrozenPrandtl returns cp mu / k for a mixed viscosity and conductivity
+// already in hand, or 0.72 where the conductivity vanishes.
+func FrozenPrandtl(cp, mu, k float64) float64 {
 	if k <= 0 {
 		return 0.72
 	}
-	return t.Mix.Cp(T, y) * mu / k
+	return cp * mu / k
 }
 
 // DiffusionCoefficient returns the single effective binary diffusion

@@ -4,8 +4,130 @@ import (
 	"math"
 	"testing"
 
+	"cataero/internal/chem"
+	"cataero/internal/shock"
 	"cataero/internal/thermo"
 )
+
+// Wilke combines species viscosities (or conductivities) phi_s with mole
+// fractions x into a mixture value by Wilke's semi-empirical rule. It is the
+// scalar form, computing each pair's molar-mass factors on the spot: the
+// reference the tabulated Mixture.wilke must reproduce bit for bit.
+func Wilke(species []*thermo.Species, x, phi []float64) float64 {
+	n := len(species)
+	mix := 0.0
+	for i := 0; i < n; i++ {
+		if x[i] <= 0 {
+			continue
+		}
+		den := 0.0
+		for j := 0; j < n; j++ {
+			if x[j] <= 0 {
+				continue
+			}
+			wij := phiWilke(phi[i], phi[j], species[i].W, species[j].W)
+			den += x[j] * wij
+		}
+		if den > 0 {
+			mix += x[i] * phi[i] / den
+		}
+	}
+	return mix
+}
+
+func phiWilke(mi, mj, wi, wj float64) float64 {
+	if mj <= 0 {
+		return 1
+	}
+	r := math.Sqrt(mi/mj) * math.Pow(wj/wi, 0.25)
+	num := (1 + r) * (1 + r)
+	den := math.Sqrt(8 * (1 + wi/wj))
+	return num / den
+}
+
+// scalarTransport is the scalar-form mixture viscosity, conductivity and
+// Prandtl number: every species value evaluated separately for each
+// property, mixed by the scalar Wilke.
+func scalarTransport(m *thermo.Mixture, T float64, y []float64) (mu, k, pr float64) {
+	x := m.MoleFractions(y)
+	mus := make([]float64, m.Len())
+	ks := make([]float64, m.Len())
+	for i, s := range m.Species {
+		if x[i] > 0 {
+			mus[i] = SpeciesViscosity(s, T)
+			ks[i] = SpeciesConductivity(s, T, SpeciesViscosity(s, T))
+		}
+	}
+	mu, k = Wilke(m.Species, x, mus), Wilke(m.Species, x, ks)
+	pr = 0.72
+	if k > 0 {
+		pr = m.Cp(T, y) * mu / k
+	}
+	return mu, k, pr
+}
+
+// TestWilkeTablesMatchScalar: the tabulated pair factors change the cost of
+// a mixing sum, not its value. Viscosity, Conductivity, Prandtl and
+// ViscosityConductivity equal the scalar form exactly, over 200-30000 K, for
+// air-11 and Titan, at the freestream, an equilibrium stagnation state, a
+// pure species and compositions with zero entries.
+func TestWilkeTablesMatchScalar(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		species []*thermo.Species
+		y0      func([]*thermo.Species) []float64
+		p, T, u float64 // freestream of the stagnation composition
+		pure    int
+	}{
+		{"air11", thermo.AirSpecies11(), thermo.AirFreestreamMassFractions, 4.8, 217, 6740, thermo.AirN2},
+		{"titan", thermo.TitanSpecies(), thermo.TitanFreestreamMassFractions, 120, 165, 7500, thermo.TiCH4},
+	} {
+		m := thermo.NewMixture(c.species)
+		tr := NewMixture(m)
+		y0 := c.y0(m.Species)
+		stag, err := shock.StagnationEquilibrium(chem.NewEquilibriumSolver(m), y0, c.p, c.T, c.u)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		pure := make([]float64, m.Len())
+		pure[c.pure] = 1
+		// Zero entries among nonzero ones: every other species of the
+		// stagnation composition, renormalized.
+		sparse := append([]float64(nil), stag.Y...)
+		for i := range sparse {
+			if i%2 == 1 {
+				sparse[i] = 0
+			}
+		}
+		thermo.Normalize(sparse)
+		comps := map[string][]float64{"freestream": y0, "stagnation": stag.Y, "pure": pure, "sparse": sparse}
+		var temps []float64
+		for T := 200.0; T < 30000; T *= 1.25 {
+			temps = append(temps, T)
+		}
+		temps = append(temps, 30000)
+		for label, y := range comps {
+			for _, T := range temps {
+				mu, k, pr := scalarTransport(m, T, y)
+				gmu, gk := tr.ViscosityConductivity(T, y)
+				for _, v := range []struct {
+					name      string
+					got, want float64
+				}{
+					{"Viscosity", tr.Viscosity(T, y), mu},
+					{"Conductivity", tr.Conductivity(T, y), k},
+					{"Prandtl", tr.Prandtl(T, y), pr},
+					{"ViscosityConductivity mu", gmu, mu},
+					{"ViscosityConductivity k", gk, k},
+				} {
+					if v.got != v.want || math.IsNaN(v.want) {
+						t.Errorf("%s %s T=%g: %s = %.17g, scalar form %.17g", c.name, label, T, v.name, v.got, v.want)
+					}
+				}
+			}
+		}
+	}
+}
 
 func TestSutherlandSeaLevel(t *testing.T) {
 	// Air at 288.15 K: mu = 1.789e-5 kg/(m s).

@@ -70,7 +70,7 @@ func Solve(ctx context.Context, in Inputs) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("vsl: shock jump: %w", err)
 	}
-	stag, err := shock.StagnationEquilibrium(in.Eq, in.Y0, in.PInf, in.TInf, in.VInf)
+	stag, err := shock.StagnationBehind(in.Eq, in.Y0, post)
 	if err != nil {
 		return nil, fmt.Errorf("vsl: stagnation state: %w", err)
 	}
