@@ -65,7 +65,7 @@ func figsCmd(args []string) int {
 
 // runFigs executes the requested figures and returns the process exit code.
 func runFigs(fig string, quality, workers int, fluxName, timestep, limiter string, levels int, gridSeq bool) int {
-	opts := []cataero.Option{cataero.WithQuality(cataero.Quality(quality))}
+	var opts []cataero.Option
 	if workers > 0 {
 		opts = append(opts, cataero.WithWorkers(workers))
 	}

@@ -34,6 +34,29 @@ func TestFig1Shape(t *testing.T) {
 	}
 }
 
+// TestFig2Shape checks the Fig. 2 content on the runner the figure uses:
+// the convective pulse rises and falls inside the trajectory sweep, and the
+// radiative pulse is significant for a 12 km/s Titan entry.
+func TestFig2Shape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trajectory sweep in short mode")
+	}
+	r, err := NewSession().Fig2TitanHeatingPulse(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(r.Time)
+	if n < 5 {
+		t.Fatalf("too few pulse points: %d", n)
+	}
+	if r.TPeakConv <= r.Time[0] || r.TPeakConv >= r.Time[n-1] {
+		t.Errorf("convective peak at pulse endpoint (t=%g s, pulse %g..%g s)", r.TPeakConv, r.Time[0], r.Time[n-1])
+	}
+	if r.PeakRad <= 0 {
+		t.Error("no radiative pulse")
+	}
+}
+
 func TestFig3Shape(t *testing.T) {
 	r, err := Fig3TitanSpeciesProfile()
 	if err != nil {

@@ -158,9 +158,6 @@ type Vehicle struct {
 	NoseRadius float64 // m (carried through to heating correlations)
 }
 
-// BallisticCoefficient returns m/(CD A), kg/m^2.
-func (v Vehicle) BallisticCoefficient() float64 { return v.Mass / (v.CD * v.RefArea) }
-
 // TrajectoryPoint is one integrated state along the entry.
 type TrajectoryPoint struct {
 	Time     float64 // s

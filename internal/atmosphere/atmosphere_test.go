@@ -136,13 +136,6 @@ func TestEntryTrajectoryTitan(t *testing.T) {
 	}
 }
 
-func TestVehicleBallisticCoefficient(t *testing.T) {
-	v := Vehicle{Mass: 1000, RefArea: 2, CD: 1.25}
-	if math.Abs(v.BallisticCoefficient()-400) > 1e-9 {
-		t.Errorf("beta=%g want 400", v.BallisticCoefficient())
-	}
-}
-
 func TestModelMetadata(t *testing.T) {
 	for _, m := range []Model{NewEarth(), NewTitan()} {
 		if m.Name() == "" || m.SurfaceGravity() <= 0 || m.PlanetRadius() <= 0 {

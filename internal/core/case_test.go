@@ -122,6 +122,10 @@ func TestCaseSpecErrors(t *testing.T) {
 		`{"class":"ns","body":{"kind":"klein-bottle","nose_radius":1},"p_inf":1,"t_inf":1,"v_inf":1}`,
 		`{"class":"ns","grid_sequencing":"maybe","p_inf":1,"t_inf":1,"v_inf":1}`,
 		`{"class":"ns","body":{"kind":"sphere"},"p_inf":1,"t_inf":1,"v_inf":1}`,
+		`{"class":"vsl","n_stations":-5,"p_inf":1,"t_inf":1,"v_inf":1}`,
+		`{"class":"ns","ni":-1,"p_inf":1,"t_inf":1,"v_inf":1}`,
+		`{"class":"ns","nj":-1,"p_inf":1,"t_inf":1,"v_inf":1}`,
+		`{"class":"ns","max_steps":-1,"p_inf":1,"t_inf":1,"v_inf":1}`,
 		`{"class":"ns","levels":-2,"p_inf":1,"t_inf":1,"v_inf":1}`,
 		`{"class":"ns","cycle":"v","p_inf":1,"t_inf":1,"v_inf":1}`,
 		`{"class":"ns","refit_every":-3,"p_inf":1,"t_inf":1,"v_inf":1}`,
@@ -169,7 +173,6 @@ type orbiterBody struct{ o *geometry.Orbiter }
 func (b orbiterBody) Name() string                   { return "orbiter" }
 func (b orbiterBody) Point(s float64) (x, r float64) { return s, s }
 func (b orbiterBody) Angle(s float64) float64        { return 0 }
-func (b orbiterBody) Curvature(s float64) float64    { return 0 }
 func (b orbiterBody) NoseRadius() float64            { return b.o.Rn }
 func (b orbiterBody) MaxS() float64                  { return b.o.Length }
 

@@ -347,6 +347,14 @@ func validate(p Problem) error {
 		return err
 	}
 	switch {
+	case p.NStations < 0:
+		return fmt.Errorf("core: n_stations %d negative", p.NStations)
+	case p.NI < 0:
+		return fmt.Errorf("core: ni %d negative", p.NI)
+	case p.NJ < 0:
+		return fmt.Errorf("core: nj %d negative", p.NJ)
+	case p.MaxSteps < 0:
+		return fmt.Errorf("core: max_steps %d negative", p.MaxSteps)
 	case p.Levels < 0:
 		return fmt.Errorf("core: levels %d negative", p.Levels)
 	case p.Cycle != "" && p.Cycle != cycleCascade:

@@ -319,12 +319,14 @@ func TestImplicitStepCountAdvantage(t *testing.T) {
 // TestImplicitDivergenceFallback pins the ramp at an absurd CFL so the line
 // updates leave the physical state space: every line must fall back to the
 // explicit stage, the march must stay finite, and the fallback counter must
-// record the events.
+// record the events. At this CFL each update is a Newton step on the
+// approximate linearization, and the first line leaves the state space
+// after a dozen or so steps (step 14 on this grid).
 func TestImplicitDivergenceFallback(t *testing.T) {
 	s := viscousCase(t, "implicit", CFLRamp{Start: 1e12, Growth: 1.0000001, Max: 1e12})
 	defer s.Close()
 	st := s.imp
-	for n := 0; n < 5; n++ {
+	for n := 0; n < 40 && st.fallbacks == 0; n++ {
 		if r := s.Step(); math.IsNaN(r) {
 			t.Fatalf("residual NaN at step %d", n)
 		}

@@ -55,9 +55,6 @@ func poolWorker(tasks <-chan poolTask) {
 	}
 }
 
-// Workers reports the pool's sizing (parallel width, including the caller).
-func (p *Pool) Workers() int { return p.workers }
-
 // Close releases the pool's goroutines. No sweep may be in flight or issued
 // after Close; calling Close more than once is safe.
 func (p *Pool) Close() {

@@ -18,8 +18,6 @@ type Body interface {
 	// Angle returns the local body angle theta (rad) between the surface
 	// tangent and the axis at arc length s.
 	Angle(s float64) float64
-	// Curvature returns the local longitudinal surface curvature (1/m).
-	Curvature(s float64) float64
 	// NoseRadius returns the stagnation-point radius of curvature.
 	NoseRadius() float64
 	// MaxS returns the largest meaningful arc length.
@@ -45,9 +43,6 @@ func (b *Sphere) Point(s float64) (x, r float64) {
 
 // Angle implements Body.
 func (b *Sphere) Angle(s float64) float64 { return math.Pi/2 - s/b.R }
-
-// Curvature implements Body.
-func (b *Sphere) Curvature(s float64) float64 { return 1 / b.R }
 
 // NoseRadius implements Body.
 func (b *Sphere) NoseRadius() float64 { return b.R }
@@ -95,14 +90,6 @@ func (b *SphereCone) Angle(s float64) float64 {
 		return math.Pi/2 - s/b.Rn
 	}
 	return b.ThetaC
-}
-
-// Curvature implements Body.
-func (b *SphereCone) Curvature(s float64) float64 {
-	if s <= b.sTan {
-		return 1 / b.Rn
-	}
-	return 0
 }
 
 // NoseRadius implements Body.
@@ -200,14 +187,6 @@ func (b *Hyperboloid) Angle(s float64) float64 {
 	// Tangent angle measured from the axis: pi/2 at the stagnation point,
 	// approaching the asymptotic half angle far downstream.
 	return math.Atan2(dr, dx)
-}
-
-// Curvature implements Body.
-func (b *Hyperboloid) Curvature(s float64) float64 {
-	ds := b.sGrid[len(b.sGrid)-1] / 2000
-	a1 := b.Angle(s + ds)
-	a0 := b.Angle(math.Max(s-ds, 0))
-	return math.Abs(a1-a0) / (2 * ds)
 }
 
 // NoseRadius implements Body.

@@ -113,24 +113,6 @@ func (o *Orbiter) EquivalentAxisymmetric(alpha float64) *SphereCone {
 	return NewSphereCone(o.Rn*1.4, thetaEff, o.Length*math.Sin(thetaEff)+2.4)
 }
 
-// PitchPlaneProfile returns np points (x, z) of the windward pitch-plane
-// contour rotated to angle of attack alpha: the shape seen by a 2-D
-// shock-capture solve of the paper's Fig. 4. z is measured perpendicular to
-// the freestream direction.
-func (o *Orbiter) PitchPlaneProfile(alpha float64, np int) ([]float64, []float64) {
-	xs := make([]float64, np)
-	zs := make([]float64, np)
-	ca, sa := math.Cos(alpha), math.Sin(alpha)
-	for i := 0; i < np; i++ {
-		x := o.Length * float64(i) / float64(np-1)
-		z := -o.WindwardZ(x) // windward side below reference line
-		// Rotate by alpha about the nose: freestream along +x'.
-		xs[i] = x*ca - z*sa
-		zs[i] = x*sa + z*ca
-	}
-	return xs, zs
-}
-
 func (o *Orbiter) String() string {
 	return fmt.Sprintf("Shuttle Orbiter (L=%.2f m, Rn=%.2f m)", o.Length, o.Rn)
 }

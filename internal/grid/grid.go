@@ -156,17 +156,3 @@ func (g *Grid2D) WallDistance(i int) float64 {
 	dy := g.Y[i][g.NJ] - g.Y[i][0]
 	return math.Hypot(dx, dy)
 }
-
-// MinSpacing returns the smallest wall-normal spacing (first cell height),
-// needed for viscous time-step estimates.
-func (g *Grid2D) MinSpacing() float64 {
-	min := math.Inf(1)
-	for i := 0; i <= g.NI; i++ {
-		dx := g.X[i][1] - g.X[i][0]
-		dy := g.Y[i][1] - g.Y[i][0]
-		if d := math.Hypot(dx, dy); d < min {
-			min = d
-		}
-	}
-	return min
-}

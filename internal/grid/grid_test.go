@@ -49,9 +49,6 @@ func TestBluntGridWallClustering(t *testing.T) {
 	if d0 >= uniform {
 		t.Errorf("no wall clustering: d0=%g uniform=%g", d0, uniform)
 	}
-	if g.MinSpacing() <= 0 {
-		t.Error("MinSpacing must be positive")
-	}
 }
 
 func TestCellAreasPositive(t *testing.T) {

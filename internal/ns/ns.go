@@ -15,7 +15,6 @@ import (
 	"cataero/internal/gas"
 	"cataero/internal/geometry"
 	"cataero/internal/grid"
-	"cataero/internal/thermo"
 	"cataero/internal/transport"
 )
 
@@ -209,5 +208,3 @@ func interp(xs, ys []float64, x float64) float64 {
 	t := (x - xs[lo]) / (xs[lo+1] - xs[lo])
 	return ys[lo] + t*(ys[lo+1]-ys[lo])
 }
-
-var _ = thermo.Ru // doc reference

@@ -3,7 +3,11 @@ package numerics
 import "math"
 
 // luFactor performs in-place LU factorization with partial pivoting of the
-// m×m row-major matrix a, recording row swaps in piv.
+// m×m row-major matrix a, recording in piv[k] the row exchanged with k at
+// step k. A swap moves only columns k and up: the multipliers already
+// stored left of column k stay in the row order they were computed in,
+// which is the order luSolveVec meets them in, since it applies each swap
+// just before that step's elimination.
 func luFactor(a []float64, piv []int, m int) error {
 	for k := 0; k < m; k++ {
 		// Pivot search.
@@ -19,7 +23,8 @@ func luFactor(a []float64, piv []int, m int) error {
 		}
 		piv[k] = p
 		if p != k {
-			for j := 0; j < m; j++ {
+			// Columns k and up only; see the doc comment.
+			for j := k; j < m; j++ {
 				a[k*m+j], a[p*m+j] = a[p*m+j], a[k*m+j]
 			}
 		}
@@ -36,9 +41,8 @@ func luFactor(a []float64, piv []int, m int) error {
 }
 
 // luSolveVec solves LU x = b in place (b is overwritten with x) using the
-// factorization and pivots from luFactor. tmp is scratch of length m.
-func luSolveVec(lu []float64, piv []int, b, tmp []float64, m int) {
-	_ = tmp
+// factorization and pivots from luFactor.
+func luSolveVec(lu []float64, piv []int, b []float64, m int) {
 	for k := 0; k < m; k++ {
 		if p := piv[k]; p != k {
 			b[k], b[p] = b[p], b[k]
@@ -56,23 +60,10 @@ func luSolveVec(lu []float64, piv []int, b, tmp []float64, m int) {
 	}
 }
 
-// luSolveMat solves LU X = B for an m×m right-hand side B in place.
-// tmpM is scratch of length m*m.
-func luSolveMat(lu []float64, piv []int, B, tmpM []float64, m int) {
-	col := tmpM[:m]
-	for j := 0; j < m; j++ {
-		for i := 0; i < m; i++ {
-			col[i] = B[i*m+j]
-		}
-		luSolveVec(lu, piv, col, nil, m)
-		for i := 0; i < m; i++ {
-			B[i*m+j] = col[i]
-		}
-	}
-}
-
 // SolveDense solves the dense n×n system A x = b by LU factorization with
-// partial pivoting. A and b are not modified; the solution is returned.
+// partial pivoting. A and b are not modified; the solution is returned. It
+// allocates, so it serves the tests as the reference solve; solvers call
+// SolveDenseInPlace.
 func SolveDense(A []float64, b []float64, n int) ([]float64, error) {
 	lu := make([]float64, n*n)
 	copy(lu, A)
@@ -82,7 +73,7 @@ func SolveDense(A []float64, b []float64, n int) ([]float64, error) {
 	}
 	x := make([]float64, n)
 	copy(x, b)
-	luSolveVec(lu, piv, x, nil, n)
+	luSolveVec(lu, piv, x, n)
 	return x, nil
 }
 
@@ -92,29 +83,8 @@ func SolveDenseInPlace(A, b []float64, piv []int, n int) error {
 	if err := luFactor(A, piv, n); err != nil {
 		return err
 	}
-	luSolveVec(A, piv, b, nil, n)
+	luSolveVec(A, piv, b, n)
 	return nil
-}
-
-// MatVec computes y = A x for a dense m×n row-major matrix.
-func MatVec(A []float64, x, y []float64, m, n int) {
-	for i := 0; i < m; i++ {
-		s := 0.0
-		row := A[i*n : (i+1)*n]
-		for j, xj := range x {
-			s += row[j] * xj
-		}
-		y[i] = s
-	}
-}
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	s := 0.0
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
 }
 
 // NormInf returns the maximum absolute entry of v.

@@ -1,7 +1,6 @@
 package numerics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -28,63 +27,6 @@ func LinearInterp(xs, ys []float64, x float64) float64 {
 	}
 	t := (x - x0) / (x1 - x0)
 	return y0 + t*(y1-y0)
-}
-
-// Spline is a natural cubic spline through sorted knots.
-type Spline struct {
-	xs, ys, y2 []float64
-}
-
-// NewSpline builds a natural cubic spline. xs must be strictly increasing.
-func NewSpline(xs, ys []float64) (*Spline, error) {
-	n := len(xs)
-	if n < 2 || len(ys) != n {
-		return nil, fmt.Errorf("numerics: spline needs >=2 matching knots, got %d/%d", n, len(ys))
-	}
-	for i := 1; i < n; i++ {
-		if xs[i] <= xs[i-1] {
-			return nil, fmt.Errorf("numerics: spline abscissae not increasing at %d", i)
-		}
-	}
-	s := &Spline{
-		xs: append([]float64(nil), xs...),
-		ys: append([]float64(nil), ys...),
-		y2: make([]float64, n),
-	}
-	u := make([]float64, n)
-	for i := 1; i < n-1; i++ {
-		sig := (xs[i] - xs[i-1]) / (xs[i+1] - xs[i-1])
-		p := sig*s.y2[i-1] + 2
-		s.y2[i] = (sig - 1) / p
-		u[i] = (ys[i+1]-ys[i])/(xs[i+1]-xs[i]) - (ys[i]-ys[i-1])/(xs[i]-xs[i-1])
-		u[i] = (6*u[i]/(xs[i+1]-xs[i-1]) - sig*u[i-1]) / p
-	}
-	for k := n - 2; k >= 0; k-- {
-		s.y2[k] = s.y2[k]*s.y2[k+1] + u[k]
-	}
-	return s, nil
-}
-
-// Eval evaluates the spline at x (clamped to the knot range).
-func (s *Spline) Eval(x float64) float64 {
-	n := len(s.xs)
-	if x <= s.xs[0] {
-		x = s.xs[0]
-	}
-	if x >= s.xs[n-1] {
-		x = s.xs[n-1]
-	}
-	i := sort.SearchFloat64s(s.xs, x)
-	if i <= 0 {
-		i = 1
-	}
-	if i >= n {
-		i = n - 1
-	}
-	h := s.xs[i] - s.xs[i-1]
-	a := (s.xs[i] - x) / h
-	b := (x - s.xs[i-1]) / h
-	return a*s.ys[i-1] + b*s.ys[i] + ((a*a*a-a)*s.y2[i-1]+(b*b*b-b)*s.y2[i])*h*h/6
 }
 
 // Stretch1D returns n points in [0,1] clustered toward s=0 with Roberts-type

@@ -1,10 +1,7 @@
 package numerics
 
 import (
-	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestLinearInterpBasics(t *testing.T) {
@@ -25,89 +22,6 @@ func TestLinearInterpBasics(t *testing.T) {
 	}
 	if got := LinearInterp([]float64{2}, []float64{7}, 100); got != 7 {
 		t.Errorf("single point got %g want 7", got)
-	}
-}
-
-func TestSplineReproducesKnots(t *testing.T) {
-	xs := []float64{0, 1, 2, 3, 4}
-	ys := []float64{1, 3, 2, 5, 4}
-	s, err := NewSpline(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range xs {
-		if got := s.Eval(xs[i]); math.Abs(got-ys[i]) > 1e-12 {
-			t.Errorf("knot %d: got %g want %g", i, got, ys[i])
-		}
-	}
-}
-
-// Property: a natural cubic spline through samples of a straight line
-// reproduces the line everywhere (splines are exact for linear data).
-func TestSplineExactForLines(t *testing.T) {
-	f := func(a, b float64) bool {
-		a = math.Mod(a, 10)
-		b = math.Mod(b, 10)
-		xs := Linspace(0, 5, 8)
-		ys := make([]float64, len(xs))
-		for i, x := range xs {
-			ys[i] = a*x + b
-		}
-		s, err := NewSpline(xs, ys)
-		if err != nil {
-			return false
-		}
-		for _, x := range []float64{0.3, 1.7, 2.9, 4.2} {
-			if math.Abs(s.Eval(x)-(a*x+b)) > 1e-9*(1+math.Abs(a*x+b)) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(9))}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSplineAccuracySmooth(t *testing.T) {
-	xs := Linspace(0, math.Pi, 30)
-	ys := make([]float64, len(xs))
-	for i, x := range xs {
-		ys[i] = math.Sin(x)
-	}
-	s, err := NewSpline(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{0.2, 1.0, 2.0, 3.0} {
-		if math.Abs(s.Eval(x)-math.Sin(x)) > 1e-4 {
-			t.Errorf("sin spline at %g: err %g", x, s.Eval(x)-math.Sin(x))
-		}
-	}
-}
-
-func TestSplineErrors(t *testing.T) {
-	if _, err := NewSpline([]float64{1}, []float64{1}); err == nil {
-		t.Error("expected error for single knot")
-	}
-	if _, err := NewSpline([]float64{0, 0, 1}, []float64{1, 2, 3}); err == nil {
-		t.Error("expected error for non-increasing knots")
-	}
-	if _, err := NewSpline([]float64{0, 1}, []float64{1}); err == nil {
-		t.Error("expected error for length mismatch")
-	}
-}
-
-func TestSplineClampsOutside(t *testing.T) {
-	s, err := NewSpline([]float64{0, 1, 2}, []float64{0, 1, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Eval(-5); got != 0 {
-		t.Errorf("left clamp got %g want 0", got)
-	}
-	if got := s.Eval(99); got != 4 {
-		t.Errorf("right clamp got %g want 4", got)
 	}
 }
 

@@ -8,38 +8,6 @@ import (
 // ODEFunc evaluates dy/dx into dydx for state y at coordinate x.
 type ODEFunc func(x float64, y, dydx []float64)
 
-// RK4Step advances y by one classical Runge-Kutta step of size h.
-// work must provide 5 scratch slices of len(y) (use NewRKWork).
-func RK4Step(f ODEFunc, x float64, y []float64, h float64, work [][]float64) {
-	n := len(y)
-	k1, k2, k3, k4, yt := work[0], work[1], work[2], work[3], work[4]
-	f(x, y, k1)
-	for i := 0; i < n; i++ {
-		yt[i] = y[i] + 0.5*h*k1[i]
-	}
-	f(x+0.5*h, yt, k2)
-	for i := 0; i < n; i++ {
-		yt[i] = y[i] + 0.5*h*k2[i]
-	}
-	f(x+0.5*h, yt, k3)
-	for i := 0; i < n; i++ {
-		yt[i] = y[i] + h*k3[i]
-	}
-	f(x+h, yt, k4)
-	for i := 0; i < n; i++ {
-		y[i] += h / 6 * (k1[i] + 2*k2[i] + 2*k3[i] + k4[i])
-	}
-}
-
-// NewRKWork allocates scratch storage for RK4Step/RKF45 with state size n.
-func NewRKWork(n int) [][]float64 {
-	w := make([][]float64, 8)
-	for i := range w {
-		w[i] = make([]float64, n)
-	}
-	return w
-}
-
 // RKF45Options configures the adaptive integrator.
 type RKF45Options struct {
 	RelTol, AbsTol float64 // default 1e-8, 1e-10

@@ -5,40 +5,6 @@ import (
 	"testing"
 )
 
-func TestRK4ExponentialDecay(t *testing.T) {
-	// dy/dx = -y, y(0)=1, y(1)=exp(-1).
-	y := []float64{1}
-	work := NewRKWork(1)
-	f := func(x float64, y, dy []float64) { dy[0] = -y[0] }
-	n := 100
-	h := 1.0 / float64(n)
-	for i := 0; i < n; i++ {
-		RK4Step(f, float64(i)*h, y, h, work)
-	}
-	if math.Abs(y[0]-math.Exp(-1)) > 1e-8 {
-		t.Errorf("y(1)=%g want %g", y[0], math.Exp(-1))
-	}
-}
-
-func TestRK4Order(t *testing.T) {
-	// Halving h should reduce error by ~16x (4th order).
-	errAt := func(n int) float64 {
-		y := []float64{1}
-		work := NewRKWork(1)
-		f := func(x float64, y, dy []float64) { dy[0] = y[0] * math.Cos(x) }
-		h := 2.0 / float64(n)
-		for i := 0; i < n; i++ {
-			RK4Step(f, float64(i)*h, y, h, work)
-		}
-		return math.Abs(y[0] - math.Exp(math.Sin(2)))
-	}
-	e1, e2 := errAt(40), errAt(80)
-	ratio := e1 / e2
-	if ratio < 10 || ratio > 25 {
-		t.Errorf("convergence ratio %g not ~16 (e1=%g e2=%g)", ratio, e1, e2)
-	}
-}
-
 func TestRKF45Harmonic(t *testing.T) {
 	// y'' = -y as a system; after 2*pi returns to initial state.
 	y := []float64{1, 0}

@@ -2,28 +2,6 @@ package numerics
 
 import "math"
 
-// Simpson integrates f over [a,b] with n (even, >=2) intervals by the
-// composite Simpson rule.
-func Simpson(f func(float64) float64, a, b float64, n int) float64 {
-	if n < 2 {
-		n = 2
-	}
-	if n%2 == 1 {
-		n++
-	}
-	h := (b - a) / float64(n)
-	s := f(a) + f(b)
-	for i := 1; i < n; i++ {
-		x := a + float64(i)*h
-		if i%2 == 1 {
-			s += 4 * f(x)
-		} else {
-			s += 2 * f(x)
-		}
-	}
-	return s * h / 3
-}
-
 // TrapzSlice integrates tabulated ordinates y over abscissae x by the
 // trapezoidal rule. The slices must have equal length >= 2.
 func TrapzSlice(x, y []float64) float64 {
@@ -32,31 +10,6 @@ func TrapzSlice(x, y []float64) float64 {
 		s += 0.5 * (y[i] + y[i-1]) * (x[i] - x[i-1])
 	}
 	return s
-}
-
-// gauss10 nodes/weights on [-1,1].
-var gauss10X = []float64{
-	-0.9739065285171717, -0.8650633666889845, -0.6794095682990244,
-	-0.4333953941292472, -0.1488743389816312, 0.1488743389816312,
-	0.4333953941292472, 0.6794095682990244, 0.8650633666889845,
-	0.9739065285171717,
-}
-var gauss10W = []float64{
-	0.0666713443086881, 0.1494513491505806, 0.2190863625159820,
-	0.2692667193099963, 0.2955242247147529, 0.2955242247147529,
-	0.2692667193099963, 0.2190863625159820, 0.1494513491505806,
-	0.0666713443086881,
-}
-
-// Gauss10 integrates f over [a,b] with 10-point Gauss-Legendre quadrature.
-func Gauss10(f func(float64) float64, a, b float64) float64 {
-	c := 0.5 * (a + b)
-	h := 0.5 * (b - a)
-	s := 0.0
-	for i, x := range gauss10X {
-		s += gauss10W[i] * f(c+h*x)
-	}
-	return s * h
 }
 
 // E1 returns the exponential integral E1(x) for x > 0.

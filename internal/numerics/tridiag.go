@@ -1,8 +1,12 @@
-// Package numerics provides the numerical kernels shared by every solver in
-// cataero: banded and dense linear solvers, Newton iteration, explicit and
-// stiff ODE integrators, interpolation, quadrature, exponential integrals and
-// scalar root finding. All routines operate on float64 slices and are
-// allocation-conscious so that inner solver loops can reuse workspaces.
+// Package numerics provides the numerical kernels the cataero solvers share:
+// one solver per linear system (the scalar Thomas algorithm, the 4×4
+// block-tridiagonal line solve of the implicit flow solver and dense LU),
+// adaptive Runge-Kutta-Fehlberg integration, Brent root finding, linear
+// interpolation and grid stretching, trapezoidal quadrature and the
+// exponential integrals of slab radiation. The stiff stepper and the
+// allocating dense solve are the oracles the tests check production code
+// against. All routines operate on float64 slices, and the workspaces let
+// inner solver loops run without allocating.
 package numerics
 
 import (
@@ -15,41 +19,6 @@ import (
 // numerically indistinguishable from singular.
 var ErrSingular = errors.New("numerics: singular matrix")
 
-// SolveTridiag solves the tridiagonal system with sub-diagonal a, diagonal b,
-// super-diagonal c and right-hand side d using the Thomas algorithm.
-// a[0] and c[n-1] are ignored. The solution is written into x, which may
-// alias d. All slices must have length n >= 1.
-func SolveTridiag(a, b, c, d, x []float64) error {
-	n := len(b)
-	if len(a) != n || len(c) != n || len(d) != n || len(x) != n {
-		return fmt.Errorf("numerics: tridiag length mismatch (n=%d)", n)
-	}
-	if n == 0 {
-		return nil
-	}
-	// Forward elimination with scratch storage for the modified coefficients.
-	cp := make([]float64, n)
-	dp := make([]float64, n)
-	if b[0] == 0 {
-		return ErrSingular
-	}
-	cp[0] = c[0] / b[0]
-	dp[0] = d[0] / b[0]
-	for i := 1; i < n; i++ {
-		den := b[i] - a[i]*cp[i-1]
-		if den == 0 {
-			return ErrSingular
-		}
-		cp[i] = c[i] / den
-		dp[i] = (d[i] - a[i]*dp[i-1]) / den
-	}
-	x[n-1] = dp[n-1]
-	for i := n - 2; i >= 0; i-- {
-		x[i] = dp[i] - cp[i]*x[i+1]
-	}
-	return nil
-}
-
 // TridiagWorkspace holds reusable scratch arrays for repeated tridiagonal
 // solves of the same size, avoiding per-solve allocation in relaxation loops.
 type TridiagWorkspace struct {
@@ -61,10 +30,15 @@ func NewTridiagWorkspace(n int) *TridiagWorkspace {
 	return &TridiagWorkspace{cp: make([]float64, n), dp: make([]float64, n)}
 }
 
-// Solve solves the tridiagonal system like SolveTridiag but reuses the
-// workspace scratch arrays.
+// Solve solves the tridiagonal system with sub-diagonal a, diagonal b,
+// super-diagonal c and right-hand side d by the Thomas algorithm, writing
+// the solution into x, which may alias d. a[0] and c[n-1] are ignored. All
+// slices must have length n; the scratch grows on demand.
 func (w *TridiagWorkspace) Solve(a, b, c, d, x []float64) error {
 	n := len(b)
+	if len(a) != n || len(c) != n || len(d) != n || len(x) != n {
+		return fmt.Errorf("numerics: tridiag length mismatch (n=%d)", n)
+	}
 	if len(w.cp) < n {
 		w.cp = make([]float64, n)
 		w.dp = make([]float64, n)
@@ -93,173 +67,50 @@ func (w *TridiagWorkspace) Solve(a, b, c, d, x []float64) error {
 	return nil
 }
 
-// BlockTridiag solves a block-tridiagonal system with m×m blocks.
-// A, B, C are the sub-, main- and super-diagonal block rows stored as
-// n slices of m*m row-major matrices; D is the right-hand side of n blocks of
-// length m. The solution overwrites D. A[0] and C[n-1] are ignored.
-// The blocks are modified during the factorization.
-func BlockTridiag(A, B, C [][]float64, D [][]float64, m int) error {
-	n := len(B)
-	if len(A) != n || len(C) != n || len(D) != n {
-		return fmt.Errorf("numerics: block tridiag length mismatch (n=%d)", n)
-	}
-	w := NewBlockTridiagWorkspace(m)
-	for i := 0; i < n; i++ {
-		if i > 0 {
-			// B[i] -= A[i] * C[i-1]; D[i] -= A[i] * D[i-1]
-			matMulSub(B[i], A[i], C[i-1], m)
-			matVecSub(D[i], A[i], D[i-1], m)
-		}
-		copy(w.lu, B[i])
-		if err := luFactor(w.lu, w.piv, m); err != nil {
-			return err
-		}
-		// C[i] = B[i]^{-1} C[i], D[i] = B[i]^{-1} D[i]
-		if i < n-1 {
-			luSolveMat(w.lu, w.piv, C[i], w.tmpM, m)
-		}
-		luSolveVec(w.lu, w.piv, D[i], w.tmp, m)
-	}
-	for i := n - 2; i >= 0; i-- {
-		matVecSub(D[i], C[i], D[i+1], m)
-	}
-	return nil
-}
-
 // BlockTridiagWorkspace holds the per-solve scratch of a block-tridiagonal
-// factorization (one block LU, pivots and temporaries), so batched solves —
-// many lines of the same block size in a relaxation sweep — allocate nothing
-// per line. Each concurrent solve needs its own workspace.
+// factorization (one block LU and its pivots), so batched solves — many
+// lines in a relaxation sweep — allocate nothing per line. Each concurrent
+// solve needs its own workspace.
 type BlockTridiagWorkspace struct {
-	m    int
-	lu   []float64
-	tmpM []float64
-	piv  []int
-	tmp  []float64
+	m   int
+	lu  []float64
+	piv []int
 }
 
 // NewBlockTridiagWorkspace returns a workspace for m×m block systems.
+// SolveFlatScaled solves 4×4 blocks only and rejects any other m.
 func NewBlockTridiagWorkspace(m int) *BlockTridiagWorkspace {
-	return &BlockTridiagWorkspace{
-		m:    m,
-		lu:   make([]float64, m*m),
-		tmpM: make([]float64, m*m),
-		piv:  make([]int, m),
-		tmp:  make([]float64, m),
-	}
+	return &BlockTridiagWorkspace{m: m, lu: make([]float64, m*m), piv: make([]int, m)}
 }
 
-// SolveFlat solves a block-tridiagonal system stored flat: A, B, C hold the
-// sub-, main- and super-diagonal blocks as n contiguous m*m row-major
-// matrices (length n*m*m) and D holds the right-hand side as n contiguous
-// length-m blocks (length n*m). The solution overwrites D; the blocks are
-// modified during the factorization. A's first block and C's last block are
-// ignored. The flat layout keeps a whole line's system contiguous in memory
-// and the workspace makes repeated solves allocation-free.
+// SolveFlatScaled solves a block-tridiagonal system of 4×4 blocks stored
+// flat — the conserved-variable line systems of the implicit flow solver.
+// A, B, C hold the sub-, main- and super-diagonal blocks as n contiguous
+// row-major 4×4 matrices (length 16n) and D holds the right-hand side as n
+// contiguous 4-vectors (length 4n). The blocks are modified during the
+// factorization and the solution overwrites D. A's first block and C's last
+// block are ignored (and left unscaled).
 //
-//cataero:hotpath
-func (w *BlockTridiagWorkspace) SolveFlat(A, B, C, D []float64, n int) error {
-	m := w.m
-	mm := m * m
-	if len(A) < n*mm || len(B) < n*mm || len(C) < n*mm || len(D) < n*m {
-		//cataero:allow hotpath cold misuse guard; never taken on a sized workspace
-		return fmt.Errorf("numerics: block tridiag flat length mismatch (n=%d, m=%d)", n, m)
-	}
-	for i := 0; i < n; i++ {
-		Bi := B[i*mm : (i+1)*mm]
-		Di := D[i*m : (i+1)*m]
-		if i > 0 {
-			Ai := A[i*mm : (i+1)*mm]
-			matMulSub(Bi, Ai, C[(i-1)*mm:i*mm], m)
-			matVecSub(Di, Ai, D[(i-1)*m:i*m], m)
-		}
-		copy(w.lu, Bi)
-		if err := luFactor(w.lu, w.piv, m); err != nil {
-			return err
-		}
-		if i < n-1 {
-			luSolveMat(w.lu, w.piv, C[i*mm:(i+1)*mm], w.tmpM, m)
-		}
-		luSolveVec(w.lu, w.piv, Di, w.tmp, m)
-	}
-	for i := n - 2; i >= 0; i-- {
-		matVecSub(D[i*m:(i+1)*m], C[i*mm:(i+1)*mm], D[(i+1)*m:(i+2)*m], m)
-	}
-	return nil
-}
-
-// SolveFlatScaled is SolveFlat with the diagonal equilibration fused into
-// the elimination: each block row is scaled entrywise by rat (length m*m,
-// rat[r*m+c] = scl[c]/scl[r] for a per-variable scale scl) and its
-// right-hand block by 1/scl as the forward pass first touches it, instead
-// of in a separate pre-pass over the whole plane. The result is bit-
-// identical to scaling every block first and calling SolveFlat, but the
-// plane is traversed once instead of twice. The solution overwrites D in
-// the SCALED variables — the caller maps back with D[i*m+r] *= scl[r].
-// A's first block and C's last block are ignored (and left unscaled).
-//
-// For 4×4 blocks — the conserved-variable systems of the flow solvers —
-// the elimination runs through fully unrolled block kernels (mulSub4,
-// lu4Factor, lu4SolveMat/Vec) instead of the generic m-loop LU helpers;
-// same pivoting, same operation order, no per-column scratch copies.
+// The diagonal equilibration is fused into the elimination: each block row
+// is scaled entrywise by rat (length 16, rat[r*4+c] = scl[c]/scl[r] for a
+// per-variable scale scl) and its right-hand block by 1/scl as the forward
+// pass first touches it, so the plane is traversed once. The solution is in
+// the SCALED variables — the caller maps back with D[i*4+r] *= scl[r]. Each
+// diagonal block is factored by partial-pivoted LU, and the elimination runs
+// through fully unrolled 4-wide kernels (mulSub4, lu4Factor, lu4SolveMat/Vec),
+// the super-diagonal solve advancing all four columns at once. A workspace
+// made for any block size but 4 returns an error.
 //
 //cataero:hotpath
 func (w *BlockTridiagWorkspace) SolveFlatScaled(A, B, C, D []float64, n int, rat, scl []float64) error {
-	m := w.m
-	mm := m * m
-	if len(A) < n*mm || len(B) < n*mm || len(C) < n*mm || len(D) < n*m || len(rat) < mm || len(scl) < m {
+	if w.m != 4 {
+		//cataero:allow hotpath cold misuse guard; never taken on a 4×4 workspace
+		return fmt.Errorf("numerics: block tridiag solve needs 4×4 blocks (m=%d)", w.m)
+	}
+	if len(A) < n*16 || len(B) < n*16 || len(C) < n*16 || len(D) < n*4 || len(rat) < 16 || len(scl) < 4 {
 		//cataero:allow hotpath cold misuse guard; never taken on a sized workspace
-		return fmt.Errorf("numerics: block tridiag flat length mismatch (n=%d, m=%d)", n, m)
+		return fmt.Errorf("numerics: block tridiag flat length mismatch (n=%d)", n)
 	}
-	if m == 4 {
-		return w.solveFlatScaled4(A, B, C, D, n, rat, scl)
-	}
-	for i := 0; i < n; i++ {
-		Bi := B[i*mm : (i+1)*mm]
-		Di := D[i*m : (i+1)*m]
-		for k := 0; k < mm; k++ {
-			Bi[k] *= rat[k]
-		}
-		for r := 0; r < m; r++ {
-			Di[r] /= scl[r]
-		}
-		if i > 0 {
-			Ai := A[i*mm : (i+1)*mm]
-			for k := 0; k < mm; k++ {
-				Ai[k] *= rat[k]
-			}
-			// C[i-1] was scaled (and then solved against B[i-1]) on the
-			// previous iteration, so the products are in the scaled system.
-			matMulSub(Bi, Ai, C[(i-1)*mm:i*mm], m)
-			matVecSub(Di, Ai, D[(i-1)*m:i*m], m)
-		}
-		copy(w.lu, Bi)
-		if err := luFactor(w.lu, w.piv, m); err != nil {
-			return err
-		}
-		if i < n-1 {
-			Ci := C[i*mm : (i+1)*mm]
-			for k := 0; k < mm; k++ {
-				Ci[k] *= rat[k]
-			}
-			luSolveMat(w.lu, w.piv, Ci, w.tmpM, m)
-		}
-		luSolveVec(w.lu, w.piv, Di, w.tmp, m)
-	}
-	for i := n - 2; i >= 0; i-- {
-		matVecSub(D[i*m:(i+1)*m], C[i*mm:(i+1)*mm], D[(i+1)*m:(i+2)*m], m)
-	}
-	return nil
-}
-
-// solveFlatScaled4 is the unrolled 4×4-block elimination behind
-// SolveFlatScaled: identical algorithm (scaled Thomas recursion, partial-
-// pivoted block LU), with the inner m-loops replaced by straight-line
-// 4-wide kernels and the super-diagonal solve running on all four columns
-// at once instead of copying them through per-column scratch.
-//
-//cataero:hotpath
-func (w *BlockTridiagWorkspace) solveFlatScaled4(A, B, C, D []float64, n int, rat, scl []float64) error {
 	s0, s1, s2, s3 := scl[0], scl[1], scl[2], scl[3]
 	for i := 0; i < n; i++ {
 		Bi := B[i*16 : i*16+16 : i*16+16]
@@ -276,6 +127,8 @@ func (w *BlockTridiagWorkspace) solveFlatScaled4(A, B, C, D []float64, n int, ra
 			for k := 0; k < 16; k++ {
 				Ai[k] *= rat[k]
 			}
+			// C[i-1] was scaled (and then solved against B[i-1]) on the
+			// previous iteration, so the products are in the scaled system.
 			mulSub4(Bi, Ai, C[(i-1)*16:i*16])
 			vecMulSub4(Di, Ai, D[(i-1)*4:i*4])
 		}
@@ -327,7 +180,9 @@ func vecMulSub4(d, A, e []float64) {
 }
 
 // lu4Factor is luFactor for a 4×4 block: in-place LU with partial pivoting,
-// same pivot convention (piv[k] = row exchanged with k at step k).
+// piv[k] = row exchanged with k at step k, and a swap moving only columns k
+// and up, so the stored multipliers match lu4SolveMat/Vec, which apply each
+// swap just before that step's elimination.
 //
 //cataero:hotpath
 func lu4Factor(lu []float64, piv []int) error {
@@ -346,10 +201,9 @@ func lu4Factor(lu []float64, piv []int) error {
 		}
 		piv[k] = p
 		if p != k {
-			lu[k*4], lu[p*4] = lu[p*4], lu[k*4]
-			lu[k*4+1], lu[p*4+1] = lu[p*4+1], lu[k*4+1]
-			lu[k*4+2], lu[p*4+2] = lu[p*4+2], lu[k*4+2]
-			lu[k*4+3], lu[p*4+3] = lu[p*4+3], lu[k*4+3]
+			for c := k; c < 4; c++ {
+				lu[k*4+c], lu[p*4+c] = lu[p*4+c], lu[k*4+c]
+			}
 		}
 		inv := 1 / lu[k*4+k]
 		for r := k + 1; r < 4; r++ {
@@ -420,28 +274,4 @@ func lu4SolveVec(lu []float64, piv []int, b []float64) {
 	b[2] = (b[2] - lu[11]*b[3]) / lu[10]
 	b[1] = (b[1] - lu[6]*b[2] - lu[7]*b[3]) / lu[5]
 	b[0] = (b[0] - lu[1]*b[1] - lu[2]*b[2] - lu[3]*b[3]) / lu[0]
-}
-
-// matMulSub computes B -= A*C for m×m row-major matrices.
-func matMulSub(B, A, C []float64, m int) {
-	for i := 0; i < m; i++ {
-		for j := 0; j < m; j++ {
-			s := 0.0
-			for k := 0; k < m; k++ {
-				s += A[i*m+k] * C[k*m+j]
-			}
-			B[i*m+j] -= s
-		}
-	}
-}
-
-// matVecSub computes d -= A*e for an m×m matrix and length-m vectors.
-func matVecSub(d, A, e []float64, m int) {
-	for i := 0; i < m; i++ {
-		s := 0.0
-		for k := 0; k < m; k++ {
-			s += A[i*m+k] * e[k]
-		}
-		d[i] -= s
-	}
 }

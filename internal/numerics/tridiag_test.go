@@ -14,7 +14,7 @@ func TestSolveTridiagKnown(t *testing.T) {
 	c := []float64{1, 1, 0}
 	d := []float64{4, 8, 8}
 	x := make([]float64, 3)
-	if err := SolveTridiag(a, b, c, d, x); err != nil {
+	if err := NewTridiagWorkspace(3).Solve(a, b, c, d, x); err != nil {
 		t.Fatal(err)
 	}
 	want := []float64{1, 2, 3}
@@ -27,7 +27,7 @@ func TestSolveTridiagKnown(t *testing.T) {
 
 func TestSolveTridiagSizeOne(t *testing.T) {
 	x := make([]float64, 1)
-	if err := SolveTridiag([]float64{0}, []float64{4}, []float64{0}, []float64{8}, x); err != nil {
+	if err := NewTridiagWorkspace(1).Solve([]float64{0}, []float64{4}, []float64{0}, []float64{8}, x); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(x[0]-2) > 1e-14 {
@@ -37,7 +37,7 @@ func TestSolveTridiagSizeOne(t *testing.T) {
 
 func TestSolveTridiagSingular(t *testing.T) {
 	x := make([]float64, 2)
-	err := SolveTridiag([]float64{0, 0}, []float64{0, 1}, []float64{0, 0}, []float64{1, 1}, x)
+	err := NewTridiagWorkspace(2).Solve([]float64{0, 0}, []float64{0, 1}, []float64{0, 0}, []float64{1, 1}, x)
 	if err == nil {
 		t.Fatal("expected singular error")
 	}
@@ -45,15 +45,16 @@ func TestSolveTridiagSingular(t *testing.T) {
 
 func TestSolveTridiagLengthMismatch(t *testing.T) {
 	x := make([]float64, 2)
-	if err := SolveTridiag([]float64{0}, []float64{1, 1}, []float64{0, 0}, []float64{1, 1}, x); err == nil {
+	if err := NewTridiagWorkspace(2).Solve([]float64{0}, []float64{1, 1}, []float64{0, 0}, []float64{1, 1}, x); err == nil {
 		t.Fatal("expected length mismatch error")
 	}
 }
 
-// Property: tridiagonal solve agrees with dense LU on random diagonally
-// dominant systems.
+// Property: tridiagonal solves agree with dense LU on random diagonally
+// dominant systems, one workspace serving every size.
 func TestTridiagMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	w := NewTridiagWorkspace(2)
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 2 + r.Intn(30)
@@ -76,7 +77,7 @@ func TestTridiagMatchesDense(t *testing.T) {
 			d[i] = r.Float64()*10 - 5
 		}
 		x := make([]float64, n)
-		if err := SolveTridiag(a, b, c, d, x); err != nil {
+		if err := w.Solve(a, b, c, d, x); err != nil {
 			return false
 		}
 		ref, err := SolveDense(A, d, n)
@@ -122,136 +123,133 @@ func TestTridiagWorkspaceReuse(t *testing.T) {
 	}
 }
 
-func TestBlockTridiagMatchesDense(t *testing.T) {
-	// 3 block rows of 2x2 blocks, diagonally dominant.
-	r := rand.New(rand.NewSource(3))
-	n, m := 4, 2
-	A := make([][]float64, n)
-	B := make([][]float64, n)
-	C := make([][]float64, n)
-	D := make([][]float64, n)
-	full := make([]float64, (n*m)*(n*m))
-	rhs := make([]float64, n*m)
-	for i := 0; i < n; i++ {
-		A[i] = make([]float64, m*m)
-		B[i] = make([]float64, m*m)
-		C[i] = make([]float64, m*m)
-		D[i] = make([]float64, m)
-		for j := 0; j < m*m; j++ {
-			if i > 0 {
-				A[i][j] = r.Float64() - 0.5
-			}
-			if i < n-1 {
-				C[i][j] = r.Float64() - 0.5
-			}
-			B[i][j] = r.Float64() - 0.5
+// TestSolveFlatScaledMatchesDense checks the implicit integrator's line
+// solve against dense LU on the assembled, unscaled matrix. The systems are
+// scaled like the conserved-variable Jacobians, whose mass and energy
+// entries differ by powers of the velocity: a well-conditioned block system
+// M0 becomes M = S M0 S⁻¹ with S = diag(scl) on every block, so the fused
+// equilibration (rat on A, B and C, 1/scl on D) has real work to do and the
+// scaled solution must be mapped back by scl. Three systems: a diagonally
+// dominant one of varying length solved over and over by one workspace, one
+// whose leading B entry is 0 (the first block LU must pivot), and a single
+// block row.
+func TestSolveFlatScaledMatchesDense(t *testing.T) {
+	scl := []float64{1, 40, 40, 1600} // (1, v, v, v²)
+	rat := make([]float64, 16)
+	for r := 0; r < 4; r++ {
+		for c := 0; c < 4; c++ {
+			rat[r*4+c] = scl[c] / scl[r]
 		}
-		for j := 0; j < m; j++ {
-			B[i][j*m+j] += 5 // dominance
-			D[i][j] = r.Float64() * 4
-			rhs[i*m+j] = D[i][j]
-		}
-		// Assemble dense copy.
-		N := n * m
-		for bi := 0; bi < m; bi++ {
-			for bj := 0; bj < m; bj++ {
-				full[(i*m+bi)*N+i*m+bj] = B[i][bi*m+bj]
-				if i > 0 {
-					full[(i*m+bi)*N+(i-1)*m+bj] = A[i][bi*m+bj]
+	}
+	w := NewBlockTridiagWorkspace(4)
+	for _, tc := range []struct {
+		name   string
+		seed   int64
+		trials int
+		n      int // 0: random length per trial
+		pivot  bool
+	}{
+		{"dominant", 100, 12, 0, false},
+		{"pivot", 200, 1, 5, true},
+		{"n=1", 300, 1, 1, false},
+	} {
+		r := rand.New(rand.NewSource(tc.seed))
+		for trial := 0; trial < tc.trials; trial++ {
+			n := tc.n
+			if n == 0 {
+				n = 2 + r.Intn(12)
+			}
+			A, B, C, D, full := scaledBlockSystem(r, n, scl)
+			if tc.pivot {
+				// The equilibrated first block is M0's, whose column 0 now
+				// has its largest entry below the diagonal.
+				B[0] = 0
+				full[0] = 0
+			}
+			N := 4 * n
+			ref, err := SolveDense(full, D, N)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A's first block and C's last block are ignored and left as
+			// they are.
+			A0 := append([]float64(nil), A[:16]...)
+			Cn := append([]float64(nil), C[(n-1)*16:]...)
+			if err := w.SolveFlatScaled(A, B, C, D, n, rat, scl); err != nil {
+				t.Fatalf("%s trial %d: %v", tc.name, trial, err)
+			}
+			for k := 0; k < 16; k++ {
+				if A[k] != A0[k] || C[(n-1)*16+k] != Cn[k] {
+					t.Fatalf("%s trial %d: ignored block entry %d changed", tc.name, trial, k)
 				}
-				if i < n-1 {
-					full[(i*m+bi)*N+(i+1)*m+bj] = C[i][bi*m+bj]
+			}
+			for k := 0; k < N; k++ {
+				got := D[k] * scl[k%4]
+				if math.Abs(got-ref[k]) > 1e-10*math.Abs(ref[k]) {
+					t.Fatalf("%s trial %d (n=%d) entry %d: got %.17g want %.17g", tc.name, trial, n, k, got, ref[k])
 				}
 			}
 		}
 	}
-	ref, err := SolveDense(full, rhs, n*m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := BlockTridiag(A, B, C, D, m); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < m; j++ {
-			got, want := D[i][j], ref[i*m+j]
-			if math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
-				t.Errorf("block (%d,%d): got %g want %g", i, j, got, want)
-			}
-		}
+	if err := NewBlockTridiagWorkspace(3).SolveFlatScaled(make([]float64, 9), make([]float64, 9), make([]float64, 9),
+		make([]float64, 3), 1, make([]float64, 9), make([]float64, 3)); err == nil {
+		t.Error("3×3 blocks accepted")
 	}
 }
 
-// Property: the flat workspace solver agrees with dense LU on random
-// diagonally dominant block systems, across repeated reuses of one
-// workspace (batched line solves) and varying line lengths.
-func TestBlockTridiagFlatMatchesDense(t *testing.T) {
-	m := 4
-	w := NewBlockTridiagWorkspace(m)
-	for trial := 0; trial < 12; trial++ {
-		r := rand.New(rand.NewSource(int64(100 + trial)))
-		n := 2 + r.Intn(12)
-		mm := m * m
-		A := make([]float64, n*mm)
-		B := make([]float64, n*mm)
-		C := make([]float64, n*mm)
-		D := make([]float64, n*m)
-		N := n * m
-		full := make([]float64, N*N)
-		rhs := make([]float64, N)
-		for i := 0; i < n; i++ {
-			for j := 0; j < mm; j++ {
+// scaledBlockSystem draws a diagonally dominant system of n 4×4 block rows,
+// scales it to M = S M0 S⁻¹ and right-hand side S D0, and returns it in the
+// flat layout SolveFlatScaled takes (A's first and C's last block hold
+// junk) together with its dense assembly. The right-hand side D doubles as
+// SolveDense's, which leaves it as it is.
+func scaledBlockSystem(r *rand.Rand, n int, scl []float64) (A, B, C, D, full []float64) {
+	N := 4 * n
+	A = make([]float64, n*16)
+	B = make([]float64, n*16)
+	C = make([]float64, n*16)
+	D = make([]float64, N)
+	full = make([]float64, N*N)
+	for k := range A {
+		A[k] = r.Float64() - 0.5
+		B[k] = r.Float64() - 0.5
+		C[k] = r.Float64() - 0.5
+	}
+	for i := 0; i < n; i++ {
+		for bi := 0; bi < 4; bi++ {
+			B[i*16+bi*5] += 6 // dominance
+			D[i*4+bi] = (r.Float64()*4 - 2) * scl[bi]
+			for bj := 0; bj < 4; bj++ {
+				s := scl[bi] / scl[bj]
+				k := i*16 + bi*4 + bj
+				A[k] *= s
+				B[k] *= s
+				C[k] *= s
+				row := (i*4 + bi) * N
+				full[row+i*4+bj] = B[k]
 				if i > 0 {
-					A[i*mm+j] = r.Float64() - 0.5
+					full[row+(i-1)*4+bj] = A[k]
 				}
 				if i < n-1 {
-					C[i*mm+j] = r.Float64() - 0.5
+					full[row+(i+1)*4+bj] = C[k]
 				}
-				B[i*mm+j] = r.Float64() - 0.5
-			}
-			for j := 0; j < m; j++ {
-				B[i*mm+j*m+j] += 6 // dominance
-				D[i*m+j] = r.Float64()*4 - 2
-				rhs[i*m+j] = D[i*m+j]
-			}
-			for bi := 0; bi < m; bi++ {
-				for bj := 0; bj < m; bj++ {
-					full[(i*m+bi)*N+i*m+bj] = B[i*mm+bi*m+bj]
-					if i > 0 {
-						full[(i*m+bi)*N+(i-1)*m+bj] = A[i*mm+bi*m+bj]
-					}
-					if i < n-1 {
-						full[(i*m+bi)*N+(i+1)*m+bj] = C[i*mm+bi*m+bj]
-					}
-				}
-			}
-		}
-		ref, err := SolveDense(full, rhs, N)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.SolveFlat(A, B, C, D, n); err != nil {
-			t.Fatal(err)
-		}
-		for k := 0; k < N; k++ {
-			if math.Abs(D[k]-ref[k]) > 1e-9*(1+math.Abs(ref[k])) {
-				t.Fatalf("trial %d entry %d: got %g want %g", trial, k, D[k], ref[k])
 			}
 		}
 	}
+	return A, B, C, D, full
 }
 
 func TestBlockTridiagFlatLengthMismatch(t *testing.T) {
-	w := NewBlockTridiagWorkspace(2)
-	if err := w.SolveFlat(make([]float64, 4), make([]float64, 8), make([]float64, 8), make([]float64, 4), 2); err == nil {
+	w := NewBlockTridiagWorkspace(4)
+	rat, scl := make([]float64, 16), make([]float64, 4)
+	if err := w.SolveFlatScaled(make([]float64, 16), make([]float64, 32), make([]float64, 32), make([]float64, 8), 2, rat, scl); err == nil {
 		t.Fatal("expected length mismatch error")
 	}
 }
 
 func TestSolveDenseIdentityAndRandom(t *testing.T) {
 	A := []float64{1, 0, 0, 1}
-	x, err := SolveDense(A, []float64{3, -4}, 2)
-	if err != nil {
+	x := []float64{3, -4}
+	if err := SolveDenseInPlace(A, x, make([]int, 2), 2); err != nil {
 		t.Fatal(err)
 	}
 	if x[0] != 3 || x[1] != -4 {
@@ -269,35 +267,63 @@ func TestSolveDenseIdentityAndRandom(t *testing.T) {
 		Ar[i*n+i] += 4
 		b[i] = r.Float64()
 	}
-	x, err = SolveDense(Ar, b, n)
-	if err != nil {
+	lu := append([]float64(nil), Ar...)
+	x = append([]float64(nil), b...)
+	if err := SolveDenseInPlace(lu, x, make([]int, n), n); err != nil {
 		t.Fatal(err)
 	}
-	y := make([]float64, n)
-	MatVec(Ar, x, y, n, n)
-	for i := range y {
-		if math.Abs(y[i]-b[i]) > 1e-10 {
-			t.Errorf("residual %d: %g", i, y[i]-b[i])
+	for i := 0; i < n; i++ {
+		res := -b[i]
+		for j := 0; j < n; j++ {
+			res += Ar[i*n+j] * x[j]
+		}
+		if math.Abs(res) > 1e-10 {
+			t.Errorf("residual %d: %g", i, res)
+		}
+	}
+	// General matrices, with no diagonal dominance to spare the pivoting,
+	// swap rows after the first column. The solve applies each swap just
+	// before that step's elimination, so the swap must leave the stored
+	// multipliers of earlier columns where they are.
+	for trial := 0; trial < 50; trial++ {
+		n := 3 + trial%6
+		Ag := make([]float64, n*n)
+		bg := make([]float64, n)
+		for i := range Ag {
+			Ag[i] = r.Float64()*2 - 1
+		}
+		for i := range bg {
+			bg[i] = r.Float64()*2 - 1
+		}
+		lu := append([]float64(nil), Ag...)
+		x := append([]float64(nil), bg...)
+		if err := SolveDenseInPlace(lu, x, make([]int, n), n); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			res := -bg[i]
+			for j := 0; j < n; j++ {
+				res += Ag[i*n+j] * x[j]
+			}
+			if math.Abs(res) > 1e-9 {
+				t.Fatalf("general trial %d (n=%d) row %d: residual %g", trial, n, i, res)
+			}
 		}
 	}
 }
 
 func TestSolveDenseSingular(t *testing.T) {
 	A := []float64{1, 2, 2, 4} // rank 1
-	if _, err := SolveDense(A, []float64{1, 1}, 2); err == nil {
+	if err := SolveDenseInPlace(A, []float64{1, 1}, make([]int, 2), 2); err == nil {
 		t.Fatal("expected singular error")
 	}
 }
 
 func TestNorms(t *testing.T) {
-	v := []float64{3, -4}
-	if Norm2(v) != 5 {
-		t.Errorf("Norm2 = %g", Norm2(v))
+	if got := NormInf([]float64{3, -4}); got != 4 {
+		t.Errorf("NormInf = %g", got)
 	}
-	if NormInf(v) != 4 {
-		t.Errorf("NormInf = %g", NormInf(v))
-	}
-	if Norm2(nil) != 0 || NormInf(nil) != 0 {
-		t.Error("empty norms should be zero")
+	if NormInf(nil) != 0 {
+		t.Error("empty norm should be zero")
 	}
 }

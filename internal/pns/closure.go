@@ -9,7 +9,6 @@ import (
 	"cataero/internal/geometry"
 	"cataero/internal/numerics"
 	"cataero/internal/shock"
-	"cataero/internal/thermo"
 	"cataero/internal/transport"
 )
 
@@ -143,5 +142,3 @@ func WallEnthalpyEquilibrium(eq *chem.EquilibriumSolver, y0 []float64, p, tw flo
 	}
 	return eq.Mix.Enthalpy(tw, y), nil
 }
-
-var _ = thermo.Ru // referenced by doc examples

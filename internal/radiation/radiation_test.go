@@ -148,22 +148,6 @@ func TestTitanModelCNDominates(t *testing.T) {
 	}
 }
 
-func TestEquilibriumLayersBuilder(t *testing.T) {
-	y := []float64{0, 0.01, 0.02}
-	T := []float64{1000, 5000, 7000}
-	n := []float64{1e20}
-	layers := EquilibriumLayers(y, T, func(i int) []float64 { return n })
-	if len(layers) != 2 {
-		t.Fatalf("layers %d", len(layers))
-	}
-	if layers[0].T != 3000 || layers[1].T != 6000 {
-		t.Errorf("layer temps %g %g", layers[0].T, layers[1].T)
-	}
-	if math.Abs(layers[0].Thickness-0.01) > 1e-12 {
-		t.Error("layer thickness")
-	}
-}
-
 func TestEmptySlab(t *testing.T) {
 	m := thermo.NewMixture(thermo.AirSpecies11())
 	md := NewAirModel(m, 100)

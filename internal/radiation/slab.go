@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"cataero/internal/numerics"
-	"cataero/internal/thermo"
 )
 
 // Layer is one slice of a radiating plane slab.
@@ -124,22 +123,3 @@ func (md *Model) OpticallyThinFlux(layers []Layer) float64 {
 	}
 	return s
 }
-
-// EquilibriumLayers builds slab layers from an equilibrium shock-layer
-// profile: positions y (from wall), temperatures T(y) and a composition
-// closure returning number densities at each point.
-func EquilibriumLayers(y []float64, T []float64, nOf func(i int) []float64) []Layer {
-	n := len(y)
-	layers := make([]Layer, 0, n-1)
-	for i := 1; i < n; i++ {
-		tm := 0.5 * (T[i] + T[i-1])
-		layers = append(layers, Layer{
-			Thickness: y[i] - y[i-1],
-			T:         tm, Tex: tm,
-			N: nOf(i),
-		})
-	}
-	return layers
-}
-
-var _ = thermo.KB // keep thermo linked for PlanckLambda constants

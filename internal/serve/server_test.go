@@ -527,6 +527,18 @@ func TestRequestValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown flux: status %d", resp.StatusCode)
 	}
+	// So is a negative station count, which a solve would turn into a
+	// panic in the session's goroutine, taking the whole server down. The
+	// listing below shows the server still answering.
+	resp, err = http.Post(ts.URL+"/api/runs?wait=1", "application/json", strings.NewReader(
+		`{"class":"vsl","chemistry":"equilibrium-air","p_inf":4.8,"t_inf":217,"v_inf":6740,"nose_radius":0.6,"n_stations":-5}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("negative n_stations: status %d", resp.StatusCode)
+	}
 	resp, err = http.Get(ts.URL + "/api/runs")
 	if err != nil {
 		t.Fatal(err)

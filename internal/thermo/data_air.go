@@ -123,13 +123,6 @@ func AirSpecies11() []*Species {
 	return out
 }
 
-// AirSpecies5 returns the 5-species neutral air set [N2 O2 NO N O], the
-// standard set for equilibrium flows below ionization temperatures.
-func AirSpecies5() []*Species {
-	all := AirSpecies11()
-	return []*Species{all[AirN2], all[AirO2], all[AirNO], all[AirN], all[AirO]}
-}
-
 // AirFreestreamMassFractions returns the standard undissociated air
 // composition by mass for a given species list (0.767 N2 / 0.233 O2,
 // zero elsewhere).

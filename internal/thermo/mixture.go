@@ -67,16 +67,6 @@ func (m *Mixture) Elements() []string {
 	return out
 }
 
-// HasIons reports whether any species carries charge.
-func (m *Mixture) HasIons() bool {
-	for _, s := range m.Species {
-		if s.Charge != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // MeanW returns the mixture molar mass (kg/mol) for mass fractions y.
 func (m *Mixture) MeanW(y []float64) float64 {
 	inv := 0.0
@@ -158,17 +148,6 @@ func (m *Mixture) Cp(T float64, y []float64) float64 {
 	return cp
 }
 
-// Cv returns the frozen mixture specific heat at constant volume.
-func (m *Mixture) Cv(T float64, y []float64) float64 {
-	cv := 0.0
-	for i, s := range m.Species {
-		if y[i] != 0 {
-			cv += y[i] * s.Cv(T)
-		}
-	}
-	return cv
-}
-
 // GammaFrozen returns the frozen ratio of specific heats.
 func (m *Mixture) GammaFrozen(T float64, y []float64) float64 {
 	cp := m.Cp(T, y)
@@ -178,38 +157,6 @@ func (m *Mixture) GammaFrozen(T float64, y []float64) float64 {
 // SoundSpeedFrozen returns the frozen speed of sound sqrt(gamma R T).
 func (m *Mixture) SoundSpeedFrozen(T float64, y []float64) float64 {
 	return math.Sqrt(m.GammaFrozen(T, y) * m.R(y) * T)
-}
-
-// TemperatureFromE inverts e(T) = e for the mixture by Newton iteration,
-// starting from guess T0 (use 0 for a default). Composition is frozen.
-func (m *Mixture) TemperatureFromE(e float64, y []float64, T0 float64) (float64, error) {
-	T := T0
-	if T <= 0 {
-		T = 1000
-	}
-	for i := 0; i < 100; i++ {
-		f := m.EInternal(T, y) - e
-		cv := m.Cv(T, y)
-		if cv <= 0 {
-			return 0, fmt.Errorf("thermo: nonpositive cv at T=%g", T)
-		}
-		dT := f / cv
-		// Limit steps to keep T positive and convergence monotone.
-		if dT > 0.5*T {
-			dT = 0.5 * T
-		}
-		if dT < -2*T {
-			dT = -2 * T
-		}
-		T -= dT
-		if T < 10 {
-			T = 10
-		}
-		if math.Abs(dT) < 1e-8*T {
-			return T, nil
-		}
-	}
-	return T, fmt.Errorf("thermo: TemperatureFromE failed to converge (e=%g)", e)
 }
 
 // TemperatureFromH inverts h(T) = h by Newton iteration.
@@ -308,11 +255,6 @@ func (m *Mixture) CvTransRot(y []float64) float64 {
 	return cv
 }
 
-// ETransRot returns the heavy-particle translational+rotational energy at T.
-func (m *Mixture) ETransRot(T float64, y []float64) float64 {
-	return m.CvTransRot(y) * T
-}
-
 // HFormation returns the mixture 0 K formation enthalpy.
 func (m *Mixture) HFormation(y []float64) float64 {
 	h := 0.0
@@ -320,12 +262,6 @@ func (m *Mixture) HFormation(y []float64) float64 {
 		h += y[i] * s.Hf0
 	}
 	return h
-}
-
-// EInternalTwoT returns the total internal energy in the two-temperature
-// model: heavy trans-rot at T, vibrational pool at Tv, formation enthalpy.
-func (m *Mixture) EInternalTwoT(T, Tv float64, y []float64) float64 {
-	return m.ETransRot(T, y) + m.EVibPool(Tv, y) + m.HFormation(y)
 }
 
 // TvFromPool inverts EVibPool(Tv) = ev by Newton with bisection fallback.

@@ -123,12 +123,6 @@ func (s *Species) Enthalpy(T float64) float64 {
 	return s.EInternal(T) + s.R()*T
 }
 
-// EnthalpyTwoT returns the two-temperature enthalpy with translation and
-// rotation at T and vibration/electronic at Tv.
-func (s *Species) EnthalpyTwoT(T, Tv float64) float64 {
-	return s.ETrans(T) + s.ERot(T) + s.EVib(Tv) + s.EElec(Tv) + s.Hf0 + s.R()*T
-}
-
 // --- Specific heats (per unit mass, J/(kg K)) ---
 
 // CvTransRot returns the constant translational+rotational cv.

@@ -1,50 +1,16 @@
 // Package tps closes the design loop the paper motivates: turning computed
 // aerothermal environments into thermal-protection-system quantities —
-// radiative-equilibrium wall temperatures, integrated heat loads along an
-// entry pulse, and first-order ablator sizing (the "TPS for the probe was
-// sized based on computer predictions" application of the Galileo/Titan
-// probe studies).
+// integrated heat loads along an entry pulse and first-order ablator sizing
+// (the "TPS for the probe was sized based on computer predictions"
+// application of the Galileo/Titan probe studies).
 package tps
 
 import (
-	"fmt"
 	"math"
 
 	"cataero/internal/numerics"
 	"cataero/internal/thermo"
-	"cataero/internal/vsl"
 )
-
-// RadiativeEquilibriumWall solves the wall energy balance
-//
-//	q(Tw) = eps * sigma * Tw^4
-//
-// for the wall temperature, where q(Tw) is the (decreasing) incident heat
-// flux as a function of wall temperature and eps the surface emissivity.
-func RadiativeEquilibriumWall(q func(Tw float64) (float64, error), eps float64) (float64, error) {
-	if eps <= 0 || eps > 1 {
-		return 0, fmt.Errorf("tps: emissivity %g outside (0,1]", eps)
-	}
-	f := func(Tw float64) float64 {
-		qw, err := q(Tw)
-		if err != nil {
-			return math.NaN()
-		}
-		return qw - eps*thermo.SigmaSB*Tw*Tw*Tw*Tw
-	}
-	lo, hi := 300.0, 4500.0
-	flo, fhi := f(lo), f(hi)
-	if math.IsNaN(flo) || math.IsNaN(fhi) {
-		return 0, fmt.Errorf("tps: heat-flux evaluation failed")
-	}
-	if flo < 0 {
-		return lo, nil // negligible heating: wall stays cold
-	}
-	if fhi > 0 {
-		return hi, fmt.Errorf("tps: wall exceeds %g K (flux %g W/m^2 unbalanced)", hi, fhi)
-	}
-	return numerics.Brent(f, lo, hi, 0.1)
-}
 
 // HeatLoad integrates a heating pulse q(t) (W/m^2 against seconds) into the
 // total heat load (J/m^2) by the trapezoidal rule.
@@ -53,17 +19,6 @@ func HeatLoad(time, q []float64) float64 {
 		return 0
 	}
 	return numerics.TrapzSlice(time, q)
-}
-
-// PulseLoads integrates the convective and radiative heat loads of a VSL
-// heating pulse.
-func PulseLoads(pulse []vsl.PulsePoint) (convective, radiative float64) {
-	for i := 1; i < len(pulse); i++ {
-		dt := pulse[i].Time - pulse[i-1].Time
-		convective += 0.5 * (pulse[i].QConv + pulse[i-1].QConv) * dt
-		radiative += 0.5 * (pulse[i].QRad + pulse[i-1].QRad) * dt
-	}
-	return convective, radiative
 }
 
 // Ablator is a first-order charring-ablator model: a material consumes

@@ -1,78 +1,11 @@
 package tps
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
 	"cataero/internal/thermo"
-	"cataero/internal/vsl"
 )
-
-func TestRadiativeEquilibriumWallAnalytic(t *testing.T) {
-	// Constant incident flux: Tw = (q / (eps sigma))^{1/4}.
-	q := 1e6 // 100 W/cm^2
-	eps := 0.85
-	tw, err := RadiativeEquilibriumWall(func(Tw float64) (float64, error) {
-		return q, nil
-	}, eps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := math.Pow(q/(eps*thermo.SigmaSB), 0.25)
-	if math.Abs(tw-want) > 1 {
-		t.Errorf("Tw=%g want %g", tw, want)
-	}
-}
-
-func TestRadiativeEquilibriumWallColdWall(t *testing.T) {
-	tw, err := RadiativeEquilibriumWall(func(Tw float64) (float64, error) {
-		return 10, nil // negligible heating
-	}, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tw > 400 {
-		t.Errorf("cold-wall Tw=%g", tw)
-	}
-}
-
-func TestRadiativeEquilibriumWallHotWallFeedback(t *testing.T) {
-	// Flux decreasing with Tw (hot-wall correction): the balance still has
-	// a unique root and it is below the constant-flux value.
-	q0 := 2e6
-	twConst, err := RadiativeEquilibriumWall(func(Tw float64) (float64, error) {
-		return q0, nil
-	}, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	twFeedback, err := RadiativeEquilibriumWall(func(Tw float64) (float64, error) {
-		return q0 * (1 - Tw/8000), nil
-	}, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if twFeedback >= twConst {
-		t.Errorf("feedback wall %g should be cooler than %g", twFeedback, twConst)
-	}
-}
-
-func TestRadiativeEquilibriumWallErrors(t *testing.T) {
-	if _, err := RadiativeEquilibriumWall(func(float64) (float64, error) { return 1, nil }, 0); err == nil {
-		t.Error("zero emissivity accepted")
-	}
-	if _, err := RadiativeEquilibriumWall(func(float64) (float64, error) {
-		return 0, fmt.Errorf("boom")
-	}, 0.9); err == nil {
-		t.Error("failing flux accepted")
-	}
-	if _, err := RadiativeEquilibriumWall(func(float64) (float64, error) {
-		return 1e9, nil // unbalanceable
-	}, 0.9); err == nil {
-		t.Error("unbalanceable flux accepted")
-	}
-}
 
 func TestHeatLoadTrapezoid(t *testing.T) {
 	// Triangular pulse peaking at 100 over 10 s: load = 500 J/m^2.
@@ -83,18 +16,6 @@ func TestHeatLoadTrapezoid(t *testing.T) {
 	}
 	if HeatLoad([]float64{0}, []float64{1}) != 0 {
 		t.Error("degenerate input should give 0")
-	}
-}
-
-func TestPulseLoads(t *testing.T) {
-	pulse := []vsl.PulsePoint{
-		{Time: 0, QConv: 0, QRad: 0},
-		{Time: 10, QConv: 100, QRad: 200},
-		{Time: 20, QConv: 0, QRad: 0},
-	}
-	c, r := PulseLoads(pulse)
-	if math.Abs(c-1000) > 1e-9 || math.Abs(r-2000) > 1e-9 {
-		t.Errorf("loads %g %g want 1000 2000", c, r)
 	}
 }
 

@@ -164,18 +164,6 @@ func (t *Mixture) ViscosityConductivity(T float64, y []float64) (mu, k float64) 
 	return t.wilke(x, mus), t.wilke(x, ks)
 }
 
-// Conductivity returns the Wilke-mixed thermal conductivity at T.
-func (t *Mixture) Conductivity(T float64, y []float64) float64 {
-	_, k := t.ViscosityConductivity(T, y)
-	return k
-}
-
-// Prandtl returns the frozen Prandtl number cp mu / k at T.
-func (t *Mixture) Prandtl(T float64, y []float64) float64 {
-	mu, k := t.ViscosityConductivity(T, y)
-	return FrozenPrandtl(t.Mix.Cp(T, y), mu, k)
-}
-
 // FrozenPrandtl returns cp mu / k for a mixed viscosity and conductivity
 // already in hand, or 0.72 where the conductivity vanishes.
 func FrozenPrandtl(cp, mu, k float64) float64 {
@@ -183,20 +171,6 @@ func FrozenPrandtl(cp, mu, k float64) float64 {
 		return 0.72
 	}
 	return cp * mu / k
-}
-
-// DiffusionCoefficient returns the single effective binary diffusion
-// coefficient for a constant Lewis number: D = Le k / (rho cp), m^2/s.
-func (t *Mixture) DiffusionCoefficient(rho, T float64, y []float64, lewis float64) float64 {
-	if lewis <= 0 {
-		lewis = 1.4
-	}
-	k := t.Conductivity(T, y)
-	cp := t.Mix.Cp(T, y)
-	if rho <= 0 || cp <= 0 {
-		return 0
-	}
-	return lewis * k / (rho * cp)
 }
 
 // Sutherland returns the Sutherland-law air viscosity, the standard model

@@ -67,8 +67,9 @@ func scalarTransport(m *thermo.Mixture, T float64, y []float64) (mu, k, pr float
 }
 
 // TestWilkeTablesMatchScalar: the tabulated pair factors change the cost of
-// a mixing sum, not its value. Viscosity, Conductivity, Prandtl and
-// ViscosityConductivity equal the scalar form exactly, over 200-30000 K, for
+// a mixing sum, not its value. Viscosity, ViscosityConductivity and the
+// FrozenPrandtl the boundary-layer closures form from it equal the scalar
+// form exactly, over 200-30000 K, for
 // air-11 and Titan, at the freestream, an equilibrium stagnation state, a
 // pure species and compositions with zero entries.
 func TestWilkeTablesMatchScalar(t *testing.T) {
@@ -115,8 +116,7 @@ func TestWilkeTablesMatchScalar(t *testing.T) {
 					got, want float64
 				}{
 					{"Viscosity", tr.Viscosity(T, y), mu},
-					{"Conductivity", tr.Conductivity(T, y), k},
-					{"Prandtl", tr.Prandtl(T, y), pr},
+					{"FrozenPrandtl", FrozenPrandtl(m.Cp(T, y), gmu, gk), pr},
 					{"ViscosityConductivity mu", gmu, mu},
 					{"ViscosityConductivity k", gk, k},
 				} {
@@ -201,38 +201,23 @@ func TestConductivityAir(t *testing.T) {
 	m := thermo.NewMixture(thermo.AirSpecies11())
 	tr := NewMixture(m)
 	y := thermo.AirFreestreamMassFractions(m.Species)
-	k := tr.Conductivity(300, y)
+	_, k := tr.ViscosityConductivity(300, y)
 	// Air at 300 K: k ~ 0.026 W/(m K).
 	if k < 0.018 || k > 0.038 {
 		t.Errorf("k(air,300)=%g want ~0.026", k)
 	}
 }
 
+// TestPrandtlAir: the frozen Prandtl number the boundary-layer closures
+// form from ViscosityConductivity is air's ~0.7 at room temperature.
 func TestPrandtlAir(t *testing.T) {
 	m := thermo.NewMixture(thermo.AirSpecies11())
 	tr := NewMixture(m)
 	y := thermo.AirFreestreamMassFractions(m.Species)
-	pr := tr.Prandtl(300, y)
+	mu, k := tr.ViscosityConductivity(300, y)
+	pr := FrozenPrandtl(m.Cp(300, y), mu, k)
 	if pr < 0.6 || pr > 0.85 {
 		t.Errorf("Pr(air,300)=%g want ~0.7", pr)
-	}
-}
-
-func TestDiffusionCoefficient(t *testing.T) {
-	m := thermo.NewMixture(thermo.AirSpecies11())
-	tr := NewMixture(m)
-	y := thermo.AirFreestreamMassFractions(m.Species)
-	D := tr.DiffusionCoefficient(1.2, 300, y, 1.4)
-	// Lewis=1.4 air: D ~ 1.4 * alpha ~ 3e-5 m^2/s.
-	if D < 1e-5 || D > 8e-5 {
-		t.Errorf("D=%g want ~3e-5", D)
-	}
-	// Default Lewis on nonpositive input.
-	if tr.DiffusionCoefficient(1.2, 300, y, 0) != D {
-		t.Error("default Lewis should be 1.4")
-	}
-	if tr.DiffusionCoefficient(0, 300, y, 1.4) != 0 {
-		t.Error("zero density should give zero D")
 	}
 }
 

@@ -156,55 +156,12 @@ func Solve(ctx context.Context, in Inputs) (*Result, error) {
 	return res, nil
 }
 
-// PulsePoint is one entry-trajectory heating sample.
-type PulsePoint struct {
-	Time        float64
-	Altitude    float64
-	Velocity    float64
-	QConv, QRad float64 // W/m^2
-}
-
 // SignificantHeating reports whether a trajectory point is worth a VSL
 // solve: positive density, hypersonic velocity and non-negligible dynamic
-// pressure. Shared by HeatingPulse and the batch-mode Fig. 2 runner so the
-// two sweeps stay in lockstep.
+// pressure. The Fig. 2 runner sweeps the entry trajectory through it.
 func SignificantHeating(tp atmosphere.TrajectoryPoint) bool {
 	if tp.Density <= 0 || tp.Velocity < 1500 {
 		return false
 	}
 	return 0.5*tp.Density*tp.Velocity*tp.Velocity >= 50 // negligible heating this high up
-}
-
-// HeatingPulse runs the stagnation-line VSL along an entry trajectory,
-// returning convective and radiative stagnation heating versus time (the
-// paper's Fig. 2). Points with negligible dynamic pressure are skipped.
-func HeatingPulse(ctx context.Context, in Inputs, atm atmosphere.Model, traj []atmosphere.TrajectoryPoint) ([]PulsePoint, error) {
-	var out []PulsePoint
-	for _, tp := range traj {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if !SignificantHeating(tp) {
-			continue
-		}
-		ci := in
-		ci.PInf = tp.Pressure
-		ci.TInf = tp.Temp
-		ci.VInf = tp.Velocity
-		r, err := Solve(ctx, ci)
-		if err != nil {
-			// Individual trajectory points may sit outside the equilibrium
-			// solver's range right at the entry interface; skip them rather
-			// than abort the pulse.
-			continue
-		}
-		out = append(out, PulsePoint{
-			Time: tp.Time, Altitude: tp.Altitude, Velocity: tp.Velocity,
-			QConv: r.QConv, QRad: r.QRad,
-		})
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("vsl: no valid heating points along trajectory")
-	}
-	return out, nil
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"cataero/internal/atmosphere"
 	"cataero/internal/chem"
 	"cataero/internal/radiation"
 	"cataero/internal/thermo"
@@ -94,45 +93,5 @@ func TestTitanSpeciesProfile(t *testing.T) {
 		if math.Abs(sum-1) > 1e-6 {
 			t.Fatalf("point %d: species sum %g", i, sum)
 		}
-	}
-}
-
-func TestHeatingPulseShape(t *testing.T) {
-	// The Fig. 2 content: both pulses rise and fall; the radiative pulse is
-	// significant for a 12 km/s Titan entry.
-	if testing.Short() {
-		t.Skip("trajectory sweep in short mode")
-	}
-	in := titanInputs(t)
-	ti := atmosphere.NewTitan()
-	veh := atmosphere.Vehicle{Mass: 2100, RefArea: 5.3, CD: 1.05, NoseRadius: 1.25}
-	traj, err := atmosphere.IntegrateEntry(ti, veh, atmosphere.EntryConditions{
-		Altitude: 600e3, Velocity: 12000, Gamma: -40 * math.Pi / 180,
-	}, 2000, 2.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pulse, err := HeatingPulse(context.Background(), in, ti, traj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pulse) < 5 {
-		t.Fatalf("too few pulse points: %d", len(pulse))
-	}
-	// Peaks lie strictly inside the pulse.
-	icMax, irMax := 0, 0
-	for i, p := range pulse {
-		if p.QConv > pulse[icMax].QConv {
-			icMax = i
-		}
-		if p.QRad > pulse[irMax].QRad {
-			irMax = i
-		}
-	}
-	if icMax == 0 || icMax == len(pulse)-1 {
-		t.Errorf("convective peak at pulse endpoint (i=%d of %d)", icMax, len(pulse))
-	}
-	if pulse[irMax].QRad <= 0 {
-		t.Error("no radiative pulse")
 	}
 }

@@ -23,7 +23,6 @@ import (
 type Session struct {
 	stack    *core.Stack
 	chem     GasChemistry
-	quality  Quality
 	workers  int
 	flux     string
 	timestep string
@@ -45,13 +44,6 @@ type Option func(*Session)
 // Chemistry field is left at ChemistryUnset.
 func WithChemistry(c GasChemistry) Option {
 	return func(s *Session) { s.chem = c }
-}
-
-// WithQuality sets the default grid quality: 1 (default) leaves the solver
-// defaults; 2 or higher fills finer grids into problems that do not specify
-// their own discretization.
-func WithQuality(q Quality) Option {
-	return func(s *Session) { s.quality = q }
 }
 
 // WithWorkers bounds how many submitted runs solve concurrently — the
@@ -122,7 +114,6 @@ func NewSession(opts ...Option) *Session {
 	s := &Session{
 		stack:   core.NewStack(),
 		workers: runtime.GOMAXPROCS(0),
-		quality: 1,
 	}
 	for _, o := range opts {
 		o(s)
@@ -153,20 +144,6 @@ func (s *Session) apply(p Problem) Problem {
 	// it (and vice versa).
 	if s.gridSeq && p.GridSequencing == ToggleDefault {
 		p.GridSequencing = ToggleOn
-	}
-	if s.quality >= 2 {
-		if p.NStations == 0 {
-			p.NStations = 30
-		}
-		if p.NI == 0 {
-			p.NI = 24
-		}
-		if p.NJ == 0 {
-			p.NJ = 40
-		}
-		if p.MaxSteps == 0 {
-			p.MaxSteps = 6000
-		}
 	}
 	return p
 }

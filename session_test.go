@@ -39,9 +39,6 @@ func TestSessionOptionDefaults(t *testing.T) {
 	if s.workers != runtime.GOMAXPROCS(0) {
 		t.Errorf("default workers %d, want GOMAXPROCS %d", s.workers, runtime.GOMAXPROCS(0))
 	}
-	if s.quality != 1 {
-		t.Errorf("default quality %d", s.quality)
-	}
 	if s.chem != ChemistryUnset {
 		t.Errorf("default chemistry %v", s.chem)
 	}
@@ -50,10 +47,9 @@ func TestSessionOptionDefaults(t *testing.T) {
 func TestSessionOptionApplication(t *testing.T) {
 	s := NewSession(
 		WithChemistry(EquilibriumTitan),
-		WithQuality(2),
 		WithWorkers(3),
 	)
-	if s.workers != 3 || s.quality != 2 || s.chem != EquilibriumTitan {
+	if s.workers != 3 || s.chem != EquilibriumTitan {
 		t.Fatalf("options not applied: %+v", s)
 	}
 	// Invalid values are ignored, not stored.
@@ -63,13 +59,14 @@ func TestSessionOptionApplication(t *testing.T) {
 	}
 
 	// The session chemistry stamps problems that leave Chemistry unset but
-	// does not override an explicit choice; quality fills unset grids only.
+	// does not override an explicit choice, and the grid fields pass through
+	// as the problem sets them.
 	p := s.apply(Problem{Class: VSL})
 	if p.Chemistry != EquilibriumTitan {
 		t.Errorf("unset chemistry not defaulted: %v", p.Chemistry)
 	}
-	if p.NStations != 30 || p.NI != 24 || p.NJ != 40 || p.MaxSteps != 6000 {
-		t.Errorf("quality 2 grid defaults not applied: %+v", p)
+	if p.NStations != 0 || p.NI != 0 || p.NJ != 0 || p.MaxSteps != 0 {
+		t.Errorf("session stamped grid fields: %+v", p)
 	}
 	p = s.apply(Problem{Chemistry: EquilibriumAir, NStations: 5, NI: 6, NJ: 7, MaxSteps: 8, Gamma: 1.4})
 	if p.Chemistry != EquilibriumAir || p.NStations != 5 || p.NI != 6 || p.NJ != 7 || p.MaxSteps != 8 || p.Gamma != 1.4 {
@@ -319,6 +316,10 @@ func TestNormalizeRejectsWhatCaseFilesReject(t *testing.T) {
 		knob string
 		set  func(*Problem)
 	}{
+		{`"n_stations":-5`, func(p *Problem) { p.NStations = -5 }},
+		{`"ni":-1`, func(p *Problem) { p.NI = -1 }},
+		{`"nj":-1`, func(p *Problem) { p.NJ = -1 }},
+		{`"max_steps":-1`, func(p *Problem) { p.MaxSteps = -1 }},
 		{`"levels":-2`, func(p *Problem) { p.Levels = -2 }},
 		{`"refit_every":-3`, func(p *Problem) { p.RefitEvery = -3 }},
 		{`"checkpoint_every":-1`, func(p *Problem) { p.CheckpointEvery = -1 }},
