@@ -1,6 +1,7 @@
 package numerics
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -123,77 +124,82 @@ func TestTridiagWorkspaceReuse(t *testing.T) {
 	}
 }
 
-// TestSolveFlatScaledMatchesDense checks the implicit integrator's line
-// solve against dense LU on the assembled, unscaled matrix. The systems are
-// scaled like the conserved-variable Jacobians, whose mass and energy
-// entries differ by powers of the velocity: a well-conditioned block system
-// M0 becomes M = S M0 S⁻¹ with S = diag(scl) on every block, so the fused
-// equilibration (rat on A, B and C, 1/scl on D) has real work to do and the
-// scaled solution must be mapped back by scl. Three systems: a diagonally
-// dominant one of varying length solved over and over by one workspace, one
-// whose leading B entry is 0 (the first block LU must pivot), and a single
-// block row.
-func TestSolveFlatScaledMatchesDense(t *testing.T) {
-	scl := []float64{1, 40, 40, 1600} // (1, v, v, v²)
-	rat := make([]float64, 16)
-	for r := 0; r < 4; r++ {
-		for c := 0; c < 4; c++ {
-			rat[r*4+c] = scl[c] / scl[r]
+// The implicit integrator's line solve is checked against dense LU on the
+// assembled, unscaled matrix. The systems are scaled like the
+// conserved-variable Jacobians, whose mass and energy entries differ by
+// powers of the velocity: a well-conditioned block system M0 becomes
+// M = S M0 S⁻¹ with S = diag(scl) on every block, so the fused equilibration
+// (rat on A, B and C, 1/scl on D) has real work to do and the scaled
+// solution must be mapped back by scl.
+var (
+	flatScl = []float64{1, 40, 40, 1600} // (1, v, v, v²)
+	flatRat = func() []float64 {
+		rat := make([]float64, 16)
+		for r := 0; r < 4; r++ {
+			for c := 0; c < 4; c++ {
+				rat[r*4+c] = flatScl[c] / flatScl[r]
+			}
 		}
-	}
+		return rat
+	}()
+)
+
+// TestBlockTridiagFlatMatchesDense solves diagonally dominant systems of
+// varying length over and over with one workspace.
+func TestBlockTridiagFlatMatchesDense(t *testing.T) {
 	w := NewBlockTridiagWorkspace(4)
-	for _, tc := range []struct {
-		name   string
-		seed   int64
-		trials int
-		n      int // 0: random length per trial
-		pivot  bool
-	}{
-		{"dominant", 100, 12, 0, false},
-		{"pivot", 200, 1, 5, true},
-		{"n=1", 300, 1, 1, false},
-	} {
-		r := rand.New(rand.NewSource(tc.seed))
-		for trial := 0; trial < tc.trials; trial++ {
-			n := tc.n
-			if n == 0 {
-				n = 2 + r.Intn(12)
-			}
-			A, B, C, D, full := scaledBlockSystem(r, n, scl)
-			if tc.pivot {
-				// The equilibrated first block is M0's, whose column 0 now
-				// has its largest entry below the diagonal.
-				B[0] = 0
-				full[0] = 0
-			}
-			N := 4 * n
-			ref, err := SolveDense(full, D, N)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// A's first block and C's last block are ignored and left as
-			// they are.
-			A0 := append([]float64(nil), A[:16]...)
-			Cn := append([]float64(nil), C[(n-1)*16:]...)
-			if err := w.SolveFlatScaled(A, B, C, D, n, rat, scl); err != nil {
-				t.Fatalf("%s trial %d: %v", tc.name, trial, err)
-			}
-			for k := 0; k < 16; k++ {
-				if A[k] != A0[k] || C[(n-1)*16+k] != Cn[k] {
-					t.Fatalf("%s trial %d: ignored block entry %d changed", tc.name, trial, k)
-				}
-			}
-			for k := 0; k < N; k++ {
-				got := D[k] * scl[k%4]
-				if math.Abs(got-ref[k]) > 1e-10*math.Abs(ref[k]) {
-					t.Fatalf("%s trial %d (n=%d) entry %d: got %.17g want %.17g", tc.name, trial, n, k, got, ref[k])
-				}
-			}
-		}
+	r := rand.New(rand.NewSource(100))
+	for trial := 0; trial < 12; trial++ {
+		checkFlatScaled(t, w, r, 2+r.Intn(12), false, fmt.Sprintf("dominant trial %d", trial))
 	}
+}
+
+// TestBlockTridiagMatchesDense solves a system whose leading B entry is 0
+// (the first block LU must pivot) and a single block row, and checks that
+// blocks other than 4×4 are refused.
+func TestBlockTridiagMatchesDense(t *testing.T) {
+	w := NewBlockTridiagWorkspace(4)
+	checkFlatScaled(t, w, rand.New(rand.NewSource(200)), 5, true, "pivot")
+	checkFlatScaled(t, w, rand.New(rand.NewSource(300)), 1, false, "n=1")
 	if err := NewBlockTridiagWorkspace(3).SolveFlatScaled(make([]float64, 9), make([]float64, 9), make([]float64, 9),
 		make([]float64, 3), 1, make([]float64, 9), make([]float64, 3)); err == nil {
 		t.Error("3×3 blocks accepted")
+	}
+}
+
+// checkFlatScaled draws one scaled system of n block rows, solves it with w
+// and compares the unscaled solution with dense LU. With pivot set, the
+// system's leading B entry is zeroed.
+func checkFlatScaled(t *testing.T, w *BlockTridiagWorkspace, r *rand.Rand, n int, pivot bool, label string) {
+	t.Helper()
+	A, B, C, D, full := scaledBlockSystem(r, n, flatScl)
+	if pivot {
+		// The equilibrated first block is M0's, whose column 0 now has its
+		// largest entry below the diagonal.
+		B[0] = 0
+		full[0] = 0
+	}
+	N := 4 * n
+	ref, err := SolveDense(full, D, N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A's first block and C's last block are ignored and left as they are.
+	A0 := append([]float64(nil), A[:16]...)
+	Cn := append([]float64(nil), C[(n-1)*16:]...)
+	if err := w.SolveFlatScaled(A, B, C, D, n, flatRat, flatScl); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	for k := 0; k < 16; k++ {
+		if A[k] != A0[k] || C[(n-1)*16+k] != Cn[k] {
+			t.Fatalf("%s: ignored block entry %d changed", label, k)
+		}
+	}
+	for k := 0; k < N; k++ {
+		got := D[k] * flatScl[k%4]
+		if math.Abs(got-ref[k]) > 1e-10*math.Abs(ref[k]) {
+			t.Fatalf("%s (n=%d) entry %d: got %.17g want %.17g", label, n, k, got, ref[k])
+		}
 	}
 }
 
