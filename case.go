@@ -13,7 +13,7 @@ import (
 // interface in case files.
 type BodySpec = core.BodySpec
 
-// ParseCase decodes a JSON case file into a Problem. Unknown solver
+// ParseCase decodes a JSON case file into a Problem. Unknown keys, solver
 // classes, chemistries, body kinds or toggle values are errors; fields left
 // out of the file keep their zero values and resolve through the session
 // defaults exactly like an in-code Problem.

@@ -143,17 +143,9 @@ func ImplicitSweeps() []string { return fvm.ImplicitSweeps() }
 // valid values of Problem.Limiter and WithLimiter ("minmod", "vanalbada").
 func Limiters() []string { return fvm.Limiters() }
 
-// CFLRamp tunes the implicit integrator's CFL schedule (see
-// Problem.CFLRamp): start low while the transient establishes the shock,
-// grow geometrically while the residual keeps falling, cap at Max.
-// Zero-valued fields take the solver defaults (start 2, growth 1.25/step,
-// max 200); a Growth below 1 is floored at 1 (hold constant) and a Max
-// below Start is floored at Start.
-type CFLRamp = fvm.CFLRamp
-
 // Checkpoint is a resumable solver-state snapshot taken at a step boundary
 // (see Problem.CheckpointEvery / Problem.CheckpointSink / Problem.Restore):
-// the conserved field, grid nodes, implicit ramp state and limiter latch,
+// the conserved field, grid nodes, implicit ramp state and march position,
 // with a stable binary encoding (AppendBinary) and a verifying decoder.
 type Checkpoint = fvm.Checkpoint
 

@@ -25,7 +25,6 @@ func runCmd(args []string) int {
 	timestep := fs.String("timestep", "", "override the case's time integrator (explicit, implicit)")
 	sweep := fs.String("implicitsweep", "", "override the case's implicit sweep pattern (jline, adi)")
 	limiter := fs.String("limiter", "", "override the case's MUSCL slope limiter (minmod, vanalbada)")
-	freezeLim := fs.Float64("freezelimiter", 0, "freeze the MUSCL limiter once the residual has dropped by this factor (0 = case/off)")
 	levels := fs.Int("levels", 0, "override the case's multilevel grid-level count (2 = two-level, 3+ = deeper)")
 	refitEvery := fs.Int("refitevery", 0, "re-fit the outer boundary to the shock locus every N fine steps")
 	workers := fs.Int("workers", 0, "concurrent solve bound (0 = GOMAXPROCS)")
@@ -59,10 +58,6 @@ func runCmd(args []string) int {
 		fmt.Fprintln(os.Stderr, "catsim run: -levels and -refitevery must be non-negative")
 		return 2
 	}
-	if *freezeLim < 0 || *freezeLim >= 1 {
-		fmt.Fprintln(os.Stderr, "catsim run: -freezelimiter must be in [0, 1)")
-		return 2
-	}
 	if *checkpoint < 0 {
 		fmt.Fprintln(os.Stderr, "catsim run: -checkpoint must be non-negative")
 		return 2
@@ -88,9 +83,6 @@ func runCmd(args []string) int {
 	}
 	if *limiter != "" {
 		p.Limiter = *limiter
-	}
-	if *freezeLim != 0 {
-		p.FreezeLimiterAt = *freezeLim
 	}
 	if *levels != 0 {
 		p.Levels = *levels

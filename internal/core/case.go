@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -165,12 +166,16 @@ func (p Problem) MarshalJSON() ([]byte, error) {
 // UnmarshalJSON parses a case file into the problem: names resolve through
 // the class, chemistry and toggle tables, the body spec through the
 // geometry package, and the knobs pass the same range checks a solve
-// applies.
+// applies. A key the case-file form does not have — misspelled, or a
+// removed knob — is an error, so the file never solves a different case
+// than it spells.
 func (p *Problem) UnmarshalJSON(data []byte) error {
 	// A class outside the table until the file names one, so an absent
 	// "class" cannot decode as VSL, the zero value.
 	w := problemJSON{problemFields: problemFields{Class: -1}}
-	if err := json.Unmarshal(data, &w); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&w); err != nil {
 		return err
 	}
 	q := Problem(w.problemFields)

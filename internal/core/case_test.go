@@ -25,7 +25,6 @@ func TestProblemJSONRoundTrip(t *testing.T) {
 			Body: geometry.NewSphere(0.3), NoseRadius: 0.3,
 			TWall: 600, NI: 8, NJ: 14, MaxSteps: 120,
 			Flux: "hllc", TimeStepping: "implicit",
-			CFLRamp:        fvm.CFLRamp{Start: 5, Growth: 1.1, Max: 40},
 			Limiter:        "vanalbada",
 			GridSequencing: ToggleOff,
 		},
@@ -123,6 +122,8 @@ func TestCaseSpecErrors(t *testing.T) {
 		`{"class":"ns","grid_sequencing":"maybe","p_inf":1,"t_inf":1,"v_inf":1}`,
 		`{"class":"ns","body":{"kind":"sphere"},"p_inf":1,"t_inf":1,"v_inf":1}`,
 		`{"class":"vsl","n_stations":-5,"p_inf":1,"t_inf":1,"v_inf":1}`,
+		`{"class":"ebl","n_stations":1,"p_inf":1,"t_inf":1,"v_inf":1}`,
+		`{"class":"pns","n_stations":2,"p_inf":1,"t_inf":1,"v_inf":1}`,
 		`{"class":"ns","ni":-1,"p_inf":1,"t_inf":1,"v_inf":1}`,
 		`{"class":"ns","nj":-1,"p_inf":1,"t_inf":1,"v_inf":1}`,
 		`{"class":"ns","max_steps":-1,"p_inf":1,"t_inf":1,"v_inf":1}`,
@@ -130,7 +131,6 @@ func TestCaseSpecErrors(t *testing.T) {
 		`{"class":"ns","cycle":"v","p_inf":1,"t_inf":1,"v_inf":1}`,
 		`{"class":"ns","refit_every":-3,"p_inf":1,"t_inf":1,"v_inf":1}`,
 		`{"class":"ns","checkpoint_every":-1,"p_inf":1,"t_inf":1,"v_inf":1}`,
-		`{"class":"ns","freeze_limiter_at":2,"p_inf":1,"t_inf":1,"v_inf":1}`,
 		`{"class":"ns","flux":"bogus","p_inf":1,"t_inf":1,"v_inf":1}`,
 		`{"class":"ns","time_stepping":"rk4","p_inf":1,"t_inf":1,"v_inf":1}`,
 		`{"class":"ns","implicit_sweep":"zebra","p_inf":1,"t_inf":1,"v_inf":1}`,
@@ -142,6 +142,19 @@ func TestCaseSpecErrors(t *testing.T) {
 		var p Problem
 		if err := json.Unmarshal([]byte(s), &p); err == nil {
 			t.Errorf("bad case %d accepted: %s", i, s)
+		}
+	}
+	// A key the case-file form does not have fails by name: the removed
+	// freeze and ramp knobs, a misspelling, and an unknown body dimension.
+	for _, s := range []string{
+		`{"class":"ns","freeze_limiter_at":2,"p_inf":1,"t_inf":1,"v_inf":1}`,
+		`{"class":"ns","cfl_ramp":{"start":5},"p_inf":1,"t_inf":1,"v_inf":1}`,
+		`{"class":"ns","timestepping":"implicit","p_inf":1,"t_inf":1,"v_inf":1}`,
+		`{"class":"ns","body":{"kind":"sphere","nose_radius":1,"radius":2},"p_inf":1,"t_inf":1,"v_inf":1}`,
+	} {
+		var p Problem
+		if err := json.Unmarshal([]byte(s), &p); err == nil || !strings.Contains(err.Error(), "unknown field") {
+			t.Errorf("case with an unknown key: got %v, want an unknown-field error: %s", err, s)
 		}
 	}
 	// A body with no named shape cannot be saved declaratively.

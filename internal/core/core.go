@@ -201,22 +201,11 @@ type Problem struct {
 	// integrator.
 	ImplicitSweep string `json:"implicit_sweep,omitempty"`
 
-	// CFLRamp tunes the implicit integrator's CFL schedule; zero-valued
-	// fields take the fvm.DefaultCFLRamp defaults. Ignored by the explicit
-	// integrator.
-	CFLRamp fvm.CFLRamp `json:"cfl_ramp,omitzero"`
-
 	// Limiter selects the MUSCL slope limiter by name for the NS and Euler
 	// shock-shape classes ("minmod", "vanalbada"; empty = session or solver
 	// default). The smooth van Albada limiter lets the implicit CFL ramp
 	// climb past the minmod limit cycle.
 	Limiter string `json:"limiter,omitempty"`
-
-	// FreezeLimiterAt freezes the MUSCL limiter for the NS and Euler
-	// shock-shape classes once the residual has dropped by this factor
-	// (e.g. 1e-2), replaying the recorded slopes for the rest of the march.
-	// Must be in (0, 1); 0 disables.
-	FreezeLimiterAt float64 `json:"freeze_limiter_at,omitempty"`
 
 	// GridSequencing controls grid-sequenced NS and Euler shock-shape
 	// solves (converge on a coarsened grid, then finish on the fine grid
@@ -349,6 +338,8 @@ func validate(p Problem) error {
 	switch {
 	case p.NStations < 0:
 		return fmt.Errorf("core: n_stations %d negative", p.NStations)
+	case p.NStations > 0 && p.NStations < minStations(p.Class):
+		return fmt.Errorf("core: n_stations %d below the %s minimum of %d", p.NStations, classNames[p.Class], minStations(p.Class))
 	case p.NI < 0:
 		return fmt.Errorf("core: ni %d negative", p.NI)
 	case p.NJ < 0:
@@ -363,10 +354,21 @@ func validate(p Problem) error {
 		return fmt.Errorf("core: refit_every %d negative", p.RefitEvery)
 	case p.CheckpointEvery < 0:
 		return fmt.Errorf("core: checkpoint_every %d negative", p.CheckpointEvery)
-	case !(p.FreezeLimiterAt >= 0 && p.FreezeLimiterAt < 1):
-		return fmt.Errorf("core: freeze_limiter_at %g outside [0, 1)", p.FreezeLimiterAt)
 	}
 	return nil
+}
+
+// minStations is the fewest surface stations a class can solve on: E+BL
+// spaces its edge distribution over at least two (one spaces the body by
+// 0/0), and the PNS march needs three. The other classes set no minimum.
+func minStations(c SolverClass) int {
+	switch c {
+	case EBL:
+		return 2
+	case PNS:
+		return 3
+	}
+	return 0
 }
 
 // stations resolves the surface-station count for the EBL/PNS classes.

@@ -40,9 +40,7 @@ func sequenceFor(p Problem) fvm.SequenceOptions {
 // with the solver name. The solver class fills in the physics fields.
 func fvmOptions(st *Stack, p Problem, solver string) fvm.Options {
 	return fvm.Options{
-		Flux: p.Flux, TimeStepping: p.TimeStepping, ImplicitSweep: p.ImplicitSweep,
-		CFLRamp: p.CFLRamp,
-		Limiter: p.Limiter, FreezeLimiterAt: p.FreezeLimiterAt,
+		Flux: p.Flux, TimeStepping: p.TimeStepping, ImplicitSweep: p.ImplicitSweep, Limiter: p.Limiter,
 		CheckpointEvery: p.CheckpointEvery, CheckpointSink: p.CheckpointSink, Restore: p.Restore,
 		Pool: st.Pool(), Progress: fvmProgress(p, solver),
 	}

@@ -1,13 +1,11 @@
 package fvm
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
-	"cataero/internal/gas"
 	"cataero/internal/grid"
 )
 
@@ -303,59 +301,5 @@ func TestExpansionShockDecays(t *testing.T) {
 				t.Errorf("expansion shock persists: max adjacent density jump %g, initial %g", maxJump, jump0)
 			}
 		})
-	}
-}
-
-// TestFrozenLimiterConvergence verifies the frozen-limiter endgame is a
-// pure optimization: a solve that freezes the limiter partway down the
-// residual history must actually reach the frozen state and converge to
-// the same wall pressure distribution as the always-live reference.
-func TestFrozenLimiterConvergence(t *testing.T) {
-	base := bluntSolver(t, gas.NewIdealAir(), 6, true)
-	g, o := base.G, base.Opts
-	base.Close()
-	// Deep implicit convergence with the smooth limiter: the freeze latches
-	// once the shock has settled, so the recorded slopes are the converged
-	// ones and the frozen fixed point coincides with the live one.
-	o.TimeStepping = TimeSteppingImplicit
-	o.Limiter = LimiterVanAlbada
-	ref, _, err := SolveMultilevel(context.Background(), g, o, 4000, 1e-5, SequenceOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
-
-	o.FreezeLimiterAt = 1e-3
-	frz, _, err := SolveMultilevel(context.Background(), g, o, 4000, 1e-5, SequenceOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer frz.Close()
-	if frz.limMode != limFrozen {
-		t.Fatalf("limiter never froze: limMode %d (threshold %g)", frz.limMode, o.FreezeLimiterAt)
-	}
-
-	pRef, pFrz := ref.WallPressure(), frz.WallPressure()
-	for i := range pRef {
-		if rel := math.Abs(pFrz[i]-pRef[i]) / pRef[i]; rel > 0.01 {
-			t.Errorf("wall station %d: frozen-limiter pressure %g vs live %g (%.2f%%)",
-				i, pFrz[i], pRef[i], 100*rel)
-		}
-	}
-}
-
-// TestFreezeLimiterValidation pins the Options range check and the refit
-// reset: out-of-range thresholds fail construction, and a grid transfer
-// drops a frozen solver back to live limiting (the recorded slopes belong
-// to the old grid).
-func TestFreezeLimiterValidation(t *testing.T) {
-	s := bluntSolver(t, gas.NewIdealAir(), 6, true)
-	g, o := s.G, s.Opts
-	s.Close()
-	for _, bad := range []float64{-0.1, 1, 1.5} {
-		o.FreezeLimiterAt = bad
-		if _, err := New(g, o); err == nil {
-			t.Errorf("FreezeLimiterAt=%g accepted", bad)
-		}
 	}
 }

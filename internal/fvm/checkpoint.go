@@ -12,9 +12,9 @@ import (
 // This file is the durability layer of the finite-volume solver: a stable
 // serialization of everything a march needs to resume bit-exactly after a
 // process death — the conserved field, the grid nodes (a mid-march refit
-// moves them), the implicit integrator's CFL ramp bookkeeping, the
-// frozen-limiter latch, and the finest march's own position (step count,
-// absolute residual target, refit state).
+// moves them), the implicit integrator's CFL ramp bookkeeping, and the
+// finest march's own position (step count, absolute residual target, refit
+// state).
 //
 // Consistency: checkpoints are only taken at step boundaries, by the
 // finest-level march of SolveMultilevel itself — never from another
@@ -35,11 +35,11 @@ import (
 // other versions, so a resumed process never misreads a foreign layout.
 // Bump it (and the magic) on any incompatible change — see CONTRIBUTING.md
 // for the compatibility policy.
-const CheckpointFormat = 2
+const CheckpointFormat = 3
 
 // checkpointMagic brands an encoded checkpoint; the trailing digit is the
 // format version.
-const checkpointMagic = "CATCKPT2"
+const checkpointMagic = "CATCKPT3"
 
 // Checkpoint is a solver state snapshot at a step boundary, sufficient to
 // resume the march exactly where it stopped. Scalar fields travel in a JSON
@@ -70,10 +70,6 @@ type Checkpoint struct {
 	RampLows  int
 	Fallbacks int
 
-	// Frozen-limiter latch.
-	LimMode  int
-	LimFirst float64
-
 	// Refit position of the finest march: refits done, steps since the
 	// last refit, and the refit stall-out window. MarchBest stores 0 for
 	// "no best yet" (+Inf has no JSON form).
@@ -92,9 +88,6 @@ type Checkpoint struct {
 	GridX, GridY []float64
 	// U is the conserved field, flattened (4*NI*NJ).
 	U []float64
-	// FrzI/FrzJ are the recorded limiter offsets, present only when the
-	// limiter was frozen (LimMode == limFrozen).
-	FrzI, FrzJ []float64
 }
 
 // ckptHeader is the JSON scalar header of an encoded checkpoint. Payload
@@ -113,8 +106,6 @@ type ckptHeader struct {
 	RampCap      float64 `json:"ramp_cap,omitempty"`
 	RampLows     int     `json:"ramp_lows,omitempty"`
 	Fallbacks    int     `json:"fallbacks,omitempty"`
-	LimMode      int     `json:"lim_mode,omitempty"`
-	LimFirst     float64 `json:"lim_first,omitempty"`
 	Refits       int     `json:"refits,omitempty"`
 	SinceRefit   int     `json:"since_refit,omitempty"`
 	MarchBest    float64 `json:"march_best,omitempty"`
@@ -122,14 +113,12 @@ type ckptHeader struct {
 	Restarts     int     `json:"restarts,omitempty"`
 	NGrid        int     `json:"n_grid"`
 	NU           int     `json:"n_u"`
-	NFrzI        int     `json:"n_frz_i,omitempty"`
-	NFrzJ        int     `json:"n_frz_j,omitempty"`
 }
 
 // AppendBinary encodes the checkpoint onto dst and returns the extended
 // slice. Layout: the 8-byte magic, a little-endian uint32 header length,
 // the JSON scalar header, the raw little-endian float64 payloads (GridX,
-// GridY, U, FrzI, FrzJ), and a SHA-256 checksum of everything before it.
+// GridY, U), and a SHA-256 checksum of everything before it.
 // The float payloads round-trip bit-exactly — NaN payloads and signed
 // zeros included — which a decimal encoding would not guarantee.
 func (cp *Checkpoint) AppendBinary(dst []byte) ([]byte, error) {
@@ -140,12 +129,10 @@ func (cp *Checkpoint) AppendBinary(dst []byte) ([]byte, error) {
 		Step:  cp.Step, Target: cp.Target,
 		CFL: cp.CFL, RampBest: cp.RampBest, RampStall: cp.RampStall,
 		RampCap: cp.RampCap, RampLows: cp.RampLows, Fallbacks: cp.Fallbacks,
-		LimMode: cp.LimMode, LimFirst: cp.LimFirst,
 		Refits: cp.Refits, SinceRefit: cp.SinceRefit,
 		MarchBest: cp.MarchBest, MarchStalled: cp.MarchStalled,
 		Restarts: cp.Restarts,
 		NGrid:    len(cp.GridX), NU: len(cp.U),
-		NFrzI: len(cp.FrzI), NFrzJ: len(cp.FrzJ),
 	}
 	if len(cp.GridY) != len(cp.GridX) {
 		return nil, fmt.Errorf("fvm: checkpoint grid payloads disagree: %d x, %d y", len(cp.GridX), len(cp.GridY))
@@ -158,7 +145,7 @@ func (cp *Checkpoint) AppendBinary(dst []byte) ([]byte, error) {
 	dst = append(dst, checkpointMagic...)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(hdr)))
 	dst = append(dst, hdr...)
-	for _, payload := range [][]float64{cp.GridX, cp.GridY, cp.U, cp.FrzI, cp.FrzJ} {
+	for _, payload := range [][]float64{cp.GridX, cp.GridY, cp.U} {
 		for _, v := range payload {
 			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 		}
@@ -200,7 +187,7 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	// counts could otherwise overflow the sum into a length that matches.
 	floats := len(payload) / 8
 	total := 0
-	for _, n := range []int{h.NGrid, h.NGrid, h.NU, h.NFrzI, h.NFrzJ} {
+	for _, n := range []int{h.NGrid, h.NGrid, h.NU} {
 		if n < 0 || n > floats {
 			return nil, fmt.Errorf("fvm: checkpoint payload length %d outside [0, %d]", n, floats)
 		}
@@ -227,13 +214,11 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 		Step:  h.Step, Target: h.Target,
 		CFL: h.CFL, RampBest: h.RampBest, RampStall: h.RampStall,
 		RampCap: h.RampCap, RampLows: h.RampLows, Fallbacks: h.Fallbacks,
-		LimMode: h.LimMode, LimFirst: h.LimFirst,
 		Refits: h.Refits, SinceRefit: h.SinceRefit,
 		MarchBest: h.MarchBest, MarchStalled: h.MarchStalled,
 		Restarts: h.Restarts,
 		GridX:    take(h.NGrid), GridY: take(h.NGrid),
-		U:    take(h.NU),
-		FrzI: take(h.NFrzI), FrzJ: take(h.NFrzJ),
+		U: take(h.NU),
 	}
 	return cp, nil
 }
@@ -263,10 +248,6 @@ func (s *Solver) Checkpoint() *Checkpoint {
 			GridY: make([]float64, (s.ni+1)*(s.nj+1)),
 			U:     make([]float64, 4*s.ni*s.nj),
 		}
-		if s.frzI != nil {
-			cp.FrzI = make([]float64, len(s.frzI))
-			cp.FrzJ = make([]float64, len(s.frzJ))
-		}
 		s.ckpt = cp
 	}
 	cp.Format = CheckpointFormat
@@ -288,27 +269,15 @@ func (s *Solver) Checkpoint() *Checkpoint {
 		cp.CFL, cp.RampBest, cp.RampStall = st.cfl, st.best, st.stall
 		cp.RampCap, cp.RampLows, cp.Fallbacks = st.cap, st.lows, st.fallbacks
 	}
-	cp.LimMode, cp.LimFirst = s.limMode, s.limFirst
-	if s.limMode == limFrozen && s.frzI != nil {
-		cp.FrzI = cp.FrzI[:len(s.frzI)]
-		cp.FrzJ = cp.FrzJ[:len(s.frzJ)]
-		copy(cp.FrzI, s.frzI)
-		copy(cp.FrzJ, s.frzJ)
-	} else {
-		// Offsets are only meaningful frozen; an un-frozen march re-records
-		// them deterministically after restore.
-		cp.FrzI = cp.FrzI[:0]
-		cp.FrzJ = cp.FrzJ[:0]
-	}
 	return cp
 }
 
 // Restore overwrites the solver's state from a checkpoint taken by a solver
 // of identical shape and configuration: grid nodes (rebuilding the metrics,
-// so refitted geometry survives), the conserved field, the integrator's
-// ramp state and the limiter latch. The march position (step count, target,
-// refit state) is the caller's to resume: SolveMultilevel reads it from the
-// same checkpoint and continues the finest march exactly where it stopped.
+// so refitted geometry survives), the conserved field and the integrator's
+// ramp state. The march position (step count, target, refit state) is the
+// caller's to resume: SolveMultilevel reads it from the same checkpoint and
+// continues the finest march exactly where it stopped.
 func (s *Solver) Restore(cp *Checkpoint) error {
 	if cp == nil {
 		return fmt.Errorf("fvm: restore from nil checkpoint")
@@ -322,11 +291,6 @@ func (s *Solver) Restore(cp *Checkpoint) error {
 	if len(cp.U) != 4*s.ni*s.nj {
 		return fmt.Errorf("fvm: restore checkpoint with %d state floats, want %d", len(cp.U), 4*s.ni*s.nj)
 	}
-	if cp.LimMode == limFrozen {
-		if s.frzI == nil || len(cp.FrzI) != len(s.frzI) || len(cp.FrzJ) != len(s.frzJ) {
-			return fmt.Errorf("fvm: restore frozen-limiter checkpoint without matching offset arrays")
-		}
-	}
 	if len(cp.GridX) > 0 {
 		if err := s.G.RestoreNodes(cp.GridX, cp.GridY); err != nil {
 			return err
@@ -339,14 +303,6 @@ func (s *Solver) Restore(cp *Checkpoint) error {
 	if st := s.imp; st != nil && cp.CFL > 0 {
 		st.cfl, st.best, st.stall = cp.CFL, cp.RampBest, cp.RampStall
 		st.cap, st.lows, st.fallbacks = cp.RampCap, cp.RampLows, cp.Fallbacks
-	}
-	if s.frzI != nil {
-		s.limFirst = cp.LimFirst
-		s.limMode = cp.LimMode
-		if cp.LimMode == limFrozen {
-			copy(s.frzI, cp.FrzI)
-			copy(s.frzJ, cp.FrzJ)
-		}
 	}
 	s.restarts = cp.Restarts + 1
 	return nil

@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 )
@@ -16,7 +17,6 @@ func TestCheckpointEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.FreezeLimiterAt = 1e-2
 	s, err := New(g, o)
 	if err != nil {
 		t.Fatal(err)
@@ -46,9 +46,6 @@ func TestCheckpointEncodeDecodeRoundTrip(t *testing.T) {
 		dec.RampCap != cp.RampCap || dec.RampLows != cp.RampLows || dec.Fallbacks != cp.Fallbacks {
 		t.Fatalf("ramp state did not round-trip: %+v vs %+v", dec, cp)
 	}
-	if dec.LimMode != cp.LimMode || dec.LimFirst != cp.LimFirst {
-		t.Fatalf("limiter latch: got (%d, %g), want (%d, %g)", dec.LimMode, dec.LimFirst, cp.LimMode, cp.LimFirst)
-	}
 	bitEqual := func(name string, a, b []float64) {
 		t.Helper()
 		if len(a) != len(b) {
@@ -63,8 +60,6 @@ func TestCheckpointEncodeDecodeRoundTrip(t *testing.T) {
 	bitEqual("GridX", dec.GridX, cp.GridX)
 	bitEqual("GridY", dec.GridY, cp.GridY)
 	bitEqual("U", dec.U, cp.U)
-	bitEqual("FrzI", dec.FrzI, cp.FrzI)
-	bitEqual("FrzJ", dec.FrzJ, cp.FrzJ)
 }
 
 // TestDecodeCheckpointRejectsDamage exercises the torn-file paths: any
@@ -97,6 +92,7 @@ func TestDecodeCheckpointRejectsDamage(t *testing.T) {
 		// empty payload's length.
 		"count overflow": seal(overflowBody()),
 		"format 1":       seal(format1Body()),
+		"format 2":       seal(format2Body()),
 	}
 	for name, data := range cases {
 		if _, err := DecodeCheckpoint(data); err == nil {
@@ -125,11 +121,11 @@ func checkpointBody(magic, header string, payload []byte) []byte {
 	return append(append(b, header...), payload...)
 }
 
-// overflowBody is a format-2 body whose header promises 2^61 grid floats
-// over an empty payload.
+// overflowBody is a current-format body whose header promises 2^61 grid
+// floats over an empty payload.
 func overflowBody() []byte {
-	return checkpointBody(checkpointMagic,
-		`{"format":2,"ni":1,"nj":1,"phase":"solve","step":1,"target":1,"n_grid":2305843009213693952,"n_u":0}`, nil)
+	return checkpointBody(checkpointMagic, fmt.Sprintf(
+		`{"format":%d,"ni":1,"nj":1,"phase":"solve","step":1,"target":1,"n_grid":2305843009213693952,"n_u":0}`, CheckpointFormat), nil)
 }
 
 // format1Body is a one-cell body in the format-1 layout, with the relative
@@ -137,6 +133,14 @@ func overflowBody() []byte {
 func format1Body() []byte {
 	return checkpointBody("CATCKPT1",
 		`{"format":1,"ni":1,"nj":1,"phase":"solve","step":3,"first":0.5,"n_grid":0,"n_u":4}`, make([]byte, 32))
+}
+
+// format2Body is a one-cell body in the format-2 layout, with the
+// frozen-limiter latch and offset payloads that format 3 dropped.
+func format2Body() []byte {
+	return checkpointBody("CATCKPT2",
+		`{"format":2,"ni":1,"nj":1,"phase":"solve","step":3,"target":1,"lim_mode":2,"lim_first":0.5,"n_grid":0,"n_u":4,"n_frz_i":2,"n_frz_j":2}`,
+		make([]byte, 64))
 }
 
 // TestRestoreRejectsMismatch: a checkpoint from a different grid shape must
@@ -200,13 +204,13 @@ func TestCheckpointScratchReuse(t *testing.T) {
 
 // TestResumeSequencedBitExact is the crash/resume equivalence property of
 // the one marching driver, for one-level solves and the two-level cascade,
-// explicit and implicit, with and without mid-march refits and a frozen
-// limiter: a solve cancelled partway through its finest-level march resumes
-// from its checkpoint — skipping any cascade — onto the uninterrupted
-// solve's terminal state bit for bit, while reporting strictly fewer
-// process-local steps. A checkpoint of the other kind of solve (a "level0"
-// one offered to a one-level solve, or a "solve" one to a sequenced solve)
-// is ignored: the solve starts cold and lands on the same state.
+// explicit and implicit, with and without mid-march refits: a solve
+// cancelled partway through its finest-level march resumes from its
+// checkpoint — skipping any cascade — onto the uninterrupted solve's
+// terminal state bit for bit, while reporting strictly fewer process-local
+// steps. A checkpoint of the other kind of solve (a "level0" one offered to
+// a one-level solve, or a "solve" one to a sequenced solve) is ignored: the
+// solve starts cold and lands on the same state.
 func TestResumeSequencedBitExact(t *testing.T) {
 	const (
 		maxSteps = 4000
@@ -218,19 +222,13 @@ func TestResumeSequencedBitExact(t *testing.T) {
 		levels     int
 		ts         string
 		refitEvery int
-		freeze     float64 // Options.FreezeLimiterAt
-		// frozenAtCut: the limiter latches before the cancel, so the
-		// checkpoint carries recorded offsets; otherwise the resumed march
-		// latches it from the restored first residual.
-		frozenAtCut bool
 	}{
-		{"one-level-explicit", 1, TimeSteppingExplicit, 0, 0, false},
-		{"one-level-implicit-freezing", 1, TimeSteppingImplicit, 0, 1e-1, false},
-		{"one-level-implicit-frozen", 1, TimeSteppingImplicit, 0, 3e-1, true},
-		{"explicit", 2, TimeSteppingExplicit, 0, 0, false},
-		{"explicit-refit", 2, TimeSteppingExplicit, 20, 0, false},
-		{"implicit", 2, TimeSteppingImplicit, 0, 0, false},
-		{"implicit-refit", 2, TimeSteppingImplicit, 20, 0, false},
+		{"one-level-explicit", 1, TimeSteppingExplicit, 0},
+		{"one-level-implicit", 1, TimeSteppingImplicit, 0},
+		{"explicit", 2, TimeSteppingExplicit, 0},
+		{"explicit-refit", 2, TimeSteppingExplicit, 20},
+		{"implicit", 2, TimeSteppingImplicit, 0},
+		{"implicit-refit", 2, TimeSteppingImplicit, 20},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sq := SequenceOptions{Levels: tc.levels, RefitEvery: tc.refitEvery}
@@ -248,7 +246,6 @@ func TestResumeSequencedBitExact(t *testing.T) {
 			solve := func(ctx context.Context, restore *Checkpoint, every int, sink func(*Checkpoint), onStep func(phase string, step int)) (outcome, error) {
 				g, o := seqCase(t)
 				o.TimeStepping = tc.ts
-				o.FreezeLimiterAt = tc.freeze
 				o.Restore = restore
 				o.CheckpointEvery, o.CheckpointSink = every, sink
 				out := outcome{phases: map[string]int{}}
@@ -296,9 +293,6 @@ func TestResumeSequencedBitExact(t *testing.T) {
 			if tc.refitEvery > 0 && cold.refits == 0 {
 				t.Fatal("refit case never refitted")
 			}
-			if tc.freeze > 0 && cold.s.limMode != limFrozen {
-				t.Fatal("frozen-limiter case never froze")
-			}
 
 			// Interrupted solve: checkpoints every 7 finest steps, cancelled
 			// mid-march; the cancellation emits a final checkpoint.
@@ -333,9 +327,6 @@ func TestResumeSequencedBitExact(t *testing.T) {
 			}
 			if tc.refitEvery > 0 && cp.Refits == 0 {
 				t.Fatal("checkpoint cut before the first refit; the refit bookkeeping goes unexercised")
-			}
-			if frozen := cp.LimMode == limFrozen; frozen != tc.frozenAtCut {
-				t.Fatalf("checkpoint limiter frozen %v, want %v", frozen, tc.frozenAtCut)
 			}
 
 			// The resumed march continues the step count (the budget spent),

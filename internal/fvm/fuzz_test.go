@@ -17,10 +17,9 @@ import (
 //
 //	go test -run '^$' -fuzz '^FuzzDecodeCheckpoint$' -fuzztime 10s ./internal/fvm
 func FuzzDecodeCheckpoint(f *testing.F) {
-	// A 2x2 implicit solver's checkpoint as taken, then with a frozen
-	// limiter's latch and offsets, then with a refitted two-level march's
-	// position. The seeds stay small because the fuzzer minimizes each new
-	// input at a cost quadratic in its length.
+	// A 2x2 implicit solver's checkpoint as taken, then with a refitted
+	// two-level march's position. The seeds stay small because the fuzzer
+	// minimizes each new input at a cost quadratic in its length.
 	g, o, err := ReferenceViscousCase(2, 2, TimeSteppingImplicit)
 	if err != nil {
 		f.Fatal(err)
@@ -36,13 +35,10 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	s.Step()
 	plain := *s.Checkpoint()
 	plain.Step, plain.Target = 3, target
-	frozen := plain
-	frozen.LimMode, frozen.LimFirst = limFrozen, 0.5
-	frozen.FrzI, frozen.FrzJ = []float64{0.25, -0.125}, []float64{0, math.Copysign(0, -1)}
 	refitted := plain
 	refitted.Phase, refitted.Refits, refitted.SinceRefit = "level0", 1, 7
 	refitted.MarchBest, refitted.MarchStalled = 2.5e-3, 4
-	for _, cp := range []*Checkpoint{&plain, &frozen, &refitted} {
+	for _, cp := range []*Checkpoint{&plain, &refitted} {
 		enc, err := cp.AppendBinary(nil)
 		if err != nil {
 			f.Fatal(err)
@@ -51,6 +47,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	}
 	f.Add(overflowBody())
 	f.Add(format1Body())
+	f.Add(format2Body())
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		cp, err := DecodeCheckpoint(seal(body))
@@ -62,11 +59,9 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		if err := json.Unmarshal(rest[4:4+binary.LittleEndian.Uint32(rest)], &h); err != nil {
 			t.Fatalf("accepted a header that does not parse: %v", err)
 		}
-		if len(cp.GridX) != h.NGrid || len(cp.GridY) != h.NGrid || len(cp.U) != h.NU ||
-			len(cp.FrzI) != h.NFrzI || len(cp.FrzJ) != h.NFrzJ {
-			t.Fatalf("payload lengths %d/%d/%d/%d/%d, header promises %d/%d/%d/%d/%d",
-				len(cp.GridX), len(cp.GridY), len(cp.U), len(cp.FrzI), len(cp.FrzJ),
-				h.NGrid, h.NGrid, h.NU, h.NFrzI, h.NFrzJ)
+		if len(cp.GridX) != h.NGrid || len(cp.GridY) != h.NGrid || len(cp.U) != h.NU {
+			t.Fatalf("payload lengths %d/%d/%d, header promises %d/%d/%d",
+				len(cp.GridX), len(cp.GridY), len(cp.U), h.NGrid, h.NGrid, h.NU)
 		}
 		enc, err := cp.AppendBinary(nil)
 		if err != nil {
@@ -87,7 +82,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 func sameCheckpoint(a, b *Checkpoint) bool {
 	sa, sb := *a, *b
 	for _, p := range [][2]*[]float64{
-		{&sa.GridX, &sb.GridX}, {&sa.GridY, &sb.GridY}, {&sa.U, &sb.U}, {&sa.FrzI, &sb.FrzI}, {&sa.FrzJ, &sb.FrzJ},
+		{&sa.GridX, &sb.GridX}, {&sa.GridY, &sb.GridY}, {&sa.U, &sb.U},
 	} {
 		x, y := *p[0], *p[1]
 		if len(x) != len(y) {

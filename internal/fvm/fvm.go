@@ -84,10 +84,6 @@ type Options struct {
 	// wall-normal j-lines, which runs CFL in the hundreds on clustered
 	// viscous grids).
 	TimeStepping string
-	// CFLRamp configures the implicit integrator's CFL schedule; zero-value
-	// fields take the DefaultCFLRamp defaults. The explicit integrator
-	// ignores it and uses CFL directly.
-	CFLRamp CFLRamp
 	// ImplicitSweep selects the implicit integrator's line-sweep schedule by
 	// name (see ImplicitSweeps): "jline" (wall-normal lines only, the
 	// default) or "adi" (alternating-direction: each step runs the
@@ -97,17 +93,8 @@ type Options struct {
 	// streamwise cell count, not wall-normal stiffness, limits convergence).
 	// The explicit integrator ignores it.
 	ImplicitSweep string
-	// FreezeLimiterAt, when positive, freezes the MUSCL limiter once the
-	// RMS density residual has dropped below FreezeLimiterAt times its
-	// initial value (so it must be in (0, 1); 0 disables freezing): the
-	// next step records every interior face's applied limiter offsets and
-	// later steps replay them, removing the limiter evaluations and outer-
-	// stencil gathers from the endgame of a converged-shock march. A
-	// mid-march grid refit invalidates the recorded offsets and drops back
-	// to live limiting until the threshold latches again.
-	FreezeLimiterAt float64
-	FreestreamV     [2]float64 // freestream velocity (x, y components)
-	FreestreamPT    [2]float64 // freestream pressure, temperature
+	FreestreamV   [2]float64 // freestream velocity (x, y components)
+	FreestreamPT  [2]float64 // freestream pressure, temperature
 	// Pool, when non-nil, is a shared worker pool for the parallel sweeps;
 	// the solver does not own it and Close leaves it running. When nil the
 	// solver builds a private GOMAXPROCS-sized pool and releases it on
@@ -149,15 +136,9 @@ type Solver struct {
 
 	met  *grid.Metrics // precomputed face vectors, volumes, centroids
 	flux BatchFluxKernel
-	// limKind selects the batched reconstruction's limiter (see recon.go);
-	// limMode/limFirst drive the frozen-limiter state machine and frzI/frzJ
-	// hold the recorded per-face limiter offsets (allocated only when
-	// Options.FreezeLimiterAt is set).
-	limKind    int
-	limMode    int
-	limFirst   float64
-	frzI, frzJ []float64
-	pool       *Pool
+	// limKind selects the batched reconstruction's limiter (see recon.go).
+	limKind int
+	pool    *Pool
 	// ownsPool marks a private pool (no Options.Pool) that Close releases.
 	ownsPool bool
 	// phase labels Progress callbacks and checkpoints ("solve"; a sequenced
@@ -209,9 +190,6 @@ func New(g *grid.Grid2D, o Options) (*Solver, error) {
 	if o.MUSCL && (g.NI < 4 || g.NJ < 4) {
 		return nil, fmt.Errorf("fvm: MUSCL needs at least a 4x4 grid, got %dx%d", g.NI, g.NJ)
 	}
-	if o.FreezeLimiterAt < 0 || o.FreezeLimiterAt >= 1 {
-		return nil, fmt.Errorf("fvm: FreezeLimiterAt %g outside [0, 1)", o.FreezeLimiterAt)
-	}
 	if err := CheckNames(o.Flux, o.TimeStepping, o.ImplicitSweep, o.Limiter); err != nil {
 		return nil, err
 	}
@@ -261,10 +239,6 @@ func New(g *grid.Grid2D, o Options) (*Solver, error) {
 	for w := range s.bws {
 		s.bws[w].L = newFaceStates(s.nj + 1)
 		s.bws[w].R = newFaceStates(s.nj + 1)
-	}
-	if o.FreezeLimiterAt > 0 && o.MUSCL {
-		s.frzI = make([]float64, 8*(s.ni+1)*s.nj)
-		s.frzJ = make([]float64, 8*s.ni*(s.nj+1))
 	}
 	s.swPrim = s.primRange
 	s.swDT = s.dtRange

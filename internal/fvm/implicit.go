@@ -6,49 +6,15 @@ import (
 	"cataero/internal/numerics"
 )
 
-// CFLRamp is the implicit integrator's CFL schedule: start low while the
-// transient establishes the shock, grow geometrically as the solution
-// settles, and cap at the relaxation limit. A diverging line halves the
-// ramp (never below Start) before it resumes growing. The JSON tags are the
-// case-file spelling ("cfl_ramp": {"start", "growth", "max"}).
-type CFLRamp struct {
-	// Start is the initial CFL number (default 2).
-	Start float64 `json:"start,omitempty"`
-	// Growth is the geometric per-step growth factor (default 1.25).
-	// Values below 1 are floored at 1 — the ramp never shrinks the CFL on
-	// its own; 1 holds it constant at Start.
-	Growth float64 `json:"growth,omitempty"`
-	// Max caps the ramp (default 200; floored at Start).
-	Max float64 `json:"max,omitempty"`
-}
-
-// IsZero reports an all-default ramp, so a json omitzero field omits it
-// (a -0 field counts as zero, as its omitempty tag treats it).
-func (r CFLRamp) IsZero() bool { return r == CFLRamp{} }
-
-// DefaultCFLRamp is the schedule used for zero-valued CFLRamp fields.
-var DefaultCFLRamp = CFLRamp{Start: 2, Growth: 1.25, Max: 200}
-
-// withDefaults fills zero-valued fields from DefaultCFLRamp — explicitly
-// set values are respected: Growth 1 holds the CFL constant, and a Max
-// below Start is floored at Start (not replaced).
-func (r CFLRamp) withDefaults() CFLRamp {
-	if r.Start <= 0 {
-		r.Start = DefaultCFLRamp.Start
-	}
-	if r.Growth == 0 {
-		r.Growth = DefaultCFLRamp.Growth
-	} else if r.Growth < 1 {
-		r.Growth = 1
-	}
-	if r.Max == 0 {
-		r.Max = DefaultCFLRamp.Max
-	}
-	if r.Max < r.Start {
-		r.Max = r.Start
-	}
-	return r
-}
+// The implicit integrator's CFL schedule: start low while the transient
+// establishes the shock, grow geometrically as the solution settles, and
+// cap at the relaxation limit. A diverging line halves the CFL (never below
+// rampStart) before it resumes growing.
+const (
+	rampStart  = 2.0
+	rampGrowth = 1.25
+	rampMax    = 200.0
+)
 
 // DefaultImplicitSweep is the sweep schedule used when Options.ImplicitSweep
 // is empty.
@@ -90,15 +56,11 @@ func ImplicitSweeps() []string { return []string{ImplicitSweepADI, ImplicitSweep
 // newImplicitStepper binds the implicit integrator to a solver whose names
 // New has checked, allocating its per-chunk line workspaces.
 func newImplicitStepper(s *Solver) *implicitStepper {
-	st := &implicitStepper{
-		s:    s,
-		ramp: s.Opts.CFLRamp.withDefaults(),
-	}
+	st := &implicitStepper{s: s, cfl: rampStart}
 	switch s.Opts.ImplicitSweep {
 	case ImplicitSweepADI:
 		st.adi = true
 	}
-	st.cfl = st.ramp.Start
 	vs := s.pInf.A + math.Hypot(s.pInf.U, s.pInf.V)
 	st.scl = [4]float64{1, vs, vs, vs * vs}
 	for r := 0; r < 4; r++ {
@@ -168,9 +130,8 @@ type implicitLineWS struct {
 }
 
 type implicitStepper struct {
-	s    *Solver
-	ramp CFLRamp
-	cfl  float64
+	s   *Solver
+	cfl float64
 	// adi enables the streamwise (i-line) pass after each wall-normal pass
 	// (Options.ImplicitSweep "adi").
 	adi            bool
@@ -206,18 +167,18 @@ const stallWindow = 12
 // carryCFL seeds the ramp from another solver's integrator state at a
 // multilevel transition: a coarser level that has already relaxed the
 // transient proves a high CFL is safe, so the finer level starts there
-// instead of re-climbing from Start. The convergence bookkeeping re-latches
+// instead of re-climbing from rampStart. The convergence bookkeeping re-latches
 // fresh (the levels' residual scales differ).
 func (st *implicitStepper) carryCFL(src *implicitStepper) {
 	cfl := src.cfl
-	if cfl > st.ramp.Max {
-		cfl = st.ramp.Max
+	if cfl > rampMax {
+		cfl = rampMax
 	}
 	if cfl > st.cfl {
 		st.cfl = cfl
 	}
 	st.best, st.stall, st.lows = 0, 0, 0
-	st.cap = st.ramp.Max
+	st.cap = rampMax
 }
 
 // resetRamp re-latches the convergence bookkeeping after a grid change
@@ -226,7 +187,7 @@ func (st *implicitStepper) carryCFL(src *implicitStepper) {
 // stall.
 func (st *implicitStepper) resetRamp() {
 	st.best, st.stall, st.lows = 0, 0, 0
-	st.cap = st.ramp.Max
+	st.cap = rampMax
 }
 
 // Step advances one line-implicit time step: full residual evaluation at the
@@ -267,28 +228,28 @@ func (st *implicitStepper) Step() float64 {
 	st.fallbacks += fell
 	r := math.Sqrt(sum / float64(s.ni*s.nj))
 	if st.cap == 0 {
-		st.cap = st.ramp.Max
+		st.cap = rampMax
 	}
 	switch {
 	case fell > 0:
 		// A diverging line means the linearization overstepped: back the
 		// ramp off (and hold it there) before growing again.
-		st.cfl = math.Max(st.ramp.Start, 0.5*st.cfl)
-		st.cap = math.Max(st.ramp.Start, st.cfl)
+		st.cfl = math.Max(rampStart, 0.5*st.cfl)
+		st.cap = math.Max(rampStart, st.cfl)
 		st.stall, st.lows = 0, 0
 	case st.best == 0 || r < 0.98*st.best:
-		if st.lows++; st.lows >= 2*stallWindow && st.cap < st.ramp.Max {
+		if st.lows++; st.lows >= 2*stallWindow && st.cap < rampMax {
 			// Sustained descent: let the cap recover.
-			st.cap = math.Min(st.ramp.Max, 1.5*st.cap)
+			st.cap = math.Min(rampMax, 1.5*st.cap)
 			st.lows = 0
 		}
-		st.cfl = math.Min(st.cap, st.cfl*st.ramp.Growth)
+		st.cfl = math.Min(st.cap, st.cfl*rampGrowth)
 		st.stall = 0
 	default:
 		st.lows = 0
 		if st.stall++; st.stall >= stallWindow {
-			st.cfl = math.Max(st.ramp.Start, 0.5*st.cfl)
-			st.cap = math.Max(st.ramp.Start, st.cfl)
+			st.cfl = math.Max(rampStart, 0.5*st.cfl)
+			st.cap = math.Max(rampStart, st.cfl)
 			st.stall = 0
 		}
 	}

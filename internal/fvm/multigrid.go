@@ -438,9 +438,6 @@ func (s *Solver) RefitTo(ng *grid.Grid2D) error {
 	}
 	s.G = ng
 	s.met = nm
-	// Recorded limiter offsets refer to the old grid's faces: drop back to
-	// live limiting until the freeze threshold latches again.
-	s.limMode = limLive
 	return nil
 }
 

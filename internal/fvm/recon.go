@@ -18,18 +18,6 @@ const (
 	limKindVanAlbada
 )
 
-// Frozen-limiter state machine (Options.FreezeLimiterAt): live limiting
-// until the residual has dropped past the threshold, one recording step
-// that stores every interior face's applied reconstruction offsets, then
-// frozen replay of those offsets — the shock is stationary, so locking the
-// limiter removes its branch-and-min tree (and the outer-neighbor gathers)
-// from the last decades of convergence.
-const (
-	limLive = iota
-	limRecord
-	limFrozen
-)
-
 // limited applies the configured slope limiter (Options.Limiter).
 //
 //cataero:hotpath
@@ -43,9 +31,12 @@ func (s *Solver) limited(a, b float64) float64 {
 // reconFace MUSCL-reconstructs the left/right states of one face from its
 // four-cell stencil into pencil slot f: limited half-slopes, a revert to the
 // cell state where the extrapolated density or pressure is not positive,
-// and the derived A/E recompute. Missing outer neighbors are passed as
-// qmm==qm / qpp==qp: the one-sided difference is then exactly zero, so the
-// face takes the unextrapolated cell state bitwise.
+// and the derived A/E recompute. The recompute scales the cell's sound
+// speed and internal energy by the change in p/rho (a gamma-like ratio,
+// adequate for wave-speed estimates). Missing outer neighbors are passed as
+// qmm==qm / qpp==qp: the one-sided difference is then exactly zero, the
+// recompute factors are exactly 1, and the face takes the unextrapolated
+// cell state bitwise.
 //
 //cataero:hotpath
 func (s *Solver) reconFace(ws *batchWS, f int, qmm, qm, qp, qpp *Prim) {
@@ -67,59 +58,6 @@ func (s *Solver) reconFace(ws *batchWS, f int, qmm, qm, qp, qpp *Prim) {
 	if rRho <= 0 || rP <= 0 {
 		rRho, rU, rV, rP = qp.Rho, qp.U, qp.V, qp.P
 	}
-	s.storeFace(ws, f, qm, qp, lRho, lU, lV, lP, rRho, rU, rV, rP)
-}
-
-// reconFaceRecord is reconFace plus recording the applied offsets
-// (post-guard, relative to the straddling cell states) into
-// frz[8*f..8*f+7], so frozen steps can replay them without the stencil.
-//
-//cataero:hotpath
-func (s *Solver) reconFaceRecord(ws *batchWS, f int, qmm, qm, qp, qpp *Prim, frz []float64) {
-	s.reconFace(ws, f, qmm, qm, qp, qpp)
-	k := 8 * f
-	frz[k] = ws.L.Rho[f] - qm.Rho
-	frz[k+1] = ws.L.U[f] - qm.U
-	frz[k+2] = ws.L.V[f] - qm.V
-	frz[k+3] = ws.L.P[f] - qm.P
-	frz[k+4] = ws.R.Rho[f] - qp.Rho
-	frz[k+5] = ws.R.U[f] - qp.U
-	frz[k+6] = ws.R.V[f] - qp.V
-	frz[k+7] = ws.R.P[f] - qp.P
-}
-
-// frozenFace rebuilds the face states from the recorded limiter offsets —
-// no outer-neighbor gathers, no limiter evaluations. The positivity revert
-// still applies: the state has drifted since the offsets were recorded.
-//
-//cataero:hotpath
-func (s *Solver) frozenFace(ws *batchWS, f int, qm, qp *Prim, frz []float64) {
-	k := 8 * f
-	lRho := qm.Rho + frz[k]
-	lU := qm.U + frz[k+1]
-	lV := qm.V + frz[k+2]
-	lP := qm.P + frz[k+3]
-	rRho := qp.Rho + frz[k+4]
-	rU := qp.U + frz[k+5]
-	rV := qp.V + frz[k+6]
-	rP := qp.P + frz[k+7]
-	if lRho <= 0 || lP <= 0 {
-		lRho, lU, lV, lP = qm.Rho, qm.U, qm.V, qm.P
-	}
-	if rRho <= 0 || rP <= 0 {
-		rRho, rU, rV, rP = qp.Rho, qp.U, qp.V, qp.P
-	}
-	s.storeFace(ws, f, qm, qp, lRho, lU, lV, lP, rRho, rU, rV, rP)
-}
-
-// storeFace writes a reconstructed face into pencil slot f. It recomputes
-// the derived sound speed and internal energy approximately, scaling the
-// cell's values by the change in p/rho (a gamma-like ratio, adequate for
-// wave-speed estimates); for an unextrapolated state the factors are
-// exactly 1, so the cell values pass through bitwise.
-//
-//cataero:hotpath
-func (s *Solver) storeFace(ws *batchWS, f int, qm, qp *Prim, lRho, lU, lV, lP, rRho, rU, rV, rP float64) {
 	ws.L.Rho[f] = lRho
 	ws.L.U[f] = lU
 	ws.L.V[f] = lV
@@ -160,13 +98,6 @@ func (s *Solver) reconColI(ws *batchWS, i int) {
 		}
 		return
 	}
-	if s.limMode == limFrozen {
-		frz := s.frzI[8*i*nj : 8*(i+1)*nj]
-		for f := 0; f < nj; f++ {
-			s.frozenFace(ws, f, &rowM[f], &rowP[f], frz)
-		}
-		return
-	}
 	rowMM := rowM
 	if i >= 2 {
 		rowMM = s.prim[(i-2)*nj : (i-1)*nj]
@@ -174,13 +105,6 @@ func (s *Solver) reconColI(ws *batchWS, i int) {
 	rowPP := rowP
 	if i+1 <= s.ni-1 {
 		rowPP = s.prim[(i+1)*nj : (i+2)*nj]
-	}
-	if s.limMode == limRecord {
-		frz := s.frzI[8*i*nj : 8*(i+1)*nj]
-		for f := 0; f < nj; f++ {
-			s.reconFaceRecord(ws, f, &rowMM[f], &rowM[f], &rowP[f], &rowPP[f], frz)
-		}
-		return
 	}
 	for f := 0; f < nj; f++ {
 		s.reconFace(ws, f, &rowMM[f], &rowM[f], &rowP[f], &rowPP[f])
@@ -201,24 +125,9 @@ func (s *Solver) reconLineJ(ws *batchWS, i int) {
 		}
 		return
 	}
-	if s.limMode == limFrozen {
-		frz := s.frzJ[8*i*(nj+1) : 8*(i+1)*(nj+1)]
-		for j := 1; j < nj; j++ {
-			s.frozenFace(ws, j, &cells[j-1], &cells[j], frz)
-		}
-		return
-	}
-	var frz []float64
-	if s.limMode == limRecord {
-		frz = s.frzJ[8*i*(nj+1) : 8*(i+1)*(nj+1)]
-	}
 	for j := 1; j < nj; j++ {
 		im := max(j-2, 0)
 		ip := min(j+1, nj-1)
-		if frz != nil {
-			s.reconFaceRecord(ws, j, &cells[im], &cells[j-1], &cells[j], &cells[ip], frz)
-		} else {
-			s.reconFace(ws, j, &cells[im], &cells[j-1], &cells[j], &cells[ip])
-		}
+		s.reconFace(ws, j, &cells[im], &cells[j-1], &cells[j], &cells[ip])
 	}
 }

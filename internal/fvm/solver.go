@@ -259,49 +259,14 @@ func (s *Solver) dtRange(ci, lo, hi int) {
 }
 
 // Step advances one time step of the configured integrator
-// (Options.TimeStepping) and returns the RMS density residual. With
-// Options.FreezeLimiterAt set it also drives the frozen-limiter state
-// machine on the returned residual.
+// (Options.TimeStepping) and returns the RMS density residual.
 //
 //cataero:hotpath
 func (s *Solver) Step() float64 {
-	var r float64
 	if s.imp != nil {
-		r = s.imp.Step()
-	} else {
-		r = s.stepExplicit()
+		return s.imp.Step()
 	}
-	if s.frzI != nil {
-		s.freezeLatch(r)
-	}
-	return r
-}
-
-// freezeLatch advances the frozen-limiter state machine after a step
-// returning residual r: latch the first residual, switch to one recording
-// step once the residual has dropped past FreezeLimiterAt times the first
-// value (the shock is stationary by then), and freeze after the recording
-// step has stored every interior face's limiter offsets.
-func (s *Solver) freezeLatch(r float64) {
-	switch s.limMode {
-	case limRecord:
-		// The recording step just completed: every interior face holds its
-		// applied offsets, so replay them from here on.
-		s.limMode = limFrozen
-	case limLive:
-		if math.IsNaN(r) {
-			return
-		}
-		if s.limFirst <= 0 {
-			if r > 0 {
-				s.limFirst = r
-			}
-			return
-		}
-		if r < s.limFirst*s.Opts.FreezeLimiterAt {
-			s.limMode = limRecord
-		}
-	}
+	return s.stepExplicit()
 }
 
 // stepExplicit advances one explicit two-stage (Heun) local-time step and

@@ -32,10 +32,10 @@ type Case struct {
 	Mu       func(T float64) float64
 	K        func(T float64) float64
 	// Options carries the finite-volume numerics — flux, time stepping,
-	// implicit sweep, CFL ramp, limiter and its freeze, checkpointing, pool
-	// and progress — through to the kernel unchanged. Solve sets the
-	// physics fields the case owns over it: Gas, Viscous, Wall, TWall, Mu,
-	// K, CFL, MUSCL and the freestream.
+	// implicit sweep, limiter, checkpointing, pool and progress — through
+	// to the kernel unchanged. Solve sets the physics fields the case owns
+	// over it: Gas, Viscous, Wall, TWall, Mu, K, CFL, MUSCL and the
+	// freestream.
 	Options fvm.Options
 	// Sequence configures the grid sequencing of the march (see
 	// fvm.SolveMultilevel and the Levels and RefitEvery fields of

@@ -312,6 +312,23 @@ const nsCaseFields = `"class":"ns","p_inf":5474.9,"t_inf":216.65,"v_inf":1770.4,
 // checks a case file — same rule, same error — so nothing a case file
 // rejects can be keyed or solved by building the Problem in code instead.
 func TestNormalizeRejectsWhatCaseFilesReject(t *testing.T) {
+	check := func(fields, knob string, p Problem) error {
+		t.Helper()
+		_, fileErr := ParseCase([]byte("{" + fields + "," + knob + "}"))
+		if fileErr == nil {
+			t.Fatalf("case file with %s parsed", knob)
+		}
+		_, err := NewSession().Normalize(p)
+		if err == nil {
+			key, _ := CaseKey(p)
+			t.Errorf("Normalize accepted %s and keyed it %.12s", knob, key)
+			return fileErr
+		}
+		if want := errors.Unwrap(fileErr).Error(); err.Error() != want {
+			t.Errorf("%s: Normalize error %q, case-file error %q", knob, err, want)
+		}
+		return err
+	}
 	for _, c := range []struct {
 		knob string
 		set  func(*Problem)
@@ -323,27 +340,36 @@ func TestNormalizeRejectsWhatCaseFilesReject(t *testing.T) {
 		{`"levels":-2`, func(p *Problem) { p.Levels = -2 }},
 		{`"refit_every":-3`, func(p *Problem) { p.RefitEvery = -3 }},
 		{`"checkpoint_every":-1`, func(p *Problem) { p.CheckpointEvery = -1 }},
-		{`"freeze_limiter_at":2`, func(p *Problem) { p.FreezeLimiterAt = 2 }},
 		{`"cycle":"v"`, func(p *Problem) { p.Cycle = "v" }},
 		{`"flux":"bogus"`, func(p *Problem) { p.Flux = "bogus" }},
 		{`"time_stepping":"rk4"`, func(p *Problem) { p.TimeStepping = "rk4" }},
 		{`"implicit_sweep":"zebra"`, func(p *Problem) { p.ImplicitSweep = "zebra" }},
 		{`"limiter":"superbee"`, func(p *Problem) { p.Limiter = "superbee" }},
 	} {
-		_, fileErr := ParseCase([]byte("{" + nsCaseFields + "," + c.knob + "}"))
-		if fileErr == nil {
-			t.Fatalf("case file with %s parsed", c.knob)
-		}
 		p := Problem{Class: NS, PInf: 5474.9, TInf: 216.65, VInf: 1770.4, NoseRadius: 0.3}
 		c.set(&p)
-		_, err := NewSession().Normalize(p)
-		if err == nil {
-			key, _ := CaseKey(p)
-			t.Errorf("Normalize accepted %s and keyed it %.12s", c.knob, key)
-			continue
+		check(nsCaseFields, c.knob, p)
+	}
+	// The station minimums of the marching classes: E+BL needs two, PNS
+	// three, and the error names the minimum.
+	for _, c := range []struct {
+		class SolverClass
+		n     int
+	}{{EBL, 1}, {PNS, 1}, {PNS, 2}} {
+		fields := fmt.Sprintf(`"class":%q,"chemistry":"equilibrium-air","p_inf":4.8,"t_inf":217,"v_inf":6740,"nose_radius":0.6`, ClassName(c.class))
+		knob := fmt.Sprintf(`"n_stations":%d`, c.n)
+		p := Problem{Class: c.class, Chemistry: EquilibriumAir, PInf: 4.8, TInf: 217, VInf: 6740, NoseRadius: 0.6, NStations: c.n}
+		if err := check(fields, knob, p); !strings.Contains(err.Error(), "minimum") {
+			t.Errorf("%s %s: error %q does not name the minimum", ClassName(c.class), knob, err)
 		}
-		if want := errors.Unwrap(fileErr).Error(); err.Error() != want {
-			t.Errorf("%s: Normalize error %q, case-file error %q", c.knob, err, want)
+	}
+	// The minimums themselves are accepted.
+	for _, p := range []Problem{
+		{Class: EBL, Chemistry: EquilibriumAir, PInf: 4.8, TInf: 217, VInf: 6740, NoseRadius: 0.6, NStations: 2},
+		{Class: PNS, Chemistry: EquilibriumAir, PInf: 4.8, TInf: 217, VInf: 6740, NoseRadius: 0.6, NStations: 3},
+	} {
+		if _, err := NewSession().Normalize(p); err != nil {
+			t.Errorf("%s with %d stations: %v", ClassName(p.Class), p.NStations, err)
 		}
 	}
 }
