@@ -157,14 +157,19 @@ func (cp *Checkpoint) AppendBinary(dst []byte) ([]byte, error) {
 // DecodeCheckpoint parses and verifies an encoded checkpoint. Any damage —
 // wrong magic, foreign format, truncation, length mismatch, checksum
 // failure — is an error; a caller must treat it as "no checkpoint" and
-// solve cold rather than resume from a torn file.
+// solve cold rather than resume from a torn file. A checkpoint of another
+// format is named by the version digit of its magic.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	const magicLen = len(checkpointMagic)
 	if len(data) < magicLen+4+sha256.Size {
 		return nil, fmt.Errorf("fvm: checkpoint truncated (%d bytes)", len(data))
 	}
-	if !bytes.Equal(data[:magicLen], []byte(checkpointMagic)) {
+	v := data[magicLen-1]
+	if !bytes.HasPrefix(data, []byte(checkpointMagic[:magicLen-1])) || v < '0' || v > '9' {
 		return nil, fmt.Errorf("fvm: not a checkpoint (bad magic)")
+	}
+	if v != checkpointMagic[magicLen-1] {
+		return nil, fmt.Errorf("fvm: checkpoint format %c, want %d", v, CheckpointFormat)
 	}
 	body, trailer := data[:len(data)-sha256.Size], data[len(data)-sha256.Size:]
 	if sum := sha256.Sum256(body); !bytes.Equal(sum[:], trailer) {

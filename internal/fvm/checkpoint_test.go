@@ -99,6 +99,17 @@ func TestDecodeCheckpointRejectsDamage(t *testing.T) {
 			t.Errorf("%s: decode succeeded on damaged data", name)
 		}
 	}
+	// A stale format is named by its version digit; foreign bytes are not a
+	// checkpoint at all.
+	for name, want := range map[string]string{
+		"bad magic": "fvm: not a checkpoint (bad magic)",
+		"format 1":  fmt.Sprintf("fvm: checkpoint format 1, want %d", CheckpointFormat),
+		"format 2":  fmt.Sprintf("fvm: checkpoint format 2, want %d", CheckpointFormat),
+	} {
+		if _, err := DecodeCheckpoint(cases[name]); err == nil || err.Error() != want {
+			t.Errorf("%s: error %v, want %q", name, err, want)
+		}
+	}
 }
 
 func flipByte(b []byte, i int) []byte {

@@ -153,11 +153,12 @@ type Solver struct {
 	cfl float64
 
 	// Per-step sweep machinery, allocated once so Step is allocation-free:
-	// prebuilt range closures (method values), the reusable sweep
-	// WaitGroup, the per-chunk partial sums of the residual reduction, the
-	// face-major flux planes the residual passes difference, and the
-	// per-chunk SoA face-state pencils the flux sweeps fill.
-	sweepWG                        sync.WaitGroup
+	// prebuilt range closures (method values), the sweep descriptor every
+	// sweep of this solver publishes to the pool, the per-chunk partial
+	// sums of the residual reduction, the face-major flux planes the
+	// residual passes difference, and the per-chunk SoA face-state pencils
+	// the flux sweeps fill.
+	sweepTask                      sweepTask
 	partial                        []float64
 	fluxI, fluxJ                   []float64 // face-major (4/face) flux planes
 	bws                            []batchWS
@@ -308,7 +309,7 @@ func (s *Solver) physicalState(u Cons) bool {
 
 // updatePrimitives refreshes the primitive cache in parallel.
 func (s *Solver) updatePrimitives() {
-	s.pool.sweep(s.ni, &s.sweepWG, s.swPrim)
+	s.pool.sweep(s.ni, &s.sweepTask, s.swPrim)
 }
 
 // primRange decodes the primitive cache for i-lines [lo, hi).

@@ -206,7 +206,7 @@ func (st *implicitStepper) Step() float64 {
 	s.updatePrimitives()
 	s.timeSteps()
 	s.computeResidual()
-	s.pool.sweep(s.ni, &s.sweepWG, st.sweepJ)
+	s.pool.sweep(s.ni, &s.sweepTask, st.sweepJ)
 	sum := 0.0
 	fell := 0
 	for _, w := range st.ws[:s.pool.chunkCount(s.ni)] {
@@ -220,7 +220,7 @@ func (st *implicitStepper) Step() float64 {
 		// and the state moved by one under-resolved transient increment.
 		s.updatePrimitives()
 		s.computeResidual()
-		s.pool.sweep(s.nj, &s.sweepWG, st.sweepI)
+		s.pool.sweep(s.nj, &s.sweepTask, st.sweepI)
 		for _, w := range st.ws[:s.pool.chunkCount(s.nj)] {
 			fell += w.fell
 		}

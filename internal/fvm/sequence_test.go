@@ -3,7 +3,6 @@ package fvm
 import (
 	"context"
 	"math"
-	"sync"
 	"testing"
 
 	"cataero/internal/gas"
@@ -79,45 +78,5 @@ func TestSolveSequencedFallback(t *testing.T) {
 	}
 	if math.IsNaN(res) {
 		t.Error("NaN residual")
-	}
-}
-
-func TestWorkerPoolSweep(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 7} {
-		p := NewPool(workers)
-		for _, n := range []int{0, 1, 2, 5, 17, 100} {
-			// Per-chunk partial sums through sweep, the hot-loop reduction
-			// pattern: every chunk writes its ci slot, chunks tile [0, n).
-			var wg sync.WaitGroup
-			partial := make([]float64, p.chunkCount(n))
-			p.sweep(n, &wg, func(ci, lo, hi int) {
-				s := 0.0
-				for i := lo; i < hi; i++ {
-					s += float64(i)
-				}
-				partial[ci] = s
-			})
-			got := 0.0
-			for _, s := range partial {
-				got += s
-			}
-			want := float64(n*(n-1)) / 2
-			if got != want {
-				t.Errorf("workers=%d n=%d: sum %g want %g", workers, n, got, want)
-			}
-			// Every index is visited exactly once across the chunks.
-			hits := make([]int, n)
-			p.sweep(n, &wg, func(ci, lo, hi int) {
-				for i := lo; i < hi; i++ {
-					hits[i]++
-				}
-			})
-			for i, h := range hits {
-				if h != 1 {
-					t.Fatalf("workers=%d n=%d: index %d ran %d times", workers, n, i, h)
-				}
-			}
-		}
-		p.Close()
 	}
 }

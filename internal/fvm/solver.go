@@ -14,11 +14,11 @@ import "math"
 // there is no scatter contention and no zeroing pre-pass.
 func (s *Solver) computeResidual() {
 	// I-direction faces: i = 0..ni, between cells (i-1,j) and (i,j).
-	s.pool.sweep(s.ni+1, &s.sweepWG, s.swFluxI)
+	s.pool.sweep(s.ni+1, &s.sweepTask, s.swFluxI)
 	// J-direction faces: j = 0..nj, between cells (i,j-1) and (i,j).
-	s.pool.sweep(s.ni, &s.sweepWG, s.swFluxJ)
+	s.pool.sweep(s.ni, &s.sweepTask, s.swFluxJ)
 	// Difference the face planes into cell residuals.
-	s.pool.sweep(s.ni, &s.sweepWG, s.swAccum)
+	s.pool.sweep(s.ni, &s.sweepTask, s.swAccum)
 }
 
 // fluxIRange fills the I-face flux plane for face columns [lo, hi): column
@@ -191,7 +191,7 @@ func (s *Solver) viscousFluxJ(i, j int, area float64) Cons {
 // solver's current CFL number (s.cfl: Opts.CFL for the explicit integrator,
 // the ramped value for the implicit one).
 func (s *Solver) timeSteps() {
-	s.pool.sweep(s.ni, &s.sweepWG, s.swDT)
+	s.pool.sweep(s.ni, &s.sweepTask, s.swDT)
 }
 
 // dtRange fills the local time steps for i-lines [lo, hi).
@@ -280,11 +280,11 @@ func (s *Solver) stepExplicit() float64 {
 	copy(s.u0, s.U)
 	// Stage 1.
 	s.computeResidual()
-	s.pool.sweep(s.ni, &s.sweepWG, s.swStage1)
+	s.pool.sweep(s.ni, &s.sweepTask, s.swStage1)
 	// Stage 2.
 	s.updatePrimitives()
 	s.computeResidual()
-	s.pool.sweep(s.ni, &s.sweepWG, s.swStage2)
+	s.pool.sweep(s.ni, &s.sweepTask, s.swStage2)
 	return math.Sqrt(s.partialSum() / float64(s.ni*s.nj))
 }
 
