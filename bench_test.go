@@ -11,6 +11,8 @@ import (
 	"context"
 	"math"
 	"testing"
+
+	"cataero/internal/shocktube"
 )
 
 // BenchmarkFig1FlightDomain: Re-M map of vehicles vs facility envelopes.
@@ -343,7 +345,8 @@ func BenchmarkSessionReuse(b *testing.B) {
 
 // BenchmarkEngineeringTier: one Shuttle-point solve of each engineering
 // tier (VSL with radiation, E+BL, PNS) through one warmed session, so the
-// model stack is built once and each iteration times the solve alone. The
+// model stack is built once and each iteration times the solve alone, and
+// the 5 mm shock-tube relaxation TestEngineeringTierGolden pins. The
 // hierarchy pays only while these stay far cheaper than an NS solve.
 func BenchmarkEngineeringTier(b *testing.B) {
 	s := NewSession()
@@ -367,4 +370,16 @@ func BenchmarkEngineeringTier(b *testing.B) {
 			}
 		})
 	}
+	b.Run("shocktube", func(b *testing.B) {
+		prob := shockTube5mm(b)
+		for i := 0; i < b.N; i++ {
+			prof, err := shocktube.Solve(prob)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if prof.Tv[len(prof.Tv)-1] <= prof.Tv[0] {
+				b.Fatal("no vibrational relaxation")
+			}
+		}
+	})
 }

@@ -9,6 +9,7 @@ package chem
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"cataero/internal/numerics"
@@ -16,15 +17,20 @@ import (
 )
 
 // EquilibriumSolver computes equilibrium compositions for a fixed species
-// set. It is safe for concurrent use: the solves themselves work on local
-// state and the shared warm-start cache is mutex-guarded, so one solver can
-// back many simultaneous session solves.
+// set. It is safe for concurrent use, so one solver can back many
+// simultaneous session solves. Each call takes its per-call scratch (element
+// densities, active sets, ln q, the Newton arrays and the composition) as a
+// gibbsWork from the solver's pool, so no two calls share scratch and a
+// warmed call allocates only the composition it returns. The one state
+// calls share is the mutex-guarded warm start.
 type EquilibriumSolver struct {
 	Mix   *thermo.Mixture
 	elems []string
 	a     [][]float64 // a[e][s]: atoms of element e in species s
 	z     []float64   // charge of species s
 	ions  bool
+
+	works sync.Pool // of *gibbsWork
 
 	// warm-start element potentials from the previous successful solve,
 	// guarded by warmMu (everything else is read-only after construction).
@@ -51,13 +57,43 @@ func NewEquilibriumSolver(m *thermo.Mixture) *EquilibriumSolver {
 			ions = true
 		}
 	}
-	return &EquilibriumSolver{Mix: m, elems: elems, a: a, z: z, ions: ions}
+	eq := &EquilibriumSolver{Mix: m, elems: elems, a: a, z: z, ions: ions}
+	eq.works.New = func() any { return newGibbsWork(len(elems), m.Len()) }
+	return eq
 }
 
-// ElementDensities converts a reference composition (mass fractions y0 at
-// density rho) into element number densities b_e (1/m^3).
-func (eq *EquilibriumSolver) ElementDensities(rho float64, y0 []float64) []float64 {
-	b := make([]float64, len(eq.elems))
+// gibbsWork is the scratch of one call. Its ln q column is keyed on the
+// temperature and the active species set, so the density passes of one
+// CompositionPT, which share a work, evaluate each partition function once.
+type gibbsWork struct {
+	b, n, nVals, y   []float64 // per element; per species (n, nVals, y)
+	active, spActive []bool    // per element; per species
+	actIdx           []int
+
+	lnq    []float64 // lnq[s] = LnQEffV(lnqT) for each s in lnqSet
+	lnqSet []bool
+	lnqT   float64
+
+	pi, f, dpi, piT, fT, J []float64 // Newton arrays: nu entries, J nu*nu
+	piv                    []int
+}
+
+func newGibbsWork(ne, ns int) *gibbsWork {
+	nu := ne + 1 // the element potentials and the charge potential
+	return &gibbsWork{
+		b: make([]float64, ne), n: make([]float64, ns), nVals: make([]float64, ns), y: make([]float64, ns),
+		active: make([]bool, ne), spActive: make([]bool, ns), actIdx: make([]int, 0, ne),
+		lnq: make([]float64, ns), lnqSet: make([]bool, ns),
+		pi: make([]float64, nu), f: make([]float64, nu), dpi: make([]float64, nu),
+		piT: make([]float64, nu), fT: make([]float64, nu), J: make([]float64, nu*nu),
+		piv: make([]int, nu),
+	}
+}
+
+// elementDensities writes to b the element number densities b_e (1/m^3)
+// of a reference composition (mass fractions y0 at density rho).
+func (eq *EquilibriumSolver) elementDensities(b []float64, rho float64, y0 []float64) {
+	clear(b)
 	for s, sp := range eq.Mix.Species {
 		if y0[s] == 0 {
 			continue
@@ -67,50 +103,60 @@ func (eq *EquilibriumSolver) ElementDensities(rho float64, y0 []float64) []float
 			b[e] += eq.a[e][s] * ns
 		}
 	}
-	return b
 }
 
 // CompositionRhoT returns equilibrium mass fractions at density rho (kg/m^3)
 // and temperature T (K), for the elemental content implied by the reference
 // mass fractions y0. The returned slice has one entry per mixture species.
 func (eq *EquilibriumSolver) CompositionRhoT(rho, T float64, y0 []float64) ([]float64, error) {
-	if rho <= 0 || T <= 0 {
-		return nil, fmt.Errorf("chem: nonpositive state rho=%g T=%g", rho, T)
-	}
-	b := eq.ElementDensities(rho, y0)
-	n, err := eq.solve(T, b)
-	if err != nil {
+	w := eq.works.Get().(*gibbsWork)
+	defer eq.works.Put(w)
+	if err := eq.compositionRhoT(w, rho, T, y0); err != nil {
 		return nil, err
 	}
+	return slices.Clone(w.y), nil
+}
+
+// compositionRhoT is CompositionRhoT into w.y.
+func (eq *EquilibriumSolver) compositionRhoT(w *gibbsWork, rho, T float64, y0 []float64) error {
+	if rho <= 0 || T <= 0 {
+		return fmt.Errorf("chem: nonpositive state rho=%g T=%g", rho, T)
+	}
+	eq.elementDensities(w.b, rho, y0)
+	n, err := eq.solve(w, T)
+	if err != nil {
+		return err
+	}
 	// Convert number densities to mass fractions.
-	y := make([]float64, eq.Mix.Len())
+	y := w.y
 	sum := 0.0
 	for s, sp := range eq.Mix.Species {
 		y[s] = n[s] * sp.W / thermo.NA
 		sum += y[s]
 	}
 	if sum <= 0 {
-		return nil, fmt.Errorf("chem: zero total mass in equilibrium solve")
+		return fmt.Errorf("chem: zero total mass in equilibrium solve")
 	}
 	for s := range y {
 		y[s] /= sum
 	}
-	return y, nil
+	return nil
 }
 
 // solve runs the element-potential Newton iteration at temperature T for
-// element number densities b (1/m^3), returning species number densities.
-func (eq *EquilibriumSolver) solve(T float64, b []float64) ([]float64, error) {
-	ne := len(eq.elems)
+// the element number densities w.b (1/m^3), returning species number
+// densities in w.n.
+func (eq *EquilibriumSolver) solve(w *gibbsWork, T float64) ([]float64, error) {
+	b := w.b
 	ns := eq.Mix.Len()
 
 	// Active elements: those actually present.
-	active := make([]bool, ne)
+	active := w.active
 	bTot := 0.0
-	var actIdx []int
+	actIdx := w.actIdx[:0]
 	for e := range b {
-		if b[e] > 0 {
-			active[e] = true
+		active[e] = b[e] > 0
+		if active[e] {
 			actIdx = append(actIdx, e)
 			bTot += b[e]
 		}
@@ -119,7 +165,7 @@ func (eq *EquilibriumSolver) solve(T float64, b []float64) ([]float64, error) {
 		return nil, fmt.Errorf("chem: no elements present")
 	}
 	// Active species: all constituent elements active.
-	spActive := make([]bool, ns)
+	spActive := w.spActive
 	anyIonActive := false
 	for s, sp := range eq.Mix.Species {
 		ok := true
@@ -149,16 +195,20 @@ func (eq *EquilibriumSolver) solve(T float64, b []float64) ([]float64, error) {
 		nu++
 	}
 
-	lnq := make([]float64, ns)
-	for s, sp := range eq.Mix.Species {
-		if spActive[s] {
-			lnq[s] = sp.LnQEffV(T)
+	lnq := w.lnq
+	if w.lnqT != T || !slices.Equal(w.lnqSet, spActive) {
+		for s, sp := range eq.Mix.Species {
+			if spActive[s] {
+				lnq[s] = sp.LnQEffV(T)
+			}
 		}
+		w.lnqT = T
+		copy(w.lnqSet, spActive)
 	}
 	lnRef := math.Log(bTot)
 
 	// nsOf evaluates species number densities for potentials pi.
-	nVals := make([]float64, ns)
+	nVals := w.nVals
 	nsOf := func(pi []float64) bool {
 		for s := range nVals {
 			nVals[s] = 0
@@ -256,14 +306,8 @@ func (eq *EquilibriumSolver) solve(T float64, b []float64) ([]float64, error) {
 		}
 	}
 
-	pi := make([]float64, nu)
-
-	f := make([]float64, nu)
-	J := make([]float64, nu*nu)
-	dpi := make([]float64, nu)
-	piT := make([]float64, nu)
-	fT := make([]float64, nu)
-	piv := make([]int, nu)
+	pi, f, dpi, piT, fT := w.pi[:nu], w.f[:nu], w.dpi[:nu], w.piT[:nu], w.fT[:nu]
+	J, piv := w.J[:nu*nu], w.piv[:nu]
 
 	newton := func() error {
 		// If the guess overflows, shrink the potentials toward zero until it
@@ -398,7 +442,7 @@ func (eq *EquilibriumSolver) solve(T float64, b []float64) ([]float64, error) {
 	eq.warmMu.Unlock()
 
 	// Return absolute number densities.
-	out := make([]float64, ns)
+	out := w.n
 	if !nsOf(pi) {
 		return nil, fmt.Errorf("chem: final state overflow")
 	}
@@ -414,17 +458,19 @@ func (eq *EquilibriumSolver) CompositionPT(p, T float64, y0 []float64) (y []floa
 	if p <= 0 || T <= 0 {
 		return nil, 0, fmt.Errorf("chem: nonpositive state p=%g T=%g", p, T)
 	}
+	// One work serves every density pass, so ln q is evaluated once.
+	w := eq.works.Get().(*gibbsWork)
+	defer eq.works.Put(w)
 	// Initial density guess from the reference composition.
 	rho = eq.Mix.Density(p, T, y0)
 	for iter := 0; iter < 60; iter++ {
-		y, err = eq.CompositionRhoT(rho, T, y0)
-		if err != nil {
+		if err = eq.compositionRhoT(w, rho, T, y0); err != nil {
 			return nil, 0, err
 		}
-		pGot := eq.Mix.Pressure(rho, T, y)
+		pGot := eq.Mix.Pressure(rho, T, w.y)
 		f := pGot/p - 1
 		if math.Abs(f) < 1e-10 {
-			return y, rho, nil
+			return slices.Clone(w.y), rho, nil
 		}
 		// p is nearly proportional to rho at fixed T; secant-like update
 		// with damping handles the composition shift.
@@ -432,7 +478,7 @@ func (eq *EquilibriumSolver) CompositionPT(p, T float64, y0 []float64) (y []floa
 		fac = numerics.Clamp(fac, 0.3, 3)
 		rho *= fac
 	}
-	return y, rho, fmt.Errorf("chem: CompositionPT failed to converge at p=%g T=%g", p, T)
+	return slices.Clone(w.y), rho, fmt.Errorf("chem: CompositionPT failed to converge at p=%g T=%g", p, T)
 }
 
 // EnthalpyPT returns the equilibrium specific enthalpy at (p, T).

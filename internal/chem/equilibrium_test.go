@@ -1,8 +1,10 @@
 package chem
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -330,5 +332,106 @@ func TestWarmStartConsistency(t *testing.T) {
 				t.Errorf("T=%g species %s: hysteresis %g vs %g", T, m.Species[i].Name, y[i], up[T][i])
 			}
 		}
+	}
+}
+
+// TestCompositionLnqCacheKeyed: a solver's works keep ln q between calls,
+// keyed on T and the active species set. On one solver at one T, pure-N2
+// calls (oxygen inactive, so no oxygen species' ln q is evaluated) alternate
+// with air calls; each must equal the same call on a fresh solver, bit for
+// bit. Each call's species set differs from its predecessor's, so the shared
+// warm start never carries over and cannot hide a stale ln q.
+func TestCompositionLnqCacheKeyed(t *testing.T) {
+	m, eq, air := airSetup()
+	n2 := make([]float64, m.Len())
+	n2[thermo.AirN2] = 1
+	const p, T, rho = 1e4, 7000.0, 0.01
+	same := func(a, b []float64) bool {
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return len(a) == len(b)
+	}
+	for i := 0; i < 8; i++ {
+		y0, name := n2, "N2"
+		if i%2 == 1 {
+			y0, name = air, "air"
+		}
+		if i/2%2 == 0 {
+			y, r, err := eq.CompositionPT(p, T, y0)
+			want, wantR, errF := NewEquilibriumSolver(m).CompositionPT(p, T, y0)
+			if err != nil || errF != nil {
+				t.Fatalf("call %d (%s): %v / fresh %v", i, name, err, errF)
+			}
+			if !same(y, want) || math.Float64bits(r) != math.Float64bits(wantR) {
+				t.Errorf("call %d: CompositionPT(%s) = %v, rho %.17g; fresh solver %v, rho %.17g", i, name, y, r, want, wantR)
+			}
+			continue
+		}
+		y, err := eq.CompositionRhoT(rho, T, y0)
+		want, errF := NewEquilibriumSolver(m).CompositionRhoT(rho, T, y0)
+		if err != nil || errF != nil {
+			t.Fatalf("call %d (%s): %v / fresh %v", i, name, err, errF)
+		}
+		if !same(y, want) {
+			t.Errorf("call %d: CompositionRhoT(%s) = %v; fresh solver %v", i, name, y, want)
+		}
+	}
+}
+
+// TestCompositionPTConcurrent: one solver serves eight goroutines at once,
+// each solving its own (p, T) repeatedly (CI runs it under -race). Every
+// result must match the same solve made alone to 1e-9: the shared warm start
+// moves the last bits, and nothing else is shared between calls.
+func TestCompositionPTConcurrent(t *testing.T) {
+	m, eq, y0 := airSetup()
+	type point struct{ p, T float64 }
+	var pts []point
+	for i := 0; i < 8; i++ {
+		pts = append(pts, point{p: 100 * math.Pow(10, float64(i%4)), T: 2500 + 1700*float64(i)})
+	}
+	type result struct {
+		y   []float64
+		rho float64
+	}
+	alone := make([]result, len(pts))
+	for i, pt := range pts {
+		y, rho, err := NewEquilibriumSolver(m).CompositionPT(pt.p, pt.T, y0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alone[i] = result{y, rho}
+	}
+	errs := make(chan error, len(pts))
+	var wg sync.WaitGroup
+	for i, pt := range pts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := 0; rep < 10; rep++ {
+				y, rho, err := eq.CompositionPT(pt.p, pt.T, y0)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if d := math.Abs(rho/alone[i].rho - 1); d > 1e-9 {
+					errs <- fmt.Errorf("p=%g T=%g: rho off by %.3g relative", pt.p, pt.T, d)
+					return
+				}
+				for s := range y {
+					if d := math.Abs(y[s] - alone[i].y[s]); d > 1e-9 {
+						errs <- fmt.Errorf("p=%g T=%g: y[%s] off by %.3g", pt.p, pt.T, m.Species[s].Name, d)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

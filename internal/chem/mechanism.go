@@ -3,6 +3,7 @@ package chem
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"cataero/internal/numerics"
 	"cataero/internal/thermo"
@@ -69,10 +70,13 @@ func (r *Reaction) ControllingT(T, Tv float64) float64 {
 }
 
 // Mechanism bundles a mixture with its reaction set and provides source-term
-// evaluation. Safe for concurrent read-only use after construction.
+// evaluation. Safe for concurrent use after construction: each call takes
+// its own scratch from a pool.
 type Mechanism struct {
 	Mix       *thermo.Mixture
 	Reactions []*Reaction
+	// scratch hands each call a *[]float64 of two per-species columns.
+	scratch sync.Pool
 }
 
 // NewMechanism validates and wraps a reaction set.
@@ -107,12 +111,27 @@ func NewMechanism(m *thermo.Mixture, rxns []*Reaction) (*Mechanism, error) {
 			return nil, fmt.Errorf("chem: reaction %q third-body efficiencies length %d != %d", r.Name, len(r.Eff), m.Len())
 		}
 	}
-	return &Mechanism{Mix: m, Reactions: rxns}, nil
+	mech := &Mechanism{Mix: m, Reactions: rxns}
+	mech.scratch.New = func() any {
+		buf := make([]float64, 2*m.Len())
+		return &buf
+	}
+	return mech, nil
+}
+
+// columns takes a scratch buffer from the pool and splits it into two
+// per-species columns. The caller returns buf.
+func (mech *Mechanism) columns() (buf *[]float64, a, b []float64) {
+	buf = mech.scratch.Get().(*[]float64)
+	n := mech.Mix.Len()
+	return buf, (*buf)[:n], (*buf)[n : 2*n]
 }
 
 // LnKc returns ln of the molar equilibrium constant of reaction r at
 // temperature T, from per-unit-volume partition functions:
 // ln Kc = sum_products nu (ln q - ln NA) - sum_reactants nu (ln q - ln NA).
+// Production sums the same terms in the same order from ln q - ln NA
+// evaluated once per species, so this per-reaction form is its reference.
 func (mech *Mechanism) LnKc(r *Reaction, T float64) float64 {
 	ln := 0.0
 	for _, st := range r.RHS {
@@ -126,14 +145,19 @@ func (mech *Mechanism) LnKc(r *Reaction, T float64) float64 {
 
 // Production fills wdot (mol/(m^3 s), one per species) with the net chemical
 // production rates at density rho, temperatures (T, Tv) and mass fractions y.
-// Returns the molar concentrations used (mol/m^3) for reuse by callers.
-func (mech *Mechanism) Production(rho, T, Tv float64, y []float64, wdot []float64) []float64 {
+// It evaluates each species' ln q - ln NA once and builds every ln Kc from
+// those values in LnKc's order.
+func (mech *Mechanism) Production(rho, T, Tv float64, y []float64, wdot []float64) {
 	nsp := mech.Mix.Len()
-	c := make([]float64, nsp)
+	buf, c, g := mech.columns()
+	defer mech.scratch.Put(buf)
+	lnNA := math.Log(thermo.NA)
 	for s, sp := range mech.Mix.Species {
+		c[s] = 0
 		if y[s] > 0 {
 			c[s] = rho * y[s] / sp.W
 		}
+		g[s] = sp.LnQEffV(T) - lnNA
 	}
 	for s := range wdot {
 		wdot[s] = 0
@@ -144,7 +168,13 @@ func (mech *Mechanism) Production(rho, T, Tv float64, y []float64, wdot []float6
 		if kf == 0 {
 			continue
 		}
-		lnKc := mech.LnKc(r, T)
+		lnKc := 0.0
+		for _, st := range r.RHS {
+			lnKc += st.Nu * g[st.Sp]
+		}
+		for _, st := range r.LHS {
+			lnKc -= st.Nu * g[st.Sp]
+		}
 		// Clamp the equilibrium constant so kb stays finite; beyond the
 		// clamp the reaction is driven overwhelmingly in one direction and
 		// the exact magnitude of the reverse rate is irrelevant.
@@ -175,7 +205,6 @@ func (mech *Mechanism) Production(rho, T, Tv float64, y []float64, wdot []float6
 			wdot[st.Sp] += st.Nu * rate
 		}
 	}
-	return c
 }
 
 func powNu(c, nu float64) float64 {
@@ -205,9 +234,14 @@ func (mech *Mechanism) MassProduction(rho, T, Tv float64, y, dydt []float64) {
 //
 //	Q = sum_s rho_s (epool_s(T) - epool_s(Tv))/tau_s
 //	  + sum_s wdot_s W_s epool_s(Tv)
+//
+// The production term reuses each present species' pool energy at Tv from
+// the relaxation loop (an atom's EVib is 0, so its EElec is the same value).
 func (mech *Mechanism) VibSource(rho, p, T, Tv float64, y, wdot []float64) float64 {
 	m := mech.Mix
-	x := m.MoleFractions(y)
+	buf, x, evTv := mech.columns()
+	defer mech.scratch.Put(buf)
+	m.MoleFractionsTo(x, y)
 	nTot := p / (thermo.KB * T)
 	Q := 0.0
 	for s, sp := range m.Species {
@@ -227,11 +261,11 @@ func (mech *Mechanism) VibSource(rho, p, T, Tv float64, y, wdot []float64) float
 		default:
 			poolT = sp.EElec(T)
 			poolTv = sp.EElec(Tv)
-			if poolT == 0 && poolTv == 0 {
-				continue
+			if poolT != 0 || poolTv != 0 {
+				tau = thermo.ParkCollisionTau(sp, T, nTot)
 			}
-			tau = thermo.ParkCollisionTau(sp, T, nTot)
 		}
+		evTv[s] = poolTv
 		if !math.IsInf(tau, 1) && tau > 0 {
 			Q += rho * y[s] * (poolT - poolTv) / tau
 		}
@@ -241,9 +275,14 @@ func (mech *Mechanism) VibSource(rho, p, T, Tv float64, y, wdot []float64) float
 			if wdot[s] == 0 {
 				continue
 			}
-			ev := sp.EVib(Tv) + sp.EElec(Tv)
-			if sp.Name == "e-" {
+			var ev float64
+			switch {
+			case y[s] > 0:
+				ev = evTv[s]
+			case sp.Name == "e-":
 				ev = 1.5 * sp.R() * Tv
+			default:
+				ev = sp.EVib(Tv) + sp.EElec(Tv)
 			}
 			Q += wdot[s] * sp.W * ev
 		}

@@ -115,8 +115,12 @@ func TestEquilibriumIsKineticFixedPoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wdot := make([]float64, m.Len())
-		c := mech.Production(rho, T, T, y, wdot)
+		c := make([]float64, m.Len())
+		for s, sp := range m.Species {
+			if y[s] > 0 {
+				c[s] = rho * y[s] / sp.W
+			}
+		}
 		// Compare the net production of each species with the gross rates.
 		for _, r := range mech.Reactions {
 			kf := r.Kf(T)
@@ -242,5 +246,153 @@ func TestVibSourceChemistryCoupling(t *testing.T) {
 	Qchem := mech.VibSource(0.01, 1000, T, T, y, wdot) // Tv=T kills LT term
 	if Qchem >= 0 {
 		t.Errorf("dissociation should drain the vibrational pool, Q=%g", Qchem)
+	}
+}
+
+// productionRef is Production as it stood before it shared ln q - ln NA
+// across reactions: every reaction asks LnKc, which evaluates each
+// participant's partition function afresh.
+func productionRef(mech *Mechanism, rho, T, Tv float64, y, wdot []float64) {
+	nsp := mech.Mix.Len()
+	c := make([]float64, nsp)
+	for s, sp := range mech.Mix.Species {
+		if y[s] > 0 {
+			c[s] = rho * y[s] / sp.W
+		}
+	}
+	for s := range wdot {
+		wdot[s] = 0
+	}
+	for _, r := range mech.Reactions {
+		Tc := r.ControllingT(T, Tv)
+		kf := r.Kf(Tc)
+		if kf == 0 {
+			continue
+		}
+		lnKc := mech.LnKc(r, T)
+		kb := kf * math.Exp(-numerics.Clamp(lnKc, -250, 600))
+		fwd := kf
+		for _, st := range r.LHS {
+			fwd *= powNu(c[st.Sp], st.Nu)
+		}
+		bwd := kb
+		for _, st := range r.RHS {
+			bwd *= powNu(c[st.Sp], st.Nu)
+		}
+		rate := fwd - bwd
+		if r.ThirdBody {
+			tb := 0.0
+			for s := 0; s < nsp; s++ {
+				tb += r.Eff[s] * c[s]
+			}
+			rate *= tb
+		}
+		if rate == 0 || math.IsNaN(rate) {
+			continue
+		}
+		for _, st := range r.LHS {
+			wdot[st.Sp] -= st.Nu * rate
+		}
+		for _, st := range r.RHS {
+			wdot[st.Sp] += st.Nu * rate
+		}
+	}
+}
+
+// vibSourceRef is VibSource as it stood before its production-energy loop
+// reused the relaxation loop's pool energies.
+func vibSourceRef(mech *Mechanism, rho, p, T, Tv float64, y, wdot []float64) float64 {
+	m := mech.Mix
+	x := m.MoleFractions(y)
+	nTot := p / (thermo.KB * T)
+	Q := 0.0
+	for s, sp := range m.Species {
+		if y[s] <= 0 {
+			continue
+		}
+		var poolT, poolTv, tau float64
+		switch {
+		case sp.Name == "e-":
+			poolT = 1.5 * sp.R() * T
+			poolTv = 1.5 * sp.R() * Tv
+			tau = thermo.ParkCollisionTau(sp, T, nTot)
+		case sp.IsMolecule():
+			poolT = sp.EVib(T) + sp.EElec(T)
+			poolTv = sp.EVib(Tv) + sp.EElec(Tv)
+			tau = thermo.RelaxationTime(m, s, T, p, x)
+		default:
+			poolT = sp.EElec(T)
+			poolTv = sp.EElec(Tv)
+			if poolT == 0 && poolTv == 0 {
+				continue
+			}
+			tau = thermo.ParkCollisionTau(sp, T, nTot)
+		}
+		if !math.IsInf(tau, 1) && tau > 0 {
+			Q += rho * y[s] * (poolT - poolTv) / tau
+		}
+	}
+	if wdot != nil {
+		for s, sp := range m.Species {
+			if wdot[s] == 0 {
+				continue
+			}
+			ev := sp.EVib(Tv) + sp.EElec(Tv)
+			if sp.Name == "e-" {
+				ev = 1.5 * sp.R() * Tv
+			}
+			Q += wdot[s] * sp.W * ev
+		}
+	}
+	return Q
+}
+
+// airCompositions returns air-11 mass fractions that exercise every branch
+// of the source terms: frozen freestream air, dissociated neutral air (no
+// ions, so their production has no pool energy to reuse), and ionized air.
+func airCompositions(m *thermo.Mixture) map[string][]float64 {
+	frozen := thermo.AirFreestreamMassFractions(m.Species)
+	diss := make([]float64, m.Len())
+	diss[thermo.AirN2], diss[thermo.AirO2], diss[thermo.AirNO] = 0.5, 0.05, 0.05
+	diss[thermo.AirN], diss[thermo.AirO] = 0.2, 0.2
+	ion := make([]float64, m.Len())
+	for s := range ion {
+		ion[s] = 0.02
+	}
+	ion[thermo.AirN], ion[thermo.AirO] = 0.5, 0.2
+	thermo.Normalize(ion)
+	return map[string][]float64{"frozen": frozen, "dissociated": diss, "ionized": ion}
+}
+
+// TestProductionMatchesLnKc pins Production and VibSource bit for bit to
+// their per-reaction, per-loop reference forms over air-11 at T and Tv from
+// 300 to 60000 K, on frozen, dissociated and ionized compositions.
+func TestProductionMatchesLnKc(t *testing.T) {
+	m, mech, _ := mechSetup(t)
+	temps := []float64{300, 2000, 9000, 30000, 60000}
+	got, want := make([]float64, m.Len()), make([]float64, m.Len())
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for name, y := range airCompositions(m) {
+		for _, T := range temps {
+			for _, Tv := range temps {
+				rho := 0.01
+				p := m.Pressure(rho, T, y)
+				mech.Production(rho, T, Tv, y, got)
+				productionRef(mech, rho, T, Tv, y, want)
+				for s := range got {
+					if !same(got[s], want[s]) {
+						t.Errorf("%s T=%g Tv=%g: wdot[%s] = %.17g, want %.17g",
+							name, T, Tv, m.Species[s].Name, got[s], want[s])
+					}
+				}
+				for _, wdot := range [][]float64{nil, want} {
+					q, qRef := mech.VibSource(rho, p, T, Tv, y, wdot), vibSourceRef(mech, rho, p, T, Tv, y, wdot)
+					if !same(q, qRef) {
+						t.Errorf("%s T=%g Tv=%g (wdot %v): Q = %.17g, want %.17g",
+							name, T, Tv, wdot != nil, q, qRef)
+					}
+				}
+			}
+		}
 	}
 }

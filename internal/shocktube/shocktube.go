@@ -153,9 +153,9 @@ func Solve(prob Problem) (*Profile, error) {
 	_ = T2
 
 	wdot := make([]float64, nsp)
+	yc := make([]float64, nsp)
 	deriv := func(x float64, st, dst []float64) {
 		// Clip negative mass fractions for source evaluation.
-		yc := make([]float64, nsp)
 		copy(yc, st[:nsp])
 		for i := range yc {
 			if yc[i] < 0 {

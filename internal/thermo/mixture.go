@@ -82,14 +82,19 @@ func (m *Mixture) MeanW(y []float64) float64 {
 // R returns the mixture specific gas constant for mass fractions y.
 func (m *Mixture) R(y []float64) float64 { return Ru / m.MeanW(y) }
 
-// MoleFractions converts mass fractions to mole fractions (in place result).
+// MoleFractions converts mass fractions to mole fractions.
 func (m *Mixture) MoleFractions(y []float64) []float64 {
 	x := make([]float64, len(y))
+	m.MoleFractionsTo(x, y)
+	return x
+}
+
+// MoleFractionsTo writes the mole fractions of mass fractions y into x.
+func (m *Mixture) MoleFractionsTo(x, y []float64) {
 	w := m.MeanW(y)
 	for i, s := range m.Species {
 		x[i] = y[i] * w / s.W
 	}
-	return x
 }
 
 // MassFractions converts mole fractions to mass fractions.
@@ -166,8 +171,8 @@ func (m *Mixture) TemperatureFromH(h float64, y []float64, T0 float64) (float64,
 		T = 1000
 	}
 	for i := 0; i < 100; i++ {
-		f := m.Enthalpy(T, y) - h
-		cp := m.Cp(T, y)
+		hT, cp := m.enthalpyCp(T, y)
+		f := hT - h
 		if cp <= 0 {
 			return 0, fmt.Errorf("thermo: nonpositive cp at T=%g", T)
 		}
@@ -187,6 +192,19 @@ func (m *Mixture) TemperatureFromH(h float64, y []float64, T0 float64) (float64,
 		}
 	}
 	return T, fmt.Errorf("thermo: TemperatureFromH failed to converge (h=%g)", h)
+}
+
+// enthalpyCp returns Enthalpy(T, y) and Cp(T, y), bit for bit, from one
+// vibElec call per species.
+func (m *Mixture) enthalpyCp(T float64, y []float64) (h, cp float64) {
+	for i, s := range m.Species {
+		if y[i] != 0 {
+			hs, cps := s.enthalpyCp(T)
+			h += y[i] * hs
+			cp += y[i] * cps
+		}
+	}
+	return h, cp
 }
 
 // Entropy returns the mixture specific entropy at (T, p) including the
@@ -223,7 +241,8 @@ func (m *Mixture) EVibPool(Tv float64, y []float64) float64 {
 	return e
 }
 
-// CvVibPool returns d(EVibPool)/dTv.
+// CvVibPool returns d(EVibPool)/dTv. TvFromPool gets it from vibPoolCv, so
+// this two-call form is the reference its tests check that one pass against.
 func (m *Mixture) CvVibPool(Tv float64, y []float64) float64 {
 	cv := 0.0
 	for i, s := range m.Species {
@@ -237,6 +256,25 @@ func (m *Mixture) CvVibPool(Tv float64, y []float64) float64 {
 		cv += y[i] * (s.CvVib(Tv) + s.CvElec(Tv))
 	}
 	return cv
+}
+
+// vibPoolCv returns EVibPool(Tv, y) and CvVibPool(Tv, y), bit for bit, from
+// one vibElec call per species.
+func (m *Mixture) vibPoolCv(Tv float64, y []float64) (e, cv float64) {
+	for i, s := range m.Species {
+		if y[i] == 0 {
+			continue
+		}
+		if s.Name == "e-" {
+			e += y[i] * 1.5 * s.R() * Tv
+			cv += y[i] * 1.5 * s.R()
+			continue
+		}
+		ev, ee, cvv, cve := s.vibElec(Tv)
+		e += y[i] * (ev + ee)
+		cv += y[i] * (cvv + cve)
+	}
+	return e, cv
 }
 
 // CvTransRot returns the frozen translational-rotational cv of heavy
@@ -271,8 +309,8 @@ func (m *Mixture) TvFromPool(ev float64, y []float64, Tv0 float64) (float64, err
 		Tv = 2000
 	}
 	for i := 0; i < 80; i++ {
-		f := m.EVibPool(Tv, y) - ev
-		cv := m.CvVibPool(Tv, y)
+		e, cv := m.vibPoolCv(Tv, y)
+		f := e - ev
 		if cv < 1e-12 {
 			break
 		}

@@ -1,6 +1,7 @@
 package thermo
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -203,5 +204,144 @@ func TestNormalize(t *testing.T) {
 	Normalize(z) // must not divide by zero
 	if z[0] != 0 || z[1] != 0 {
 		t.Error("zero vector normalize changed values")
+	}
+}
+
+// temperatureFromHRef is TemperatureFromH's Newton loop as it stood before
+// the one-pass enthalpyCp: Enthalpy and Cp called apart on every iterate.
+func temperatureFromHRef(m *Mixture, h float64, y []float64, T0 float64) (float64, error) {
+	T := T0
+	if T <= 0 {
+		T = 1000
+	}
+	for i := 0; i < 100; i++ {
+		f := m.Enthalpy(T, y) - h
+		cp := m.Cp(T, y)
+		if cp <= 0 {
+			return 0, fmt.Errorf("thermo: nonpositive cp at T=%g", T)
+		}
+		dT := f / cp
+		if dT > 0.5*T {
+			dT = 0.5 * T
+		}
+		if dT < -2*T {
+			dT = -2 * T
+		}
+		T -= dT
+		if T < 10 {
+			T = 10
+		}
+		if math.Abs(dT) < 1e-8*T {
+			return T, nil
+		}
+	}
+	return T, fmt.Errorf("thermo: TemperatureFromH failed to converge (h=%g)", h)
+}
+
+// tvFromPoolRef is TvFromPool's Newton loop as it stood before the one-pass
+// vibPoolCv: EVibPool and CvVibPool called apart on every iterate. The
+// bisection fallback is unchanged, so the reference stops where it starts.
+func tvFromPoolRef(m *Mixture, ev float64, y []float64, Tv0 float64) (float64, bool) {
+	Tv := Tv0
+	if Tv <= 0 {
+		Tv = 2000
+	}
+	for i := 0; i < 80; i++ {
+		f := m.EVibPool(Tv, y) - ev
+		cv := m.CvVibPool(Tv, y)
+		if cv < 1e-12 {
+			break
+		}
+		dT := f / cv
+		if dT > 0.5*Tv {
+			dT = 0.5 * Tv
+		}
+		if dT < -0.5*Tv {
+			dT = -0.5 * Tv
+		}
+		Tv -= dT
+		if Tv < 10 {
+			Tv = 10
+		}
+		if math.Abs(dT) < 1e-8*Tv {
+			return Tv, true
+		}
+	}
+	return 0, false
+}
+
+// TestVibElecOnePass pins the one-pass helper to the single-quantity forms
+// bit for bit: vibElec against EVib, EElec, CvVib and CvElec, enthalpyCp
+// against Enthalpy and Cp, for every air-11 and Titan species from 10 to
+// 60000 K, at the cutoffs (T = Theta_v/k for k around 300 and 500) and at
+// T <= 0. The Newton loops built on it, TemperatureFromH and TvFromPool,
+// must land on the same bits as their two-call references.
+func TestVibElecOnePass(t *testing.T) {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	air := NewMixture(AirSpecies11())
+	titan := NewMixture(TitanSpecies())
+	for _, m := range []*Mixture{air, titan} {
+		for _, s := range m.Species {
+			temps := []float64{0, -300}
+			for T := 10.0; T <= 60000; T *= 1.07 {
+				temps = append(temps, T)
+			}
+			for _, mode := range s.Vib {
+				for _, k := range []float64{250, 300, 330, 400, 499, 500, 600} {
+					temps = append(temps, mode.Theta/k)
+				}
+			}
+			for _, T := range temps {
+				ev, ee, cvv, cve := s.vibElec(T)
+				h, cp := s.enthalpyCp(T)
+				for _, c := range []struct {
+					name      string
+					got, want float64
+				}{
+					{"EVib", ev, s.EVib(T)},
+					{"EElec", ee, s.EElec(T)},
+					{"CvVib", cvv, s.CvVib(T)},
+					{"CvElec", cve, s.CvElec(T)},
+					{"EVib+EElec", ev + ee, s.EVib(T) + s.EElec(T)},
+					{"CvVib+CvElec", cvv + cve, s.CvVib(T) + s.CvElec(T)},
+					{"Enthalpy", h, s.Enthalpy(T)},
+					{"Cp", cp, s.Cp(T)},
+				} {
+					if !same(c.got, c.want) {
+						t.Errorf("%s T=%.17g: %s = %.17g, want %.17g", s.Name, T, c.name, c.got, c.want)
+					}
+				}
+			}
+		}
+	}
+
+	// The Newton loops, over compositions with and without electrons.
+	ionized := make([]float64, air.Len())
+	for s := range ionized {
+		ionized[s] = 1 / float64(air.Len())
+	}
+	for _, c := range []struct {
+		m *Mixture
+		y []float64
+	}{
+		{air, AirFreestreamMassFractions(air.Species)},
+		{air, ionized},
+		{titan, TitanFreestreamMassFractions(titan.Species)},
+	} {
+		for _, T := range []float64{300, 2000, 9000, 30000, 60000} {
+			for _, T0 := range []float64{0, 500, T} {
+				h := c.m.Enthalpy(T, c.y)
+				got, err := c.m.TemperatureFromH(h, c.y, T0)
+				want, errRef := temperatureFromHRef(c.m, h, c.y, T0)
+				if !same(got, want) || (err == nil) != (errRef == nil) {
+					t.Errorf("TemperatureFromH(h(%g), T0=%g) = %.17g (%v), want %.17g (%v)", T, T0, got, err, want, errRef)
+				}
+				ev := c.m.EVibPool(T, c.y)
+				gotV, err := c.m.TvFromPool(ev, c.y, T0)
+				if wantV, ok := tvFromPoolRef(c.m, ev, c.y, T0); ok && (!same(gotV, wantV) || err != nil) {
+					t.Errorf("TvFromPool(ev(%g), Tv0=%g) = %.17g (%v), want %.17g", T, T0, gotV, err, wantV)
+				}
+			}
+		}
 	}
 }

@@ -178,6 +178,63 @@ func (s *Species) CvElec(Te float64) float64 {
 	return s.R() * (qtt/q - m*m)
 }
 
+// vibElec returns the vibrational and electronic energies (J/kg) and
+// specific heats (J/(kg K)) at temperature T, evaluating each mode's and
+// level's exponential once for both. Each value equals EVib, EElec, CvVib
+// and CvElec bit for bit: the sums keep their order and their cutoffs (a
+// vibrational mode counts toward the energy while Theta/T < 500, toward cv
+// only while Theta/T <= 300).
+func (s *Species) vibElec(T float64) (eVib, eElec, cvVib, cvElec float64) {
+	if T <= 0 {
+		return 0, 0, 0, 0
+	}
+	if len(s.Vib) > 0 {
+		e, cv := 0.0, 0.0
+		for _, m := range s.Vib {
+			x := m.Theta / T
+			inE, inCv := x < 500, !(x > 300)
+			if !inE && !inCv {
+				continue
+			}
+			ex := math.Exp(x)
+			d := ex - 1
+			if inE {
+				e += float64(m.G) * m.Theta / d
+			}
+			if inCv {
+				cv += float64(m.G) * x * x * ex / (d * d)
+			}
+		}
+		eVib, cvVib = s.R()*e, s.R()*cv
+	}
+	if len(s.Elec) > 1 {
+		num, q, qt, qtt := 0.0, 0.0, 0.0, 0.0
+		for _, l := range s.Elec {
+			x := l.Theta / T
+			if x > 500 {
+				continue
+			}
+			b := float64(l.G) * math.Exp(-x)
+			num += b * l.Theta
+			q += b
+			qt += b * x
+			qtt += b * x * x
+		}
+		if q != 0 {
+			m := qt / q
+			eElec, cvElec = s.R()*num/q, s.R()*(qtt/q-m*m)
+		}
+	}
+	return eVib, eElec, cvVib, cvElec
+}
+
+// enthalpyCp returns Enthalpy(T) and Cp(T) from one vibElec call.
+func (s *Species) enthalpyCp(T float64) (h, cp float64) {
+	ev, ee, cvv, cve := s.vibElec(T)
+	return s.ETrans(T) + s.ERot(T) + ev + ee + s.Hf0 + s.R()*T,
+		s.CvTransRot() + cvv + cve + s.R()
+}
+
 // Cv returns the full single-temperature cv.
 func (s *Species) Cv(T float64) float64 {
 	return s.CvTransRot() + s.CvVib(T) + s.CvElec(T)

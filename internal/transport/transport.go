@@ -7,6 +7,7 @@ package transport
 
 import (
 	"math"
+	"sync"
 
 	"cataero/internal/thermo"
 )
@@ -80,12 +81,16 @@ func SpeciesConductivity(s *thermo.Species, T, mu float64) float64 {
 
 // Mixture bundles transport evaluation for a thermo mixture. It holds the
 // molar-mass factors of Wilke's pair weights, which depend only on the
-// species pair, so each mixing sum costs one square root per pair.
+// species pair, so each mixing sum costs one square root per pair. It is
+// safe for concurrent use: each call takes its own scratch from a pool.
 type Mixture struct {
 	Mix *thermo.Mixture
 	// wPow[i*n+j] = (W_j/W_i)^(1/4) and wDen[i*n+j] = sqrt(8 (1 + W_i/W_j))
 	// for the n species of Mix.
 	wPow, wDen []float64
+	// scratch hands each call a *[]float64 of 3n entries: the mole
+	// fractions and two species-property columns.
+	scratch sync.Pool
 }
 
 // NewMixture wraps m and tabulates its Wilke pair factors.
@@ -98,7 +103,23 @@ func NewMixture(m *thermo.Mixture) *Mixture {
 			t.wDen[i*n+j] = math.Sqrt(8 * (1 + si.W/sj.W))
 		}
 	}
+	t.scratch.New = func() any {
+		buf := make([]float64, 3*n)
+		return &buf
+	}
 	return t
+}
+
+// columns takes a scratch buffer from the pool and splits it into the mole
+// fractions of y and two zeroed species columns. The caller returns buf.
+func (t *Mixture) columns(y []float64) (buf *[]float64, x, a, b []float64) {
+	buf = t.scratch.Get().(*[]float64)
+	n := t.Mix.Len()
+	x, a, b = (*buf)[:n], (*buf)[n:2*n], (*buf)[2*n:3*n]
+	t.Mix.MoleFractionsTo(x, y)
+	clear(a)
+	clear(b)
+	return buf, x, a, b
 }
 
 // wilke combines species viscosities (or conductivities) phi with mole
@@ -137,8 +158,8 @@ func (t *Mixture) wilke(x, phi []float64) float64 {
 
 // Viscosity returns the Wilke-mixed viscosity at T for mass fractions y.
 func (t *Mixture) Viscosity(T float64, y []float64) float64 {
-	x := t.Mix.MoleFractions(y)
-	mu := make([]float64, t.Mix.Len())
+	buf, x, mu, _ := t.columns(y)
+	defer t.scratch.Put(buf)
 	for i, s := range t.Mix.Species {
 		if x[i] > 0 {
 			mu[i] = SpeciesViscosity(s, T)
@@ -151,10 +172,8 @@ func (t *Mixture) Viscosity(T float64, y []float64) float64 {
 // conductivity at T for mass fractions y, evaluating each species viscosity
 // once for both.
 func (t *Mixture) ViscosityConductivity(T float64, y []float64) (mu, k float64) {
-	x := t.Mix.MoleFractions(y)
-	n := t.Mix.Len()
-	phi := make([]float64, 2*n)
-	mus, ks := phi[:n], phi[n:]
+	buf, x, mus, ks := t.columns(y)
+	defer t.scratch.Put(buf)
 	for i, s := range t.Mix.Species {
 		if x[i] > 0 {
 			mus[i] = SpeciesViscosity(s, T)

@@ -27,6 +27,22 @@ func shuttleTierProblem(class SolverClass) Problem {
 	return p
 }
 
+// shockTube5mm is the Fig. 7 relaxation (10 km/s into 0.1 torr air) over
+// the first 5 mm behind the shock.
+func shockTube5mm(tb testing.TB) shocktube.Problem {
+	m := thermo.NewMixture(thermo.AirSpecies11())
+	mech, err := chem.AirMechanism(m)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return shocktube.Problem{
+		Mix: m, Mech: mech,
+		P1: 13.0, T1: 300, U1: 10000,
+		Y1:   thermo.AirFreestreamMassFractions(m.Species),
+		XEnd: 0.005, NOut: 40,
+	}
+}
+
 // TestEngineeringTierGolden pins the full-precision outputs of the cheap
 // tiers: VSL, E+BL and PNS at the Shuttle point, each solved in a fresh
 // Session, and the Fig. 7 shock tube. The engineering-tier speedups
@@ -51,19 +67,7 @@ func TestEngineeringTierGolden(t *testing.T) {
 	vsl := solve(VSL)
 	ebl := solve(EBL)
 	pns := solve(PNS)
-	// The Fig. 7 relaxation (10 km/s into 0.1 torr air) over the first 5 mm
-	// behind the shock.
-	m := thermo.NewMixture(thermo.AirSpecies11())
-	mech, err := chem.AirMechanism(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prof, err := shocktube.Solve(shocktube.Problem{
-		Mix: m, Mech: mech,
-		P1: 13.0, T1: 300, U1: 10000,
-		Y1:   thermo.AirFreestreamMassFractions(m.Species),
-		XEnd: 0.005, NOut: 40,
-	})
+	prof, err := shocktube.Solve(shockTube5mm(t))
 	if err != nil {
 		t.Fatal(err)
 	}
