@@ -1,13 +1,12 @@
 // Command catlint runs cataero's domain-specific static analyzers:
 //
 //	hotpath    //cataero:hotpath functions and their callees must not allocate
-//	registry   registered names stay in sync with enumerators, fail-fasts, case files
 //	ctxloop    solver march loops must poll context cancellation
 //	physconst  physical-constant literals belong in the property packages
 //
 // Usage:
 //
-//	catlint [-analyzers hotpath,registry,...] [-list] [packages]
+//	catlint [-analyzers hotpath,ctxloop,...] [-list] [packages]
 //
 // Packages default to ./... . Exit status is 0 when clean, 1 when findings
 // were reported, 2 on usage or load errors.

@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"cataero"
+	"cataero/internal/fvm"
 )
 
 // figsCmd regenerates the paper's figures: `catsim figs -fig 2,4,9`. Bare
@@ -31,7 +32,8 @@ func figsCmd(args []string) int {
 		fmt.Fprintf(os.Stderr, "catsim figs: unexpected argument %q\n", fs.Arg(0))
 		return 2
 	}
-	if !checkFlux(*fluxName) || !checkTimeStepping(*timestep) || !checkLimiter(*limiter) {
+	if err := fvm.CheckNames(*fluxName, *timestep, "", *limiter); err != nil {
+		fmt.Fprintln(os.Stderr, "catsim figs:", err)
 		return 2
 	}
 	if *levels < 0 {

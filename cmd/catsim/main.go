@@ -12,8 +12,9 @@
 //
 // Every solver-backed command runs through one cataero.Session, so model
 // stacks and EOS tables build once and are shared across the run. An
-// unknown -flux name fails fast — before any solve starts — with the
-// registered kernel list.
+// unknown -flux, -timestep, -implicitsweep or -limiter name fails fast —
+// exit 2, before any solve starts — with fvm.CheckNames' error, which lists
+// the valid names.
 package main
 
 import (
@@ -65,47 +66,6 @@ commands:
 
 run 'catsim <command> -h' for the command's flags.
 `)
-}
-
-// checkRegistered fails fast on a name missing from a registry list,
-// printing what is registered, so a bad flag aborts before any solve starts
-// instead of surfacing mid-batch at solve time. The empty name (defer to
-// the default) always passes. Returns false when the name is bad.
-func checkRegistered(kind, name string, registered []string) bool {
-	if name == "" {
-		return true
-	}
-	for _, r := range registered {
-		if r == name {
-			return true
-		}
-	}
-	fmt.Fprintf(os.Stderr, "catsim: unknown %s %q; registered:\n", kind, name)
-	for _, r := range registered {
-		fmt.Fprintf(os.Stderr, "  %s\n", r)
-	}
-	return false
-}
-
-// checkFlux validates a flux-kernel name against the registry.
-func checkFlux(name string) bool {
-	return checkRegistered("flux kernel", name, cataero.FluxKernels())
-}
-
-// checkTimeStepping validates a time-integrator name against the registry.
-func checkTimeStepping(name string) bool {
-	return checkRegistered("time stepping", name, cataero.TimeSteppings())
-}
-
-// checkImplicitSweep validates an implicit sweep-pattern name against the
-// valid list.
-func checkImplicitSweep(name string) bool {
-	return checkRegistered("implicit sweep", name, cataero.ImplicitSweeps())
-}
-
-// checkLimiter validates a MUSCL slope-limiter name against the registry.
-func checkLimiter(name string) bool {
-	return checkRegistered("limiter", name, cataero.Limiters())
 }
 
 func kernelsCmd(args []string) int {

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"cataero"
@@ -36,26 +38,6 @@ func TestTrendArrow(t *testing.T) {
 	}
 	if got := trendArrow(mk(10, 11, 10.5)); got != "→" {
 		t.Errorf("flat residual arrow %q", got)
-	}
-}
-
-func TestCheckTimeSteppingFailsFast(t *testing.T) {
-	if checkTimeStepping("dual-time-o-matic") {
-		t.Error("unknown integrator accepted")
-	}
-	if !checkTimeStepping("") || !checkTimeStepping("implicit") || !checkTimeStepping("explicit") {
-		t.Error("valid integrator names rejected")
-	}
-}
-
-func TestCheckFluxFailsFast(t *testing.T) {
-	if checkFlux("upwind-o-matic") {
-		t.Error("unknown kernel accepted")
-	}
-	for _, k := range []string{"", "hlle", "hllc", "ausm+"} {
-		if !checkFlux(k) {
-			t.Errorf("kernel %q rejected", k)
-		}
 	}
 }
 
@@ -97,17 +79,71 @@ func TestRunCmdRejectsCaseFileFlux(t *testing.T) {
 	}
 }
 
-func TestCheckLimiterAndCycleFailFast(t *testing.T) {
-	if checkLimiter("superbee") {
-		t.Error("unknown limiter accepted")
+// stderrOf runs one catsim command and returns its exit code and what it
+// wrote to stderr.
+func stderrOf(t *testing.T, cmd func([]string) int, args ...string) (int, string) {
+	t.Helper()
+	out, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, l := range []string{"", "minmod", "vanalbada"} {
-		if !checkLimiter(l) {
-			t.Errorf("limiter %q rejected", l)
+	stderr := os.Stderr
+	os.Stderr = out
+	code := cmd(args)
+	os.Stderr = stderr
+	out.Close()
+	msg, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code, string(msg)
+}
+
+// checkNameFlag sends an unknown name and each valid one through flag of
+// `catsim run` and, with figs, of `catsim figs -fig 9`. The unknown name
+// exits 2 before any solve starts, with fvm.CheckNames' list of the valid
+// names on stderr. A valid name passes that check: paired with -levels -1
+// it exits 2 on the -levels check that follows, so nothing solves.
+func checkNameFlag(t *testing.T, flag, unknown string, valid []string, figs bool) {
+	t.Helper()
+	cmds := map[string]func([]string) int{
+		"run": func(a []string) int { return runCmd(append([]string{"testdata/smoke.json"}, a...)) },
+	}
+	if figs {
+		cmds["figs"] = func(a []string) int { return figsCmd(append([]string{"-fig", "9"}, a...)) }
+	}
+	for cmd, f := range cmds {
+		if code, msg := stderrOf(t, f, flag, unknown); code != 2 || !strings.Contains(msg, fmt.Sprint(valid)) {
+			t.Errorf("%s %s %s: exit code %d, stderr %q; want 2 and the names %v", cmd, flag, unknown, code, msg, valid)
+		}
+		for _, name := range append([]string{""}, valid...) {
+			if code, msg := stderrOf(t, f, flag, name, "-levels", "-1"); code != 2 || !strings.Contains(msg, "-levels") {
+				t.Errorf("%s %s %q rejected: exit code %d, stderr %q; want the -levels error", cmd, flag, name, code, msg)
+			}
 		}
 	}
-	// The cycle is no flag any more; a case file naming anything but the
-	// cascade fails at load, before any solve starts.
+}
+
+func TestCheckFluxFailsFast(t *testing.T) {
+	checkNameFlag(t, "-flux", "upwind-o-matic", cataero.FluxKernels(), true)
+}
+
+func TestCheckTimeSteppingFailsFast(t *testing.T) {
+	checkNameFlag(t, "-timestep", "dual-time-o-matic", cataero.TimeSteppings(), true)
+}
+
+// figs has no sweep flag.
+func TestCheckImplicitSweepFailsFast(t *testing.T) {
+	checkNameFlag(t, "-implicitsweep", "zebra", cataero.ImplicitSweeps(), false)
+}
+
+func TestCheckLimiterFailsFast(t *testing.T) {
+	checkNameFlag(t, "-limiter", "superbee", cataero.Limiters(), true)
+}
+
+// The cycle is no flag any more; a case file naming anything but the
+// cascade fails at load, before any solve starts.
+func TestRunCmdRejectsCaseFileCycle(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "v.json")
 	data := []byte(`{"class":"ns","chemistry":"ideal","p_inf":100,"t_inf":250,"v_inf":2000,
 		"nose_radius":0.3,"ni":8,"nj":14,"max_steps":50,"cycle":"v"}`)
@@ -119,23 +155,6 @@ func TestCheckLimiterAndCycleFailFast(t *testing.T) {
 	}
 }
 
-func TestCheckImplicitSweepFailsFast(t *testing.T) {
-	if checkImplicitSweep("zebra") {
-		t.Error("unknown sweep accepted")
-	}
-	for _, s := range []string{"", "jline", "adi"} {
-		if !checkImplicitSweep(s) {
-			t.Errorf("sweep %q rejected", s)
-		}
-	}
-	if code := runCmd([]string{"testdata/smoke.json", "-implicitsweep", "zebra"}); code != 2 {
-		t.Errorf("bad sweep exit code %d, want 2", code)
-	}
-}
-
-// The baseline diff must fail in both directions: a result with no baseline
-// entry (a rename would silently drop its gate) and a baseline entry that no
-// longer runs.
 // Bad multilevel flags abort run/figs with a usage error before any solve
 // starts: unknown limiters and negative counts are rejected.
 func TestRunCmdRejectsBadMultilevelFlags(t *testing.T) {

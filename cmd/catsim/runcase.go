@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"cataero"
+	"cataero/internal/fvm"
 	"cataero/internal/ledger"
 	"cataero/internal/serve"
 )
@@ -51,7 +52,8 @@ func runCmd(args []string) int {
 			return 2
 		}
 	}
-	if !checkFlux(*fluxName) || !checkTimeStepping(*timestep) || !checkImplicitSweep(*sweep) || !checkLimiter(*limiter) {
+	if err := fvm.CheckNames(*fluxName, *timestep, *sweep, *limiter); err != nil {
+		fmt.Fprintln(os.Stderr, "catsim run:", err)
 		return 2
 	}
 	if *levels < 0 || *refitEvery < 0 {

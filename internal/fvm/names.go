@@ -5,11 +5,10 @@ import (
 	"fmt"
 )
 
-// Exported name constants. Code outside this package must use these
-// instead of bare string literals when naming a flux kernel, time
-// integrator, limiter or implicit sweep — the catlint registry analyzer
-// enforces it, so a renamed table entry fails the build-time lint instead
-// of a runtime lookup.
+// Exported name constants for the flux kernels, time integrators, limiters
+// and implicit sweeps. CheckNames is the one check of a name: a misspelled
+// one fails it with the valid list, and TestNameTables holds the tables,
+// their enumerators and CheckNames to the same sets.
 const (
 	// Flux kernels (Options.Flux, case-file "flux").
 	FluxHLLE       = "hlle"

@@ -110,28 +110,6 @@ func TestPhysConstFixture(t *testing.T) {
 	checkFixture(t, prog, PhysConst("src/physconstfix/ok").Run(prog))
 }
 
-func TestRegistryFixture(t *testing.T) {
-	prog := loadFixture(t, "./internal/lint/testdata/src/registryfix/...")
-	families := []Family{
-		{
-			Kind: "widget", Pkg: "src/registryfix/reg", TableVar: "widgets",
-			Enumerator: "Widgets", CheckCall: "reg.Widgets", CheckPkg: "src/registryfix/use",
-			SpecPkg: "src/registryfix/use", SpecType: "Spec", SpecJSON: "widget",
-			Consts: map[string]string{"alpha": "reg.WidgetAlpha", "beta": "reg.WidgetBeta"},
-		},
-		{
-			Kind: "orphan widget", Pkg: "src/registryfix/regbad", TableVar: "widgets",
-			Enumerator: "Widgets",
-			Consts:     map[string]string{"gamma": "regbad.WidgetGamma"},
-		},
-		{
-			Kind: "solver class", Pkg: "src/registryfix/classes", TableVar: "solvers",
-			ClassKeyed: true, ClassMap: "classNames",
-		},
-	}
-	checkFixture(t, prog, Registry(families...).Run(prog))
-}
-
 // TestRepositoryClean runs the full configured suite over the repository:
 // the tree must stay lint-clean so CI's catlint gate holds.
 func TestRepositoryClean(t *testing.T) {

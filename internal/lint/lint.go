@@ -20,7 +20,7 @@ func (d Diagnostic) String() string {
 
 // Analyzer is one whole-program check. Unlike go/analysis passes, Run sees
 // the entire loaded program at once: the domain rules here (hot-path call
-// closures, registry/enumerator drift) are inherently cross-package.
+// closures, cancellation polls) are inherently cross-package.
 type Analyzer struct {
 	Name string
 	Doc  string
@@ -117,7 +117,6 @@ func All() []*Analyzer {
 		// jacPlanes, the block-tridiagonal factor/solve) stays covered even
 		// if an annotation on an interior function is dropped.
 		HotPath(IfaceRoot{Pkg: "internal/fvm", Iface: "BatchFluxKernel", Method: "BatchFlux"}),
-		Registry(CataeroFamilies()...),
 		CtxLoop("internal/fvm", "internal/vsl", "internal/pns", "internal/ns", "internal/euler", "internal/blayer"),
 		PhysConst("internal/thermo", "internal/gas", "internal/transport", "internal/chem"),
 	}

@@ -1,8 +1,8 @@
 // Package lint implements cataero's domain-specific static-analysis suite:
 // a small, dependency-free analysis framework in the spirit of
 // golang.org/x/tools/go/analysis (which is not vendored here — the module is
-// intentionally stdlib-only) plus the four project analyzers described in
-// README.md: hotpath, registry, ctxloop and physconst.
+// intentionally stdlib-only) plus the three project analyzers described in
+// README.md: hotpath, ctxloop and physconst.
 //
 // The loader shells out to `go list -export -deps -json`, type-checks every
 // module package from source (so analyzers share one *types.Package identity

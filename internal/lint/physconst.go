@@ -176,3 +176,15 @@ func hintMatch(stack []ast.Node, hints []string) bool {
 	}
 	return false
 }
+
+// fieldName is the identifier an expression names: a selector's field or a
+// bare identifier.
+func fieldName(e ast.Expr) string {
+	switch x := ast.Unparen(e).(type) {
+	case *ast.SelectorExpr:
+		return x.Sel.Name
+	case *ast.Ident:
+		return x.Name
+	}
+	return ""
+}

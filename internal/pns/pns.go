@@ -77,13 +77,14 @@ func March(ctx context.Context, edges []blayer.EdgeState, props Props, hw, h0 fl
 	f := make([]float64, n)    // stream function
 	Fp := make([]float64, n)   // previous station F
 	gp := make([]float64, n)   // previous station g
-	fp := make([]float64, n)   // previous station f
 	C := make([]float64, n)    // Chapman-Rubesin rho*mu/(rho_e mu_e)
 	rhoR := make([]float64, n) // rho_e/rho
 	aa := make([]float64, n)
 	bb := make([]float64, n)
 	cc := make([]float64, n)
 	dd := make([]float64, n)
+	Fnew := make([]float64, n) // a relaxation sweep's momentum solve
+	gNew := make([]float64, n) // ... and its energy solve
 	work := numerics.NewTridiagWorkspace(n)
 
 	// Initialize profiles (stagnation shape).
@@ -146,19 +147,13 @@ func March(ctx context.Context, edges []blayer.EdgeState, props Props, hw, h0 fl
 				aa[i] = cm/(deta*deta) - f[i]/(2*deta)
 				cc[i] = cp/(deta*deta) + f[i]/(2*deta)
 				bb[i] = -(cp+cm)/(deta*deta) - beta*F[i] - m2x*F[i]
-				rhs := -beta*rhoR[i] - beta*F[i]*F[i] - m2x*F[i]*Fp[i]
-				// Explicit cross term: m2x * F'(f - fp) appears on the RHS.
-				Fpr := (F[i+1] - F[i-1]) / (2 * deta)
-				rhs += -m2x * Fpr * (f[i] - fp[i]) * 0 // folded into f below
-				_ = Fpr
-				dd[i] = rhs
+				dd[i] = -beta*rhoR[i] - beta*F[i]*F[i] - m2x*F[i]*Fp[i]
 			}
 			// The (f - fp) streamwise term is carried implicitly by using
 			// the updated f in the convective coefficient; this is the
 			// standard Blottner simplification for attached layers.
 			aa[0], bb[0], cc[0], dd[0] = 0, 1, 0, 0
 			aa[n-1], bb[n-1], cc[n-1], dd[n-1] = 0, 1, 0, 1
-			Fnew := make([]float64, n)
 			if err := work.Solve(aa, bb, cc, dd, Fnew); err != nil {
 				return fmt.Errorf("pns: momentum at station %d: %w", k, err)
 			}
@@ -189,7 +184,6 @@ func March(ctx context.Context, edges []blayer.EdgeState, props Props, hw, h0 fl
 			}
 			aa[0], bb[0], cc[0], dd[0] = 0, 1, 0, 0
 			aa[n-1], bb[n-1], cc[n-1], dd[n-1] = 0, 1, 0, 1
-			gNew := make([]float64, n)
 			if err := work.Solve(aa, bb, cc, dd, gNew); err != nil {
 				return fmt.Errorf("pns: energy at station %d: %w", k, err)
 			}
@@ -238,7 +232,6 @@ func March(ctx context.Context, edges []blayer.EdgeState, props Props, hw, h0 fl
 	}
 	copy(Fp, F)
 	copy(gp, g)
-	copy(fp, f)
 
 	for k := 1; k < len(edges); k++ {
 		if err := ctx.Err(); err != nil {
@@ -267,7 +260,6 @@ func March(ctx context.Context, edges []blayer.EdgeState, props Props, hw, h0 fl
 		}
 		copy(Fp, F)
 		copy(gp, g)
-		copy(fp, f)
 	}
 	return results, nil
 }

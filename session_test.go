@@ -374,24 +374,47 @@ func TestNormalizeRejectsWhatCaseFilesReject(t *testing.T) {
 	}
 }
 
-// Every name the four enumerators list parses as a case file and
-// normalizes, so the hand-written integrator and sweep lists cannot drift
-// from the name check that validates them.
+// Every name the four enumerators list parses as a case file, keys apart
+// from the other names of its family, and reaches the solver: 40 steps on
+// an 8x14 ideal-gas NS grid land on a q_stag of its own (sweeps under
+// implicit stepping). An unknown name fails ParseCase with the valid names.
 func TestEnumeratedNamesAccepted(t *testing.T) {
-	for key, names := range map[string][]string{
-		"flux": FluxKernels(), "time_stepping": TimeSteppings(),
-		"implicit_sweep": ImplicitSweeps(), "limiter": Limiters(),
+	s := NewSession()
+	for _, fam := range []struct {
+		key, base string
+		names     []string
+	}{
+		{"flux", "", FluxKernels()},
+		{"time_stepping", "", TimeSteppings()},
+		{"implicit_sweep", `"time_stepping":"implicit",`, ImplicitSweeps()},
+		{"limiter", "", Limiters()},
 	} {
-		for _, name := range names {
-			knob := fmt.Sprintf("%q:%q", key, name)
-			p, err := ParseCase([]byte("{" + nsCaseFields + "," + knob + "}"))
+		keys, qStag := map[string]string{}, map[float64]string{}
+		for _, name := range fam.names {
+			knob := fmt.Sprintf("%q:%q", fam.key, name)
+			p, err := ParseCase([]byte("{" + nsCaseFields + `,"ni":8,"nj":14,"max_steps":40,` + fam.base + knob + "}"))
 			if err != nil {
 				t.Errorf("case file with %s: %v", knob, err)
 				continue
 			}
-			if _, err := NewSession().Normalize(p); err != nil {
-				t.Errorf("Normalize with %s: %v", knob, err)
+			key, err := CaseKey(p)
+			if other, dup := keys[key]; err != nil || dup {
+				t.Errorf("%s: key %.12s (err %v) already keys %q", knob, key, err, other)
 			}
+			keys[key] = name
+			env, err := s.Solve(context.Background(), p)
+			if err != nil {
+				t.Errorf("solve with %s: %v", knob, err)
+				continue
+			}
+			if other, dup := qStag[env.QConvStag]; dup || !(env.QConvStag > 0) {
+				t.Errorf("%s solves to q_stag %g W/m^2, as %q does: the name does not reach the solver", knob, env.QConvStag, other)
+			}
+			qStag[env.QConvStag] = name
+		}
+		knob := fmt.Sprintf("%q:\"nope\"", fam.key)
+		if _, err := ParseCase([]byte("{" + nsCaseFields + "," + knob + "}")); err == nil || !strings.Contains(err.Error(), fmt.Sprint(fam.names)) {
+			t.Errorf("case file with %s: error %v, want one listing %v", knob, err, fam.names)
 		}
 	}
 }
