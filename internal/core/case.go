@@ -182,14 +182,14 @@ func (p *Problem) UnmarshalJSON(data []byte) error {
 	if _, ok := classNames[q.Class]; !ok {
 		return fmt.Errorf("core: case has no \"class\" (want vsl, ebl, pns or ns)")
 	}
-	if err := validate(q); err != nil {
-		return err
-	}
 	if w.Body != nil {
 		var err error
 		if q.Body, err = w.Body.Body(); err != nil {
 			return err
 		}
+	}
+	if err := validate(q); err != nil {
+		return err
 	}
 	*p = q
 	return nil

@@ -88,9 +88,10 @@ func caseKey(t *testing.T, p Problem) string {
 
 func TestProblemJSONHyperboloidBody(t *testing.T) {
 	// The hyperboloid tabulates its profile numerically, so compare shape
-	// samples rather than the internal grids.
+	// samples rather than the internal grids. The class is one that honours
+	// the body.
 	p := Problem{
-		Class: NS, PInf: 100, TInf: 250, VInf: 2000,
+		Class: EBL, PInf: 100, TInf: 250, VInf: 2000,
 		Body: geometry.NewHyperboloid(0.4, 40*math.Pi/180, 2.0), NoseRadius: 0.4,
 	}
 	data, err := json.Marshal(p)
@@ -111,6 +112,32 @@ func TestProblemJSONHyperboloidBody(t *testing.T) {
 		if math.Abs(x0-x1) > 1e-9 || math.Abs(r0-r1) > 1e-9 {
 			t.Fatalf("shape at s=%g: (%g,%g) vs (%g,%g)", s, x0, r0, x1, r1)
 		}
+	}
+}
+
+// TestNSBodyMustBeSphere: the NS class meshes a sphere whatever the body,
+// so an NS case with another body is refused, as a case file and in code,
+// with an error naming the class; the same body is accepted by a class that
+// honours it.
+func TestNSBodyMustBeSphere(t *testing.T) {
+	cone := `{"class":"ns","p_inf":5474.9,"t_inf":216.65,"v_inf":1770.4,` +
+		`"body":{"kind":"sphere-cone","nose_radius":0.3,"half_angle_deg":7,"base_radius":0.6}}`
+	var p Problem
+	if err := json.Unmarshal([]byte(cone), &p); err == nil || !strings.Contains(err.Error(), "ns class") {
+		t.Errorf("ns sphere-cone case file: got %v, want an error naming the ns class", err)
+	}
+	in := Problem{Class: NS, PInf: 5474.9, TInf: 216.65, VInf: 1770.4,
+		Body: geometry.NewSphereCone(0.3, 7*math.Pi/180, 0.6)}
+	if _, err := Normalize(in); err == nil || !strings.Contains(err.Error(), "ns class") {
+		t.Errorf("in-code ns sphere-cone: got %v, want an error naming the ns class", err)
+	}
+	in.Class = EBL
+	if _, err := Normalize(in); err != nil {
+		t.Errorf("ebl sphere-cone: %v", err)
+	}
+	in.Class, in.Body = NS, geometry.NewSphere(0.3)
+	if _, err := Normalize(in); err != nil {
+		t.Errorf("ns sphere: %v", err)
 	}
 }
 

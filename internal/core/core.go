@@ -329,11 +329,17 @@ const cycleCascade = "cascade"
 // problems (normalize) both pass through it, so a problem no case file
 // could spell never reaches a solve or a ledger key. A Cycle other than
 // "cascade" names the removal, so a case written for the deleted FAS
-// V-cycle fails with the reason. An accepted problem costs no allocation:
-// a serve request runs validate up to four times.
+// V-cycle fails with the reason. The NS class meshes a sphere of the nose
+// radius whatever the body, so an NS problem with another body is refused:
+// it would solve, and be filed in a ledger, as a hemisphere under the other
+// body's key. An accepted problem costs no allocation: a serve request
+// runs validate up to four times.
 func validate(p Problem) error {
 	if err := fvm.CheckNames(p.Flux, p.TimeStepping, p.ImplicitSweep, p.Limiter); err != nil {
 		return err
+	}
+	if _, sphere := p.Body.(*geometry.Sphere); p.Class == NS && p.Body != nil && !sphere {
+		return fmt.Errorf("core: the %s class meshes a sphere only; body %q is not one", classNames[NS], p.Body.Name())
 	}
 	switch {
 	case p.NStations < 0:

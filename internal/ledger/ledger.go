@@ -26,12 +26,16 @@
 // and one directory scan. A record is written to a temporary file in the
 // destination directory, flushed, and atomically renamed into place, so a
 // reader never observes a partially written record under its final name.
-// Defense in depth on the read side: every read re-verifies the format
-// version, key and payload checksum, and a file that fails (a half-written
-// file restored from a snapshot, bit rot) is quarantined — removed and
-// reported as a miss — so a corrupt result is re-solved, never served, and
-// a torn checkpoint is never resumed from. A record of another format
-// version is a plain miss, left in place for the version that owns it.
+// Defense in depth on the read side: every read re-reads the file and
+// re-verifies the format version, key and payload checksum, and a file that
+// fails (a half-written file restored from a snapshot, bit rot) is
+// quarantined — removed and reported as a miss — so a corrupt result is
+// re-solved, never served, and a torn checkpoint is never resumed from. A
+// record of another format version is a plain miss, left in place for the
+// version that owns it. An entry read skips only the decode, and only when
+// the SHA-256 of the bytes just read equals that of bytes which already
+// verified under the key through the same Ledger (see Get): a file changed
+// in any byte, whatever its size and mtime, is decoded and checked again.
 package ledger
 
 import (
@@ -45,6 +49,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -156,6 +161,24 @@ type Ledger struct {
 	dir string
 
 	hits, misses, corrupt, puts atomic.Int64
+
+	mu sync.Mutex
+	// verified maps a key to the digest of the entry-file bytes that last
+	// verified under it through this handle, and the entry they decoded to
+	// (see Get). It holds at most MemoKeys keys.
+	verified map[string]verifiedEntry
+}
+
+// MemoKeys bounds the keys a Ledger remembers a verified entry for, and
+// what a server built on one remembers per key: a response rendered from an
+// entry is worth keeping only while Get still returns that entry. A small
+// NS case's decoded entry is about 4 KB.
+const MemoKeys = 1024
+
+// verifiedEntry is the entry one file's bytes decoded to, by their digest.
+type verifiedEntry struct {
+	sum   [sha256.Size]byte
+	entry *Entry
 }
 
 // Open opens (creating if needed) the ledger rooted at dir.
@@ -166,7 +189,7 @@ func Open(dir string) (*Ledger, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ledger: open: %w", err)
 	}
-	return &Ledger{dir: dir}, nil
+	return &Ledger{dir: dir, verified: make(map[string]verifiedEntry)}, nil
 }
 
 // Dir returns the ledger's root directory.
@@ -295,12 +318,13 @@ const (
 	found
 )
 
-// get reads and verifies its key's file of kind k into rec. A damaged file
-// is quarantined: removed, so the next writer can replace it, and counted
-// in Stats.Corrupt. A hit bumps the file's mtime (best effort): GC's size
-// budget evicts oldest-mtime first, so reads keep hot records out of the
-// next size-budget sweep.
-func (l *Ledger) get(key string, k *kind, rec record) (lookup, error) {
+// get reads its key's file of kind k and hands the bytes to verify, which
+// decodes them: false with a nil error for a foreign format version, an
+// error for damage. A damaged file is quarantined: removed, so the next
+// writer can replace it, and counted in Stats.Corrupt. A hit bumps the
+// file's mtime (best effort): GC's size budget evicts oldest-mtime first,
+// so reads keep hot records out of the next size-budget sweep.
+func (l *Ledger) get(key string, k *kind, verify func(data []byte) (bool, error)) (lookup, error) {
 	if !validKey(key) {
 		return absent, fmt.Errorf("ledger: invalid key %q", key)
 	}
@@ -312,7 +336,7 @@ func (l *Ledger) get(key string, k *kind, rec record) (lookup, error) {
 	if err != nil {
 		return absent, fmt.Errorf("ledger: get %s%s: %w", key, k.ext, err)
 	}
-	ok, err := decode(data, key, rec)
+	ok, err := verify(data)
 	if err != nil {
 		l.corrupt.Add(1)
 		_ = os.Remove(path)
@@ -331,15 +355,45 @@ func (l *Ledger) get(key string, k *kind, rec record) (lookup, error) {
 // half-written, wrong key, checksum mismatch — is quarantined and reported
 // as a miss, so the caller re-solves instead of serving a corrupt result.
 // A different format version is a plain miss.
+//
+// Every call reads the file. When its bytes are those that last verified
+// under the key through this Ledger (equal SHA-256), Get returns the entry
+// they decoded to without decoding them again, so repeat reads of an
+// unchanged file return the same *Entry. That entry is shared with every
+// such caller and must be treated as read-only.
 func (l *Ledger) Get(key string) (*Entry, error) {
-	var e Entry
-	res, err := l.get(key, entryFile, &e)
+	var e *Entry
+	res, err := l.get(key, entryFile, func(data []byte) (bool, error) {
+		sum := sha256.Sum256(data)
+		l.mu.Lock()
+		v, ok := l.verified[key]
+		l.mu.Unlock()
+		if ok && v.sum == sum {
+			e = v.entry
+			return true, nil
+		}
+		rec := new(Entry)
+		ok, err := decode(data, key, rec)
+		if ok {
+			e = rec
+			l.mu.Lock()
+			if _, known := l.verified[key]; !known && len(l.verified) >= MemoKeys {
+				for old := range l.verified { // an arbitrary key makes room
+					delete(l.verified, old)
+					break
+				}
+			}
+			l.verified[key] = verifiedEntry{sum: sum, entry: rec}
+			l.mu.Unlock()
+		}
+		return ok, err
+	})
 	switch {
 	case err != nil:
 		return nil, err
 	case res == found:
 		l.hits.Add(1)
-		return &e, nil
+		return e, nil
 	case res == absent:
 		l.misses.Add(1)
 	}
@@ -370,7 +424,8 @@ func (l *Ledger) Put(e *Entry) error {
 // less than a cold start. A foreign format version is a plain miss.
 func (l *Ledger) GetCheckpoint(key string) (*Checkpoint, error) {
 	var c Checkpoint
-	if res, err := l.get(key, ckptFile, &c); res != found {
+	res, err := l.get(key, ckptFile, func(data []byte) (bool, error) { return decode(data, key, &c) })
+	if res != found {
 		return nil, err
 	}
 	return &c, nil

@@ -1,6 +1,7 @@
 package ledger
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -419,4 +420,132 @@ func TestConcurrentPutGet(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+}
+
+// TestGetReusesVerifiedEntry: a repeat Get of an unchanged file returns the
+// entry the first Get decoded, and still bumps the file's mtime and counts
+// the hit. A new record under the key, or another handle, decodes afresh.
+func TestGetReusesVerifiedEntry(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := testEntry("warm")
+	if err := l.Put(e); err != nil {
+		t.Fatal(err)
+	}
+	first, err := l.Get(e.Key)
+	if err != nil || first == nil {
+		t.Fatalf("first get: %v, %v", first, err)
+	}
+	path := l.path(e.Key, entryFile)
+	old := time.Now().Add(-time.Hour).Truncate(time.Second)
+	if err := os.Chtimes(path, old, old); err != nil {
+		t.Fatal(err)
+	}
+	second, err := l.Get(e.Key)
+	if err != nil || second != first {
+		t.Fatalf("repeat get of unchanged bytes: %p (err %v), want the first entry %p", second, err, first)
+	}
+	if info, err := os.Stat(path); err != nil || !info.ModTime().After(old) {
+		t.Fatalf("repeat get did not bump the mtime (err %v)", err)
+	}
+	if st := l.Stats(); st.Hits != 2 {
+		t.Fatalf("stats: %+v, want 2 hits", st)
+	}
+
+	e.Result = json.RawMessage(`{"class":"ns","q_conv_stag":5}`)
+	if err := l.Put(e); err != nil {
+		t.Fatal(err)
+	}
+	third, err := l.Get(e.Key)
+	if err != nil || third == nil || third == first || string(third.Result) != string(e.Result) {
+		t.Fatalf("get after a new put: %+v (err %v)", third, err)
+	}
+	l2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other, err := l2.Get(e.Key); err != nil || other == nil || other == third {
+		t.Fatalf("second handle shares the first handle's entry: %p (err %v)", other, err)
+	}
+}
+
+// TestRewrittenInPlaceAfterWarmGetQuarantined: a file changed in one byte
+// after a warm Get — same size, mtime restored — is verified again on the
+// next Get through the same handle, fails its checksum and is quarantined.
+func TestRewrittenInPlaceAfterWarmGetQuarantined(t *testing.T) {
+	l, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := testEntry("rewrite")
+	if err := l.Put(e); err != nil {
+		t.Fatal(err)
+	}
+	if warm, err := l.Get(e.Key); err != nil || warm == nil {
+		t.Fatalf("warm get: %v, %v", warm, err)
+	}
+	path := l.path(e.Key, entryFile)
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := bytes.Replace(data, []byte(`"q_conv_stag":7`), []byte(`"q_conv_stag":8`), 1)
+	if bytes.Equal(flipped, data) {
+		t.Fatal("flip target not found in entry")
+	}
+	if err := os.WriteFile(path, flipped, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chtimes(path, info.ModTime(), info.ModTime()); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := l.Get(e.Key); err != nil || got != nil {
+		t.Fatalf("entry rewritten in place served: %+v, %v", got, err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatal("entry rewritten in place not quarantined")
+	}
+	if st := l.Stats(); st.Corrupt != 1 {
+		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// TestVerifiedMemoBounded: a handle remembers at most MemoKeys verified
+// entries, and Get returns the right entry for every key past the bound.
+func TestVerifiedMemoBounded(t *testing.T) {
+	l, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := MemoKeys + 16
+	check := func(i int) {
+		t.Helper()
+		want := testEntry(fmt.Sprintf("bound %d", i))
+		got, err := l.Get(want.Key)
+		if err != nil || got == nil || got.Key != want.Key || string(got.Result) != string(want.Result) {
+			t.Fatalf("key %d: got %+v (err %v), want result %s", i, got, err, want.Result)
+		}
+	}
+	for i := 0; i < n; i++ {
+		if err := l.Put(testEntry(fmt.Sprintf("bound %d", i))); err != nil {
+			t.Fatal(err)
+		}
+		check(i)
+	}
+	for i := 0; i < n; i++ {
+		check(i)
+	}
+	l.mu.Lock()
+	kept := len(l.verified)
+	l.mu.Unlock()
+	if kept != MemoKeys {
+		t.Fatalf("handle remembers %d entries, want the bound %d", kept, MemoKeys)
+	}
 }

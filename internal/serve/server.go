@@ -32,6 +32,13 @@
 // first. Cached submissions carry an ETag (the result checksum);
 // If-None-Match returns 304 without re-reading the artifact.
 //
+// A repeat hit repeats only the ledger's file read: the server remembers
+// which case key each valid request body (by SHA-256) keyed to, and the hit
+// body it rendered from each entry the ledger returned, and the ledger
+// skips decoding bytes that already verified (ledger.Ledger.Get). Each memo
+// is keyed on its whole input, so a changed body is parsed and validated
+// again, and a changed entry file is verified and rendered again.
+//
 // # Fault tolerance
 //
 // With a ledger, every solve resumes from a valid checkpoint stored under
@@ -44,10 +51,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"sort"
@@ -114,19 +124,32 @@ type Server struct {
 	runs   map[string]*srvRun // by ID
 	byKey  map[string]*srvRun // in-flight only: coalesces duplicate submissions
 	order  []*srvRun          // submission order, for listing and eviction
-	etags  map[string]string  // case key -> result checksum, for If-None-Match
 	nextID uint64
+	// keys and bodies hold at most ledger.MemoKeys entries each (putBounded).
+	keys   map[string]keyState          // by case key
+	bodies map[[sha256.Size]byte]string // request-body digest -> case key
+}
+
+// keyState is what the server remembers about one case key: the ETag of
+// its latest result (for If-None-Match), and the 200 body of a cached
+// submission rendered from the ledger entry it came from.
+type keyState struct {
+	etag  string
+	entry *ledger.Entry // the entry hit was rendered from; nil before a hit
+	hit   []byte
 }
 
 // srvRun is one submitted solve tracked by the server. Its session run is
 // set before the srvRun is published; result, finalSnap and err are
-// published by closing done.
+// published by closing done, and the session run is dropped right after:
+// a finished run is answered from result and finalSnap alone, so a retained
+// run does not keep its solver state alive.
 type srvRun struct {
 	Job
 	id      string
 	created time.Time
 	cancel  context.CancelFunc
-	run     *cataero.Run
+	run     atomic.Pointer[cataero.Run] // nil once done has closed
 	done    chan struct{}
 
 	result    json.RawMessage
@@ -149,7 +172,8 @@ func New(cfg Config) (*Server, error) {
 		cancel: cancel,
 		runs:   make(map[string]*srvRun),
 		byKey:  make(map[string]*srvRun),
-		etags:  make(map[string]string),
+		keys:   make(map[string]keyState),
+		bodies: make(map[[sha256.Size]byte]string),
 	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("POST /api/runs", s.handleSubmit)
@@ -207,11 +231,24 @@ type errorBody struct {
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
+	writeBody(w, code, renderJSON(v))
+}
+
+// renderJSON is the indented JSON of v (empty when v does not marshal).
+func renderJSON(v any) []byte {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
+	return buf.Bytes()
+}
+
+// writeBody writes a rendered JSON response. A failed write is the client's
+// loss alone.
+func writeBody(w http.ResponseWriter, code int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	_, _ = w.Write(body)
 }
 
 func writeError(w http.ResponseWriter, code int, format string, args ...any) {
@@ -228,9 +265,21 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// lookupLedger returns the cached view for a key, when the ledger holds a
-// valid entry, caching the entry checksum as the key's ETag.
-func (s *Server) lookupLedger(key string) *runView {
+// putBounded stores v under k, first dropping an arbitrary other entry when
+// m already holds ledger.MemoKeys of them.
+func putBounded[K comparable, V any](m map[K]V, k K, v V) {
+	if _, ok := m[k]; !ok && len(m) >= ledger.MemoKeys {
+		for old := range m {
+			delete(m, old)
+			break
+		}
+	}
+	m[k] = v
+}
+
+// lookupLedger returns the key's valid ledger entry, if any, and records
+// its checksum as the key's ETag.
+func (s *Server) lookupLedger(key string) *ledger.Entry {
 	if s.cfg.Ledger == nil {
 		return nil
 	}
@@ -239,7 +288,12 @@ func (s *Server) lookupLedger(key string) *runView {
 		return nil
 	}
 	s.setEtag(key, e.Checksum)
-	return &runView{
+	return e
+}
+
+// cachedView is the wire form of a ledger hit.
+func cachedView(e *ledger.Entry) runView {
+	return runView{
 		Key:        e.Key,
 		State:      cataero.RunDone.String(),
 		Cached:     true,
@@ -251,13 +305,34 @@ func (s *Server) lookupLedger(key string) *runView {
 	}
 }
 
-// setEtag records the result checksum serving as a key's ETag.
+// writeHit answers a submission from the key's ledger entry e. The body is
+// rendered once per entry: Get returns the same *Entry for as long as the
+// entry file's bytes are unchanged, and a new one otherwise.
+func (s *Server) writeHit(w http.ResponseWriter, key string, e *ledger.Entry) {
+	s.mu.Lock()
+	st := s.keys[key]
+	s.mu.Unlock()
+	body := st.hit
+	if st.entry != e {
+		body = renderJSON(cachedView(e))
+		s.mu.Lock()
+		putBounded(s.keys, key, keyState{etag: e.Checksum, entry: e, hit: body})
+		s.mu.Unlock()
+	}
+	w.Header().Set("ETag", `"`+e.Checksum+`"`)
+	writeBody(w, http.StatusOK, body)
+}
+
+// setEtag records the result checksum serving as a key's ETag. A new
+// checksum drops the key's rendered hit, which was of an older entry.
 func (s *Server) setEtag(key, sum string) {
 	if sum == "" {
 		return
 	}
 	s.mu.Lock()
-	s.etags[key] = sum
+	if st := s.keys[key]; st.etag != sum {
+		putBounded(s.keys, key, keyState{etag: sum})
+	}
 	s.mu.Unlock()
 }
 
@@ -265,7 +340,7 @@ func (s *Server) setEtag(key, sum string) {
 func (s *Server) etagFor(key string) string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.etags[key]
+	return s.keys[key].etag
 }
 
 // etagMatches reports whether an If-None-Match header value matches the
@@ -327,28 +402,42 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	var p cataero.Problem
-	if err := json.NewDecoder(body).Decode(&p); err != nil {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "parse case: %v", err)
 		return
 	}
-	p.Priority = lane
-	job, err := Prepare(s.cfg.Session, p)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+	// A body this server has keyed before keys the same way again: parsing,
+	// validation and keying depend on its bytes alone (the lane is not part
+	// of the key). Only a body that keyed is remembered.
+	sum := sha256.Sum256(body)
+	s.mu.Lock()
+	key := s.bodies[sum]
+	s.mu.Unlock()
+	var job Job
+	if key == "" {
+		if job, err = s.prepareBody(body, lane); err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		key = job.Key
+		s.mu.Lock()
+		putBounded(s.bodies, sum, key)
+		s.mu.Unlock()
 	}
 
-	if s.notModified(w, r, job.Key) {
+	if s.notModified(w, r, key) {
 		return
 	}
-	if hit := s.lookupLedger(job.Key); hit != nil {
-		if tag := s.etagFor(job.Key); tag != "" {
-			w.Header().Set("ETag", `"`+tag+`"`)
-		}
-		writeJSON(w, http.StatusOK, hit)
+	if e := s.lookupLedger(key); e != nil {
+		s.writeHit(w, key, e)
 		return
+	}
+	if job.Key == "" {
+		if job, err = s.prepareBody(body, lane); err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
 	}
 
 	sr, coalesced, retryAfter := s.admit(job, deadline, clientKey(r))
@@ -357,6 +446,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.respondRun(w, r, sr, coalesced)
+}
+
+// prepareBody decodes a submission body into a case in the given lane and
+// keys it (Prepare).
+func (s *Server) prepareBody(body []byte, lane cataero.Priority) (Job, error) {
+	var p cataero.Problem
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&p); err != nil {
+		return Job{}, fmt.Errorf("parse case: %w", err)
+	}
+	p.Priority = lane
+	return Prepare(s.cfg.Session, p)
 }
 
 // parseDeadline parses the X-Deadline-Ms header ("" = no deadline). A
@@ -432,9 +532,9 @@ func (s *Server) admit(job Job, deadline time.Duration, client string) (sr *srvR
 		id:      fmt.Sprintf("r%06d", s.nextID),
 		created: time.Now().UTC(),
 		cancel:  cancel,
-		run:     s.cfg.Session.Submit(ctx, p),
 		done:    make(chan struct{}),
 	}
+	sr.run.Store(s.cfg.Session.Submit(ctx, p))
 	s.runs[sr.id] = sr
 	s.byKey[job.Key] = sr
 	s.order = append(s.order, sr)
@@ -469,12 +569,15 @@ func (s *Server) evictLocked() {
 
 // execute waits for one submitted solve and files its outcome: the result
 // is written back to the ledger, where it supersedes the key's checkpoint,
-// and then published with the run.
+// and then published with the run. Once published, the session run — and
+// with it the solver state its Environment holds — is let go.
 func (s *Server) execute(sr *srvRun) {
+	run := sr.run.Load()
+	defer sr.run.Store(nil)
 	defer close(sr.done)
 	defer sr.cancel()
-	env, err := sr.run.Wait()
-	sr.finalSnap = sr.run.Snapshot()
+	env, err := run.Wait()
+	sr.finalSnap = run.Snapshot()
 	if err != nil {
 		sr.err = err
 		s.unkey(sr)
@@ -544,8 +647,8 @@ func (s *Server) view(sr *srvRun) runView {
 		Priority: sr.Problem.Priority.String(),
 		Created:  sr.created,
 	}
-	select {
-	case <-sr.done:
+	run := sr.live()
+	if run == nil {
 		v.State = cataero.RunDone.String()
 		if snap, err := json.Marshal(sr.finalSnap); err == nil {
 			v.Snapshot = snap
@@ -557,9 +660,8 @@ func (s *Server) view(sr *srvRun) runView {
 			v.Error = sr.err.Error()
 		}
 		return v
-	default:
 	}
-	snap := sr.run.Snapshot()
+	snap := run.Snapshot()
 	// The session run finishes before execute has stored the result
 	// (marshalling, the ledger write) and closed sr.done: until then the run
 	// is still running here, so done always comes with its result or error.
@@ -571,6 +673,21 @@ func (s *Server) view(sr *srvRun) runView {
 		v.Snapshot = data
 	}
 	return v
+}
+
+// live returns the run's session handle while the run is unfinished, and
+// nil once done has closed, when result, finalSnap and err are published.
+func (sr *srvRun) live() *cataero.Run {
+	run := sr.run.Load()
+	if run == nil {
+		return nil // execute drops the handle only after closing done
+	}
+	select {
+	case <-sr.done:
+		return nil
+	default:
+		return run
+	}
 }
 
 func (s *Server) handleListRuns(w http.ResponseWriter, r *http.Request) {
@@ -644,11 +761,20 @@ func (s *Server) handleRunEvents(w http.ResponseWriter, r *http.Request) {
 		return true
 	}
 
+	// A finished run streams what a Watch of it yields, its terminal
+	// snapshot, and then done.
+	run := sr.live()
+	if run == nil {
+		if emit("snapshot", sr.finalSnap) {
+			emit("done", s.view(sr))
+		}
+		return
+	}
 	// Latest-value snapshots until the watch channel closes at the terminal
 	// one. A run waiting in the session queue sends nothing until it starts,
 	// so the stream opens with its queued state.
-	watch := sr.run.Watch()
-	if snap := sr.run.Snapshot(); snap.State == cataero.RunQueued && !emit("snapshot", snap) {
+	watch := run.Watch()
+	if snap := run.Snapshot(); snap.State == cataero.RunQueued && !emit("snapshot", snap) {
 		return
 	}
 	for {
@@ -711,8 +837,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			views[i] = runView{State: cataero.RunDone.String(), Error: err.Error()}
 			continue
 		}
-		if hit := s.lookupLedger(job.Key); hit != nil {
-			views[i] = *hit
+		if e := s.lookupLedger(job.Key); e != nil {
+			views[i] = cachedView(e)
 			continue
 		}
 		sr, coalesced, retryAfter := s.admit(job, 0, client)

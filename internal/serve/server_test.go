@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -342,7 +343,8 @@ func TestServerWidthIsSessionWidth(t *testing.T) {
 }
 
 // TestEventsStream: the SSE endpoint emits snapshot events and a terminal
-// done event carrying the result.
+// done event carrying the result, for a run in flight and again once it has
+// finished.
 func TestEventsStream(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
@@ -350,49 +352,52 @@ func TestEventsStream(t *testing.T) {
 	if v.ID == "" {
 		t.Fatalf("submission not registered: %+v", v)
 	}
-	resp, err := http.Get(ts.URL + "/api/runs/" + v.ID + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("content type %q", ct)
-	}
+	for _, when := range []string{"in flight", "finished"} {
+		resp, err := http.Get(ts.URL + "/api/runs/" + v.ID + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
+			t.Fatalf("%s: content type %q", when, ct)
+		}
 
-	var sawSnapshot, sawDone bool
-	var event string
-	scanner := bufio.NewScanner(resp.Body)
-	scanner.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	for scanner.Scan() {
-		line := scanner.Text()
-		switch {
-		case strings.HasPrefix(line, "event: "):
-			event = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			data := strings.TrimPrefix(line, "data: ")
-			switch event {
-			case "snapshot":
-				sawSnapshot = true
-			case "done":
-				sawDone = true
-				var final runView
-				if err := json.Unmarshal([]byte(data), &final); err != nil {
-					t.Fatalf("done event payload: %v", err)
-				}
-				if final.State != cataero.RunDone.String() || len(final.Result) == 0 {
-					t.Fatalf("done event incomplete: %+v", final)
+		var sawSnapshot, sawDone bool
+		var event string
+		scanner := bufio.NewScanner(resp.Body)
+		scanner.Buffer(make([]byte, 0, 1<<20), 1<<20)
+		for scanner.Scan() {
+			line := scanner.Text()
+			switch {
+			case strings.HasPrefix(line, "event: "):
+				event = strings.TrimPrefix(line, "event: ")
+			case strings.HasPrefix(line, "data: "):
+				data := strings.TrimPrefix(line, "data: ")
+				switch event {
+				case "snapshot":
+					sawSnapshot = true
+				case "done":
+					sawDone = true
+					var final runView
+					if err := json.Unmarshal([]byte(data), &final); err != nil {
+						t.Fatalf("%s: done event payload: %v", when, err)
+					}
+					if final.State != cataero.RunDone.String() || len(final.Result) == 0 {
+						t.Fatalf("%s: done event incomplete: %+v", when, final)
+					}
 				}
 			}
+			if sawDone {
+				break
+			}
 		}
-		if sawDone {
-			break
+		err = scanner.Err()
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if err := scanner.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if !sawSnapshot || !sawDone {
-		t.Fatalf("stream saw snapshot=%v done=%v", sawSnapshot, sawDone)
+		if !sawSnapshot || !sawDone {
+			t.Fatalf("%s: stream saw snapshot=%v done=%v", when, sawSnapshot, sawDone)
+		}
 	}
 }
 
@@ -607,5 +612,43 @@ func TestListRuns(t *testing.T) {
 	}
 	if len(views) != 1 || views[0].ID != v.ID {
 		t.Fatalf("run listing: %+v", views)
+	}
+}
+
+// TestFinishedRunsReleaseSolverState: a finished run is answered from its
+// result and final snapshot alone, so the runs a server retains do not keep
+// their solvers' state (grid, metrics, flow and scratch arrays) alive.
+func TestFinishedRunsReleaseSolverState(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	solve := func(i int) {
+		t.Helper()
+		resp, v := postCase(t, ts.URL+"/api/runs?wait=1", cataero.Problem{
+			Class: cataero.NS, PInf: 5474.9, TInf: 216.65, VInf: 1770.4,
+			NoseRadius: 0.3, TWall: 600 + float64(i), NI: 24, NJ: 32, MaxSteps: 60,
+		}, nil)
+		if resp.StatusCode != http.StatusOK || v.Cached || v.Error != "" {
+			t.Fatalf("solve %d: status %d %+v", i, resp.StatusCode, v)
+		}
+	}
+	solve(0) // the session's caches and pool
+	const n = 8
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 1; i <= n; i++ {
+		solve(i)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perRun := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / n
+	t.Logf("heap grew %d bytes per finished run", perRun)
+	if perRun > 48<<10 {
+		t.Errorf("heap grew %d KB per finished run; a retained run keeps its solver state", perRun>>10)
+	}
+	s.mu.Lock()
+	retained := len(s.runs)
+	s.mu.Unlock()
+	if retained != n+1 {
+		t.Fatalf("%d runs retained, want %d", retained, n+1)
 	}
 }

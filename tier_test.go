@@ -87,3 +87,49 @@ func TestEngineeringTierGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestNSGolden pins the full-precision stagnation heating and shock standoff
+// of the NS class on three cases: the smoke case file, bench.json solved on
+// one level, and Fig. 9 at quality 1, the north-star gate (about 229 W/cm²
+// and 27 mm). Like TestEngineeringTierGolden it is bit-exact at any
+// GOMAXPROCS, and a change that moves a value is a numerics change.
+func TestNSGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("NS solves in short mode")
+	}
+	type pin struct {
+		name                string
+		q, standoff         float64
+		wantQ, wantStandoff float64
+	}
+	caseFile := func(path string) (q, standoff float64) {
+		t.Helper()
+		p, err := LoadCase(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env, err := NewSession().Solve(context.Background(), p)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		return env.QConvStag, env.Standoff
+	}
+	smokeQ, smokeStandoff := caseFile("cmd/catsim/testdata/smoke.json")
+	benchQ, benchStandoff := caseFile("cmd/catsim/testdata/bench.json")
+	fig9, err := NewSession().Fig9HemisphereNS(context.Background(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []pin{
+		{"smoke.json", smokeQ, smokeStandoff, 77198.57348236826, 0.05338595953064993},
+		{"bench.json single level", benchQ, benchStandoff, 359473.5553102671, 0.04537566409280199},
+		{"Fig. 9 quality 1", fig9.QStag, fig9.Standoff, 2292409.2674387903, 0.026946304892721287},
+	} {
+		if c.q != c.wantQ {
+			t.Errorf("%s q_conv_stag = %.17g, want %.17g", c.name, c.q, c.wantQ)
+		}
+		if c.standoff != c.wantStandoff {
+			t.Errorf("%s standoff = %.17g, want %.17g", c.name, c.standoff, c.wantStandoff)
+		}
+	}
+}
