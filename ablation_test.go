@@ -82,8 +82,7 @@ func catalyticSweep(gammaWs []float64) ([]float64, error) {
 	}
 	var out []float64
 	for _, gw := range gammaWs {
-		sol, err := blayer.SolveStagnation(m, tr, in.Edge, 1200, fs.P, 0.6,
-			blayer.SimilarityOptions{GammaW: gw})
+		sol, err := blayer.SolveStagnation(m, tr, in.Edge, 1200, fs.P, 0.6, gw)
 		if err != nil {
 			return nil, err
 		}

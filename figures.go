@@ -311,13 +311,11 @@ func (s *Session) Fig6WindwardHeating(ctx context.Context) (*Fig6Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	full, err := blayer.SolveStagnation(m, tr, in.Edge, twall, fs.P, body.NoseRadius(),
-		blayer.SimilarityOptions{GammaW: 1})
+	full, err := blayer.SolveStagnation(m, tr, in.Edge, twall, fs.P, body.NoseRadius(), 1)
 	if err != nil {
 		return nil, err
 	}
-	finite, err := blayer.SolveStagnation(m, tr, in.Edge, twall, fs.P, body.NoseRadius(),
-		blayer.SimilarityOptions{GammaW: 0.01})
+	finite, err := blayer.SolveStagnation(m, tr, in.Edge, twall, fs.P, body.NoseRadius(), 0.01)
 	if err != nil {
 		return nil, err
 	}

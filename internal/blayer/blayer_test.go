@@ -99,7 +99,7 @@ func TestSimilarityMatchesFayRiddell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, err := SolveStagnation(m, tr, in.Edge, 1200, fs.P, 0.6, SimilarityOptions{GammaW: 1})
+	sol, err := SolveStagnation(m, tr, in.Edge, 1200, fs.P, 0.6, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestCatalyticWallOrdering(t *testing.T) {
 	}
 	var qs []float64
 	for _, gw := range []float64{0, 0.01, 1} {
-		sol, err := SolveStagnation(m, tr, in.Edge, 1200, fs.P, 0.6, SimilarityOptions{GammaW: gw})
+		sol, err := SolveStagnation(m, tr, in.Edge, 1200, fs.P, 0.6, gw)
 		if err != nil {
 			t.Fatalf("gammaW=%g: %v", gw, err)
 		}

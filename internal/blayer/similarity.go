@@ -10,16 +10,6 @@ import (
 	"cataero/internal/transport"
 )
 
-// SimilarityOptions configures the stagnation-point similarity solve.
-type SimilarityOptions struct {
-	EtaMax  float64 // outer edge of the similarity coordinate (default 8)
-	N       int     // grid points (default 121)
-	Lewis   float64 // Lewis number (default 1.4)
-	GammaW  float64 // wall catalytic recombination coefficient in [0,1]
-	MaxIter int     // relaxation sweeps (default 400)
-	Tol     float64 // convergence tolerance (default 1e-8)
-}
-
 // SimilaritySolution is the converged stagnation boundary layer.
 type SimilaritySolution struct {
 	Eta            []float64
@@ -44,25 +34,15 @@ type SimilaritySolution struct {
 //	(C/Pr g')' + f g' = 0
 //	(C Le/Pr z')' + f z' = 0
 //
-// with g the sensible-enthalpy ratio and z the atom fraction ratio.
-func SolveStagnation(m *thermo.Mixture, tr *transport.Mixture, edge shock.StagnationState, wallT, pInf, rn float64, opts SimilarityOptions) (*SimilaritySolution, error) {
-	if opts.EtaMax == 0 {
-		opts.EtaMax = 8
-	}
-	if opts.N == 0 {
-		opts.N = 121
-	}
-	if opts.Lewis == 0 {
-		opts.Lewis = 1.4
-	}
-	if opts.MaxIter == 0 {
-		opts.MaxIter = 400
-	}
-	if opts.Tol == 0 {
-		opts.Tol = 1e-8
-	}
-	n := opts.N
-	deta := opts.EtaMax / float64(n-1)
+// with g the sensible-enthalpy ratio and z the atom fraction ratio. gammaW
+// is the wall's catalytic recombination coefficient in [0,1].
+func SolveStagnation(m *thermo.Mixture, tr *transport.Mixture, edge shock.StagnationState, wallT, pInf, rn, gammaW float64) (*SimilaritySolution, error) {
+	// The similarity grid (eta in [0, etaMax] on n points), the Lewis number
+	// and the relaxation's sweep cap and tolerance. They stay variables: a
+	// constant expression folds with exact arithmetic and could move the
+	// last bit of the products they enter.
+	etaMax, n, lewis, maxIter, tol := 8.0, 121, 1.4, 400, 1e-8
+	deta := etaMax / float64(n-1)
 	eta := make([]float64, n)
 	for i := range eta {
 		eta[i] = float64(i) * deta
@@ -126,13 +106,13 @@ func SolveStagnation(m *thermo.Mixture, tr *transport.Mixture, edge shock.Stagna
 	beta := VelocityGradient(edge, pInf, rn)
 	rhow := m.Density(edge.P, wallT, edge.Y)
 	var B float64
-	if opts.GammaW > 0 && cAtomE > 1e-12 {
+	if gammaW > 0 && cAtomE > 1e-12 {
 		// Catalytic speed: kw = gammaW sqrt(kB Tw / (2 pi m_atom)); use an
 		// effective atom (N/O blend) mass of 15 g/mol.
 		mAtom := 15e-3 / thermo.NA
-		kw := opts.GammaW * math.Sqrt(thermo.KB*wallT/(2*math.Pi*mAtom))
+		kw := gammaW * math.Sqrt(thermo.KB*wallT/(2*math.Pi*mAtom))
 		CwApprox := rhow * tr.Viscosity(wallT, edge.Y) / rhoMuE
-		B = kw * rhow * 0.71 / (opts.Lewis * CwApprox * math.Sqrt(2*beta*rhoMuE))
+		B = kw * rhow * 0.71 / (lewis * CwApprox * math.Sqrt(2*beta*rhoMuE))
 	}
 
 	C := make([]float64, n)
@@ -181,13 +161,13 @@ func SolveStagnation(m *thermo.Mixture, tr *transport.Mixture, edge shock.Stagna
 		return work.Solve(aa, bb, cc, dd, phi)
 	}
 	speciesBC := wallBC{dirichlet: true, val: 0} // fully catalytic default
-	if opts.GammaW < 1 {
+	if gammaW < 1 {
 		speciesBC = wallBC{b: B} // mixed; B=0 means noncatalytic
 	}
 
 	coefG := make([]float64, n)
 	coefZ := make([]float64, n)
-	for iter := 0; iter < opts.MaxIter; iter++ {
+	for iter := 0; iter < maxIter; iter++ {
 		// Update properties.
 		for i := 0; i < n; i++ {
 			var err error
@@ -196,7 +176,7 @@ func SolveStagnation(m *thermo.Mixture, tr *transport.Mixture, edge shock.Stagna
 				return nil, err
 			}
 			coefG[i] = C[i] / prA[i]
-			coefZ[i] = C[i] * opts.Lewis / prA[i]
+			coefZ[i] = C[i] * lewis / prA[i]
 		}
 		// f from F.
 		f[0] = 0
@@ -246,7 +226,7 @@ func SolveStagnation(m *thermo.Mixture, tr *transport.Mixture, edge shock.Stagna
 				return nil, fmt.Errorf("blayer: species solve: %w", err)
 			}
 		}
-		if dF < opts.Tol && dg < opts.Tol {
+		if dF < tol && dg < tol {
 			break
 		}
 	}
@@ -261,7 +241,7 @@ func SolveStagnation(m *thermo.Mixture, tr *transport.Mixture, edge shock.Stagna
 	if cAtomE > 1e-12 {
 		hD = hDissE // J/kg of mixture carried as dissociation enthalpy
 	}
-	qRec := Cw * opts.Lewis / prW * zp0 * hD * math.Sqrt(2*beta*rhoMuE)
+	qRec := Cw * lewis / prW * zp0 * hD * math.Sqrt(2*beta*rhoMuE)
 	// Physical coordinate: dy = (rho_e/rho) deta / sqrt(2 beta rho_e/mu_e).
 	scale := 1 / math.Sqrt(2*beta*edge.Rho/muE)
 	yPhys := make([]float64, n)

@@ -26,6 +26,11 @@ type BodySpec struct {
 	MaxS float64 `json:"max_s,omitempty"`
 }
 
+// maxArcRadii bounds a hyperboloid's max_s in nose radii: its contour
+// tabulates at most 400 nodes per nose radius of arc, so the bound caps it
+// at 40k nodes, under 1 MB.
+const maxArcRadii = 100
+
 // Body instantiates the named shape.
 func (b BodySpec) Body() (geometry.Body, error) {
 	if b.NoseRadius <= 0 {
@@ -42,6 +47,9 @@ func (b BodySpec) Body() (geometry.Body, error) {
 	case "hyperboloid":
 		if b.HalfAngleDeg <= 0 || b.MaxS <= 0 {
 			return nil, fmt.Errorf("core: hyperboloid needs half_angle_deg and max_s")
+		}
+		if b.MaxS/b.NoseRadius > maxArcRadii {
+			return nil, fmt.Errorf("core: hyperboloid max_s %g above %d nose radii", b.MaxS, maxArcRadii)
 		}
 		return geometry.NewHyperboloid(b.NoseRadius, b.HalfAngleDeg*math.Pi/180, b.MaxS), nil
 	}

@@ -158,6 +158,15 @@ func TestCaseSpecErrors(t *testing.T) {
 		`{"class":"ns","cycle":"v","p_inf":1,"t_inf":1,"v_inf":1}`,
 		`{"class":"ns","refit_every":-3,"p_inf":1,"t_inf":1,"v_inf":1}`,
 		`{"class":"ns","checkpoint_every":-1,"p_inf":1,"t_inf":1,"v_inf":1}`,
+		// Sizes past the bounds: each grid dimension, the cell count, the
+		// station count and a hyperboloid's arc in nose radii.
+		`{"class":"ns","ni":100000,"nj":100000,"p_inf":1,"t_inf":1,"v_inf":1}`,
+		`{"class":"ns","ni":1025,"nj":8,"p_inf":1,"t_inf":1,"v_inf":1}`,
+		`{"class":"ns","nj":1025,"p_inf":1,"t_inf":1,"v_inf":1}`,
+		`{"class":"ns","ni":257,"nj":256,"p_inf":1,"t_inf":1,"v_inf":1}`,
+		`{"class":"vsl","n_stations":1001,"p_inf":1,"t_inf":1,"v_inf":1}`,
+		`{"class":"ebl","body":{"kind":"hyperboloid","nose_radius":1,"half_angle_deg":30,"max_s":1e6},"p_inf":1,"t_inf":1,"v_inf":1}`,
+		`{"class":"pns","body":{"kind":"hyperboloid","nose_radius":0.5,"half_angle_deg":30,"max_s":1e308},"p_inf":1,"t_inf":1,"v_inf":1}`,
 		`{"class":"ns","flux":"bogus","p_inf":1,"t_inf":1,"v_inf":1}`,
 		`{"class":"ns","time_stepping":"rk4","p_inf":1,"t_inf":1,"v_inf":1}`,
 		`{"class":"ns","implicit_sweep":"zebra","p_inf":1,"t_inf":1,"v_inf":1}`,

@@ -332,8 +332,10 @@ const cycleCascade = "cascade"
 // V-cycle fails with the reason. The NS class meshes a sphere of the nose
 // radius whatever the body, so an NS problem with another body is refused:
 // it would solve, and be filed in a ledger, as a hemisphere under the other
-// body's key. An accepted problem costs no allocation: a serve request
-// runs validate up to four times.
+// body's key. The size bounds cap what one case can make a solve
+// allocate, so a single serve request cannot exhaust the server's memory.
+// An accepted problem costs no allocation: a serve request runs validate up
+// to four times.
 func validate(p Problem) error {
 	if err := fvm.CheckNames(p.Flux, p.TimeStepping, p.ImplicitSweep, p.Limiter); err != nil {
 		return err
@@ -346,10 +348,18 @@ func validate(p Problem) error {
 		return fmt.Errorf("core: n_stations %d negative", p.NStations)
 	case p.NStations > 0 && p.NStations < minStations(p.Class):
 		return fmt.Errorf("core: n_stations %d below the %s minimum of %d", p.NStations, classNames[p.Class], minStations(p.Class))
+	case p.NStations > maxStations:
+		return fmt.Errorf("core: n_stations %d above the limit of %d", p.NStations, maxStations)
 	case p.NI < 0:
 		return fmt.Errorf("core: ni %d negative", p.NI)
 	case p.NJ < 0:
 		return fmt.Errorf("core: nj %d negative", p.NJ)
+	case p.NI > maxGridDim:
+		return fmt.Errorf("core: ni %d above the limit of %d", p.NI, maxGridDim)
+	case p.NJ > maxGridDim:
+		return fmt.Errorf("core: nj %d above the limit of %d", p.NJ, maxGridDim)
+	case p.NI*p.NJ > maxCells:
+		return fmt.Errorf("core: ni x nj = %d cells above the limit of %d", p.NI*p.NJ, maxCells)
 	case p.MaxSteps < 0:
 		return fmt.Errorf("core: max_steps %d negative", p.MaxSteps)
 	case p.Levels < 0:
@@ -363,6 +373,18 @@ func validate(p Problem) error {
 	}
 	return nil
 }
+
+// The size bounds of one case. An implicit NS level holds about 390 B per
+// cell, so maxCells caps a level near 25 MB. Each grid dimension is bounded
+// before the product, which could otherwise overflow; at maxGridDim a grid
+// whose other dimension is left at its default (at most 36 cells) still
+// stays inside maxCells. maxStations sizes the VSL, E+BL and PNS arrays the
+// same way.
+const (
+	maxCells    = 65536
+	maxGridDim  = 1024
+	maxStations = 1000
+)
 
 // minStations is the fewest surface stations a class can solve on: E+BL
 // spaces its edge distribution over at least two (one spaces the body by

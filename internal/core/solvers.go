@@ -203,8 +203,7 @@ func (eblSolver) Solve(ctx context.Context, st *Stack, p Problem) (*Environment,
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	sol, err := blayer.SolveStagnation(m.Mix, m.Tr, in.Edge, p.TWall, p.PInf, p.NoseRadius,
-		blayer.SimilarityOptions{GammaW: p.GammaW})
+	sol, err := blayer.SolveStagnation(m.Mix, m.Tr, in.Edge, p.TWall, p.PInf, p.NoseRadius, p.GammaW)
 	if err != nil {
 		return nil, err
 	}
@@ -266,8 +265,7 @@ func (pnsSolver) Solve(ctx context.Context, st *Stack, p Problem) (*Environment,
 			return nil, err
 		}
 	}
-	res, err := pns.March(ctx, edges, props, hw, edges[0].H, p.NoseRadius, p.PInf,
-		pns.Options{Progress: countProgress(p, "pns", "march")})
+	res, err := pns.March(ctx, edges, props, hw, edges[0].H, p.NoseRadius, p.PInf, countProgress(p, "pns", "march"))
 	if err != nil {
 		return nil, err
 	}

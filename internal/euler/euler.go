@@ -21,8 +21,7 @@ import (
 // Case defines a blunt-body Euler solve.
 type Case struct {
 	Gas      gas.Model
-	Body     geometry.Body
-	SMax     float64                 // arc length to march along the body (default body.MaxS())
+	Body     geometry.Body           // meshed over its whole arc, Body.MaxS()
 	NI, NJ   int                     // grid cells (default 28 x 36)
 	Standoff func(s float64) float64 // outer-boundary placement
 	VInf     float64
@@ -30,11 +29,11 @@ type Case struct {
 	TInf     float64
 	Axisym   bool
 	MaxSteps int
-	CFL      float64
 	// Options carries the finite-volume numerics — flux, time stepping,
 	// implicit sweep, limiter, checkpointing, pool and progress — through
 	// to the kernel unchanged. Solve sets the physics fields the case owns
-	// over it: Gas, an inviscid slip wall, CFL, MUSCL and the freestream.
+	// over it: Gas, an inviscid slip wall (Viscous off), MUSCL and the
+	// freestream, and the explicit CFL number 0.5.
 	Options fvm.Options
 	// Sequence configures the grid sequencing of the march (see
 	// fvm.SolveMultilevel and the Levels and RefitEvery fields of
@@ -60,17 +59,11 @@ func Solve(ctx context.Context, c Case) (*Result, error) {
 	if c.Body == nil || c.Gas == nil {
 		return nil, fmt.Errorf("euler: body and gas model required")
 	}
-	if c.SMax == 0 {
-		c.SMax = c.Body.MaxS()
-	}
 	if c.NI == 0 {
 		c.NI = 28
 	}
 	if c.NJ == 0 {
 		c.NJ = 36
-	}
-	if c.CFL == 0 {
-		c.CFL = 0.5
 	}
 	if c.MaxSteps == 0 {
 		c.MaxSteps = 4000
@@ -79,14 +72,14 @@ func Solve(ctx context.Context, c Case) (*Result, error) {
 		rn := c.Body.NoseRadius()
 		c.Standoff = func(s float64) float64 { return 1.2*rn + 0.4*s }
 	}
-	g, err := grid.NewBlunt(c.Body, c.SMax, c.NI, c.NJ, c.Standoff, 1.5)
+	g, err := grid.NewBlunt(c.Body, c.Body.MaxS(), c.NI, c.NJ, c.Standoff, 1.5)
 	if err != nil {
 		return nil, err
 	}
 	g.Axisymmetric = c.Axisym
 	o := c.Options
-	o.Gas, o.Viscous, o.Wall = c.Gas, false, fvm.SlipWall
-	o.CFL, o.MUSCL = c.CFL, true
+	o.Gas, o.Viscous = c.Gas, false
+	o.CFL, o.MUSCL = 0.5, true
 	o.FreestreamV = [2]float64{c.VInf, 0}
 	o.FreestreamPT = [2]float64{c.PInf, c.TInf}
 	const dropTol = 5e-4

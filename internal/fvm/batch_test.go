@@ -185,7 +185,7 @@ func TestBoundaryFacesMatchScalar(t *testing.T) {
 					n := met.FaceJN[3*f : 3*f+3]
 					q := s.prim[i*nj]
 					want := ref.Flux(mirror(q, n[0], n[1]), q, n[0], n[1], n[2])
-					if o.Viscous && o.Wall == NoSlipIsothermal {
+					if o.Viscous {
 						dn := met.WallHalf[i]
 						mu := o.Mu(0.5 * (q.T + o.TWall))
 						kth := o.K(0.5 * (q.T + o.TWall))

@@ -380,3 +380,107 @@ func TestResumeSequencedBitExact(t *testing.T) {
 		})
 	}
 }
+
+// TestResumeFromEveryPeriodicCheckpoint resumes refit-mode solves from every
+// periodic checkpoint they emit, and each resume must land on the
+// uninterrupted solve's terminal state bit for bit. A killed process leaves
+// only periodic checkpoints behind, so each one must be as good as the
+// cancellation checkpoint. The cadences hit refit steps (fine steps 11, 21,
+// … at one level, whose first step sets the target and does not count
+// toward RefitEvery; 10, 20, … at two levels), where a checkpoint taken
+// before the step's refit bookkeeping resumes one refit late. The solves
+// stop at a step cap, which keeps the resumes short; one worker keeps them
+// cheap.
+func TestResumeFromEveryPeriodicCheckpoint(t *testing.T) {
+	const maxSteps = 80
+	pool := NewPool(1)
+	defer pool.Close()
+	for _, tc := range []struct {
+		name   string
+		ts     string
+		levels int
+		every  int
+	}{
+		{"one-level-explicit", TimeSteppingExplicit, 1, 3},
+		{"two-level-explicit", TimeSteppingExplicit, 2, 5},
+		{"one-level-implicit", TimeSteppingImplicit, 1, 3},
+		{"two-level-implicit", TimeSteppingImplicit, 2, 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			finest := "solve"
+			if tc.levels > 1 {
+				finest = "level0"
+			}
+			solve := func(restore *Checkpoint, sink func(*Checkpoint), progress ProgressFunc) (*Solver, float64) {
+				t.Helper()
+				g, o := seqCase(t)
+				o.Pool, o.TimeStepping, o.Restore = pool, tc.ts, restore
+				o.CheckpointEvery, o.CheckpointSink, o.Progress = tc.every, sink, progress
+				s, res, err := SolveMultilevel(context.Background(), g, o, maxSteps, 1e-3, SequenceOptions{Levels: tc.levels, RefitEvery: 10})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s, res
+			}
+			var ckpts [][]byte
+			refitAt := map[int]bool{} // the finest steps that refitted
+			refits := 0
+			cold, coldRes := solve(nil, func(cp *Checkpoint) {
+				enc, err := cp.AppendBinary(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ckpts = append(ckpts, enc)
+			}, func(phase string, step, maxSteps int, residual float64, d Diag) {
+				// A refit lands after its step's report, so the next
+				// report is the first to count it.
+				if phase == finest && d.Refits > refits {
+					refitAt[step-1], refits = true, d.Refits
+				}
+			})
+			defer cold.Close()
+			hits := 0
+			for _, enc := range ckpts {
+				cp, err := DecodeCheckpoint(enc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if refitAt[cp.Step] {
+					hits++
+				}
+				s, res := solve(cp, nil, nil)
+				if cp.Step == maxSteps {
+					res = coldRes // the resume took no step, so it has no residual to return
+				}
+				if diff := stateDiff(s, cold); diff != "" || math.Float64bits(res) != math.Float64bits(coldRes) {
+					t.Errorf("resumed from step %d (refits %d): residual %v, cold %v; %s", cp.Step, cp.Refits, res, coldRes, diff)
+				}
+				s.Close()
+			}
+			if hits == 0 {
+				t.Errorf("none of %d checkpoints falls on a refit step (refits at %v)", len(ckpts), refitAt)
+			}
+		})
+	}
+}
+
+// stateDiff names the first conserved value or grid node on which two
+// solvers differ in any bit, or returns "".
+func stateDiff(got, want *Solver) string {
+	for k := range want.U {
+		for c := 0; c < 4; c++ {
+			if math.Float64bits(got.U[k][c]) != math.Float64bits(want.U[k][c]) {
+				return fmt.Sprintf("U[%d][%d] = %v, want %v", k, c, got.U[k][c], want.U[k][c])
+			}
+		}
+	}
+	for i := range want.G.X {
+		for j := range want.G.X[i] {
+			if math.Float64bits(got.G.X[i][j]) != math.Float64bits(want.G.X[i][j]) ||
+				math.Float64bits(got.G.Y[i][j]) != math.Float64bits(want.G.Y[i][j]) {
+				return fmt.Sprintf("grid node (%d,%d) differs", i, j)
+			}
+		}
+	}
+	return ""
+}

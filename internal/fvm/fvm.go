@@ -30,14 +30,6 @@ type Prim struct {
 	Rho, U, V, P, T, A, E float64 // E = specific internal energy
 }
 
-// WallKind selects the j=0 boundary treatment.
-type WallKind int
-
-const (
-	SlipWall WallKind = iota // inviscid tangency (Euler)
-	NoSlipIsothermal
-)
-
 // ProgressFunc observes a marching loop: phase names the sequencing stage
 // ("solve" for a one-level solve, "level0" (finest) through "levelN"
 // (coarsest) for a grid-sequenced one), step counts completed time steps
@@ -64,9 +56,11 @@ type Diag struct {
 
 // Options configures a Solver.
 type Options struct {
-	Gas     gas.Model
+	Gas gas.Model
+	// Viscous adds the thin-layer viscous terms and makes the wall no-slip
+	// and isothermal at TWall; without it the wall is an inviscid slip wall
+	// (tangency).
 	Viscous bool
-	Wall    WallKind
 	TWall   float64                 // isothermal wall temperature
 	Mu      func(T float64) float64 // viscosity law (viscous runs)
 	K       func(T float64) float64 // conductivity law

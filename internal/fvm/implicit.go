@@ -594,7 +594,7 @@ func (st *implicitStepper) assembleLineJ(i int, w *implicitLineWS) {
 		// −½λM − (−½λI): M has unit spectral radius, fold both into a
 		// single dissipation bound.
 		addScaledIdent(B0, lam)
-		if s.Opts.Viscous && s.Opts.Wall == NoSlipIsothermal {
+		if s.Opts.Viscous {
 			mu := s.Opts.Mu(0.5 * (q.T + s.Opts.TWall))
 			addScaledIdent(B0, mu*area/(met.WallHalf[i]*q.Rho))
 		}
@@ -648,9 +648,7 @@ func (st *implicitStepper) assembleLineI(j int, w *implicitLineWS) {
 			// let the streamwise solve overstep the boundary layer.
 			if areaS := met.FaceJN[fs+2]; areaS > 0 {
 				if j == 0 {
-					if s.Opts.Wall == NoSlipIsothermal {
-						diag += s.Opts.Mu(0.5*(q.T+s.Opts.TWall)) * areaS / (met.WallHalf[i] * q.Rho)
-					}
+					diag += s.Opts.Mu(0.5*(q.T+s.Opts.TWall)) * areaS / (met.WallHalf[i] * q.Rho)
 				} else if dn := met.JDist[i*(nj+1)+j]; dn > 0 {
 					m := s.prim[k-1]
 					diag += s.Opts.Mu(0.5*(m.T+q.T)) * areaS / (dn * 0.5 * (m.Rho + q.Rho))

@@ -9,22 +9,23 @@ import (
 )
 
 // SolveMultilevel marches a solve to steady state — the one marching driver
-// of the NS and Euler classes. The zero SequenceOptions is the plain
-// single-grid march: one freestream-started step sets the absolute target
-// r0*dropTol, and the march stops below it or after maxSteps steps. With
-// Levels above 1 it builds a level hierarchy from chained grid.Coarsen calls
-// (each level with its own cached metrics and a Solver sharing Options.Pool)
-// and marches it as a cascade: converge the coarsest level from freestream,
-// inject each converged level onto the next finer one, and finish on the
-// finest. Unreachable levels (cell counts not divisible by the factor, or
-// below the MUSCL floor) are dropped. The finest level stops at the same
-// absolute residual a freestream-started fine solve would reach after
-// dropping by dropTol; with RefitEvery set, the finest march periodically
-// re-fits the outer boundary to the detected shock locus and transfers the
-// solution onto the refitted grid. Progress and checkpoint phases are
-// labeled "solve" for a one-level solve, and "level0" (finest) through
-// "levelN" (coarsest) for a sequenced one. Returns the finest solver (which
-// the caller owns) and its final residual.
+// of the NS and Euler classes. With Levels above 1 it builds a level
+// hierarchy from chained grid.Coarsen calls (each level with its own cached
+// metrics and a Solver sharing Options.Pool), dropping the levels the grid
+// cannot reach (cell counts not divisible by the factor, or below the MUSCL
+// floor). One loop (march) steps every level, coarsest first, to its
+// absolute residual target. The coarsest level, and the only level of a
+// one-level solve (the zero SequenceOptions), latches its target from its
+// own freestream-started first step: r0*dropTol for the finest level, so a
+// one-level solve stops where a plain march dropping by dropTol would. At
+// each handoff the next finer level takes one uncounted step from
+// freestream to calibrate its target, then receives the injected coarse
+// field. With RefitEvery set, the finest march periodically re-fits the
+// outer boundary to the detected shock locus and transfers the solution
+// onto the refitted grid. Progress and checkpoint phases are labeled
+// "solve" for a one-level solve, and "level0" (finest) through "levelN"
+// (coarsest) for a sequenced one. Returns the finest solver (which the
+// caller owns) and its final residual.
 func SolveMultilevel(ctx context.Context, g *grid.Grid2D, o Options, maxSteps int, dropTol float64, sq SequenceOptions) (*Solver, float64, error) {
 	if maxSteps <= 0 {
 		maxSteps = 2000
@@ -32,56 +33,59 @@ func SolveMultilevel(ctx context.Context, g *grid.Grid2D, o Options, maxSteps in
 	if err := validateMultilevel(sq); err != nil {
 		return nil, 0, err
 	}
-	sequenced := sq.Levels > 1
-	finest := "solve" // New's label, which a one-level solve keeps
-	if sequenced {
-		finest = "level0"
-	}
-
-	// A checkpoint carries the finest march's absolute target and refit
-	// bookkeeping, so any coarse cascade is skipped on resume: build only
-	// the finest solver, restore it (refitted grid nodes included) and
-	// continue the march. A checkpoint of another phase (the other kind of
-	// solve) or shape, and any restore failure, fall through to a cold
-	// solve.
-	cp := o.Restore
-	o.Restore = nil
-	if cp != nil && cp.Phase == finest && cp.NI == g.NI && cp.NJ == g.NJ && cp.Target > 0 {
-		if s, res, err, ok := resumeMultilevel(ctx, g, o, maxSteps, sq, cp); ok {
-			return s, res, err
+	label := func(l int) string {
+		if sq.Levels > 1 {
+			return fmt.Sprintf("level%d", l)
 		}
+		return "solve" // New's label, which a one-level solve keeps
 	}
+	m := &multilevel{o: o, sq: sq, maxSteps: maxSteps, dropTol: dropTol, best: math.Inf(1)}
+	m.o.Restore = nil
 
-	// Build the grid hierarchy by chained coarsening, dropping levels the
-	// grid cannot reach.
-	grids := []*grid.Grid2D{g}
-	//cataero:allow ctxloop bounded by Levels (a handful of coarsenings)
-	for len(grids) < sq.Levels {
-		cg, err := grids[len(grids)-1].Coarsen(coarsenFactor)
-		if err != nil {
-			break
-		}
-		grids = append(grids, cg)
-	}
-
-	m := &multilevel{o: o, sq: sq, maxSteps: maxSteps, dropTol: dropTol}
-	solvers := make([]*Solver, len(grids))
-	//cataero:allow ctxloop one solver allocation per level, setup only
-	for l, lg := range grids {
-		s, err := New(lg, o)
-		if err != nil {
-			for _, built := range solvers[:l] {
-				built.Close()
+	// A checkpoint carries the finest march's position, so a resume builds
+	// only the finest level, restores it (refitted grid nodes included) and
+	// marches it on; the coarse levels did their work before the
+	// checkpoint. A checkpoint of another phase (the other kind of solve) or
+	// shape, and any restore failure, fall through to a cold solve.
+	if cp := o.Restore; cp != nil && cp.Phase == label(0) && cp.NI == g.NI && cp.NJ == g.NJ && cp.Target > 0 {
+		if s, err := New(g, m.o); err == nil {
+			s.phase = cp.Phase
+			if s.Restore(cp) != nil {
+				s.Close()
+			} else {
+				m.solvers = []*Solver{s}
+				m.target, m.fineSteps = cp.Target, cp.Step
+				m.refits, m.sinceRefit, m.stalled = cp.Refits, cp.SinceRefit, cp.MarchStalled
+				if cp.MarchBest > 0 {
+					m.best = cp.MarchBest
+				}
 			}
-			return nil, 0, err
 		}
-		if sequenced {
-			s.phase = fmt.Sprintf("level%d", l)
-		}
-		solvers[l] = s
 	}
-	m.solvers = solvers
-	m.steps = make([]int, len(solvers))
+	if m.solvers == nil {
+		grids := []*grid.Grid2D{g}
+		//cataero:allow ctxloop bounded by Levels (a handful of coarsenings)
+		for len(grids) < sq.Levels {
+			cg, err := grids[len(grids)-1].Coarsen(coarsenFactor)
+			if err != nil {
+				break
+			}
+			grids = append(grids, cg)
+		}
+		//cataero:allow ctxloop one solver allocation per level, setup only
+		for l, lg := range grids {
+			s, err := New(lg, m.o)
+			if err != nil {
+				for _, built := range m.solvers {
+					built.Close()
+				}
+				return nil, 0, err
+			}
+			s.phase = label(l)
+			m.solvers = append(m.solvers, s)
+		}
+	}
+	m.steps = make([]int, len(m.solvers))
 	defer func() {
 		for _, s := range m.solvers[1:] {
 			s.Close()
@@ -96,40 +100,6 @@ func SolveMultilevel(ctx context.Context, g *grid.Grid2D, o Options, maxSteps in
 	return m.solvers[0], res, nil
 }
 
-// resumeMultilevel continues a multilevel solve from a finest-level
-// checkpoint: only the finest solver exists (the coarse hierarchy already
-// did its work before the checkpoint), and the march picks up the saved
-// refit bookkeeping. ok reports whether the checkpoint was applied; on false
-// the caller solves cold.
-func resumeMultilevel(ctx context.Context, g *grid.Grid2D, o Options, maxSteps int, sq SequenceOptions, cp *Checkpoint) (*Solver, float64, error, bool) {
-	s, err := New(g, o)
-	if err != nil {
-		return nil, 0, nil, false
-	}
-	s.phase = cp.Phase // the finest level's label, which routed the restore
-	if err := s.Restore(cp); err != nil {
-		s.Close()
-		return nil, 0, nil, false
-	}
-	m := &multilevel{
-		o: o, sq: sq, maxSteps: maxSteps,
-		solvers:   []*Solver{s},
-		steps:     []int{0},
-		fineSteps: cp.Step,
-		refits:    cp.Refits,
-	}
-	best := math.Inf(1)
-	if cp.MarchBest > 0 {
-		best = cp.MarchBest
-	}
-	res, err := m.marchFinestFrom(ctx, cp.Target, cp.SinceRefit, best, cp.MarchStalled)
-	if err != nil {
-		s.Close()
-		return nil, 0, err, true
-	}
-	return s, res, nil, true
-}
-
 // validateMultilevel fail-fast checks the multilevel knobs.
 func validateMultilevel(sq SequenceOptions) error {
 	if sq.Levels < 0 {
@@ -142,133 +112,71 @@ func validateMultilevel(sq SequenceOptions) error {
 }
 
 // multilevel is the state of one multilevel solve: the per-level solvers
-// (index 0 = finest) and per-level step counters for progress reporting.
+// (index 0 = finest), per-level step counters for progress reporting, and
+// the march position. The position fields are exactly what a finest-level
+// checkpoint saves and a resume restores.
 type multilevel struct {
 	o        Options
 	sq       SequenceOptions
 	maxSteps int
 	dropTol  float64
 
-	solvers   []*Solver
-	steps     []int // per-level completed steps (progress phase counters)
-	fineSteps int   // finest-level steps consumed (the solve budget)
-	refits    int   // mid-march refits performed (capped at maxRefits per solve)
+	solvers []*Solver
+	steps   []int // per-level steps this process took (progress counters)
+
+	target     float64 // the marching level's absolute residual target (0: latch from the first step)
+	fineSteps  int     // finest-level steps across resumes (the finest budget)
+	refits     int     // mid-march refits performed (capped at maxRefits per solve)
+	sinceRefit int     // finest steps since the last refit attempt
+	best       float64 // best finest residual since the last refit (+Inf: none yet)
+	stalled    int     // finest steps since best last improved by refitStallDrop
 }
 
-// run converges the cascade and finishes the finest level, returning its
-// final residual.
+// run marches the levels coarsest first. After each coarse level the next
+// finer one calibrates its target and takes the injected field: one
+// freestream-started step gives the residual scale a plain solve on that
+// level would have latched onto. A drop measured after injection instead
+// would punish the good initial guess — the bilinear prolongation hands the
+// finer level a first residual that is already low, and a further relative
+// drop from there can sit below the level's limit-cycle floor, grinding
+// away the whole coarse budget. Returns the finest level's final residual.
 func (m *multilevel) run(ctx context.Context) (float64, error) {
-	target, err := m.cascade(ctx)
-	if err != nil {
-		return 0, err
-	}
-	return m.marchFinest(ctx, target)
-}
-
-// levelTol is the per-level relative drop tolerance of the cascade,
-// interpolated geometrically between coarseDropTol on the coarsest level
-// (which only has to establish the shock from freestream) and the fine
-// dropTol. Driving the intermediate levels well past coarseDropTol pays off:
-// their steps cost a fraction of a fine step (a quarter per halving), and
-// every decade they converge is a decade the finest level does not have to
-// grind at full resolution.
-func (m *multilevel) levelTol(l int) float64 {
-	last := len(m.solvers) - 1
-	if l >= last {
-		return coarseDropTol
-	}
-	t := float64(l) / float64(last)
-	return math.Exp(t*math.Log(coarseDropTol) + (1-t)*math.Log(m.dropTol))
-}
-
-// cascade converges the hierarchy coarsest-first, injecting each converged
-// level onto the next finer one, and returns the finest level's absolute
-// residual target. The finest level itself is not marched — run
-// finishes it — except for the single calibration step that latches the
-// target scale.
-func (m *multilevel) cascade(ctx context.Context) (float64, error) {
-	L := len(m.solvers)
-	abs := 0.0 // coarsest level anchors to its own freestream-started first step
-	for l := L - 1; l >= 1; l-- {
-		s := m.solvers[l]
-		if _, err := m.relax(ctx, l, m.maxSteps, m.levelTol(l), abs); err != nil {
+	for l := len(m.solvers) - 1; l > 0; l-- {
+		if _, err := m.march(ctx, l); err != nil {
 			return 0, err
 		}
-		finer := m.solvers[l-1]
-		// Calibrate the finer level's absolute target from its freestream
-		// state before injecting: one freestream-started step gives the
-		// residual scale a plain solve on that level would have latched
-		// onto. A drop tolerance measured after injection instead would
-		// punish the good initial guess — the bilinear prolongation hands
-		// the finer level a first residual that is already low, and a
-		// further relative drop from there can sit below the level's
-		// limit-cycle floor, grinding away the whole coarse budget.
+		coarse, finer := m.solvers[l], m.solvers[l-1]
 		r0 := finer.Step()
 		if math.IsNaN(r0) || r0 <= 0 {
 			return 0, errNaNCalibration
 		}
-		finer.injectFrom(s)
+		finer.injectFrom(coarse)
 		if finer.imp != nil {
-			finer.imp.carryCFL(s.imp)
+			finer.imp.carryCFL(coarse.imp)
 		}
-		if l-1 == 0 {
-			return r0 * m.dropTol, nil
-		}
-		abs = r0 * m.levelTol(l-1)
+		m.target = r0 * m.levelTol(l-1)
 	}
-	// Single reachable level: latch the target from the first real step.
-	// The step counts toward the fine budget; its residual cannot be below
-	// the target it just defined (dropTol < 1), so marchFinest simply
-	// continues from the next step. Nothing has polled the context yet.
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	fine := m.solvers[0]
-	r0 := fine.Step()
-	m.fineSteps++
-	m.steps[0]++
-	m.progress(0, r0)
-	if math.IsNaN(r0) || r0 <= 0 {
-		return 0, errNaNCalibration
-	}
-	return r0 * m.dropTol, nil
+	return m.march(ctx, 0)
 }
 
-// relax marches level l until its residual reaches the absolute target abs
-// (when abs > 0: the freestream-calibrated target of an injected level), or
-// drops by tol relative to the level's first-step residual (abs == 0: the
-// coarsest level, which starts from freestream anyway), bounded by budget
-// steps.
-func (m *multilevel) relax(ctx context.Context, l, budget int, tol, abs float64) (float64, error) {
-	s := m.solvers[l]
-	first := -1.0
-	res := 0.0
-	for n := 0; n < budget; n++ {
-		if n%16 == 0 {
-			if err := ctx.Err(); err != nil {
-				return res, err
-			}
-		}
-		res = s.Step()
-		m.steps[l]++
-		m.progress(l, res)
-		if math.IsNaN(res) {
-			return res, fmt.Errorf("fvm: multilevel solve: residual NaN on level %d step %d", l, m.steps[l])
-		}
-		if abs > 0 {
-			if res < abs {
-				return res, nil
-			}
-			continue
-		}
-		if first < 0 && res > 0 {
-			first = res
-		}
-		if first > 0 && res < first*tol {
-			return res, nil
-		}
+// levelTol is level l's relative drop tolerance: dropTol itself on the
+// finest level, coarseDropTol on the coarsest level of a cascade (which only
+// has to establish the shock from freestream), and a geometric
+// interpolation between the two on the levels in between. Driving the
+// intermediate levels well past coarseDropTol pays off: their steps cost a
+// fraction of a fine step (a quarter per halving), and every decade they
+// converge is a decade the finest level does not have to grind at full
+// resolution.
+func (m *multilevel) levelTol(l int) float64 {
+	last := len(m.solvers) - 1
+	switch l {
+	case 0:
+		return m.dropTol
+	case last:
+		return coarseDropTol
 	}
-	return res, nil
+	t := float64(l) / float64(last)
+	return math.Exp(t*math.Log(coarseDropTol) + (1-t)*math.Log(m.dropTol))
 }
 
 // maxRefits bounds the mid-march refits of one solve: the first one or two
@@ -287,66 +195,85 @@ const (
 	refitStallDrop = 0.99
 )
 
-// marchFinest runs the finest level to the absolute target, re-fitting the
-// grid every RefitEvery steps when configured.
-func (m *multilevel) marchFinest(ctx context.Context, target float64) (float64, error) {
-	return m.marchFinestFrom(ctx, target, 0, math.Inf(1), 0)
-}
-
-// marchFinestFrom is marchFinest continuing from saved refit bookkeeping —
-// the checkpoint-resume entry point (resumeMultilevel); the cold march
-// starts it at the zero position. With checkpointing configured it emits a
-// finest-level checkpoint every CheckpointEvery fine steps, plus a final
-// one when the context cancels the march mid-flight.
-func (m *multilevel) marchFinestFrom(ctx context.Context, target float64, sinceRefit int, best float64, stalled int) (float64, error) {
-	s := m.solvers[0]
-	res := -1.0 // no step taken yet
-	ckpt := m.o.CheckpointEvery > 0 && m.o.CheckpointSink != nil
-	for m.fineSteps < m.maxSteps {
-		if m.fineSteps%16 == 0 {
+// march steps level l until its residual falls below m.target or the level
+// has taken maxSteps steps; on the finest level the count runs across
+// resumes. A level that starts without a target (the coarsest, or the only
+// one) latches it from its first step, times levelTol(l); that step counts
+// toward maxSteps and the progress count, but not toward the finest level's
+// refit, stall-out and checkpoint cadences. The context is polled every 16
+// steps of the count. On the finest level the march re-fits the grid every
+// RefitEvery steps when configured, and with checkpointing configured it
+// emits a checkpoint every CheckpointEvery steps, plus a final one when the
+// context cancels the march once it has a target.
+func (m *multilevel) march(ctx context.Context, l int) (float64, error) {
+	s := m.solvers[l]
+	fine := l == 0
+	ckpt := fine && m.o.CheckpointEvery > 0 && m.o.CheckpointSink != nil
+	res := 0.0
+	for {
+		n := m.steps[l]
+		if fine {
+			n = m.fineSteps
+		}
+		if n >= m.maxSteps {
+			return res, nil
+		}
+		if n%16 == 0 {
 			if err := ctx.Err(); err != nil {
-				if ckpt {
-					m.checkpointFinest(target, sinceRefit, best, stalled)
+				if ckpt && m.target > 0 {
+					m.checkpoint()
 				}
 				return res, err
 			}
 		}
 		res = s.Step()
-		m.fineSteps++
-		m.steps[0]++
-		sinceRefit++
-		m.progress(0, res)
-		if math.IsNaN(res) {
-			return res, fmt.Errorf("fvm: multilevel solve: residual NaN at fine step %d", m.fineSteps)
+		m.steps[l]++
+		if fine {
+			m.fineSteps++
 		}
-		if res < target {
+		m.progress(l, res)
+		if math.IsNaN(res) {
+			return res, fmt.Errorf("fvm: multilevel solve: residual NaN on level %d step %d", l, n+1)
+		}
+		if m.target == 0 {
+			if res <= 0 {
+				return res, errNaNCalibration
+			}
+			m.target = res * m.levelTol(l)
+			continue
+		}
+		if res < m.target {
 			return res, nil
 		}
-		if ckpt && m.fineSteps%m.o.CheckpointEvery == 0 {
-			m.checkpointFinest(target, sinceRefit, best, stalled)
+		if !fine {
+			continue
 		}
+		m.sinceRefit++
 		if m.sq.RefitEvery > 0 {
-			if res < refitStallDrop*best {
-				best = res
-				stalled = 0
-			} else if stalled++; stalled >= refitStallOut {
+			if res < refitStallDrop*m.best {
+				m.best, m.stalled = res, 0
+			} else if m.stalled++; m.stalled >= refitStallOut {
 				// Converged to the refitted grid's own floor.
 				return res, nil
 			}
-			if m.refits < maxRefits && sinceRefit >= m.sq.RefitEvery && m.fineSteps < m.maxSteps {
+			if m.refits < maxRefits && m.sinceRefit >= m.sq.RefitEvery && m.fineSteps < m.maxSteps {
 				did, err := m.refitFinest()
 				if err != nil {
 					return res, err
 				}
 				if did {
 					m.refits++
-					best, stalled = math.Inf(1), 0
+					m.best, m.stalled = math.Inf(1), 0
 				}
-				sinceRefit = 0
+				m.sinceRefit = 0
 			}
 		}
+		// The step is whole, refit bookkeeping included: a resume from here
+		// continues with the next step.
+		if ckpt && m.fineSteps%m.o.CheckpointEvery == 0 {
+			m.checkpoint()
+		}
 	}
-	return res, nil
 }
 
 // progress reports a level's step to the configured Progress callback.
@@ -357,20 +284,15 @@ func (m *multilevel) progress(l int, res float64) {
 	m.o.Progress(m.solvers[l].phase, m.steps[l], m.maxSteps, res, m.solvers[l].diag(m.refits))
 }
 
-// checkpointFinest emits a finest-level checkpoint carrying the march's
-// absolute target and refit bookkeeping, so resumeMultilevel can continue
-// the march without re-running the cascade.
-func (m *multilevel) checkpointFinest(target float64, sinceRefit int, best float64, stalled int) {
-	s := m.solvers[0]
-	cp := s.Checkpoint()
-	cp.Step = m.fineSteps
-	cp.Target = target
-	cp.Refits = m.refits
-	cp.SinceRefit = sinceRefit
-	if !math.IsInf(best, 1) {
-		cp.MarchBest = best
+// checkpoint emits a finest-level checkpoint carrying the march position,
+// from which SolveMultilevel resumes without re-running the coarse levels.
+func (m *multilevel) checkpoint() {
+	cp := m.solvers[0].Checkpoint()
+	cp.Step, cp.Target = m.fineSteps, m.target
+	cp.Refits, cp.SinceRefit, cp.MarchStalled = m.refits, m.sinceRefit, m.stalled
+	if !math.IsInf(m.best, 1) {
+		cp.MarchBest = m.best
 	}
-	cp.MarchStalled = stalled
 	m.o.CheckpointSink(cp)
 }
 

@@ -28,7 +28,6 @@ func ReferenceViscousCase(ni, nj int, ts string) (*grid.Grid2D, Options, error) 
 	o := Options{
 		Gas:          gas.NewIdealAir(),
 		Viscous:      true,
-		Wall:         NoSlipIsothermal,
 		TWall:        1500,
 		Mu:           transport.Sutherland,
 		K:            transport.SutherlandConductivity,
@@ -62,7 +61,6 @@ func ReferenceSlenderCase(ni, nj int, sweep string) (*grid.Grid2D, Options, erro
 	o := Options{
 		Gas:           gas.NewIdealAir(),
 		Viscous:       true,
-		Wall:          NoSlipIsothermal,
 		TWall:         1500,
 		Mu:            transport.Sutherland,
 		K:             transport.SutherlandConductivity,

@@ -1,6 +1,7 @@
 package fvm
 
 import (
+	"errors"
 	"math"
 
 	"cataero/internal/grid"
@@ -36,13 +37,10 @@ const (
 	refitMargin = 1.4
 )
 
-var errNaNCalibration = &calibrationError{}
-
-type calibrationError struct{}
-
-func (*calibrationError) Error() string {
-	return "fvm: multilevel solve: calibration step produced no usable residual"
-}
+// errNaNCalibration fails a solve whose target-setting step (a level's
+// first step, or the calibration step of a handoff) has no positive
+// residual to scale.
+var errNaNCalibration = errors.New("fvm: multilevel solve: calibration step produced no usable residual")
 
 // injectFrom initializes the solver's conserved field from a coarse
 // solution by bilinear interpolation in cell-center index space. The old

@@ -84,12 +84,10 @@ func (s *Solver) fluxJRange(ci, lo, hi int) {
 		ws.R.setPrim(nj, s.pInf)
 		s.flux.BatchFlux(row, &ws.L, &ws.R, nrm, nj+1)
 		if s.Opts.Viscous {
-			if s.Opts.Wall == NoSlipIsothermal {
-				fv := s.wallFlux(i, nrm[2])
-				row[1] += fv[1]
-				row[2] += fv[2]
-				row[3] += fv[3]
-			}
+			fv := s.wallFlux(i, nrm[2])
+			row[1] += fv[1]
+			row[2] += fv[2]
+			row[3] += fv[3]
 			for j := 1; j < nj; j++ {
 				area := nrm[3*j+2]
 				if area == 0 {

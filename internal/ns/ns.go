@@ -28,14 +28,13 @@ type Case struct {
 	TInf     float64
 	TWall    float64
 	MaxSteps int
-	CFL      float64
 	Mu       func(T float64) float64
 	K        func(T float64) float64
 	// Options carries the finite-volume numerics — flux, time stepping,
 	// implicit sweep, limiter, checkpointing, pool and progress — through
 	// to the kernel unchanged. Solve sets the physics fields the case owns
-	// over it: Gas, Viscous, Wall, TWall, Mu, K, CFL, MUSCL and the
-	// freestream.
+	// over it: Gas, Viscous, TWall, Mu, K, MUSCL and the freestream, and
+	// the explicit CFL number 0.4.
 	Options fvm.Options
 	// Sequence configures the grid sequencing of the march (see
 	// fvm.SolveMultilevel and the Levels and RefitEvery fields of
@@ -66,9 +65,6 @@ func Solve(ctx context.Context, c Case) (*Result, error) {
 	if c.NJ == 0 {
 		c.NJ = 32
 	}
-	if c.CFL == 0 {
-		c.CFL = 0.4
-	}
 	if c.MaxSteps == 0 {
 		c.MaxSteps = 6000
 	}
@@ -87,8 +83,8 @@ func Solve(ctx context.Context, c Case) (*Result, error) {
 	}
 	g.Axisymmetric = true
 	o := c.Options
-	o.Gas, o.Viscous, o.Wall, o.TWall = c.Gas, true, fvm.NoSlipIsothermal, c.TWall
-	o.Mu, o.K, o.CFL, o.MUSCL = c.Mu, c.K, c.CFL, true
+	o.Gas, o.Viscous, o.TWall = c.Gas, true, c.TWall
+	o.Mu, o.K, o.CFL, o.MUSCL = c.Mu, c.K, 0.4, true
 	o.FreestreamV = [2]float64{c.VInf, 0}
 	o.FreestreamPT = [2]float64{c.PInf, c.TInf}
 	const dropTol = 5e-4

@@ -22,19 +22,6 @@ import (
 // for equilibrium air and ideal gas in closure.go.
 type Props func(p, h float64) (rho, mu float64, err error)
 
-// Options configures the march.
-type Options struct {
-	EtaMax  float64 // similarity coordinate extent (default 8)
-	NEta    int     // wall-normal points (default 101)
-	Pr      float64 // Prandtl number (default 0.71)
-	MaxIter int     // per-station relaxation sweeps (default 80)
-	Tol     float64 // convergence tolerance (default 1e-7)
-	// Progress, when non-nil, is invoked after each converged marching
-	// station with (station, total). It runs on the marching goroutine and
-	// must be cheap.
-	Progress func(station, total int)
-}
-
 // StationResult is the converged solution at one marching station.
 type StationResult struct {
 	S     float64 // arc length, m
@@ -49,27 +36,19 @@ type StationResult struct {
 // (station 0 must be the stagnation point). hw is the wall static enthalpy,
 // H0 the total (stagnation) enthalpy of the edge streamline. The context is
 // polled between marching stations; cancellation aborts with ctx.Err().
-func March(ctx context.Context, edges []blayer.EdgeState, props Props, hw, h0 float64, rn float64, pInf float64, opts Options) ([]StationResult, error) {
+// progress, when non-nil, is invoked after each converged marching station
+// with (station, total); it runs on the marching goroutine and must be
+// cheap.
+func March(ctx context.Context, edges []blayer.EdgeState, props Props, hw, h0 float64, rn float64, pInf float64, progress func(station, total int)) ([]StationResult, error) {
 	if len(edges) < 3 {
 		return nil, fmt.Errorf("pns: need at least 3 stations")
 	}
-	if opts.EtaMax == 0 {
-		opts.EtaMax = 8
-	}
-	if opts.NEta == 0 {
-		opts.NEta = 101
-	}
-	if opts.Pr == 0 {
-		opts.Pr = 0.71
-	}
-	if opts.MaxIter == 0 {
-		opts.MaxIter = 80
-	}
-	if opts.Tol == 0 {
-		opts.Tol = 1e-7
-	}
-	n := opts.NEta
-	deta := opts.EtaMax / float64(n-1)
+	// The wall-normal grid (eta in [0, etaMax] on n points), the Prandtl
+	// number and each station's relaxation sweep cap and tolerance. They
+	// stay variables: a constant expression such as 1 - 1/pr folds with
+	// exact arithmetic and could move the last bit.
+	etaMax, n, pr, maxIter, tol := 8.0, 101, 0.71, 80, 1e-7
+	deta := etaMax / float64(n-1)
 
 	// Station-invariant work arrays.
 	F := make([]float64, n)    // f' = u/ue
@@ -108,7 +87,7 @@ func March(ctx context.Context, edges []blayer.EdgeState, props Props, hw, h0 fl
 		if err != nil {
 			return err
 		}
-		for iter := 0; iter < opts.MaxIter; iter++ {
+		for iter := 0; iter < maxIter; iter++ {
 			// A station's relaxation sweeps dominate the march when the
 			// property closure is an equilibrium solve; poll so cancellation
 			// lands mid-station, not only between stations.
@@ -166,8 +145,8 @@ func March(ctx context.Context, edges []blayer.EdgeState, props Props, hw, h0 fl
 			}
 			// Energy: (C/Pr g')' + f g' + [dissipation]' = m2x F (g - gp).
 			for i := 1; i < n-1; i++ {
-				cpE := 0.5 * (C[i] + C[i+1]) / opts.Pr
-				cmE := 0.5 * (C[i] + C[i-1]) / opts.Pr
+				cpE := 0.5 * (C[i] + C[i+1]) / pr
+				cmE := 0.5 * (C[i] + C[i-1]) / pr
 				aa[i] = cmE/(deta*deta) - f[i]/(2*deta)
 				cc[i] = cpE/(deta*deta) + f[i]/(2*deta)
 				bb[i] = -(cpE+cmE)/(deta*deta) - m2x*F[i]
@@ -177,7 +156,7 @@ func March(ctx context.Context, edges []blayer.EdgeState, props Props, hw, h0 fl
 						return 0
 					}
 					Fpr := (F[j+1] - F[j-1]) / (2 * deta)
-					return C[j] * (1 - 1/opts.Pr) * e.Ue * e.Ue / dH * F[j] * Fpr
+					return C[j] * (1 - 1/pr) * e.Ue * e.Ue / dH * F[j] * Fpr
 				}
 				ddis := (dis(i+1) - dis(i-1)) / (2 * deta)
 				dd[i] = -ddis - m2x*F[i]*gp[i]
@@ -194,7 +173,7 @@ func March(ctx context.Context, edges []blayer.EdgeState, props Props, hw, h0 fl
 				}
 				g[i] = 0.6*g[i] + 0.4*gNew[i]
 			}
-			if dF < opts.Tol && dg < opts.Tol {
+			if dF < tol && dg < tol {
 				break
 			}
 		}
@@ -209,7 +188,7 @@ func March(ctx context.Context, edges []blayer.EdgeState, props Props, hw, h0 fl
 		} else {
 			scale = rhoE * muE * e.Ue * e.R / math.Sqrt(2*xiK)
 		}
-		q := C[0] / opts.Pr * gp0 * dH * scale
+		q := C[0] / pr * gp0 * dH * scale
 		fp0 := (F[1] - F[0]) / deta
 		cf := 2 * C[0] * fp0 * scale / (rhoE * math.Max(e.Ue, 1) * math.Max(e.Ue, 1) / math.Max(e.Ue, 1))
 		// Momentum-thickness-like integral in eta units.
@@ -227,8 +206,8 @@ func March(ctx context.Context, edges []blayer.EdgeState, props Props, hw, h0 fl
 	if err := solveStation(0, 0, 0, 0.5, edges[0]); err != nil {
 		return nil, err
 	}
-	if opts.Progress != nil {
-		opts.Progress(1, len(edges))
+	if progress != nil {
+		progress(1, len(edges))
 	}
 	copy(Fp, F)
 	copy(gp, g)
@@ -255,8 +234,8 @@ func March(ctx context.Context, edges []blayer.EdgeState, props Props, hw, h0 fl
 		if err := solveStation(k, xi, dXi, beta, b); err != nil {
 			return nil, err
 		}
-		if opts.Progress != nil {
-			opts.Progress(k+1, len(edges))
+		if progress != nil {
+			progress(k+1, len(edges))
 		}
 		copy(Fp, F)
 		copy(gp, g)

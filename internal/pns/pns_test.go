@@ -50,7 +50,7 @@ func TestMarchEquilibriumHeating(t *testing.T) {
 		t.Fatal(err)
 	}
 	props := EquilibriumProps(eq, tr, y0)
-	res, err := March(context.Background(), edges, props, hw, h0, body.NoseRadius(), fs.P, Options{})
+	res, err := March(context.Background(), edges, props, hw, h0, body.NoseRadius(), fs.P, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestMarchAgreesWithLeesShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := March(context.Background(), edges, EquilibriumProps(eq, tr, y0), hw, h0, body.NoseRadius(), fs.P, Options{})
+	res, err := March(context.Background(), edges, EquilibriumProps(eq, tr, y0), hw, h0, body.NoseRadius(), fs.P, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestIdealVsEquilibriumHeating(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resE, err := March(context.Background(), edgesE, EquilibriumProps(eq, tr, y0), hwE, h0, body.NoseRadius(), fs.P, Options{})
+	resE, err := March(context.Background(), edgesE, EquilibriumProps(eq, tr, y0), hwE, h0, body.NoseRadius(), fs.P, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestIdealVsEquilibriumHeating(t *testing.T) {
 	}
 	h0I := edgesI[0].H
 	hwI := 1.2 * 287.05 / 0.2 * 1100
-	resI, err := March(context.Background(), edgesI, IdealProps(1.2, 287.05), hwI, h0I, body.NoseRadius(), fs.P, Options{})
+	resI, err := March(context.Background(), edgesI, IdealProps(1.2, 287.05), hwI, h0I, body.NoseRadius(), fs.P, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestIdealEdgeDistribution(t *testing.T) {
 }
 
 func TestMarchErrors(t *testing.T) {
-	if _, err := March(context.Background(), nil, IdealProps(1.4, 287), 1e5, 1e7, 1, 10, Options{}); err == nil {
+	if _, err := March(context.Background(), nil, IdealProps(1.4, 287), 1e5, 1e7, 1, 10, nil); err == nil {
 		t.Error("empty edges accepted")
 	}
 }

@@ -81,8 +81,7 @@ func Solve(ctx context.Context, in Inputs) (*Result, error) {
 
 	// Viscous inner layer: similarity solution with a fully catalytic wall
 	// (equilibrium-flow VSL limit).
-	sim, err := blayer.SolveStagnation(m, in.Tr, stag, in.TWall, in.PInf, in.Rn,
-		blayer.SimilarityOptions{GammaW: 1})
+	sim, err := blayer.SolveStagnation(m, in.Tr, stag, in.TWall, in.PInf, in.Rn, 1)
 	if err != nil {
 		return nil, fmt.Errorf("vsl: similarity layer: %w", err)
 	}

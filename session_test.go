@@ -340,6 +340,11 @@ func TestNormalizeRejectsWhatCaseFilesReject(t *testing.T) {
 		{`"levels":-2`, func(p *Problem) { p.Levels = -2 }},
 		{`"refit_every":-3`, func(p *Problem) { p.RefitEvery = -3 }},
 		{`"checkpoint_every":-1`, func(p *Problem) { p.CheckpointEvery = -1 }},
+		{`"n_stations":1001`, func(p *Problem) { p.NStations = 1001 }},
+		{`"ni":100000,"nj":100000`, func(p *Problem) { p.NI, p.NJ = 100000, 100000 }},
+		{`"ni":1025`, func(p *Problem) { p.NI = 1025 }},
+		{`"nj":1025`, func(p *Problem) { p.NJ = 1025 }},
+		{`"ni":257,"nj":256`, func(p *Problem) { p.NI, p.NJ = 257, 256 }},
 		{`"cycle":"v"`, func(p *Problem) { p.Cycle = "v" }},
 		{`"flux":"bogus"`, func(p *Problem) { p.Flux = "bogus" }},
 		{`"time_stepping":"rk4"`, func(p *Problem) { p.TimeStepping = "rk4" }},
@@ -363,14 +368,22 @@ func TestNormalizeRejectsWhatCaseFilesReject(t *testing.T) {
 			t.Errorf("%s %s: error %q does not name the minimum", ClassName(c.class), knob, err)
 		}
 	}
-	// The minimums themselves are accepted.
+	// The minimums and the size bounds themselves are accepted.
 	for _, p := range []Problem{
 		{Class: EBL, Chemistry: EquilibriumAir, PInf: 4.8, TInf: 217, VInf: 6740, NoseRadius: 0.6, NStations: 2},
 		{Class: PNS, Chemistry: EquilibriumAir, PInf: 4.8, TInf: 217, VInf: 6740, NoseRadius: 0.6, NStations: 3},
+		{Class: PNS, Chemistry: EquilibriumAir, PInf: 4.8, TInf: 217, VInf: 6740, NoseRadius: 0.6, NStations: 1000},
+		{Class: NS, PInf: 5474.9, TInf: 216.65, VInf: 1770.4, NoseRadius: 0.3, NI: 256, NJ: 256},
+		{Class: NS, PInf: 5474.9, TInf: 216.65, VInf: 1770.4, NoseRadius: 0.3, NI: 1024, NJ: 64},
 	} {
 		if _, err := NewSession().Normalize(p); err != nil {
-			t.Errorf("%s with %d stations: %v", ClassName(p.Class), p.NStations, err)
+			t.Errorf("%s with %d stations, %dx%d: %v", ClassName(p.Class), p.NStations, p.NI, p.NJ, err)
 		}
+	}
+	// A hyperboloid of 100 nose radii is the longest a case file can spell.
+	if _, err := ParseCase([]byte(`{"class":"ebl","chemistry":"equilibrium-air","p_inf":4.8,"t_inf":217,"v_inf":6740,` +
+		`"body":{"kind":"hyperboloid","nose_radius":0.5,"half_angle_deg":30,"max_s":50}}`)); err != nil {
+		t.Errorf("hyperboloid of 100 nose radii: %v", err)
 	}
 }
 

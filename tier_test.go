@@ -89,10 +89,14 @@ func TestEngineeringTierGolden(t *testing.T) {
 }
 
 // TestNSGolden pins the full-precision stagnation heating and shock standoff
-// of the NS class on three cases: the smoke case file, bench.json solved on
-// one level, and Fig. 9 at quality 1, the north-star gate (about 229 W/cm²
-// and 27 mm). Like TestEngineeringTierGolden it is bit-exact at any
-// GOMAXPROCS, and a change that moves a value is a numerics change.
+// of the NS class: the smoke case file; bench.json on one, two and three
+// levels; a 20x32 bench.json with mid-march refits on one and two levels,
+// and capped at 60 steps on two; and Fig. 9 at quality 1, the north-star
+// gate (about 229 W/cm² and 27 mm). The rows take every path of the one
+// march: a one-level first step that latches the target, level handoffs,
+// refits and a step-cap exit. Like TestEngineeringTierGolden it is
+// bit-exact at any GOMAXPROCS, and a change that moves a value is a
+// numerics change.
 func TestNSGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("NS solves in short mode")
@@ -102,11 +106,14 @@ func TestNSGolden(t *testing.T) {
 		q, standoff         float64
 		wantQ, wantStandoff float64
 	}
-	caseFile := func(path string) (q, standoff float64) {
+	caseFile := func(path string, edit func(*Problem)) (q, standoff float64) {
 		t.Helper()
 		p, err := LoadCase(path)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if edit != nil {
+			edit(&p)
 		}
 		env, err := NewSession().Solve(context.Background(), p)
 		if err != nil {
@@ -114,8 +121,20 @@ func TestNSGolden(t *testing.T) {
 		}
 		return env.QConvStag, env.Standoff
 	}
-	smokeQ, smokeStandoff := caseFile("cmd/catsim/testdata/smoke.json")
-	benchQ, benchStandoff := caseFile("cmd/catsim/testdata/bench.json")
+	const bench = "cmd/catsim/testdata/bench.json"
+	levels := func(n int) func(*Problem) { return func(p *Problem) { p.Levels = n } }
+	small := func(lv, maxSteps, refitEvery int) func(*Problem) {
+		return func(p *Problem) {
+			p.NI, p.NJ, p.MaxSteps, p.Levels, p.RefitEvery = 20, 32, maxSteps, lv, refitEvery
+		}
+	}
+	smokeQ, smokeStandoff := caseFile("cmd/catsim/testdata/smoke.json", nil)
+	benchQ, benchStandoff := caseFile(bench, nil)
+	l2Q, l2Standoff := caseFile(bench, levels(2))
+	l3Q, l3Standoff := caseFile(bench, levels(3))
+	refit2Q, refit2Standoff := caseFile(bench, small(2, 4000, 40))
+	refit1Q, refit1Standoff := caseFile(bench, small(1, 4000, 40))
+	cappedQ, cappedStandoff := caseFile(bench, small(2, 60, 0))
 	fig9, err := NewSession().Fig9HemisphereNS(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -123,6 +142,11 @@ func TestNSGolden(t *testing.T) {
 	for _, c := range []pin{
 		{"smoke.json", smokeQ, smokeStandoff, 77198.57348236826, 0.05338595953064993},
 		{"bench.json single level", benchQ, benchStandoff, 359473.5553102671, 0.04537566409280199},
+		{"bench.json levels 2", l2Q, l2Standoff, 358595.62652690936, 0.045375664092801991},
+		{"bench.json levels 3", l3Q, l3Standoff, 356570.72777792747, 0.045375664092801991},
+		{"bench.json 20x32 levels 2 refit 40", refit2Q, refit2Standoff, 285380.2612805565, 0.046193069222745381},
+		{"bench.json 20x32 levels 1 refit 40", refit1Q, refit1Standoff, 284547.83604964451, 0.046574525343838463},
+		{"bench.json 20x32 levels 2 capped at 60", cappedQ, cappedStandoff, 186315.10977051221, 0.048273662321149512},
 		{"Fig. 9 quality 1", fig9.QStag, fig9.Standoff, 2292409.2674387903, 0.026946304892721287},
 	} {
 		if c.q != c.wantQ {
